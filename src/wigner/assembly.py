@@ -9,12 +9,12 @@ lazy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import WaveletBasis, _restrict_once, _stencil_coefficients, quadrature_weights
+from .basis import WaveletBasis
 from .errors import ConfigurationError, ContractError
 from .model import ModelParams, PolynomialPotential, derivative, moyal_truncation
 
@@ -57,30 +57,15 @@ class PhaseSpaceBasis:
             self.basis_p.integration_functional(),
         )
 
-    def project(self, f, oversample: int = None) -> np.ndarray:
+    def project(self, f) -> np.ndarray:
         """Flat coefficients <phi_qk phi_pl, f> by per-axis exact quadrature.
 
         ``f(q, p)`` must broadcast over numpy arrays.
         """
         bq, bp = self.basis_q, self.basis_p
-        J = oversample if oversample is not None else max(bq.j_fine, bp.j_fine, 10) + 2
-        J = max(J, bq.j_fine, bp.j_fine)
-        Pq, Pp = 2 ** J, 2 ** J
-        aq, _ = bq.domain
-        ap, _ = bp.domain
-        qs = aq + (bq.length / Pq) * np.arange(Pq)
-        ps_ = ap + (bp.length / Pp) * np.arange(Pp)
-        F = np.asarray(f(qs[:, None], ps_[None, :]), dtype=float)
-        if F.shape != (Pq, Pp):
-            F = np.broadcast_to(F, (Pq, Pp)).astype(float)
-        C = _stencil_coefficients(F, quadrature_weights(bq.filter), axis=0)
-        C = _stencil_coefficients(C, quadrature_weights(bp.filter), axis=1)
-        C *= np.sqrt(bq.length / Pq) * np.sqrt(bp.length / Pp)
-        for _ in range(J - bq.j_fine):
-            C = _restrict_once(C, bq.filter.taps, axis=0)
-        for _ in range(J - bp.j_fine):
-            C = _restrict_once(C, bp.filter.taps, axis=1)
-        return C.reshape(-1)
+        qs, ps_ = bq.projection_nodes(), bp.projection_nodes()
+        F = np.broadcast_to(f(qs[:, None], ps_[None, :]), (qs.size, ps_.size)).astype(float)
+        return bp.project_samples(bq.project_samples(F, axis=0), axis=1).reshape(-1)
 
     def evaluate_grid(self, coeffs: np.ndarray, qs, ps_) -> np.ndarray:
         """Pointwise field values, shape (len(qs), len(ps)) indexed [iq, ip]."""
@@ -171,14 +156,6 @@ class AssembledOperator:
         )
 
 
-def _require_pure_q(U: PolynomialPotential, what: str) -> None:
-    if not U.pure_q:
-        raise ConfigurationError(
-            f"{what} supports only pure-q potentials; "
-            "pure-p terms are a declared extension point"
-        )
-
-
 def _poly_mult_matrix(basis: WaveletBasis, coeffs) -> np.ndarray:
     """Galerkin matrix of multiplication by sum_n coeffs[n] x^n (exact tables)."""
     if len(coeffs) - 1 > 8:
@@ -210,7 +187,6 @@ def assemble_quantum_correction(
 
     Term l carries (-1)^l (hbar/2)^(2l) / (2l+1)!  *  U^(2l+1)(q) d^(2l+1)/dp^(2l+1).
     """
-    _require_pure_q(U, "quantum-correction assembly")
     L = moyal_truncation(U)
     terms = []
     half_h = params.hbar / 2.0
@@ -273,7 +249,6 @@ def assemble_stationary_pair(
     A_sym W = ((E' + E'')/2) W   and   A_anti W = (i/hbar)(E'' - E') W
     on exact two-sided eigenfields; A_sym is symmetric, A_anti antisymmetric.
     """
-    _require_pure_q(U, "stationary assembly")
     m = params.mass
     half_h = params.hbar / 2.0
     Iq = _identity(ps.basis_q)
@@ -327,7 +302,6 @@ def assemble_stationary_cnumber(
     the potential expanded exactly by the binomial theorem.  Equals
     A_sym - i (hbar/2) A_anti of assemble_stationary_pair.
     """
-    _require_pure_q(U, "stationary assembly")
     m = params.mass
     Iq = _identity(ps.basis_q)
     Ip = _identity(ps.basis_p)

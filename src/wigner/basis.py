@@ -10,9 +10,7 @@ the objects built here:
 * ``moment_coefficients`` -- integrals of x^m against products of basis
   functions, for polynomial multiplication operators.
 * ``WaveletBasis`` -- a periodized multiresolution basis on an interval, with
-  single-scale <-> multiscale transforms and expansion evaluation.
-* ``packet_decompose`` / ``best_basis_packet`` -- wavelet-packet best basis by
-  minimal Shannon entropy.
+  single-scale <-> multiscale transforms, expansion evaluation and projection.
 
 Sign/normalization conventions are fixed in one place:
 
@@ -29,21 +27,24 @@ Sign/normalization conventions are fixed in one place:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from math import comb, factorial
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    DegenerateInputError,
-    NumericalError,
-)
+from .errors import ConfigurationError, ContractError, NumericalError
 
 SUPPORTED_ORDERS = (2, 4, 6, 8, 10)
 MAX_MOMENT_POWER = 8
+# Dyadic resolution of the cascade table behind pointwise evaluation.
+EVAL_RESOLUTION = 10
+# ``project`` samples at level j_fine + PROJECTION_LEVELS.  While the field is
+# negligible at the box edge, three levels put the quadrature error at least
+# 1e5x below the basis's own L2 approximation error (orders 6 and 10, j_fine 5
+# and 6).  A field that reaches the edge is discontinuous across the periodic
+# wrap; there the error falls only linearly with the sample step and is about
+# 5x below the approximation error.
+PROJECTION_LEVELS = 3
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -57,11 +58,12 @@ class FilterCoefficients:
     """Orthonormal Daubechies-family low-pass filter.
 
     ``order`` is the number of taps (2g for genus g); the scaling function is
-    supported on [0, order-1].
+    supported on [0, order-1].  Filters compare equal by order: the taps are
+    a function of it.
     """
 
     order: int
-    taps: np.ndarray
+    taps: np.ndarray = field(compare=False)
     support_length: int
 
     @property
@@ -381,22 +383,19 @@ class WaveletBasis:
     single-scale representation (scaling functions at level ``j_fine``);
     ``to_multiscale`` maps to the (scaling at j_coarse) + (details at
     j_coarse..j_fine-1) representation via the orthogonal periodic DWT.
+    Bases compare equal by filter order, levels and domain.
     """
 
     filter: FilterCoefficients
     j_coarse: int
     j_fine: int
     domain: tuple
-    periodized: bool = True
-    eval_resolution: int = 10
-    _scaling_table: ScalingTable = field(default=None, repr=False)
-    _dwt: np.ndarray = field(default=None, repr=False)
+    _scaling_table: ScalingTable = field(default=None, repr=False, compare=False)
+    _dwt: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.j_coarse > self.j_fine:
             raise ContractError("j_coarse must not exceed j_fine")
-        if not self.periodized:
-            raise ConfigurationError("only periodized bases are supported")
         if 2 ** self.j_fine < self.filter.order:
             raise ConfigurationError(
                 "finest level too coarse for the filter support; increase j_fine"
@@ -414,14 +413,6 @@ class WaveletBasis:
     @property
     def length(self) -> float:
         return self.domain[1] - self.domain[0]
-
-    @property
-    def index_set(self):
-        """(level, translation) pairs: scaling block then detail blocks."""
-        out = [("phi", self.j_coarse, k) for k in range(2 ** self.j_coarse)]
-        for j in range(self.j_coarse, self.j_fine):
-            out.extend(("psi", j, k) for k in range(2 ** j))
-        return out
 
     def multiscale_levels(self) -> np.ndarray:
         """Scale label per multiscale coefficient; the scaling block gets
@@ -448,7 +439,11 @@ class WaveletBasis:
 
     @property
     def dwt_matrix(self) -> np.ndarray:
-        """Full multiscale analysis matrix (orthogonal, dim x dim)."""
+        """Full multiscale analysis matrix (orthogonal, dim x dim).
+
+        Each step transforms only the leading approximation block, so the rows
+        come out ordered [phi_coarse | d_coarse | ... | d_fine].
+        """
         if self._dwt is None:
             n = self.dim
             T = np.eye(n)
@@ -456,12 +451,9 @@ class WaveletBasis:
             while m > 2 ** self.j_coarse:
                 step = np.eye(n)
                 step[:m, :m] = self._analysis_step(m)
-                # reorder so detail blocks accumulate after the shrinking
-                # approximation block
                 T = step @ T
                 m //= 2
-            # Block layout after the loop: [phi_coarse | d_coarse | ... | d_fine].
-            self._dwt = _reorder_multiscale(T, n, 2 ** self.j_coarse)
+            self._dwt = T
         return self._dwt
 
     def to_multiscale(self, coeffs: np.ndarray) -> np.ndarray:
@@ -508,16 +500,12 @@ class WaveletBasis:
             out += comb(power, s_) * a ** (power - s_) * hstep ** s_ * inner
         return np.sqrt(hstep) * out
 
-    def gram_matrix(self) -> np.ndarray:
-        """Gram matrix from the exact product tables (should be identity)."""
-        return self.derivative_matrix(0, 0)
-
     # -- evaluation --------------------------------------------------------
 
     @property
     def scaling_table(self) -> ScalingTable:
         if self._scaling_table is None:
-            self._scaling_table = scaling_values(self.filter, self.eval_resolution)
+            self._scaling_table = scaling_values(self.filter, EVAL_RESOLUTION)
         return self._scaling_table
 
     def evaluation_matrix(self, x: np.ndarray) -> np.ndarray:
@@ -551,47 +539,30 @@ class WaveletBasis:
 
     # -- projection --------------------------------------------------------
 
-    def project(self, f, oversample: int = None) -> np.ndarray:
-        """Single-scale coefficients <phi_k, f> via moment-exact quadrature.
+    def projection_nodes(self) -> np.ndarray:
+        """Dyadic sample points of ``project``, at level j_fine + PROJECTION_LEVELS."""
+        P = 2 ** (self.j_fine + PROJECTION_LEVELS)
+        return self.domain[0] + (self.length / P) * np.arange(P)
 
-        Samples f on a dyadic grid at level ``oversample`` (default
-        max(j_fine + 2, 12)), applies the small-stencil quadrature that
-        reproduces all scaling-function moments up to the filter order, then
-        restricts exactly down to j_fine with the low-pass filter.  The only
-        error is the quadrature truncation ~ (L / 2^oversample)^order.
+    def project_samples(self, F: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Single-scale coefficients <phi_k, f> along ``axis`` from samples of f.
+
+        ``F`` holds f at ``projection_nodes`` along ``axis``.  Applies the
+        small-stencil quadrature that reproduces all scaling-function moments
+        up to the filter order, then restricts exactly down to j_fine with the
+        low-pass filter.  The only error is the quadrature truncation
+        ~ (L / 2^(j_fine + PROJECTION_LEVELS))^order.
         """
-        J = oversample if oversample is not None else max(self.j_fine + 2, 12)
-        if J < self.j_fine:
-            raise ContractError("oversample level must be at least j_fine")
-        P = 2 ** J
-        a, _ = self.domain
-        step = self.length / P
-        F = np.asarray(f(a + step * np.arange(P)), dtype=float)
-        c = _stencil_coefficients(F, quadrature_weights(self.filter), axis=0)
+        P = F.shape[axis]
+        c = _stencil_coefficients(F, quadrature_weights(self.filter), axis)
         c *= np.sqrt(self.length / P)
-        for _ in range(J - self.j_fine):
-            c = _restrict_once(c, self.filter.taps, axis=0)
+        for _ in range(PROJECTION_LEVELS):
+            c = _restrict_once(c, self.filter.taps, axis)
         return c
 
-
-def _reorder_multiscale(T: np.ndarray, n: int, n_coarse: int) -> np.ndarray:
-    """Fix block ordering of the composed DWT to [phi | d_c | ... | d_fine].
-
-    Composing in-place half-size steps leaves rows ordered as
-    [phi, d_{j_coarse}, d_{j_coarse+1}, ..., d_{j_fine-1}] already because each
-    step only touches the leading block; this helper exists to keep that
-    contract explicit and is currently the identity reordering.
-    """
-    order = []
-    blocks = []
-    m = n
-    while m > n_coarse:
-        blocks.append((m // 2, m))  # detail rows of this step occupy [m/2, m)
-        m //= 2
-    order.extend(range(n_coarse))
-    for lo, hi in reversed(blocks):
-        order.extend(range(lo, hi))
-    return T[np.array(order)]
+    def project(self, f) -> np.ndarray:
+        """Single-scale coefficients <phi_k, f>; ``f`` must accept numpy arrays."""
+        return self.project_samples(np.asarray(f(self.projection_nodes()), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -600,16 +571,6 @@ class MomentTable:
 
     power: int
     matrix: np.ndarray
-
-    @property
-    def values(self) -> dict:
-        P = self.matrix.shape[0]
-        out = {}
-        for k in range(P):
-            for kp in range(P):
-                if self.matrix[k, kp] != 0.0:
-                    out[(k, kp)] = self.matrix[k, kp]
-        return out
 
 
 def moment_coefficients(basis: WaveletBasis, power: int) -> MomentTable:
@@ -685,144 +646,3 @@ def _restrict_once(c: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
         piece = np.roll(c, -t, axis=axis)[keep]
         out = ht * piece if out is None else out + ht * piece
     return out
-
-
-def evaluate_expansion(basis: WaveletBasis, coeffs, x):
-    """Evaluate sum_k c_k phi_k(x) with periodic wrap (single-scale coeffs)."""
-    return basis.evaluate(np.asarray(coeffs, dtype=float), x)
-
-
-# ---------------------------------------------------------------------------
-# wavelet packets
-# ---------------------------------------------------------------------------
-
-def packet_decompose(signal: np.ndarray, filt: FilterCoefficients, depth: int):
-    """Full periodic wavelet-packet tree: tree[l] is a list of 2^l arrays."""
-    v = np.asarray(signal, dtype=float)
-    if depth < 1:
-        raise ContractError("packet tree depth must be >= 1")
-    if v.size % 2 ** depth != 0:
-        raise ContractError("signal length must be divisible by 2**depth")
-    h, g = filt.taps, filt.high_pass
-    tree = [[v]]
-    for _ in range(depth):
-        nxt = []
-        for node in tree[-1]:
-            n = node.size
-            idx = (2 * np.arange(n // 2)[:, None] + np.arange(filt.order)[None, :]) % n
-            win = node[idx]
-            lo = win @ h
-            hi = win @ g
-            nxt.extend([lo, hi])
-        tree.append(nxt)
-    return tree
-
-
-def _node_cost(arr: np.ndarray) -> float:
-    e = arr * arr
-    nz = e[e > 0.0]
-    return float(-(nz * np.log(nz)).sum()) if nz.size else 0.0
-
-
-def best_basis_packet(tree):
-    """Minimal-Shannon-entropy admissible cut of a full packet tree.
-
-    Returns ``(nodes, entropy)`` where ``nodes`` is the list of (level, pos)
-    pairs of the chosen cut and ``entropy`` the Shannon entropy of the
-    normalized squared coefficients on that cut.  Exact ties are broken
-    toward the shallower cut.
-    """
-    depth = len(tree) - 1
-    if depth < 1:
-        raise ContractError("packet tree depth must be >= 1")
-    total = sum(float(np.sum(np.square(a))) for a in tree[-1])
-    if total == 0.0:
-        raise DegenerateInputError("entropy undefined for an all-zero packet tree")
-
-    best_cost = {}
-    best_cut = {}
-    for pos, arr in enumerate(tree[depth]):
-        best_cost[(depth, pos)] = _node_cost(arr)
-        best_cut[(depth, pos)] = [(depth, pos)]
-    for level in range(depth - 1, -1, -1):
-        for pos, arr in enumerate(tree[level]):
-            own = _node_cost(arr)
-            kids = best_cost[(level + 1, 2 * pos)] + best_cost[(level + 1, 2 * pos + 1)]
-            if own <= kids:  # tie -> shallower
-                best_cost[(level, pos)] = own
-                best_cut[(level, pos)] = [(level, pos)]
-            else:
-                best_cost[(level, pos)] = kids
-                best_cut[(level, pos)] = (
-                    best_cut[(level + 1, 2 * pos)] + best_cut[(level + 1, 2 * pos + 1)]
-                )
-
-    nodes = best_cut[(0, 0)]
-    lam = best_cost[(0, 0)]
-    entropy = lam / total + np.log(total)
-    # guard against roundoff producing -0-ish entropies
-    return nodes, max(float(entropy), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# binary table cache
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"WVBASIS1"
-
-
-def save_tables(path, basis: WaveletBasis, max_deriv: int = 2, max_power: int = 2):
-    """Dump precomputed tables: header, then connection and moment entries.
-
-    Layout (little-endian): magic ``WVBASIS1``; int32 order, j_coarse, j_fine;
-    float64 a, b; int32 n_conn; per connection table: int32 d1, d2, n, then n
-    int32 offsets and n float64 values; int32 n_mom; per moment table: int32
-    power, dim, then dim*dim float64 entries (row-major).  Purely a cache.
-    """
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<3i", basis.filter.order, basis.j_coarse, basis.j_fine))
-        f.write(struct.pack("<2d", *basis.domain))
-        conns = [
-            connection_coefficients(basis.filter, 0, d)
-            for d in range(0, max_deriv + 1)
-        ]
-        f.write(struct.pack("<i", len(conns)))
-        for c in conns:
-            f.write(struct.pack("<3i", c.d1, c.d2, c.offsets.size))
-            f.write(c.offsets.astype("<i4").tobytes())
-            f.write(c.values.astype("<f8").tobytes())
-        f.write(struct.pack("<i", max_power + 1))
-        for m in range(max_power + 1):
-            mat = basis.moment_matrix(m)
-            f.write(struct.pack("<2i", m, mat.shape[0]))
-            f.write(mat.astype("<f8").tobytes())
-
-
-def load_tables(path):
-    """Read a table dump back; returns (header dict, connection list, moment list)."""
-    with open(path, "rb") as f:
-        if f.read(8) != _MAGIC:
-            raise ConfigurationError(f"{path} is not a basis table dump")
-        order, j_coarse, j_fine = struct.unpack("<3i", f.read(12))
-        a, b = struct.unpack("<2d", f.read(16))
-        header = {
-            "order": order,
-            "j_coarse": j_coarse,
-            "j_fine": j_fine,
-            "domain": (a, b),
-        }
-        (n_conn,) = struct.unpack("<i", f.read(4))
-        conns = []
-        for _ in range(n_conn):
-            d1, d2, n = struct.unpack("<3i", f.read(12))
-            offsets = np.frombuffer(f.read(4 * n), dtype="<i4").astype(int)
-            values = np.frombuffer(f.read(8 * n), dtype="<f8").copy()
-            conns.append(ConnectionTable(d1=d1, d2=d2, offsets=offsets, values=values))
-        (n_mom,) = struct.unpack("<i", f.read(4))
-        moms = []
-        for _ in range(n_mom):
-            power, dim = struct.unpack("<2i", f.read(8))
-            mat = np.frombuffer(f.read(8 * dim * dim), dtype="<f8").reshape(dim, dim).copy()
-            moms.append(MomentTable(power=power, matrix=mat))
-    return header, conns, moms

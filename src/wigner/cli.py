@@ -12,9 +12,9 @@ import difflib
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import ConfigurationError, NumericalError, WignerError
+from .errors import ConfigurationError, WignerError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -22,7 +22,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_NOT_CONVERGED = 4
 
-_MODES = ("evolve", "stationary", "moyal", "lindblad", "ensemble", "refine")
+_MODES = ("evolve", "stationary", "moyal", "ensemble", "refine")
 
 _KNOWN_KEYS = {
     "run": {"mode"},
@@ -186,6 +186,13 @@ def parse_config(path) -> RunConfig:
         errors.append("[solver] scheme must be implicit_midpoint or explicit_rk4")
     if epsilon is not None and epsilon <= 0:
         errors.append("[solver] epsilon must be positive")
+    if n_states is not None and n_states < 1:
+        errors.append("[solver] n_states must be >= 1")
+    if pairs is not None and pairs < 1:
+        errors.append("[solver] pairs must be >= 1")
+    # n_max defaults to j_fine, so only refine runs must order the levels
+    if mode == "refine" and None not in (n_min, n_max) and n_min > n_max:
+        errors.append("[solver] n_min must not exceed n_max")
 
     ensemble = None
     if parser.has_section("ensemble"):
@@ -354,14 +361,15 @@ def _thresholds(cfg: RunConfig):
 
 
 def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
-    """Execute a validated config; writes manifest and artifacts; exit code."""
+    """Execute a validated config; writes manifest and artifacts; exit code.
+
+    Any WignerError ends the run with an ``error =`` line in the manifest and
+    exit code 2 for a configuration error, 3 for any other.
+    """
     import numpy as np
     import scipy
 
     from . import __version__
-    from .diagnostics import diagnostics_report
-    from .model import parse_potential
-    from .solve import EvolutionConfig
 
     t_wall = time.time()
     run_dir = _make_run_dir(cfg, out_override)
@@ -377,6 +385,34 @@ def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
         cfg.raw_text.rstrip(),
         "",
     ]
+    try:
+        report, not_converged = _execute(cfg, run_dir, manifest)
+    except WignerError as exc:
+        if isinstance(exc, ConfigurationError):
+            code, message = EXIT_CONFIG, f"configuration error: {exc}"
+        else:
+            code, message = EXIT_NUMERICAL, f"numerical error: {exc}"
+        _write_failure(run_dir, manifest, message)
+        print(message, file=sys.stderr)
+        return code
+
+    with open(os.path.join(run_dir, "timing.txt"), "w") as fh:
+        fh.write(f"wall_seconds = {time.time() - t_wall:.3f}\n")
+
+    if verbose:
+        print(f"run artifacts in {run_dir}")
+        print(report.to_text(), end="")
+    else:
+        print(run_dir)
+    return EXIT_NOT_CONVERGED if not_converged else EXIT_OK
+
+
+def _execute(cfg: RunConfig, run_dir, manifest):
+    """Run the configured mode and write its artifacts and manifest."""
+    from .diagnostics import diagnostics_report, marginals
+    from .model import parse_potential
+    from .solve import EvolutionConfig
+
     not_converged = False
     U = parse_potential(cfg.potential_text)
     params = _model_params(cfg)
@@ -384,26 +420,19 @@ def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
                               renormalize=cfg.renormalize,
                               store_every=cfg.store_every)
 
-    try:
-        if cfg.mode in ("evolve", "lindblad"):
-            trajectory = _run_evolution(cfg, U, params, evo_cfg, run_dir)
-        elif cfg.mode == "ensemble":
-            trajectory = _run_ensemble(cfg, params, evo_cfg, run_dir)
-        elif cfg.mode == "stationary":
-            trajectory = _run_stationary(cfg, U, params, run_dir, manifest)
-        elif cfg.mode == "moyal":
-            trajectory = _run_moyal(cfg, U, params, run_dir, manifest)
-        elif cfg.mode == "refine":
-            trajectory, not_converged = _run_refine(cfg, U, params, run_dir,
-                                                    manifest)
-        else:  # pragma: no cover - parse_config rejects unknown modes
-            raise ConfigurationError(f"unhandled mode {cfg.mode!r}")
-    except NumericalError as exc:
-        _write_failure(run_dir, manifest, f"numerical error: {exc}")
-        if verbose:
-            raise
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    if cfg.mode == "evolve":
+        trajectory = _run_evolution(cfg, U, params, evo_cfg, run_dir)
+    elif cfg.mode == "ensemble":
+        trajectory = _run_ensemble(cfg, params, evo_cfg, run_dir)
+    elif cfg.mode == "stationary":
+        trajectory = _run_stationary(cfg, U, params, run_dir, manifest)
+    elif cfg.mode == "moyal":
+        trajectory = _run_moyal(cfg, U, params, run_dir, manifest)
+    elif cfg.mode == "refine":
+        trajectory, not_converged = _run_refine(cfg, U, params, run_dir,
+                                                manifest)
+    else:  # pragma: no cover - parse_config rejects unknown modes
+        raise ConfigurationError(f"unhandled mode {cfg.mode!r}")
 
     final = trajectory[-1]
     dump_grid(trajectory[0], cfg.grid_resolution,
@@ -413,7 +442,6 @@ def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
     _dump_scale_parts(cfg, final, run_dir)
     _dump_checkpoints(cfg, trajectory, run_dir)
 
-    from .diagnostics import marginals
     dq, dp = marginals(final)
     _dump_marginal(dq, cfg.grid_resolution,
                    os.path.join(run_dir, "marginal_q.txt"))
@@ -431,23 +459,16 @@ def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
 
     with open(os.path.join(run_dir, "manifest.txt"), "w") as fh:
         fh.write("\n".join(manifest) + "\n")
-    with open(os.path.join(run_dir, "timing.txt"), "w") as fh:
-        fh.write(f"wall_seconds = {time.time() - t_wall:.3f}\n")
-
-    if verbose:
-        print(f"run artifacts in {run_dir}")
-        print(report.to_text(), end="")
-    else:
-        print(run_dir)
-    return EXIT_NOT_CONVERGED if not_converged else EXIT_OK
+    return report, not_converged
 
 
 def _run_evolution(cfg, U, params, evo_cfg, run_dir):
-    from .ensemble import lindblad_evolve
+    from .assembly import assemble_evolution
+    from .solve import evolve
 
     ps = _build_phase_space(cfg)
     W0 = _initial_field(cfg, ps)
-    return lindblad_evolve(W0, U, params, evo_cfg)
+    return evolve(W0, assemble_evolution(ps, U, params), evo_cfg)
 
 
 def _run_ensemble(cfg, params, evo_cfg, run_dir):
@@ -581,14 +602,7 @@ def _cmd_run(args) -> int:
     except ConfigurationError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        return run(cfg, out_override=args.out, verbose=args.verbose)
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    return run(cfg, out_override=args.out, verbose=args.verbose)
 
 
 def _cmd_validate(args) -> int:

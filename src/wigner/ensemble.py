@@ -1,4 +1,4 @@
-"""Fock-level hierarchies of Wigner equations and dissipative evolution.
+"""Fock-level hierarchies of Wigner equations.
 
 Each photon-number level n sees its own effective potential U_n = U0 * n * g;
 levels evolve independently and combine by incoherent (weighted) superposition.
@@ -7,11 +7,11 @@ levels evolve independently and combine by incoherent (weighted) superposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import PhaseSpaceBasis, assemble_evolution
+from .assembly import assemble_evolution
 from .errors import ConfigurationError, ContractError, WignerError
 from .model import ModelParams, PolynomialPotential, fock_potential
 from .solve import CoefficientField, EvolutionConfig, evolve
@@ -96,9 +96,3 @@ def incoherent_superpose(ens: FockEnsemble) -> CoefficientField:
     t = max(W.time for W in ens.fields)
     return CoefficientField(ps=ps, coeffs=coeffs, time=t)
 
-
-def lindblad_evolve(W0: CoefficientField, U: PolynomialPotential,
-                    params: ModelParams, cfg: EvolutionConfig) -> list:
-    """Evolution with transport, quantum corrections, friction and diffusion."""
-    L = assemble_evolution(W0.ps, U, params)
-    return evolve(W0, L, cfg)

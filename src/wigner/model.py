@@ -1,14 +1,14 @@
 """Polynomial Hamiltonian data: potentials, derivatives, series truncation.
 
 The kinetic term p^2/2m is implicit; ``PolynomialPotential`` holds the
-polynomial part U.  Mixed U(p, q) is restricted to sums of a pure-q and a
-pure-p polynomial; general cross terms are an extension point.
+polynomial potential U(q).  Potentials depend on q only: ``parse_potential``
+rejects any p term.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,56 +17,33 @@ from .errors import ConfigurationError, ContractError
 
 @dataclass(frozen=True)
 class PolynomialPotential:
-    """U(q) = sum_k coeffs_q[k] q^k, plus optional pure-p terms.
-
-    ``coeffs_p[k]`` is the coefficient of p^k; cross terms p^a q^b with both
-    a, b > 0 are not representable in v1.
-    """
+    """U(q) = sum_k coeffs_q[k] q^k."""
 
     coeffs_q: tuple = ()
-    coeffs_p: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs_q", _canonical(self.coeffs_q))
-        object.__setattr__(self, "coeffs_p", _canonical(self.coeffs_p))
 
     @property
     def degree(self) -> int:
-        dq = len(self.coeffs_q) - 1
-        dp = len(self.coeffs_p) - 1
-        return max(dq, dp, 0)
+        return max(len(self.coeffs_q) - 1, 0)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs_q and not self.coeffs_p
+        return not self.coeffs_q
 
-    @property
-    def pure_q(self) -> bool:
-        return len(self.coeffs_p) == 0
-
-    def __call__(self, q, p=0.0):
-        out = np.polynomial.polynomial.polyval(q, self.coeffs_q) if self.coeffs_q else 0.0
-        if self.coeffs_p:
-            out = out + np.polynomial.polynomial.polyval(p, self.coeffs_p)
-        return out
+    def __call__(self, q):
+        return np.polynomial.polynomial.polyval(q, self.coeffs_q) if self.coeffs_q else 0.0
 
     def scaled(self, factor: float) -> "PolynomialPotential":
-        return PolynomialPotential(
-            coeffs_q=tuple(factor * c for c in self.coeffs_q),
-            coeffs_p=tuple(factor * c for c in self.coeffs_p),
-        )
+        return PolynomialPotential(coeffs_q=tuple(factor * c for c in self.coeffs_q))
 
     def __add__(self, other: "PolynomialPotential") -> "PolynomialPotential":
-        nq = max(len(self.coeffs_q), len(other.coeffs_q))
-        np_ = max(len(self.coeffs_p), len(other.coeffs_p))
-        cq = [0.0] * nq
-        cp = [0.0] * np_
+        cq = [0.0] * max(len(self.coeffs_q), len(other.coeffs_q))
         for src in (self, other):
             for k, c in enumerate(src.coeffs_q):
                 cq[k] += c
-            for k, c in enumerate(src.coeffs_p):
-                cp[k] += c
-        return PolynomialPotential(coeffs_q=tuple(cq), coeffs_p=tuple(cp))
+        return PolynomialPotential(coeffs_q=tuple(cq))
 
 
 def _canonical(coeffs) -> tuple:
@@ -77,7 +54,7 @@ def _canonical(coeffs) -> tuple:
 
 
 def derivative(U: PolynomialPotential, order: int = 1) -> PolynomialPotential:
-    """Exact d^order/dq^order of the pure-q part (p part differentiates to 0)."""
+    """Exact d^order/dq^order."""
     if order < 0:
         raise ContractError("derivative order must be non-negative")
     cq = np.array(U.coeffs_q, dtype=float)
@@ -86,18 +63,6 @@ def derivative(U: PolynomialPotential, order: int = 1) -> PolynomialPotential:
             break
         cq = cq[1:] * np.arange(1, cq.size)
     return PolynomialPotential(coeffs_q=tuple(cq))
-
-
-def p_derivative(U: PolynomialPotential, order: int = 1) -> PolynomialPotential:
-    """Exact d^order/dp^order of the pure-p part."""
-    if order < 0:
-        raise ContractError("derivative order must be non-negative")
-    cp = np.array(U.coeffs_p, dtype=float)
-    for _ in range(order):
-        if cp.size == 0:
-            break
-        cp = cp[1:] * np.arange(1, cp.size)
-    return PolynomialPotential(coeffs_p=tuple(cp))
 
 
 def moyal_truncation(U: PolynomialPotential) -> int:
@@ -158,12 +123,14 @@ _TERM_RE = re.compile(
 
 
 def parse_potential(text: str) -> PolynomialPotential:
-    """Parse "c0 + c1*q + c2*q^2 + ..." (q and/or p terms, decimal or sci notation)."""
+    """Parse "c0 + c1*q + c2*q^2 + ..." (decimal or sci notation).
+
+    Potentials depend on q only, so any p term raises ConfigurationError.
+    """
     s = text.strip()
     if not s:
         return PolynomialPotential()
     cq: dict = {}
-    cp: dict = {}
     pos = 0
     first = True
     while pos < len(s):
@@ -182,17 +149,17 @@ def parse_potential(text: str) -> PolynomialPotential:
         if coef is not None:
             val *= float(coef)
         var = m.group("var1") or m.group("var2")
+        if var == "p":
+            raise ConfigurationError(
+                f"potential {text!r} has a p term at position {pos}; "
+                "potentials must depend on q only"
+            )
         power = 0
         if var is not None:
             pw = m.group("pow1") or m.group("pow2")
             power = int(pw) if pw else 1
-        target = cq if var in (None, "q") else cp
-        target[power] = target.get(power, 0.0) + val
+        cq[power] = cq.get(power, 0.0) + val
         pos = m.end()
         first = False
     nq = max(cq.keys(), default=-1) + 1
-    np_ = max(cp.keys(), default=-1) + 1
-    return PolynomialPotential(
-        coeffs_q=tuple(cq.get(k, 0.0) for k in range(nq)),
-        coeffs_p=tuple(cp.get(k, 0.0) for k in range(np_)),
-    )
+    return PolynomialPotential(coeffs_q=tuple(cq.get(k, 0.0) for k in range(nq)))

@@ -4,7 +4,7 @@ level refinement, and scale decomposition of coefficient fields."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -191,10 +191,6 @@ def evolve(W0: CoefficientField, L: AssembledOperator,
     if cfg.renormalize and max_drift > 0.0:
         level = logging.WARNING if max_drift > 1e-6 else logging.INFO
         logger.log(level, "renormalization drift up to %.3e over the run", max_drift)
-    if not dts:
-        # t_end == 0: trajectory is the initial state only, duplicated endpoint
-        # is not added.
-        pass
     return trajectory
 
 
@@ -219,8 +215,11 @@ def _eig_dense_hermitian(M: np.ndarray):
 def _eigs_shift_invert(A: AssembledOperator, k: int, sigma: float = 0.0):
     M = A.matrix()
     H = 0.5 * (M + M.conj().T).tocsc()
+    # A fixed start vector, drawn as ARPACK draws its own, makes runs repeatable.
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, A.ps.dim)
     try:
-        vals, vecs = spla.eigsh(H, k=min(k, A.ps.dim - 2), sigma=sigma, which="LM")
+        vals, vecs = spla.eigsh(H, k=min(k, A.ps.dim - 2), sigma=sigma, which="LM",
+                                v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise NumericalError(
             "shift-invert eigensolver did not converge",
@@ -274,23 +273,31 @@ def stationary_eigen(A: AssembledOperator, n_states: int,
     to zero, so this filter isolates the standard (diagonal) states.
     Eigenfields are normalized to unit total integral when possible, else
     unit L2 norm.  Dense direct diagonalization at small dimension,
-    shift-invert iteration above.
+    shift-invert iteration above.  Raises NumericalError when fewer than
+    ``n_states`` states are found.
     """
     if n_states < 1:
         raise ContractError("n_states must be >= 1")
     n = A.ps.dim
     if n <= _DENSE_LIMIT:
         vals, vecs = _eig_dense_hermitian(A.dense())
-        return _select_eigenpairs(A, vals, vecs, n_states, which,
-                                  physical_only, integral_weight_floor)
-    k = max(16 * n_states, 64)
-    while True:
-        vals, vecs = _eigs_shift_invert(A, k)
         out = _select_eigenpairs(A, vals, vecs, n_states, which,
                                  physical_only, integral_weight_floor)
-        if len(out) >= n_states or k >= n - 2:
-            return out
-        k = min(2 * k, n - 2)
+    else:
+        k = max(16 * n_states, 64)
+        while True:
+            vals, vecs = _eigs_shift_invert(A, k)
+            out = _select_eigenpairs(A, vals, vecs, n_states, which,
+                                     physical_only, integral_weight_floor)
+            if len(out) >= n_states or k >= n - 2:
+                break
+            k = min(2 * k, n - 2)
+    if len(out) < n_states:
+        raise NumericalError(
+            f"found {len(out)} of the {n_states} requested stationary states",
+            diagnostic={"found": len(out), "requested": n_states},
+        )
+    return out
 
 
 def moyal_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,

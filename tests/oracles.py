@@ -152,3 +152,22 @@ def fd_apply(F: np.ndarray, deriv: int, h: float, axis: int, width: int = 9) -> 
     for i, wi in zip(range(-half, half + 1), w):
         out += wi * np.roll(F, -i, axis=axis)
     return out / h ** deriv
+
+
+def riemann_projection(basis, f, resolution: int = 14) -> np.ndarray:
+    """<phi_k, f> on a periodized basis by a Riemann sum over cascade values.
+
+    phi_k(x) = h^(-1/2) phi((x - a)/h - k) with h = L / dim, so
+    <phi_k, f> = h^(1/2) int phi(u) f(a + h (k + u)) du; the sum runs over the
+    dyadic points of phi's support at ``resolution``, with x wrapped into the
+    box.  Shares only the cascade values with the package, not its quadrature.
+    """
+    phi = scaling_values(basis.filter, resolution).values
+    u = np.arange(phi.size) / 2.0 ** resolution
+    a, b = basis.domain
+    h = (b - a) / basis.dim
+    out = np.empty(basis.dim)
+    for k in range(basis.dim):
+        x = a + np.mod(h * (k + u), b - a)
+        out[k] = math.sqrt(h) * np.dot(phi, f(x)) / 2.0 ** resolution
+    return out

@@ -136,11 +136,11 @@ def test_quartic_potential_single_correction(ps6):
     assert A.term_tags == ["force", "quantum_l1"]
 
 
-def test_pure_p_potential_rejected(ps6):
-    with pytest.raises(ConfigurationError):
-        assemble_quantum_correction(ps6, parse_potential("p^2"), PARAMS)
-    with pytest.raises(ConfigurationError):
-        assemble_stationary_pair(ps6, parse_potential("q + p"), PARAMS)
+def test_pure_p_potential_rejected():
+    # potentials depend on q only; p terms never reach an assembly
+    for text in ("p^2", "q + p", "0.5*q^2 + 2*p^4"):
+        with pytest.raises(ConfigurationError, match="p term"):
+            parse_potential(text)
 
 
 def test_dissipator_tags_and_emptiness(ps6):

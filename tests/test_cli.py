@@ -8,6 +8,7 @@ import pytest
 from wigner.cli import (
     EXIT_CONFIG,
     EXIT_NOT_CONVERGED,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     _make_run_dir,
@@ -38,6 +39,13 @@ p_max = 4
 dt = 0.05
 t_end = 0.1
 """
+
+
+def _edited(edits):
+    text = MINIMAL
+    for old, new in edits:
+        text = text.replace(old, new)
+    return text
 
 
 def _write(tmp_path, text, name="run.ini"):
@@ -177,6 +185,18 @@ def test_validate_command(tmp_path, capsys):
     assert main(["validate", bad]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("edits", [
+    [("mode = evolve", "mode = lindblad")],
+    [("potential = 0.5*q^2", "potential = p^2")],
+    [("potential = 0.5*q^2", "potential = 0.5*q^2 + p^2")],
+    [("t_end = 0.1", "t_end = 0.1\nn_states = 0")],
+    [("t_end = 0.1", "t_end = 0.1\npairs = 0")],
+    [("mode = evolve", "mode = refine"), ("t_end = 0.1", "t_end = 0.1\nn_min = 5\nn_max = 4")],
+], ids=["lindblad", "pure_p", "p_term", "n_states", "pairs", "n_min"])
+def test_validate_rejects_what_run_would(tmp_path, edits):
+    assert main(["validate", _write(tmp_path, _edited(edits))]) == EXIT_CONFIG
+
+
 def test_run_evolve_writes_artifacts(tmp_path, capsys):
     path = _write(tmp_path, MINIMAL)
     out = str(tmp_path / "out")
@@ -213,6 +233,22 @@ def test_run_refine_not_converged_exit_code(tmp_path, capsys):
     manifest = open(os.path.join(run_dir, "manifest.txt")).read()
     assert "refine_converged = False" in manifest
     assert "converged = False" in manifest
+
+
+@pytest.mark.parametrize("edits,code", [
+    # a 16 x 16 basis holds 39 stationary states
+    ([("mode = evolve", "mode = stationary"),
+      ("t_end = 0.1", "t_end = 0.1\nn_states = 100000")], EXIT_NUMERICAL),
+    # q^4 needs d^3/dp^3, beyond the regularity of order 4
+    ([("order = 6", "order = 4"), ("0.5*q^2", "q^4")], EXIT_CONFIG),
+], ids=["too_many_states", "filter_too_rough"])
+def test_run_failure_leaves_manifest(tmp_path, capsys, edits, code):
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, _edited(edits)), "--threads", "1",
+                 "--out", str(out)]) == code
+    (run_dir,) = out.iterdir()
+    assert "\nerror = " in (run_dir / "manifest.txt").read_text()
+    assert "error" in capsys.readouterr().err
 
 
 def test_run_bad_config_exit_code(tmp_path, capsys):

@@ -9,7 +9,6 @@ from wigner.ensemble import (
     coherent_weights,
     evolve_fock_hierarchy,
     incoherent_superpose,
-    lindblad_evolve,
 )
 from wigner.errors import ContractError
 from wigner.model import ModelParams, fock_potential, parse_potential
@@ -96,12 +95,3 @@ def test_superpose_rejects_mismatched_bases(ps6, ps6w, gaussian_field6,
     with pytest.raises(ContractError):
         incoherent_superpose(ens)
 
-
-def test_lindblad_evolve_matches_direct(ps6, gaussian_field6):
-    U = parse_potential("0.5*q^2")
-    params = ModelParams(gamma=0.1, diffusion=0.1)
-    cfg = EvolutionConfig(dt=0.05, t_end=0.3)
-    traj = lindblad_evolve(gaussian_field6, U, params, cfg)
-    L = assemble_evolution(ps6, U, params)
-    ref = evolve(gaussian_field6, L, cfg)
-    np.testing.assert_allclose(traj[-1].coeffs, ref[-1].coeffs, atol=1e-14)

@@ -12,7 +12,6 @@ from wigner.model import (
     derivative,
     fock_potential,
     moyal_truncation,
-    p_derivative,
     parse_potential,
 )
 
@@ -28,12 +27,12 @@ def test_canonical_trim_and_degree():
 
 def test_call_and_add_and_scale():
     U = PolynomialPotential(coeffs_q=(0.0, 0.0, 0.5))
-    V = PolynomialPotential(coeffs_q=(1.0,), coeffs_p=(0.0, 2.0))
+    V = PolynomialPotential(coeffs_q=(1.0, 2.0))
     W = U + V
-    assert W(2.0, 3.0) == pytest.approx(0.5 * 4 + 1.0 + 6.0)
+    assert W(2.0) == pytest.approx(0.5 * 4 + 1.0 + 4.0)
+    assert W.coeffs_q == (1.0, 2.0, 0.5)
     assert U.scaled(4.0)(2.0) == pytest.approx(8.0)
-    assert not W.pure_q
-    assert U.pure_q
+    assert (U + U.scaled(-1.0)).is_zero
 
 
 @settings(deadline=None, max_examples=30)
@@ -61,13 +60,6 @@ def test_derivative_past_degree_is_zero():
     assert derivative(U, 3).is_zero
     with pytest.raises(ContractError):
         derivative(U, -1)
-
-
-def test_p_derivative():
-    U = PolynomialPotential(coeffs_p=(0.0, 0.0, 1.0))
-    assert p_derivative(U, 1).coeffs_p == (0.0, 2.0)
-    assert p_derivative(U, 2).coeffs_p == (2.0,)
-    assert derivative(U, 1).is_zero  # q-derivative kills pure-p terms
 
 
 @pytest.mark.parametrize("coeffs,expected", [
@@ -102,24 +94,26 @@ def test_model_params_validation():
         ModelParams(diffusion=-0.1)
 
 
+# cq: coefficients of the parsed U(q); cp: coefficients of U'(q)
 @pytest.mark.parametrize("text,cq,cp", [
     ("0", (), ()),
     ("", (), ()),
-    ("q^2", (0.0, 0.0, 1.0), ()),
-    ("0.5*q^2", (0.0, 0.0, 0.5), ()),
-    ("1 + 2*q - 3*q^4", (1.0, 2.0, 0.0, 0.0, -3.0), ()),
-    ("-q", (0.0, -1.0), ()),
-    ("1e-2*q^2 + 2.5E1", (25.0, 0.0, 0.01), ()),
-    ("p^2 + q^2", (0.0, 0.0, 1.0), (0.0, 0.0, 1.0)),
-    ("q + q", (0.0, 2.0), ()),
+    ("q^2", (0.0, 0.0, 1.0), (0.0, 2.0)),
+    ("0.5*q^2", (0.0, 0.0, 0.5), (0.0, 1.0)),
+    ("1 + 2*q - 3*q^4", (1.0, 2.0, 0.0, 0.0, -3.0), (2.0, 0.0, 0.0, -12.0)),
+    ("-q", (0.0, -1.0), (-1.0,)),
+    ("1e-2*q^2 + 2.5E1", (25.0, 0.0, 0.01), (0.0, 0.02)),
+    ("q^3 - 0.5*q", (0.0, -0.5, 0.0, 1.0), (-0.5, 0.0, 3.0)),
+    ("q + q", (0.0, 2.0), (2.0,)),
 ])
 def test_parse_potential(text, cq, cp):
     U = parse_potential(text)
     assert U.coeffs_q == cq
-    assert U.coeffs_p == cp
+    assert derivative(U, 1).coeffs_q == cp
 
 
-@pytest.mark.parametrize("text", ["q q", "2x", "q^", "* q", "1 2", "q^-2"])
+@pytest.mark.parametrize("text", ["q q", "2x", "q^", "* q", "1 2", "q^-2",
+                                  "p^2 + q^2"])
 def test_parse_potential_rejects_garbage(text):
     with pytest.raises(ConfigurationError):
         parse_potential(text)

@@ -20,6 +20,7 @@ from wigner.errors import (
 from wigner.model import ModelParams, parse_potential
 from wigner.solve import (
     CoefficientField,
+    _eigs_shift_invert,
     EvolutionConfig,
     estimated_spectral_radius,
     evolve,
@@ -174,6 +175,15 @@ def test_stationary_eigen_unphysical_states_filtered(harmonic_small):
     eps_all = [e for e, _ in every]
     assert eps_phys == sorted(eps_phys)
     assert len(set(np.round(eps_all, 6))) <= len(eps_all)
+
+
+def test_shift_invert_is_deterministic(harmonic_small):
+    """ARPACK starts from a fixed vector, so repeated solves agree bit for bit."""
+    ps, U = harmonic_small
+    A = assemble_stationary_cnumber(ps, U, PARAMS)
+    (vals_a, vecs_a), (vals_b, vecs_b) = (_eigs_shift_invert(A, 8) for _ in range(2))
+    assert vals_a.tobytes() == vals_b.tobytes()
+    assert vecs_a.tobytes() == vecs_b.tobytes()
 
 
 def test_moyal_eigen_harmonic_pairs(harmonic_small):
