@@ -206,6 +206,12 @@ def parse_config(path) -> RunConfig:
             parse_potential(ensemble["g"])
         except ConfigurationError as exc:
             errors.append(f"[ensemble] g: {exc}")
+        if ensemble["n_max"] is not None:
+            try:
+                ensemble["weights"] = _ensemble_weights(ensemble["weights"],
+                                                        ensemble["n_max"])
+            except (ValueError, WignerError) as exc:
+                errors.append(f"[ensemble] weights: {exc}")
     elif mode == "ensemble":
         errors.append("mode 'ensemble' requires an [ensemble] section")
 
@@ -471,29 +477,32 @@ def _run_evolution(cfg, U, params, evo_cfg, run_dir):
     return evolve(W0, assemble_evolution(ps, U, params), evo_cfg)
 
 
-def _run_ensemble(cfg, params, evo_cfg, run_dir):
+def _ensemble_weights(text, n_max):
+    """Normalized Fock weights from ``coherent:<alpha>`` or n_max + 1 numbers."""
     import numpy as np
 
-    from .ensemble import (FockEnsemble, coherent_weights,
-                           evolve_fock_hierarchy, incoherent_superpose)
+    from .ensemble import coherent_weights
+
+    text = text.strip()
+    if text.startswith("coherent:"):
+        return coherent_weights(float(text.split(":", 1)[1]), n_max)
+    weights = np.array([float(tok) for tok in text.replace(",", " ").split()])
+    if weights.size != n_max + 1:
+        raise ConfigurationError(f"expected {n_max + 1} weights, got {weights.size}")
+    return weights / weights.sum()
+
+
+def _run_ensemble(cfg, params, evo_cfg, run_dir):
+    from .ensemble import (FockEnsemble, evolve_fock_hierarchy,
+                           incoherent_superpose)
     from .model import parse_potential
 
     ps = _build_phase_space(cfg)
     W0 = _initial_field(cfg, ps)
     spec = cfg.ensemble
-    text = spec["weights"].strip()
-    if text.startswith("coherent:"):
-        weights = coherent_weights(float(text.split(":", 1)[1]), spec["n_max"])
-    else:
-        weights = np.array([float(tok) for tok in text.replace(",", " ").split()])
-        if weights.size != spec["n_max"] + 1:
-            raise ConfigurationError(
-                f"[ensemble] expected {spec['n_max'] + 1} weights, "
-                f"got {weights.size}")
-        weights = weights / weights.sum()
-    ens = FockEnsemble(weights=weights, U0=spec["u0"],
+    ens = FockEnsemble(weights=spec["weights"], U0=spec["u0"],
                        g=parse_potential(spec["g"]),
-                       fields=[W0.copy() for _ in weights])
+                       fields=[W0.copy() for _ in spec["weights"]])
     evolved = evolve_fock_hierarchy(ens, params, evo_cfg)
     out = incoherent_superpose(evolved)
     return [incoherent_superpose(ens), out, out.copy()]

@@ -171,3 +171,25 @@ def riemann_projection(basis, f, resolution: int = 14) -> np.ndarray:
         x = a + np.mod(h * (k + u), b - a)
         out[k] = math.sqrt(h) * np.dot(phi, f(x)) / 2.0 ** resolution
     return out
+
+
+def fd_schrodinger_levels(U, n_states: int, half_width: float = 8.0,
+                          intervals=(300, 600, 1200)) -> np.ndarray:
+    """Lowest levels of -1/2 psi'' + U(q) psi = E psi (hbar = m = 1).
+
+    Second-order finite differences on [-half_width, half_width] with
+    Dirichlet ends at three grid steps h, h/2, h/4, then two Richardson
+    steps remove the h^2 and h^4 error terms.  Numpy only: the dense
+    tridiagonal matrix goes to ``eigvalsh``.
+    """
+    levels = []
+    for m in intervals:
+        h = 2.0 * half_width / m
+        q = -half_width + h * np.arange(1, m)
+        H = (np.diag(1.0 / h ** 2 + U(q))
+             - np.diag(np.full(m - 2, 0.5 / h ** 2), 1)
+             - np.diag(np.full(m - 2, 0.5 / h ** 2), -1))
+        levels.append(np.linalg.eigvalsh(H)[:n_states])
+    e1, e2, e4 = levels
+    r1, r2 = (4.0 * e2 - e1) / 3.0, (4.0 * e4 - e2) / 3.0
+    return (16.0 * r2 - r1) / 15.0

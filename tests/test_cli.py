@@ -192,7 +192,10 @@ def test_validate_command(tmp_path, capsys):
     [("t_end = 0.1", "t_end = 0.1\nn_states = 0")],
     [("t_end = 0.1", "t_end = 0.1\npairs = 0")],
     [("mode = evolve", "mode = refine"), ("t_end = 0.1", "t_end = 0.1\nn_min = 5\nn_max = 4")],
-], ids=["lindblad", "pure_p", "p_term", "n_states", "pairs", "n_min"])
+    [("mode = evolve", "mode = ensemble"),
+     ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\nn_max = 2\nweights = 0.5 0.5")],
+], ids=["lindblad", "pure_p", "p_term", "n_states", "pairs", "n_min",
+        "ensemble_weights"])
 def test_validate_rejects_what_run_would(tmp_path, edits):
     assert main(["validate", _write(tmp_path, _edited(edits))]) == EXIT_CONFIG
 
@@ -282,3 +285,26 @@ def test_run_determinism_byte_identical(tmp_path, capsys):
         a = open(os.path.join(dirs[0], name), "rb").read()
         b = open(os.path.join(dirs[1], name), "rb").read()
         assert a == b
+
+
+def test_run_stationary_determinism_byte_identical(tmp_path, capsys):
+    path = _write(tmp_path, _edited([
+        ("mode = evolve", "mode = stationary"), ("0.5*q^2", "0.5*q^2 + 0.1*q^4"),
+        ("order = 6", "order = 10"), ("j_fine = 4", "j_fine = 5"),
+        ("t_end = 0.1", "t_end = 0.1\nn_states = 3")]))
+    dirs = []
+    for sub in ("a", "b"):
+        out = str(tmp_path / sub)
+        assert main(["run", path, "--threads", "1", "--out", out]) == EXIT_OK
+        dirs.append(capsys.readouterr().out.strip())
+    # everything but timing.txt
+    names = [sorted(n for n in os.listdir(d)
+                    if n == "manifest.txt" or n.endswith((".npy", ".wgrid")))
+             for d in dirs]
+    assert names[0] == names[1]
+    assert any(n.endswith(".npy") for n in names[0])
+    assert any(n.endswith(".wgrid") for n in names[0])
+    for name in names[0]:
+        a = open(os.path.join(dirs[0], name), "rb").read()
+        b = open(os.path.join(dirs[1], name), "rb").read()
+        assert a == b, name

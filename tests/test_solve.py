@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import fd_schrodinger_levels
 
 from wigner.assembly import (
     AssembledOperator,
@@ -16,11 +17,12 @@ from wigner.errors import (
     AbortedEvolutionError,
     ConfigurationError,
     ContractError,
+    NumericalError,
 )
 from wigner.model import ModelParams, parse_potential
 from wigner.solve import (
+    _PENALTY,
     CoefficientField,
-    _eigs_shift_invert,
     EvolutionConfig,
     estimated_spectral_radius,
     evolve,
@@ -29,6 +31,8 @@ from wigner.solve import (
     refine_until,
     stationary_eigen,
     variational_solve,
+    _dense_real,
+    _penalty_operator,
 )
 
 PARAMS = ModelParams()
@@ -146,14 +150,17 @@ def test_renormalize_keeps_integral(ps6, gaussian_field6):
 # eigenproblems
 # ---------------------------------------------------------------------------
 
+def _order10(j_fine):
+    """Order-10 phase space on [-4, 4]^2 with 2^j_fine functions per axis."""
+    filt = daubechies_filter(10)
+    mk = lambda: WaveletBasis(filter=filt, j_coarse=3, j_fine=j_fine,
+                              domain=(-4.0, 4.0))
+    return PhaseSpaceBasis(mk(), mk())
+
+
 @pytest.fixture(scope="module")
 def harmonic_small():
-    filt = daubechies_filter(10)
-    mk = lambda: WaveletBasis(filter=filt, j_coarse=3, j_fine=5,
-                              domain=(-4.0, 4.0))
-    ps = PhaseSpaceBasis(mk(), mk())
-    U = parse_potential("0.5*q^2")
-    return ps, U
+    return _order10(5), parse_potential("0.5*q^2")
 
 
 def test_stationary_eigen_harmonic(harmonic_small):
@@ -165,25 +172,53 @@ def test_stationary_eigen_harmonic(harmonic_small):
         assert abs(W.total_integral() - 1.0) < 1e-8
 
 
-def test_stationary_eigen_unphysical_states_filtered(harmonic_small):
-    ps, U = harmonic_small
-    A = assemble_stationary_cnumber(ps, U, PARAMS)
-    phys = stationary_eigen(A, 4)
-    every = stationary_eigen(A, 4, physical_only=False)
-    # off-diagonal eigenfields interleave once the filter is off
-    eps_phys = [e for e, _ in phys]
-    eps_all = [e for e, _ in every]
-    assert eps_phys == sorted(eps_phys)
-    assert len(set(np.round(eps_all, 6))) <= len(eps_all)
+def test_penalty_matrix_matches_kron_reference():
+    """The dense P equals Re A + mu (Im A)^T (Im A) of the materialized A."""
+    ps = _order10(4)
+    A = assemble_stationary_cnumber(ps, parse_potential("0.5*q^2 + 0.1*q^4"),
+                                    PARAMS)
+    M = A.dense()
+    ref = M.real + _PENALTY * M.imag.T @ M.imag
+    P = _penalty_operator(A)
+    assert np.max(np.abs(_dense_real(P) - ref)) < 1e-12 * np.max(np.abs(ref))
+    v = np.random.default_rng(1).normal(size=ps.dim)
+    Pv = ref @ v
+    assert np.max(np.abs(P.apply(v) - Pv)) < 1e-12 * np.max(np.abs(Pv))
 
 
-def test_shift_invert_is_deterministic(harmonic_small):
+def test_stationary_eigen_anharmonic_matches_fd_oracle():
+    """The quartic spectrum has four distinct states, each on the FD levels."""
+    assert np.max(np.abs(fd_schrodinger_levels(lambda q: 0.5 * q ** 2, 4)
+                         - (np.arange(4) + 0.5))) < 1e-8
+    ps = _order10(6)
+    A = assemble_stationary_cnumber(ps, parse_potential("0.5*q^2 + 0.1*q^4"),
+                                    PARAMS)
+    states = stationary_eigen(A, 4)
+    eps = np.array([e for e, _ in states])
+    ref = fd_schrodinger_levels(lambda q: 0.5 * q ** 2 + 0.1 * q ** 4, 4)
+    assert np.all(np.diff(eps) > 0)
+    assert np.max(np.abs(eps - ref)) < 5e-3
+    for _, W in states:
+        assert abs(W.total_integral() - 1.0) < 1e-8
+
+
+def test_stationary_eigen_double_well_fails_closed():
+    """A tunnelling doublet is lifted by less than its gap: raise, not guess."""
+    ps = _order10(5)
+    A = assemble_stationary_cnumber(ps, parse_potential("0.25*q^4 - 2*q^2 + 5"),
+                                    PARAMS)
+    with pytest.raises(NumericalError, match="off-diagonal"):
+        stationary_eigen(A, 2)
+
+
+def test_stationary_eigen_is_deterministic(harmonic_small):
     """ARPACK starts from a fixed vector, so repeated solves agree bit for bit."""
     ps, U = harmonic_small
     A = assemble_stationary_cnumber(ps, U, PARAMS)
-    (vals_a, vecs_a), (vals_b, vecs_b) = (_eigs_shift_invert(A, 8) for _ in range(2))
-    assert vals_a.tobytes() == vals_b.tobytes()
-    assert vecs_a.tobytes() == vecs_b.tobytes()
+    a, b = (stationary_eigen(A, 3) for _ in range(2))
+    for (eps_a, W_a), (eps_b, W_b) in zip(a, b):
+        assert eps_a == eps_b
+        assert W_a.coeffs.tobytes() == W_b.coeffs.tobytes()
 
 
 def test_moyal_eigen_harmonic_pairs(harmonic_small):
