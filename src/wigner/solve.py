@@ -199,10 +199,10 @@ def evolve(W0: CoefficientField, L: AssembledOperator,
 # eigenproblems
 # ---------------------------------------------------------------------------
 
-# Weight of the commutation penalty (Im A)^T (Im A).  On an off-diagonal
-# eigenfield |m><n| of the left-star operator, Im A acts as -(i/2)(E_m - E_n),
-# so the penalty lifts it by 10 (E_m - E_n)^2; this is 10 A_anti^T A_anti of
-# the stationary pair at hbar = 1.
+# mu hbar^2 of the commutation penalty mu (Im A)^T (Im A).  On an off-diagonal
+# eigenfield |m><n| of the left-star operator, Im A acts as
+# -(i/2)(E_m - E_n), so mu = 40 / hbar^2 lifts it by 10 ((E_m - E_n) / hbar)^2;
+# this is 10 A_anti^T A_anti of the stationary pair at any hbar.
 _PENALTY = 40.0
 
 # Smallest |integral| / ||W|| accepted for a diagonal state; off-diagonal
@@ -210,8 +210,22 @@ _PENALTY = 40.0
 _INTEGRAL_FLOOR = 0.5
 
 
+def _hbar(A: AssembledOperator) -> float:
+    """hbar of a c-number operator: its kinetic_flow over its kinetic weight.
+
+    ``assemble_stationary_cnumber`` writes p^2 with 1/(2m) and the flow
+    p d/dq with -i hbar/(2m).
+    """
+    coeff = {t.tag: complex(t.coeff) for t in A.terms}
+    if "kinetic" not in coeff or "kinetic_flow" not in coeff:
+        raise ContractError(
+            "a complex stationary operator needs the kinetic and kinetic_flow "
+            "terms of assemble_stationary_cnumber")
+    return -coeff["kinetic_flow"].imag / coeff["kinetic"].real
+
+
 def _penalty_operator(A: AssembledOperator) -> AssembledOperator:
-    """P = Re A + mu (Im A)^T (Im A) as real Kronecker terms."""
+    """P = Re A + mu (Im A)^T (Im A) as real Kronecker terms, mu = 40 / hbar^2."""
     re, im = [], []
     for t in A.terms:
         c = complex(t.coeff)
@@ -219,10 +233,29 @@ def _penalty_operator(A: AssembledOperator) -> AssembledOperator:
             re.append(OperatorTerm(t.tag, c.real, t.q_matrix, t.p_matrix))
         if c.imag != 0.0:
             im.append(OperatorTerm(t.tag, c.imag, t.q_matrix, t.p_matrix))
-    penalty = [OperatorTerm(f"penalty_{a.tag}_{b.tag}", _PENALTY * a.coeff * b.coeff,
+    mu = _PENALTY / _hbar(A) ** 2 if im else 0.0
+    penalty = [OperatorTerm(f"penalty_{a.tag}_{b.tag}", mu * a.coeff * b.coeff,
                             a.q_matrix.T @ b.q_matrix, a.p_matrix.T @ b.p_matrix)
                for a in im for b in im]
     return AssembledOperator(ps=A.ps, terms=re + penalty)
+
+
+def _spectrum_floor(P: AssembledOperator) -> float:
+    """Lowest eigenvalue of P's q-only part, the terms whose p factor is 1.
+
+    For a stationary operator that part is U(q) - (hbar^2/8m) d^2/dq^2: a
+    particle of mass 4m, whose ground level lies below the ground level E_0
+    of mass m.  Re A's levels are (E_m + E_n)/2 >= E_0, and the penalty only
+    adds, so this is a shift below P's spectrum and close to its bottom.  It
+    is not a bound for the discretized P: ``stationary_eigen`` checks it.
+    """
+    nq, n_p = P.ps.shape
+    Ip = np.eye(n_p)
+    Q = np.zeros((nq, nq))
+    for t in P.terms:
+        if np.array_equal(t.p_matrix, Ip):
+            Q += t.coeff * t.q_matrix
+    return float(la.eigvalsh(0.5 * (Q + Q.T), subset_by_index=[0, 0])[0])
 
 
 def _dense_real(P: AssembledOperator) -> np.ndarray:
@@ -244,21 +277,27 @@ def stationary_eigen(A: AssembledOperator, n_states: int) -> list:
     Hermitian operator A of ``assemble_stationary_cnumber`` splits into
     Re A = A_sym and Im A = -(hbar/2) A_anti; a real eigenfield has
     Re A W = EW and Im A W = 0.  So the states are the lowest eigenpairs of
-    the real symmetric penalty P = Re A + mu (Im A)^T (Im A), mu = 40 (a
-    module constant): an off-diagonal |m><n| is lifted by 10 (E_m - E_n)^2,
-    and no eigenfield has to be filtered out.
+    the real symmetric penalty P = Re A + mu (Im A)^T (Im A), mu = 40 / hbar^2
+    (hbar read off A's kinetic terms): an off-diagonal |m><n| is lifted by
+    10 ((E_m - E_n) / hbar)^2, and no eigenfield has to be filtered out.
+    A real A (such as A_sym itself) carries no penalty.
 
-    P is written densely from the Kronecker factors into one float64 array,
-    LU-factorized in place (8 dim^2 bytes: 134 MB at 64x64, 2.1 GB at
-    128x128), and ARPACK runs shift-invert at sigma = 0 with k = n_states + 2
-    from a fixed start vector, so runs repeat bit for bit.  Each field is
-    normalized to unit total integral.  Raises NumericalError when
-    n_states + 2 >= dim, when ARPACK does not converge, when a residual
+    P is written densely from the Kronecker factors into one float64 array.
+    The shift sigma is the lowest level of P's q-only part (see
+    ``_spectrum_floor``), and P - sigma I is Cholesky-factorized in place
+    (8 dim^2 bytes: 134 MB at 64x64, 2.1 GB at 128x128).  That factorization
+    exists only when sigma lies below every eigenvalue of P, so ARPACK's
+    shift-invert (k = n_states + 2, the k eigenvalues nearest sigma, from a
+    fixed start vector, so runs repeat bit for bit) returns the lowest
+    states.  Each field is normalized to unit total integral.
+
+    Raises NumericalError when n_states + 2 >= dim, when P - sigma I is not
+    positive definite, when ARPACK does not converge, when a residual
     ||Pv - eps v|| / ||v|| exceeds 1e-8, or when a returned field carries
     |integral| < 0.5 ||W||.  The last happens when a pair |m><n|, at
-    (E_m + E_n)/2 + 10 (E_m - E_n)^2, lies below a requested level: a
-    near-degenerate doublet (a double well's tunnelling pair), or |0><1| of
-    the oscillator at hbar = 1 (at 11) once 12 states are asked for.
+    (E_m + E_n)/2 + 10 ((E_m - E_n) / hbar)^2, lies below a requested level:
+    a near-degenerate doublet (a double well's tunnelling pair), or |0><1| of
+    the oscillator (at 11 hbar) once 12 states are asked for.
     """
     if n_states < 1:
         raise ContractError("n_states must be >= 1")
@@ -271,16 +310,28 @@ def stationary_eigen(A: AssembledOperator, n_states: int) -> list:
             diagnostic={"requested": n_states, "dim": n},
         )
     P = _penalty_operator(A)
-    # P.T is Fortran-ordered, so LAPACK factors the one dense copy in place.
-    lu_piv = la.lu_factor(_dense_real(P).T, overwrite_a=True, check_finite=False)
+    sigma = _spectrum_floor(P)
+    shifted = _dense_real(P)
+    shifted.flat[::n + 1] -= sigma
+    # shifted.T is Fortran-ordered, so LAPACK factors the one dense copy in
+    # place; P is symmetric and only its upper triangle is read.
+    try:
+        factor = la.cho_factor(shifted.T, overwrite_a=True, check_finite=False)
+    except la.LinAlgError as exc:
+        raise NumericalError(
+            f"the stationary penalty has a level below the shift {sigma:.6g}, "
+            "so its lowest states cannot be located",
+            diagnostic={"shift": sigma},
+        ) from exc
     op = spla.LinearOperator((n, n), matvec=P.apply, dtype=float)
     inv = spla.LinearOperator((n, n), dtype=float,
-                              matvec=lambda v: la.lu_solve(lu_piv, v, trans=1,
-                                                           check_finite=False))
+                              matvec=lambda v: la.cho_solve(factor, v,
+                                                            check_finite=False))
     # A fixed start vector, drawn as ARPACK draws its own, makes runs repeatable.
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     try:
-        vals, vecs = spla.eigsh(op, k=k, sigma=0.0, which="LM", v0=v0, OPinv=inv)
+        vals, vecs = spla.eigsh(op, k=k, sigma=sigma, which="LM", v0=v0,
+                                OPinv=inv)
     except spla.ArpackNoConvergence as exc:
         raise NumericalError(
             "shift-invert eigensolver did not converge",
@@ -302,8 +353,8 @@ def stationary_eigen(A: AssembledOperator, n_states: int) -> list:
             raise NumericalError(
                 f"stationary state {len(out)} at eps = {eps:.6g} is off-diagonal "
                 f"(|integral| = {abs(integral) / norm:.3g} ||W||): the penalty "
-                "lifts a pair |m><n| by only 10 (E_m - E_n)^2, which leaves it "
-                "below this level; ask for fewer states",
+                "lifts a pair |m><n| by only 10 ((E_m - E_n) / hbar)^2, which "
+                "leaves it below this level; ask for fewer states",
                 diagnostic={"eigenvalue": eps,
                             "integral_weight": float(abs(integral) / norm)},
             )

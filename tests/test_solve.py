@@ -172,18 +172,55 @@ def test_stationary_eigen_harmonic(harmonic_small):
         assert abs(W.total_integral() - 1.0) < 1e-8
 
 
-def test_penalty_matrix_matches_kron_reference():
-    """The dense P equals Re A + mu (Im A)^T (Im A) of the materialized A."""
+@pytest.mark.parametrize("hbar", [1.0, 0.5])
+def test_penalty_matrix_matches_kron_reference(hbar):
+    """The dense P equals Re A + (40/hbar^2) (Im A)^T (Im A) of the materialized A."""
     ps = _order10(4)
     A = assemble_stationary_cnumber(ps, parse_potential("0.5*q^2 + 0.1*q^4"),
-                                    PARAMS)
+                                    ModelParams(hbar=hbar))
     M = A.dense()
-    ref = M.real + _PENALTY * M.imag.T @ M.imag
+    ref = M.real + _PENALTY / hbar ** 2 * M.imag.T @ M.imag
     P = _penalty_operator(A)
     assert np.max(np.abs(_dense_real(P) - ref)) < 1e-12 * np.max(np.abs(ref))
     v = np.random.default_rng(1).normal(size=ps.dim)
     Pv = ref @ v
     assert np.max(np.abs(P.apply(v) - Pv)) < 1e-12 * np.max(np.abs(Pv))
+
+
+@pytest.mark.parametrize("j_fine", [5, 6])
+def test_stationary_eigen_returns_levels_below_zero(j_fine):
+    """The shift sits below the spectrum, not at zero: negative levels come first."""
+    ps = _order10(j_fine)
+    A = assemble_stationary_cnumber(ps, parse_potential("0.5*q^2 - 5"), PARAMS)
+    eps = [e for e, _ in stationary_eigen(A, 2)]
+    assert np.max(np.abs(np.array(eps) - [-4.5, -3.5])) < 1e-3
+
+
+def test_stationary_eigen_small_hbar_oscillator():
+    """mu scales as 1/hbar^2, so |0><1| stays above the third level at hbar = 0.1."""
+    filt = daubechies_filter(10)
+    mk = lambda: WaveletBasis(filter=filt, j_coarse=3, j_fine=5,
+                              domain=(-2.0, 2.0))
+    ps = PhaseSpaceBasis(mk(), mk())
+    A = assemble_stationary_cnumber(ps, parse_potential("0.5*q^2"),
+                                    ModelParams(hbar=0.1))
+    states = stationary_eigen(A, 3)
+    eps = np.array([e for e, _ in states])
+    assert np.max(np.abs(eps - 0.1 * (np.arange(3) + 0.5))) < 5e-3
+    for _, W in states:
+        assert abs(W.total_integral() - 1.0) < 1e-8
+
+
+def test_stationary_eigen_rejects_shift_above_spectrum(harmonic_small,
+                                                        monkeypatch):
+    """A shift above P's lowest level fails the Cholesky check and raises."""
+    import wigner.solve
+
+    ps, U = harmonic_small
+    A = assemble_stationary_cnumber(ps, U, PARAMS)
+    monkeypatch.setattr(wigner.solve, "_spectrum_floor", lambda P: 1.0)
+    with pytest.raises(NumericalError, match="below the shift"):
+        stationary_eigen(A, 2)
 
 
 def test_stationary_eigen_anharmonic_matches_fd_oracle():
