@@ -150,11 +150,11 @@ def test_renormalize_keeps_integral(ps6, gaussian_field6):
 # eigenproblems
 # ---------------------------------------------------------------------------
 
-def _order10(j_fine):
-    """Order-10 phase space on [-4, 4]^2 with 2^j_fine functions per axis."""
+def _order10(j_fine, box=4.0):
+    """Order-10 phase space on [-box, box]^2 with 2^j_fine functions per axis."""
     filt = daubechies_filter(10)
     mk = lambda: WaveletBasis(filter=filt, j_coarse=3, j_fine=j_fine,
-                              domain=(-4.0, 4.0))
+                              domain=(-box, box))
     return PhaseSpaceBasis(mk(), mk())
 
 
@@ -172,6 +172,23 @@ def test_stationary_eigen_harmonic(harmonic_small):
         assert abs(W.total_integral() - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize("expr, hbar, box, j_fine", [
+    # levels below zero: the shift sits below the spectrum, not at zero
+    ("0.5*q^2 - 5", 1.0, 4.0, 5),
+    ("0.5*q^2 - 5", 1.0, 4.0, 6),
+    # mu = 40 / hbar^2 keeps |0><1| above the third level at small hbar
+    ("0.5*q^2", 0.1, 2.0, 5),
+])
+def test_stationary_eigen_shifted_and_scaled_oscillator(expr, hbar, box, j_fine):
+    U = parse_potential(expr)
+    A = assemble_stationary_cnumber(_order10(j_fine, box), U,
+                                    ModelParams(hbar=hbar))
+    states = stationary_eigen(A, 3)
+    for n, (eps, W) in enumerate(states):
+        assert abs(eps - (hbar * (n + 0.5) + U(0.0))) < 5e-3
+        assert abs(W.total_integral() - 1.0) < 1e-8
+
+
 @pytest.mark.parametrize("hbar", [1.0, 0.5])
 def test_penalty_matrix_matches_kron_reference(hbar):
     """The dense P equals Re A + (40/hbar^2) (Im A)^T (Im A) of the materialized A."""
@@ -185,30 +202,6 @@ def test_penalty_matrix_matches_kron_reference(hbar):
     v = np.random.default_rng(1).normal(size=ps.dim)
     Pv = ref @ v
     assert np.max(np.abs(P.apply(v) - Pv)) < 1e-12 * np.max(np.abs(Pv))
-
-
-@pytest.mark.parametrize("j_fine", [5, 6])
-def test_stationary_eigen_returns_levels_below_zero(j_fine):
-    """The shift sits below the spectrum, not at zero: negative levels come first."""
-    ps = _order10(j_fine)
-    A = assemble_stationary_cnumber(ps, parse_potential("0.5*q^2 - 5"), PARAMS)
-    eps = [e for e, _ in stationary_eigen(A, 2)]
-    assert np.max(np.abs(np.array(eps) - [-4.5, -3.5])) < 1e-3
-
-
-def test_stationary_eigen_small_hbar_oscillator():
-    """mu scales as 1/hbar^2, so |0><1| stays above the third level at hbar = 0.1."""
-    filt = daubechies_filter(10)
-    mk = lambda: WaveletBasis(filter=filt, j_coarse=3, j_fine=5,
-                              domain=(-2.0, 2.0))
-    ps = PhaseSpaceBasis(mk(), mk())
-    A = assemble_stationary_cnumber(ps, parse_potential("0.5*q^2"),
-                                    ModelParams(hbar=0.1))
-    states = stationary_eigen(A, 3)
-    eps = np.array([e for e, _ in states])
-    assert np.max(np.abs(eps - 0.1 * (np.arange(3) + 0.5))) < 5e-3
-    for _, W in states:
-        assert abs(W.total_integral() - 1.0) < 1e-8
 
 
 def test_stationary_eigen_rejects_shift_above_spectrum(harmonic_small,
@@ -240,7 +233,7 @@ def test_stationary_eigen_anharmonic_matches_fd_oracle():
 
 
 def test_stationary_eigen_double_well_fails_closed():
-    """A tunnelling doublet is lifted by less than its gap: raise, not guess."""
+    """A tunnelling pair |0><1| stays below E_1 in the penalty: raise, not guess."""
     ps = _order10(5)
     A = assemble_stationary_cnumber(ps, parse_potential("0.25*q^4 - 2*q^2 + 5"),
                                     PARAMS)
