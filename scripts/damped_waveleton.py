@@ -37,8 +37,11 @@ def main():
 
     params = ModelParams(gamma=args.gamma, diffusion=args.diffusion)
     L = assemble_evolution(ps, parse_potential("0.5*q^2"), params)
+    # About 40 checkpoints at any length (every 20th step of the default run);
+    # classify needs at least 3, which any run of 2 or more steps gets.
+    store_every = max(1, round(args.t_end / args.dt) // 40)
     traj = evolve(W0, L, EvolutionConfig(dt=args.dt, t_end=args.t_end,
-                                         store_every=20))
+                                         store_every=store_every))
 
     print("#    t      purity    <q>       <p>       ||dW/dt||")
     for W in traj:

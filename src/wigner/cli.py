@@ -135,8 +135,9 @@ def parse_config(path) -> RunConfig:
         errors.append("[model] diffusion must be non-negative")
     from .model import parse_potential
     try:
-        parse_potential(potential_text)
+        U = parse_potential(potential_text)
     except ConfigurationError as exc:
+        U = None
         errors.append(f"[model] potential: {exc}")
 
     order = get("basis", "order", 6, int)
@@ -194,7 +195,7 @@ def parse_config(path) -> RunConfig:
     if mode == "refine" and None not in (n_min, n_max) and n_min > n_max:
         errors.append("[solver] n_min must not exceed n_max")
 
-    ensemble = None
+    ensemble = g = None
     if parser.has_section("ensemble"):
         ensemble = {
             "n_max": get("ensemble", "n_max", 1, int),
@@ -203,7 +204,7 @@ def parse_config(path) -> RunConfig:
             "g": get("ensemble", "g", "q^2"),
         }
         try:
-            parse_potential(ensemble["g"])
+            g = parse_potential(ensemble["g"])
         except ConfigurationError as exc:
             errors.append(f"[ensemble] g: {exc}")
         if ensemble["n_max"] is not None:
@@ -214,6 +215,17 @@ def parse_config(path) -> RunConfig:
                 errors.append(f"[ensemble] weights: {exc}")
     elif mode == "ensemble":
         errors.append("mode 'ensemble' requires an [ensemble] section")
+
+    # Ensemble levels evolve under multiples of g, every other mode under U.
+    U_run = g if mode == "ensemble" else U
+    if U_run is not None and order in range(2, 11, 2):
+        from .basis import connection_coefficients, daubechies_filter
+        filt = daubechies_filter(order)
+        try:
+            for d in sorted(_derivative_orders(mode, U_run, diffusion)):
+                connection_coefficients(filt, 0, d)
+        except ConfigurationError as exc:
+            errors.append(f"[basis] order {order}: {exc}")
 
     out_directory = get("output", "directory", None)
     grid_resolution = get("output", "grid_resolution", 128, int)
@@ -244,6 +256,19 @@ def parse_config(path) -> RunConfig:
         grid_resolution=grid_resolution, checkpoint_every=checkpoint_every,
         thresholds=thresholds, raw_text=raw,
     )
+
+
+def _derivative_orders(mode, U, diffusion) -> set:
+    """Orders of the derivative tables that assembling the mode's operator reads."""
+    from .model import moyal_truncation
+
+    if mode in ("evolve", "ensemble"):
+        # transport and friction d/dp, force and hbar^2 terms d^(2l+1)/dp^(2l+1),
+        # diffusion d^2/dp^2
+        orders = {1} | {2 * l + 1 for l in range(moyal_truncation(U) + 1)}
+        return orders | {2} if diffusion else orders
+    # d/dq, d^2/dq^2 and every d^r/dp^r up to the degree of U
+    return set(range(1, max(2, U.degree) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -123,17 +123,140 @@ def _rk4_step(apply_op, c, dt):
     return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+# Defect corrections a midpoint step may take after its first preconditioned
+# solve before the stepper falls back to the sparse LU.  At 64x64 one
+# correction costs about 0.75 ms and one LU solve about 8.8 ms (after a
+# 1.5-2 s factorization), so past about 12 corrections per step the LU steps
+# faster.
+_MAX_CORRECTIONS = 12
+# Relative residual ||b - (I - hL) x|| / ||b|| at which a step has converged.
+_STEP_TOL = 1e-12
+
+
+def _circulant_symbol(A: np.ndarray):
+    """Eigenvalues of A in ``rfft`` order if A is exactly circulant, else None."""
+    n = A.shape[0]
+    col = A[:, 0]
+    if not np.array_equal(A, col[(np.arange(n)[:, None] - np.arange(n)) % n]):
+        return None
+    return np.fft.rfft(col)
+
+
+def _circulant_split(L: AssembledOperator):
+    """L's terms as (T, F) lists of (symbol, other factor), or None.
+
+    T holds the terms whose q factor is circulant, F the rest, whose p factor
+    must be; None when L is complex or a term has neither.
+    """
+    if L.is_complex:
+        return None
+    T, F = [], []
+    for t in L.terms:
+        sym = _circulant_symbol(t.q_matrix)
+        if sym is not None:
+            T.append((t.coeff * sym, t.p_matrix))
+            continue
+        sym = _circulant_symbol(t.p_matrix)
+        if sym is None:
+            return None
+        F.append((t.coeff * sym, t.q_matrix))
+    return T, F
+
+
+def _mode_inverses(h, symbols, factors):
+    """inv(I - h sum_t symbol_t[k] factor_t) for every Fourier mode k."""
+    n = factors[0].shape[0]
+    M = np.eye(n) - h * np.einsum("tk,tij->kij", np.array(symbols),
+                                  np.array(factors))
+    return np.linalg.inv(M)
+
+
 class _MidpointStepper:
-    """Prefactored solver for (I - dt/2 L) c' = (I + dt/2 L) c."""
+    """Solver for the midpoint step (I - hL) c' = (I + hL) c, h = dt/2.
+
+    Every term of L is coeff * A_q (x) B_p.  A term whose q factor is exactly
+    circulant (transport, friction, diffusion, identity) goes to T; one whose
+    p factor is circulant (force and the hbar^2 corrections) goes to F.  The
+    approximate factorization P = (I - hT)(I - hF) inverts exactly: an
+    ``rfft`` along q turns I - hT into one n_p x n_p matrix per q-mode, an
+    ``rfft`` along p turns I - hF into one n_q x n_q matrix per p-mode, and
+    both sets are inverted once here.  A step runs the defect correction
+    x <- x + P^-1 (b - x + hLx) from x = 0, with Lx applied from the
+    Kronecker factors as two stacked GEMMs, until ||b - x + hLx|| <= 1e-12
+    ||b||.  Neither L's sparse matrix nor an LU is built.
+
+    The stepper falls back to a sparse LU of I - hL (``splu``) when L is
+    complex or a term has no circulant factor, and, from then on, when a step
+    has not converged after ``_MAX_CORRECTIONS`` corrections (stiff steps,
+    such as a quartic force at dt = 0.05 on 64x64).
+    """
 
     def __init__(self, L: AssembledOperator, dt: float):
-        n = L.ps.dim
-        M = L.matrix()
-        eye = sp.identity(n, format="csc", dtype=M.dtype)
-        self.rhs = (eye + (dt / 2.0) * M).tocsr()
-        self.lu = spla.splu((eye - (dt / 2.0) * M).tocsc())
+        self.L = L
+        self.h = dt / 2.0
+        self.lu = None
+        split = _circulant_split(L)
+        if split is None:
+            logger.info("midpoint stepper: L is complex or a term has no "
+                        "circulant factor; using the sparse LU")
+            self._factor()
+            return
+        T, F = split
+        self._inv_T = _mode_inverses(self.h, *zip(*T)) if T else None
+        self._inv_F = _mode_inverses(self.h, *zip(*F)) if F else None
+        # Terms sharing a q factor add their p factors: one GEMM block each.
+        blocks = []
+        for t in L.terms:
+            for blk in blocks:
+                if np.array_equal(blk[0], t.q_matrix):
+                    blk[1] = blk[1] + t.coeff * t.p_matrix
+                    break
+            else:
+                blocks.append([t.q_matrix, t.coeff * t.p_matrix])
+        self._Q = np.concatenate([q for q, _ in blocks], axis=1) if blocks else None
+        self._Bt = np.concatenate([b.T for _, b in blocks], axis=1) if blocks else None
+
+    def _factor(self):
+        M = self.L.matrix()
+        eye = sp.identity(M.shape[0], format="csc", dtype=M.dtype)
+        self.rhs = (eye + self.h * M).tocsr()
+        self.lu = spla.splu((eye - self.h * M).tocsc())
+
+    def _apply_L(self, X):
+        if self._Q is None:
+            return np.zeros_like(X)
+        nq, n_p = X.shape
+        Y = (X @ self._Bt).reshape(nq, -1, n_p).transpose(1, 0, 2)
+        return self._Q @ Y.reshape(-1, n_p)
+
+    def _precondition(self, R):
+        nq, n_p = R.shape
+        if self._inv_T is not None:
+            Rh = np.fft.rfft(R, axis=0)
+            Rh = np.matmul(self._inv_T, Rh[:, :, None])[:, :, 0]
+            R = np.fft.irfft(Rh, n=nq, axis=0)
+        if self._inv_F is not None:
+            Rh = np.fft.rfft(R, axis=1).T
+            Rh = np.matmul(self._inv_F, Rh[:, :, None])[:, :, 0]
+            R = np.fft.irfft(Rh.T, n=n_p, axis=1)
+        return R
 
     def step(self, c):
+        if self.lu is None:
+            C = self.L.ps.as_grid(c)
+            b = C + self.h * self._apply_L(C)
+            tol = _STEP_TOL * np.linalg.norm(b)
+            x = np.zeros_like(b)
+            r = b
+            # the first pass gives x = P^-1 b, each later one a correction
+            for _ in range(1 + _MAX_CORRECTIONS):
+                x = x + self._precondition(r)
+                r = b - x + self.h * self._apply_L(x)
+                if np.linalg.norm(r) <= tol:
+                    return x.reshape(-1)
+            logger.info("midpoint stepper: no convergence in %d corrections; "
+                        "using the sparse LU", _MAX_CORRECTIONS)
+            self._factor()
         return self.lu.solve(self.rhs @ c)
 
 

@@ -153,6 +153,27 @@ def test_harmonic_spectrum_and_assembly_agreement():
     assert elapsed < 120.0
 
 
+def test_midpoint_stepping_scales_to_128x128():
+    t0 = time.time()
+    ps = _phase_space(6, 7, (-6.0, 6.0))
+    W0 = _gaussian(ps)
+    L = assemble_evolution(ps, parse_potential("0.5*q^2 + 0.1*q^4"),
+                           ModelParams(gamma=0.05, diffusion=0.02))
+    h = 0.01 / 2
+    traj = evolve(W0, L, EvolutionConfig(dt=0.01, t_end=0.2))
+    worst = 0.0
+    for a, b in zip(traj, traj[1:]):
+        rhs = a.coeffs + h * L.apply(a.coeffs)
+        resid = b.coeffs - h * L.apply(b.coeffs) - rhs
+        worst = max(worst, np.linalg.norm(resid) / np.linalg.norm(rhs))
+    elapsed = time.time() - t0
+    print(f"\nPASS 128x128 stepping: {len(traj) - 1} steps, worst midpoint "
+          f"residual {worst:.2e} (<1e-11), {elapsed:.1f}s (<20s)")
+    assert len(traj) == 21
+    assert worst < 1e-11
+    assert elapsed < 20.0
+
+
 def test_quartic_quantum_correction_matches_finite_differences():
     t0 = time.time()
     ps = _phase_space(10, 8, (-8.0, 8.0))

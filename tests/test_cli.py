@@ -194,8 +194,14 @@ def test_validate_command(tmp_path, capsys):
     [("mode = evolve", "mode = refine"), ("t_end = 0.1", "t_end = 0.1\nn_min = 5\nn_max = 4")],
     [("mode = evolve", "mode = ensemble"),
      ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\nn_max = 2\nweights = 0.5 0.5")],
+    # q^4 needs d^3/dp^3, beyond the regularity of order 4
+    [("order = 6", "order = 4"), ("0.5*q^2", "q^4")],
+    # q^9 needs d^9/dp^9 (d^7/dp^7 in evolve), beyond order 10
+    [("order = 6", "order = 10"), ("0.5*q^2", "q^9"), ("j_fine = 4", "j_fine = 5")],
+    [("mode = evolve", "mode = stationary"), ("order = 6", "order = 10"),
+     ("0.5*q^2", "q^9"), ("j_fine = 4", "j_fine = 5")],
 ], ids=["lindblad", "pure_p", "p_term", "n_states", "pairs", "n_min",
-        "ensemble_weights"])
+        "ensemble_weights", "filter_too_rough", "q9_evolve", "q9_stationary"])
 def test_validate_rejects_what_run_would(tmp_path, edits):
     assert main(["validate", _write(tmp_path, _edited(edits))]) == EXIT_CONFIG
 
@@ -242,9 +248,7 @@ def test_run_refine_not_converged_exit_code(tmp_path, capsys):
     # a 16 x 16 basis holds 39 stationary states
     ([("mode = evolve", "mode = stationary"),
       ("t_end = 0.1", "t_end = 0.1\nn_states = 100000")], EXIT_NUMERICAL),
-    # q^4 needs d^3/dp^3, beyond the regularity of order 4
-    ([("order = 6", "order = 4"), ("0.5*q^2", "q^4")], EXIT_CONFIG),
-], ids=["too_many_states", "filter_too_rough"])
+], ids=["too_many_states"])
 def test_run_failure_leaves_manifest(tmp_path, capsys, edits, code):
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, _edited(edits)), "--threads", "1",

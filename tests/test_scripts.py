@@ -17,13 +17,15 @@ SRC = str(Path(wigner.__file__).resolve().parent.parent)
     ("harmonic_spectrum.py", ["--orders", "10", "--levels", "5", "--n-states", "2"],
      ["harmonic_spectrum.txt"]),
     ("refinement_study.py", ["--n-min", "4", "--n-max", "5"], []),
-    # 40 steps: two stored checkpoints after the initial one, as classify needs
     ("damped_waveleton.py", ["--j-fine", "4", "--t-end", "2", "--dt", "0.05"],
+     ["damped_initial.wgrid", "damped_final.wgrid"]),
+    # 20 steps: the checkpoint stride follows the step count
+    ("damped_waveleton.py", ["--j-fine", "4", "--t-end", "1", "--dt", "0.05"],
      ["damped_initial.wgrid", "damped_final.wgrid"]),
     ("free_shear_study.py", ["--j-fine", "4", "--t-end", "1", "--dt", "0.05"],
      ["free_shear_study.txt"]),
 ], ids=["harmonic_spectrum", "refinement_study", "damped_waveleton",
-        "free_shear_study"])
+        "damped_waveleton_20_steps", "free_shear_study"])
 def test_script_runs(tmp_path, script, args, outputs):
     if outputs:
         args = args + ["--out", str(tmp_path)]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from oracles import fd_schrodinger_levels
 
 from wigner.assembly import (
@@ -144,6 +146,60 @@ def test_renormalize_keeps_integral(ps6, gaussian_field6):
     target = gaussian_field6.total_integral()
     for W in traj:
         assert abs(W.total_integral() - target) < 1e-12
+
+
+def _spsolve_midpoint(L, c, dts):
+    """Midpoint reference: one sparse direct solve of the materialized L per step."""
+    M = L.matrix()
+    eye = sp.identity(M.shape[0], format="csc")
+    for dt in dts:
+        c = spla.spsolve((eye - dt / 2 * M).tocsc(), (eye + dt / 2 * M) @ c)
+    return c
+
+
+def _quartic_dissipative(ps):
+    return assemble_evolution(ps, parse_potential("0.5*q^2 + 0.1*q^4"),
+                              ModelParams(gamma=0.05, diffusion=0.02))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the matrix-free stepper built a sparse matrix or LU")
+
+
+def test_midpoint_stepper_matches_spsolve_without_lu(ps6, gaussian_field6,
+                                                     monkeypatch):
+    """20 steps, the last a remainder, match the direct solves to 1e-10."""
+    L = _quartic_dissipative(ps6)
+    ref = _spsolve_midpoint(L, gaussian_field6.coeffs, [0.01] * 19 + [0.005])
+    monkeypatch.setattr(spla, "splu", _refuse)
+    monkeypatch.setattr(AssembledOperator, "matrix", _refuse)
+    traj = evolve(gaussian_field6, L, EvolutionConfig(dt=0.01, t_end=0.195))
+    assert len(traj) == 21 and traj[-1].time == pytest.approx(0.195)
+    err = np.linalg.norm(traj[-1].coeffs - ref) / np.linalg.norm(ref)
+    assert err < 1e-10
+
+
+@pytest.mark.parametrize("case", ["stiff", "no_circulant_factor"])
+def test_midpoint_stepper_falls_back_to_lu(db6, case, monkeypatch):
+    mk = lambda: WaveletBasis(filter=db6, j_coarse=3, j_fine=5,
+                              domain=(-6.0, 6.0))
+    ps = PhaseSpaceBasis(mk(), mk())
+    L = _quartic_dissipative(ps)
+    if case == "stiff":
+        dt = 0.05  # from the third step on, more corrections than the cap
+    else:
+        dt = 0.01
+        L = L + AssembledOperator(ps=ps, terms=[OperatorTerm(
+            "q_p_coupling", 0.01, ps.basis_q.moment_matrix(1),
+            ps.basis_p.moment_matrix(1))])
+    W0 = _field(ps, lambda q, p: np.exp(-(q - 0.5) ** 2 - p ** 2) / np.pi)
+    ref = _spsolve_midpoint(L, W0.coeffs, [dt] * 10)
+    calls, splu = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a: calls.append(a) or splu(*a))
+    traj = evolve(W0, L, EvolutionConfig(dt=dt, t_end=10 * dt))
+    assert len(calls) == 1
+    err = np.linalg.norm(traj[-1].coeffs - ref) / np.linalg.norm(ref)
+    assert err < 1e-10
 
 
 # ---------------------------------------------------------------------------
