@@ -37,8 +37,7 @@ def main():
 
     params = ModelParams(gamma=args.gamma, diffusion=args.diffusion)
     L = assemble_evolution(ps, parse_potential("0.5*q^2"), params)
-    # About 40 checkpoints at any length (every 20th step of the default run);
-    # classify needs at least 3, which any run of 2 or more steps gets.
+    # About 40 checkpoints at any length (every 20th step of the default run).
     store_every = max(1, round(args.t_end / args.dt) // 40)
     traj = evolve(W0, L, EvolutionConfig(dt=args.dt, t_end=args.t_end,
                                          store_every=store_every))
@@ -49,7 +48,7 @@ def main():
         resid = np.linalg.norm(L.apply(W.coeffs))
         print(f"{W.time:7.2f}  {purity:.6f}  {qb:+.5f}  {pb:+.5f}  {resid:.3e}")
 
-    regime = classify(traj)
+    regime = classify(traj[-1], traj[-2] if len(traj) > 1 else None)
     print(f"final regime: {regime}")
 
     os.makedirs(args.out, exist_ok=True)

@@ -9,7 +9,7 @@ import os
 
 import numpy as np
 
-from wigner.assembly import PhaseSpaceBasis, assemble_stationary_cnumber
+from wigner.assembly import PhaseSpaceBasis, assemble_stationary_pair
 from wigner.basis import WaveletBasis, daubechies_filter
 from wigner.model import ModelParams, parse_potential
 from wigner.solve import stationary_eigen
@@ -37,8 +37,8 @@ def main():
     for order in args.orders:
         for j in args.levels:
             ps = phase_space(order, j, (-args.box, args.box))
-            A = assemble_stationary_cnumber(ps, U, params)
-            states = stationary_eigen(A, args.n_states)
+            A_sym, A_anti = assemble_stationary_pair(ps, U, params)
+            states = stationary_eigen(A_sym, A_anti, args.n_states)
             errs = []
             for n, (eps, _) in enumerate(states):
                 err = abs(eps - (n + 0.5))

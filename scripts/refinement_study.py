@@ -1,6 +1,6 @@
 """Level-by-level refinement of the harmonic ground state.
 
-Solves the symmetric stationary eigenproblem at increasing resolution and
+Solves for the stationary ground state at increasing resolution and
 reports the successive inter-level differences used by the refinement stop
 criterion, plus the scale split of the accepted solution.
 """
@@ -33,8 +33,8 @@ def main():
         mk = lambda: WaveletBasis(filter=filt, j_coarse=min(3, j), j_fine=j,
                                   domain=(-args.box, args.box))
         ps = PhaseSpaceBasis(mk(), mk())
-        A_sym, _ = assemble_stationary_pair(ps, U, params)
-        return stationary_eigen(A_sym, 1)[0][1]
+        A_sym, A_anti = assemble_stationary_pair(ps, U, params)
+        return stationary_eigen(A_sym, A_anti, 1)[0][1]
 
     W, report = refine_until(solve_at_level, epsilon=args.epsilon,
                              n_max=args.n_max, n_min=args.n_min)

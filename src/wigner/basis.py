@@ -396,9 +396,13 @@ class WaveletBasis:
     def __post_init__(self):
         if self.j_coarse > self.j_fine:
             raise ContractError("j_coarse must not exceed j_fine")
-        if 2 ** self.j_fine < self.filter.order:
+        # the filter support needs 2^j_fine >= order, the moment band
+        # order - 2 <= 2^(j_fine - 1)
+        need = max(self.filter.order, 2 * self.filter.order - 4)
+        if self.dim < need:
             raise ConfigurationError(
-                "finest level too coarse for the filter support; increase j_fine"
+                f"basis too coarse for the order-{self.filter.order} filter: "
+                f"2^{self.j_fine} functions per axis, it needs at least {need}"
             )
         a, b = self.domain
         if not b > a:
@@ -586,8 +590,6 @@ def moment_coefficients(basis: WaveletBasis, power: int) -> MomentTable:
     a, _ = basis.domain
     L = basis.length
     K = filt.order - 2
-    if K > P // 2:
-        raise ConfigurationError("basis too coarse for the filter moment band")
 
     m_tab = _product_moments(filt, power)  # (power+1, 2K+1), offset idx d+K
     M = np.zeros((P, P))

@@ -160,14 +160,15 @@ def parse_config(path) -> RunConfig:
         "type": get("initial", "type", "gaussian"),
         "q0": get("initial", "q0", 0.0, float),
         "p0": get("initial", "p0", 0.0, float),
-        "sigma_q": get("initial", "sigma_q", None,
-                       lambda t: float(t)),
-        "sigma_p": get("initial", "sigma_p", None,
-                       lambda t: float(t)),
+        "sigma_q": get("initial", "sigma_q", None, float),
+        "sigma_p": get("initial", "sigma_p", None, float),
         "norm": get("initial", "norm", 1.0, float),
     }
     if initial["type"] not in ("gaussian",):
         errors.append(f"[initial] type must be 'gaussian' (got {initial['type']!r})")
+    for key in ("sigma_q", "sigma_p"):
+        if initial[key] is not None and initial[key] <= 0:
+            errors.append(f"[initial] {key} must be positive")
 
     dt = get("solver", "dt", 0.01, float)
     t_end = get("solver", "t_end", 1.0, float)
@@ -191,6 +192,8 @@ def parse_config(path) -> RunConfig:
         errors.append("[solver] n_states must be >= 1")
     if pairs is not None and pairs < 1:
         errors.append("[solver] pairs must be >= 1")
+    if store_every is not None and store_every < 1:
+        errors.append("[solver] store_every must be >= 1")
     # n_max defaults to j_fine, so only refine runs must order the levels
     if mode == "refine" and None not in (n_min, n_max) and n_min > n_max:
         errors.append("[solver] n_min must not exceed n_max")
@@ -218,20 +221,32 @@ def parse_config(path) -> RunConfig:
 
     # Ensemble levels evolve under multiples of g, every other mode under U.
     U_run = g if mode == "ensemble" else U
-    if U_run is not None and order in range(2, 11, 2):
-        from .basis import connection_coefficients, daubechies_filter
+    if order in range(2, 11, 2):
+        from .basis import WaveletBasis, connection_coefficients, daubechies_filter
         filt = daubechies_filter(order)
-        try:
-            for d in sorted(_derivative_orders(mode, U_run, diffusion)):
-                connection_coefficients(filt, 0, d)
-        except ConfigurationError as exc:
-            errors.append(f"[basis] order {order}: {exc}")
+        # The coarsest basis the mode builds (refine mode starts at n_min);
+        # its size check reads only the order and the finest level.
+        key, j = ("[solver] n_min", n_min) if mode == "refine" else \
+            ("[basis] j_fine", j_fine)
+        if j is not None:
+            try:
+                WaveletBasis(filter=filt, j_coarse=j, j_fine=j, domain=(0.0, 1.0))
+            except ConfigurationError as exc:
+                errors.append(f"{key}: {exc}")
+        if U_run is not None:
+            try:
+                for d in sorted(_derivative_orders(mode, U_run, diffusion)):
+                    connection_coefficients(filt, 0, d)
+            except ConfigurationError as exc:
+                errors.append(f"[basis] order {order}: {exc}")
 
     out_directory = get("output", "directory", None)
     grid_resolution = get("output", "grid_resolution", 128, int)
     checkpoint_every = get("output", "checkpoint_every", 10, int)
     if grid_resolution is not None and grid_resolution < 2:
         errors.append("[output] grid_resolution must be >= 2 per axis")
+    if checkpoint_every is not None and checkpoint_every < 1:
+        errors.append("[output] checkpoint_every must be >= 1")
 
     thresholds = {
         "theta_loc": get("diagnostics", "theta_loc", 0.05, float),
@@ -442,36 +457,32 @@ def _execute(cfg: RunConfig, run_dir, manifest):
     """Run the configured mode and write its artifacts and manifest."""
     from .diagnostics import diagnostics_report, marginals
     from .model import parse_potential
-    from .solve import EvolutionConfig
 
     not_converged = False
     U = parse_potential(cfg.potential_text)
     params = _model_params(cfg)
-    evo_cfg = EvolutionConfig(dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.scheme,
-                              renormalize=cfg.renormalize,
-                              store_every=cfg.store_every)
 
+    # the fields each mode computed, the last one final
     if cfg.mode == "evolve":
-        trajectory = _run_evolution(cfg, U, params, evo_cfg, run_dir)
+        fields = _run_evolution(cfg, U, params)
     elif cfg.mode == "ensemble":
-        trajectory = _run_ensemble(cfg, params, evo_cfg, run_dir)
+        fields = _run_ensemble(cfg, params)
     elif cfg.mode == "stationary":
-        trajectory = _run_stationary(cfg, U, params, run_dir, manifest)
+        fields = _run_stationary(cfg, U, params, manifest)
     elif cfg.mode == "moyal":
-        trajectory = _run_moyal(cfg, U, params, run_dir, manifest)
+        fields = _run_moyal(cfg, U, params, manifest)
     elif cfg.mode == "refine":
-        trajectory, not_converged = _run_refine(cfg, U, params, run_dir,
-                                                manifest)
+        fields, not_converged = _run_refine(cfg, U, params, manifest)
     else:  # pragma: no cover - parse_config rejects unknown modes
         raise ConfigurationError(f"unhandled mode {cfg.mode!r}")
 
-    final = trajectory[-1]
-    dump_grid(trajectory[0], cfg.grid_resolution,
+    final = fields[-1]
+    dump_grid(fields[0], cfg.grid_resolution,
               os.path.join(run_dir, "w_initial.wgrid"))
     dump_grid(final, cfg.grid_resolution,
               os.path.join(run_dir, "w_final.wgrid"))
     _dump_scale_parts(cfg, final, run_dir)
-    _dump_checkpoints(cfg, trajectory, run_dir)
+    _dump_checkpoints(cfg, fields, run_dir)
 
     dq, dp = marginals(final)
     _dump_marginal(dq, cfg.grid_resolution,
@@ -479,12 +490,9 @@ def _execute(cfg: RunConfig, run_dir, manifest):
     _dump_marginal(dp, cfg.grid_resolution,
                    os.path.join(run_dir, "marginal_p.txt"))
 
-    if len(trajectory) >= 3:
-        report = diagnostics_report(trajectory, hbar=cfg.hbar,
-                                    thresholds=_thresholds(cfg))
-    else:
-        report = diagnostics_report([final] * 3, hbar=cfg.hbar,
-                                    thresholds=_thresholds(cfg))
+    previous = fields[-2] if len(fields) > 1 else None
+    report = diagnostics_report(final, previous, hbar=cfg.hbar,
+                                thresholds=_thresholds(cfg))
     manifest += ["", "[diagnostics]", report.to_text().rstrip(), ""]
     manifest.append(f"converged = {not not_converged}")
 
@@ -493,13 +501,21 @@ def _execute(cfg: RunConfig, run_dir, manifest):
     return report, not_converged
 
 
-def _run_evolution(cfg, U, params, evo_cfg, run_dir):
+def _evolution_config(cfg: RunConfig):
+    from .solve import EvolutionConfig
+
+    return EvolutionConfig(dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.scheme,
+                           renormalize=cfg.renormalize,
+                           store_every=cfg.store_every)
+
+
+def _run_evolution(cfg, U, params):
     from .assembly import assemble_evolution
     from .solve import evolve
 
     ps = _build_phase_space(cfg)
     W0 = _initial_field(cfg, ps)
-    return evolve(W0, assemble_evolution(ps, U, params), evo_cfg)
+    return evolve(W0, assemble_evolution(ps, U, params), _evolution_config(cfg))
 
 
 def _ensemble_weights(text, n_max):
@@ -514,10 +530,13 @@ def _ensemble_weights(text, n_max):
     weights = np.array([float(tok) for tok in text.replace(",", " ").split()])
     if weights.size != n_max + 1:
         raise ConfigurationError(f"expected {n_max + 1} weights, got {weights.size}")
+    if np.any(weights < 0) or not weights.sum() > 0:
+        raise ConfigurationError("weights must be non-negative with a positive sum")
     return weights / weights.sum()
 
 
-def _run_ensemble(cfg, params, evo_cfg, run_dir):
+def _run_ensemble(cfg, params):
+    """The initial and the final superposed field."""
     from .ensemble import (FockEnsemble, evolve_fock_hierarchy,
                            incoherent_superpose)
     from .model import parse_potential
@@ -528,28 +547,28 @@ def _run_ensemble(cfg, params, evo_cfg, run_dir):
     ens = FockEnsemble(weights=spec["weights"], U0=spec["u0"],
                        g=parse_potential(spec["g"]),
                        fields=[W0.copy() for _ in spec["weights"]])
-    evolved = evolve_fock_hierarchy(ens, params, evo_cfg)
-    out = incoherent_superpose(evolved)
-    return [incoherent_superpose(ens), out, out.copy()]
+    evolved = evolve_fock_hierarchy(ens, params, _evolution_config(cfg))
+    return [incoherent_superpose(ens), incoherent_superpose(evolved)]
 
 
-def _run_stationary(cfg, U, params, run_dir, manifest):
-    from .assembly import assemble_stationary_cnumber
+def _run_stationary(cfg, U, params, manifest):
+    from .assembly import assemble_stationary_pair
     from .solve import stationary_eigen
 
     ps = _build_phase_space(cfg)
-    A = assemble_stationary_cnumber(ps, U, params)
-    states = stationary_eigen(A, cfg.n_states)
+    A_sym, A_anti = assemble_stationary_pair(ps, U, params)
+    states = stationary_eigen(A_sym, A_anti, cfg.n_states)
     manifest.append("[eigenvalues]")
     for i, (eps, _) in enumerate(states):
         manifest.append(f"eps_{i} = {eps:.12g}")
-    fields = [W for _, W in states]
-    return [fields[0], fields[0].copy(), fields[0].copy()]
+    return [states[0][1]]
 
 
-def _run_moyal(cfg, U, params, run_dir, manifest):
+def _run_moyal(cfg, U, params, manifest):
+    import numpy as np
+
     from .assembly import assemble_stationary_pair
-    from .solve import moyal_eigen
+    from .solve import CoefficientField, moyal_eigen
 
     ps = _build_phase_space(cfg)
     A_sym, A_anti = assemble_stationary_pair(ps, U, params)
@@ -557,22 +576,18 @@ def _run_moyal(cfg, U, params, run_dir, manifest):
     manifest.append("[eigenvalues]")
     for i, (e_lo, e_hi, _) in enumerate(pairs):
         manifest.append(f"pair_{i} = {e_lo:.12g} {e_hi:.12g}")
-    import numpy as np
-
-    from .solve import CoefficientField
     W = pairs[0][2]
-    W = CoefficientField(ps=W.ps, coeffs=np.real(W.coeffs), time=W.time)
-    return [W, W.copy(), W.copy()]
+    return [CoefficientField(ps=W.ps, coeffs=np.real(W.coeffs), time=W.time)]
 
 
-def _run_refine(cfg, U, params, run_dir, manifest):
-    from .assembly import assemble_stationary_cnumber
+def _run_refine(cfg, U, params, manifest):
+    from .assembly import assemble_stationary_pair
     from .solve import refine_until, stationary_eigen
 
     def solve_at_level(N):
         ps = _build_phase_space(cfg, j_fine=N)
-        A = assemble_stationary_cnumber(ps, U, params)
-        return stationary_eigen(A, 1)[0][1]
+        A_sym, A_anti = assemble_stationary_pair(ps, U, params)
+        return stationary_eigen(A_sym, A_anti, 1)[0][1]
 
     W, report = refine_until(solve_at_level, cfg.epsilon, cfg.n_max,
                              n_min=cfg.n_min)
@@ -582,7 +597,7 @@ def _run_refine(cfg, U, params, run_dir, manifest):
     manifest.append(f"accepted_level = {report.accepted_level}")
     manifest.append(f"refine_converged = {report.converged}")
     manifest.append(f"monotone = {report.monotone}")
-    return [W, W.copy(), W.copy()], not report.converged
+    return [W], not report.converged
 
 
 def _dump_scale_parts(cfg, final, run_dir):
@@ -598,12 +613,12 @@ def _dump_scale_parts(cfg, final, run_dir):
                   os.path.join(run_dir, f"scale_fast_{cut + i}.wgrid"))
 
 
-def _dump_checkpoints(cfg, trajectory, run_dir):
+def _dump_checkpoints(cfg, fields, run_dir):
     import numpy as np
 
-    kept = trajectory[:: max(cfg.checkpoint_every, 1)]
-    if trajectory[-1] is not kept[-1]:
-        kept = kept + [trajectory[-1]]
+    kept = fields[:: cfg.checkpoint_every]
+    if fields[-1] is not kept[-1]:
+        kept = kept + [fields[-1]]
     with open(os.path.join(run_dir, "checkpoints.txt"), "w") as fh:
         for i, W in enumerate(kept):
             name = f"checkpoint_{i:04d}.npy"

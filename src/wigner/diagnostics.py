@@ -7,7 +7,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .ensemble import FockEnsemble
-from .errors import ContractError, DegenerateInputError
+from .errors import DegenerateInputError
 from .solve import CoefficientField, _to_ms_2d
 
 
@@ -142,26 +142,28 @@ def localization_radius(W: CoefficientField) -> float:
     return float(np.sqrt(trace)) if trace >= 0 else float("nan")
 
 
-def classify(trajectory, thresholds: ClassifierThresholds = ClassifierThresholds()) -> str:
-    """Label the final state: localized_mode / chaotic_pattern / waveleton.
+def classify(final: CoefficientField, previous: CoefficientField = None,
+             thresholds: ClassifierThresholds = ClassifierThresholds()) -> str:
+    """Label a state: localized_mode / chaotic_pattern / waveleton.
 
-    All criteria are ratios invariant under global scaling of the
-    trajectory; waveleton (localized AND stable AND energy concentrated in
-    the top-k coefficients) takes precedence over localized_mode.
+    ``previous`` is the checkpoint before ``final``; without one the state
+    does not evolve and counts as stable.  All criteria are ratios invariant
+    under global scaling of the fields; waveleton (localized AND stable AND
+    energy concentrated in the top-k coefficients) takes precedence over
+    localized_mode.
     """
-    if len(trajectory) < 3:
-        raise ContractError("classification needs at least 3 checkpoints")
-    final = trajectory[-1]
-    prev = trajectory[-2]
     dim = final.ps.dim
 
     _, participation = scale_entropy(final)
     pr_frac = participation / dim
 
-    norm_prev = np.linalg.norm(prev.coeffs)
-    if norm_prev <= 0:
-        raise DegenerateInputError("cannot classify a vanishing trajectory")
-    rel_change = float(np.linalg.norm(final.coeffs - prev.coeffs) / norm_prev)
+    stable = True
+    if previous is not None:
+        norm_prev = np.linalg.norm(previous.coeffs)
+        if norm_prev <= 0:
+            raise DegenerateInputError("cannot classify against a vanishing state")
+        rel_change = np.linalg.norm(final.coeffs - previous.coeffs) / norm_prev
+        stable = rel_change < thresholds.theta_stab
 
     ms = _to_ms_2d(final.ps, np.real(final.coeffs))
     e = np.sort(np.abs(ms) ** 2)[::-1]
@@ -169,7 +171,6 @@ def classify(trajectory, thresholds: ClassifierThresholds = ClassifierThresholds
     top_fraction = float(e[:k].sum() / e.sum())
 
     localized = pr_frac < thresholds.theta_loc
-    stable = rel_change < thresholds.theta_stab
     concentrated = top_fraction > thresholds.theta_frac
 
     if localized and stable and concentrated:
@@ -181,11 +182,11 @@ def classify(trajectory, thresholds: ClassifierThresholds = ClassifierThresholds
     return "unclassified"
 
 
-def diagnostics_report(trajectory, hbar: float = 1.0,
+def diagnostics_report(final: CoefficientField, previous: CoefficientField = None,
+                       hbar: float = 1.0,
                        thresholds: ClassifierThresholds = ClassifierThresholds(),
                        ) -> DiagnosticsReport:
-    """Full report on the final state of a trajectory (>= 3 checkpoints)."""
-    final = trajectory[-1]
+    """Full report on ``final``; ``previous`` is passed on to ``classify``."""
     total, _, _, purity = standard_moments(final, hbar=hbar)
     entropy, participation = scale_entropy(final)
     return DiagnosticsReport(
@@ -197,5 +198,5 @@ def diagnostics_report(trajectory, hbar: float = 1.0,
         scale_entropy=entropy,
         participation_ratio=participation,
         localization_radius=localization_radius(final),
-        regime=classify(trajectory, thresholds),
+        regime=classify(final, previous, thresholds),
     )

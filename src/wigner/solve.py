@@ -322,45 +322,23 @@ def evolve(W0: CoefficientField, L: AssembledOperator,
 # eigenproblems
 # ---------------------------------------------------------------------------
 
-# mu hbar^2 of the commutation penalty mu (Im A)^T (Im A).  On an off-diagonal
-# eigenfield |m><n| of the left-star operator, Im A acts as
-# -(i/2)(E_m - E_n), so mu = 40 / hbar^2 lifts it by 10 ((E_m - E_n) / hbar)^2;
-# this is 10 A_anti^T A_anti of the stationary pair at any hbar.
-_PENALTY = 40.0
+# Weight of the commutation penalty A_anti^T A_anti.  On an off-diagonal
+# eigenfield |m><n| A_anti acts as (i/hbar)(E_n - E_m), so the penalty lifts
+# it by 10 ((E_m - E_n) / hbar)^2 at any hbar.
+_PENALTY = 10.0
 
 # Smallest |integral| / ||W|| accepted for a diagonal state; off-diagonal
 # eigenfields integrate to zero.
 _INTEGRAL_FLOOR = 0.5
 
 
-def _hbar(A: AssembledOperator) -> float:
-    """hbar of a c-number operator: its kinetic_flow over its kinetic weight.
-
-    ``assemble_stationary_cnumber`` writes p^2 with 1/(2m) and the flow
-    p d/dq with -i hbar/(2m).
-    """
-    coeff = {t.tag: complex(t.coeff) for t in A.terms}
-    if "kinetic" not in coeff or "kinetic_flow" not in coeff:
-        raise ContractError(
-            "a complex stationary operator needs the kinetic and kinetic_flow "
-            "terms of assemble_stationary_cnumber")
-    return -coeff["kinetic_flow"].imag / coeff["kinetic"].real
-
-
-def _penalty_operator(A: AssembledOperator) -> AssembledOperator:
-    """P = Re A + mu (Im A)^T (Im A) as real Kronecker terms, mu = 40 / hbar^2."""
-    re, im = [], []
-    for t in A.terms:
-        c = complex(t.coeff)
-        if c.real != 0.0:
-            re.append(OperatorTerm(t.tag, c.real, t.q_matrix, t.p_matrix))
-        if c.imag != 0.0:
-            im.append(OperatorTerm(t.tag, c.imag, t.q_matrix, t.p_matrix))
-    mu = _PENALTY / _hbar(A) ** 2 if im else 0.0
-    penalty = [OperatorTerm(f"penalty_{a.tag}_{b.tag}", mu * a.coeff * b.coeff,
+def _penalty_operator(A_sym: AssembledOperator,
+                      A_anti: AssembledOperator) -> AssembledOperator:
+    """P = A_sym + 10 A_anti^T A_anti as real Kronecker terms."""
+    penalty = [OperatorTerm(f"penalty_{a.tag}_{b.tag}", _PENALTY * a.coeff * b.coeff,
                             a.q_matrix.T @ b.q_matrix, a.p_matrix.T @ b.p_matrix)
-               for a in im for b in im]
-    return AssembledOperator(ps=A.ps, terms=re + penalty)
+               for a in A_anti.terms for b in A_anti.terms]
+    return AssembledOperator(ps=A_sym.ps, terms=A_sym.terms + penalty)
 
 
 def _spectrum_floor(P: AssembledOperator) -> float:
@@ -368,7 +346,7 @@ def _spectrum_floor(P: AssembledOperator) -> float:
 
     For a stationary operator that part is U(q) - (hbar^2/8m) d^2/dq^2: a
     particle of mass 4m, whose ground level lies below the ground level E_0
-    of mass m.  Re A's levels are (E_m + E_n)/2 >= E_0, and the penalty only
+    of mass m.  A_sym's levels are (E_m + E_n)/2 >= E_0, and the penalty only
     adds, so this is a shift below P's spectrum and close to its bottom.  It
     is not a bound for the discretized P: ``stationary_eigen`` checks it.
     """
@@ -393,17 +371,16 @@ def _dense_real(P: AssembledOperator) -> np.ndarray:
     return out
 
 
-def stationary_eigen(A: AssembledOperator, n_states: int) -> list:
-    """Lowest diagonal stationary states (eps, field) of the c-number operator.
+def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
+                     n_states: int) -> list:
+    """Lowest diagonal stationary states (eps, field) of the stationary pair.
 
-    Diagonal Wigner functions solve both H*W = EW and W*H = EW.  The
-    Hermitian operator A of ``assemble_stationary_cnumber`` splits into
-    Re A = A_sym and Im A = -(hbar/2) A_anti; a real eigenfield has
-    Re A W = EW and Im A W = 0.  So the states are the lowest eigenpairs of
-    the real symmetric penalty P = Re A + mu (Im A)^T (Im A), mu = 40 / hbar^2
-    (hbar read off A's kinetic terms): an off-diagonal |m><n| is lifted by
+    Diagonal Wigner functions solve both H*W = EW and W*H = EW, so with the
+    pair of ``assemble_stationary_pair`` a real eigenfield has A_sym W = EW
+    and A_anti W = 0 (Curtright, Fairlie & Zachos, PRD 58, 025002, 1998).
+    The states are the lowest eigenpairs of the real symmetric penalty
+    P = A_sym + 10 A_anti^T A_anti: an off-diagonal |m><n| is lifted by
     10 ((E_m - E_n) / hbar)^2, and no eigenfield has to be filtered out.
-    A real A (such as A_sym itself) carries no penalty.
 
     P is written densely from the Kronecker factors into one float64 array.
     The shift sigma is the lowest level of P's q-only part (see
@@ -424,7 +401,7 @@ def stationary_eigen(A: AssembledOperator, n_states: int) -> list:
     """
     if n_states < 1:
         raise ContractError("n_states must be >= 1")
-    ps = A.ps
+    ps = A_sym.ps
     n = ps.dim
     k = n_states + 2
     if k >= n:
@@ -432,7 +409,7 @@ def stationary_eigen(A: AssembledOperator, n_states: int) -> list:
             f"{n_states} stationary states need n_states + 2 < dim = {n}",
             diagnostic={"requested": n_states, "dim": n},
         )
-    P = _penalty_operator(A)
+    P = _penalty_operator(A_sym, A_anti)
     sigma = _spectrum_floor(P)
     shifted = _dense_real(P)
     shifted.flat[::n + 1] -= sigma
@@ -493,7 +470,8 @@ def moyal_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
 
     A_sym eigenvalues give (E' + E'')/2; within each (near-)degenerate
     cluster the restriction of A_anti is a small real antisymmetric matrix
-    whose imaginary eigenvalues i*y give E'' - E' = hbar*y.
+    whose imaginary eigenvalues i*y give E'' - E' = hbar*y.  Raises
+    NumericalError when the basis holds fewer than ``pairs`` pairs.
     """
     if pairs < 1:
         raise ContractError("pairs must be >= 1")
@@ -537,11 +515,10 @@ def moyal_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
                         "(restricted commutator norm %.3e); eigenpairs are the "
                         "cluster-restricted joint diagonalization", comm_norm)
                 return out
-    if comm_norm > commutator_tol:
-        logger.warning(
-            "pair operators do not commute on resolved clusters "
-            "(restricted commutator norm %.3e)", comm_norm)
-    return out
+    raise NumericalError(
+        f"{pairs} stationary pairs requested, but the basis holds {len(out)}",
+        diagnostic={"requested": pairs, "found": len(out)},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -134,8 +134,7 @@ def test_harmonic_spectrum_and_assembly_agreement():
     U = parse_potential("0.5*q^2")
 
     ps = _phase_space(10, 6, (-4.0, 4.0))
-    A = assemble_stationary_cnumber(ps, U, PARAMS)
-    states = stationary_eigen(A, 4)
+    states = stationary_eigen(*assemble_stationary_pair(ps, U, PARAMS), 4)
     errs = [abs(eps - (n + 0.5)) for n, (eps, _) in enumerate(states)]
 
     # the two assembly routes produce the same spectrum
@@ -237,8 +236,8 @@ def test_refinement_converges_monotonically_for_the_ground_state():
 
     def solve_at_level(j):
         ps = _phase_space(10, j, (-3.2, 3.2), j_coarse=min(3, j))
-        A_sym, _ = assemble_stationary_pair(ps, U, PARAMS)
-        return stationary_eigen(A_sym, 1)[0][1]
+        A_sym, A_anti = assemble_stationary_pair(ps, U, PARAMS)
+        return stationary_eigen(A_sym, A_anti, 1)[0][1]
 
     W, report = refine_until(solve_at_level, epsilon=1e-4, n_max=6, n_min=4)
     diffs = [d for _, d in report.levels_tried]
@@ -278,7 +277,7 @@ def test_dissipative_diffusion_rate_and_damped_waveleton():
     traj2 = evolve(W0, L2, EvolutionConfig(dt=0.05, t_end=40.0,
                                            store_every=100))
     residual = np.linalg.norm(L2.apply(traj2[-1].coeffs))
-    regime = classify(traj2)
+    regime = classify(traj2[-1], previous=traj2[-2])
     elapsed = time.time() - t0
     print(f"\nPASS dissipative: diffusion rate err {rate_err:.2e} (<2e-2), "
           f"purity increase {purity_increase:.2e} (<=0), damped residual "
@@ -325,22 +324,22 @@ def test_classifier_separates_the_three_regimes():
     thresholds = ClassifierThresholds(theta_loc=0.005, theta_chaos=0.012)
 
     ps = _phase_space(6, 6, (-4.0, 4.0))
-    A = assemble_stationary_cnumber(ps, parse_potential("0.5*q^2"), PARAMS)
-    ground = stationary_eigen(A, 1)[0][1]
-    ground = CoefficientField(ps=ps, coeffs=np.real(ground.coeffs))
-    assert classify([ground] * 3, thresholds) == "waveleton"
+    A_sym, A_anti = assemble_stationary_pair(ps, parse_potential("0.5*q^2"),
+                                             PARAMS)
+    ground = stationary_eigen(A_sym, A_anti, 1)[0][1]
+    assert classify(ground, thresholds=thresholds) == "waveleton"
 
     W0 = _gaussian(ps, var=4.0)
     L = assemble_evolution(ps, parse_potential("0"), PARAMS)
     traj = evolve(W0, L, EvolutionConfig(dt=0.05, t_end=15.0, store_every=100))
     _, participation = scale_entropy(traj[-1])
-    sheared = classify(traj, thresholds)
+    sheared = classify(traj[-1], traj[-2], thresholds)
     assert sheared == "chaotic_pattern"
 
     ms = np.zeros(ps.shape)
     ms[0, 0] = 1.0
     single = CoefficientField(ps=ps, coeffs=_from_ms_2d(ps, ms))
-    assert classify([single] * 3, thresholds) == "waveleton"
+    assert classify(single, thresholds=thresholds) == "waveleton"
     elapsed = time.time() - t0
     print(f"\nPASS classifier: ground waveleton, shear PR/dim "
           f"{participation / ps.dim:.2e} -> chaotic_pattern, concentrated "

@@ -200,8 +200,24 @@ def test_validate_command(tmp_path, capsys):
     [("order = 6", "order = 10"), ("0.5*q^2", "q^9"), ("j_fine = 4", "j_fine = 5")],
     [("mode = evolve", "mode = stationary"), ("order = 6", "order = 10"),
      ("0.5*q^2", "q^9"), ("j_fine = 4", "j_fine = 5")],
+    # 8 functions per axis: order 10 overhangs the filter support, order 8
+    # the moment band (6 > 8 / 2); refine mode starts at n_min
+    [("order = 6", "order = 10"), ("j_fine = 4", "j_fine = 3")],
+    [("order = 6", "order = 8"), ("j_fine = 4", "j_fine = 3")],
+    [("mode = evolve", "mode = refine"), ("order = 6", "order = 10"),
+     ("t_end = 0.1", "t_end = 0.1\nn_min = 3")],
+    [("t_end = 0.1", "t_end = 0.1\nstore_every = 0")],
+    [("t_end = 0.1", "t_end = 0.1\n\n[output]\ncheckpoint_every = 0")],
+    [("t_end = 0.1", "t_end = 0.1\n\n[initial]\nsigma_q = 0")],
+    [("mode = evolve", "mode = ensemble"),
+     ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\nn_max = 1\nweights = 1.5 -0.5")],
+    [("mode = evolve", "mode = ensemble"),
+     ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\nn_max = 1\nweights = 0 0")],
 ], ids=["lindblad", "pure_p", "p_term", "n_states", "pairs", "n_min",
-        "ensemble_weights", "filter_too_rough", "q9_evolve", "q9_stationary"])
+        "ensemble_weights", "filter_too_rough", "q9_evolve", "q9_stationary",
+        "support_too_coarse", "moment_band_too_coarse", "refine_n_min_too_coarse",
+        "store_every", "checkpoint_every", "sigma_q", "negative_weight",
+        "zero_weights"])
 def test_validate_rejects_what_run_would(tmp_path, edits):
     assert main(["validate", _write(tmp_path, _edited(edits))]) == EXIT_CONFIG
 
@@ -244,11 +260,39 @@ def test_run_refine_not_converged_exit_code(tmp_path, capsys):
     assert "converged = False" in manifest
 
 
+@pytest.mark.parametrize("mode", ["stationary", "moyal", "refine"])
+def test_single_state_modes_list_one_checkpoint(tmp_path, capsys, mode):
+    text = _edited([("mode = evolve", f"mode = {mode}"),
+                    ("t_end = 0.1", "t_end = 0.1\nn_states = 2\nn_min = 3")])
+    out = str(tmp_path / "out")
+    assert main(["run", _write(tmp_path, text), "--threads", "1", "--out", out]) \
+        in (EXIT_OK, EXIT_NOT_CONVERGED)
+    run_dir = capsys.readouterr().out.strip()
+    lines = open(os.path.join(run_dir, "checkpoints.txt")).read().splitlines()
+    assert lines == ["checkpoint_0000.npy 0"]
+
+
+def test_one_step_evolve_is_classified_against_its_initial_state(tmp_path, capsys):
+    # A displaced Gaussian moves by 5% of its norm in one step: not stable,
+    # so localized_mode.  Compared with itself it would be a waveleton.
+    text = _edited([("t_end = 0.1", "t_end = 0.05\n\n[initial]\nq0 = 1")])
+    out = str(tmp_path / "out")
+    assert main(["run", _write(tmp_path, text), "--threads", "1", "--out", out]) \
+        == EXIT_OK
+    run_dir = capsys.readouterr().out.strip()
+    assert len(open(os.path.join(run_dir, "checkpoints.txt")).readlines()) == 2
+    manifest = open(os.path.join(run_dir, "manifest.txt")).read()
+    assert "regime = 'localized_mode'" in manifest
+
+
 @pytest.mark.parametrize("edits,code", [
     # a 16 x 16 basis holds 39 stationary states
     ([("mode = evolve", "mode = stationary"),
       ("t_end = 0.1", "t_end = 0.1\nn_states = 100000")], EXIT_NUMERICAL),
-], ids=["too_many_states"])
+    # and 256 pairs
+    ([("mode = evolve", "mode = moyal"),
+      ("t_end = 0.1", "t_end = 0.1\npairs = 300")], EXIT_NUMERICAL),
+], ids=["too_many_states", "too_many_pairs"])
 def test_run_failure_leaves_manifest(tmp_path, capsys, edits, code):
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, _edited(edits)), "--threads", "1",

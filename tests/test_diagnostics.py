@@ -15,7 +15,7 @@ from wigner.diagnostics import (
     standard_moments,
 )
 from wigner.ensemble import FockEnsemble
-from wigner.errors import ContractError, DegenerateInputError
+from wigner.errors import DegenerateInputError
 from wigner.model import parse_potential
 from wigner.solve import CoefficientField, _from_ms_2d
 
@@ -102,26 +102,29 @@ def test_localization_radius_gaussian(shifted_gaussian):
 # classifier
 # ---------------------------------------------------------------------------
 
-def _hold(W, n=3):
-    return [W.copy() for _ in range(n)]
-
-
-def test_classify_needs_three_checkpoints(gaussian_field6):
-    with pytest.raises(ContractError):
-        classify(_hold(gaussian_field6, 2))
+def test_classify_without_previous_counts_as_stable(ps6):
+    # a field that moves by more than theta_stab is a waveleton only alone
+    ms = np.zeros(ps6.shape)
+    ms[0, 0] = 1.0
+    W = CoefficientField(ps=ps6, coeffs=_from_ms_2d(ps6, ms))
+    moved = CoefficientField(ps=ps6, coeffs=1.1 * W.coeffs)
+    assert classify(W) == "waveleton"
+    assert classify(W, previous=moved) == "localized_mode"
 
 
 def test_classify_zero_trajectory(ps6, gaussian_field6):
     zero = CoefficientField(ps=ps6, coeffs=np.zeros(ps6.dim))
     with pytest.raises(DegenerateInputError):
-        classify([gaussian_field6, zero, zero])
+        classify(gaussian_field6, previous=zero)
+    with pytest.raises(DegenerateInputError):
+        classify(zero)
 
 
 def test_stationary_concentrated_field_is_waveleton(ps6):
     ms = np.zeros(ps6.shape)
     ms[0, 0] = 1.0
     W = CoefficientField(ps=ps6, coeffs=_from_ms_2d(ps6, ms))
-    assert classify(_hold(W)) == "waveleton"
+    assert classify(W, previous=W.copy()) == "waveleton"
 
 
 def test_localized_but_drifting_field(ps6):
@@ -133,7 +136,7 @@ def test_localized_but_drifting_field(ps6):
     ms2 = ms.copy()
     ms2[0, 1] = 0.1
     b = CoefficientField(ps=ps6, coeffs=_from_ms_2d(ps6, ms2))
-    assert classify([a, a, b]) == "localized_mode"
+    assert classify(b, previous=a) == "localized_mode"
 
 
 def test_delocalized_field_is_chaotic(ps6):
@@ -144,7 +147,7 @@ def test_delocalized_field_is_chaotic(ps6):
     _, participation = scale_entropy(W)
     assert participation / ps6.dim > 0.25
     loose = ClassifierThresholds(theta_chaos=0.25)
-    assert classify(_hold(W), loose) == "chaotic_pattern"
+    assert classify(W, thresholds=loose) == "chaotic_pattern"
 
 
 def test_classifier_scale_invariance(ps6):
@@ -153,8 +156,8 @@ def test_classifier_scale_invariance(ps6):
     W = CoefficientField(ps=ps6, coeffs=_from_ms_2d(ps6, ms))
     scaled = CoefficientField(ps=ps6, coeffs=1e6 * W.coeffs)
     loose = ClassifierThresholds(theta_chaos=0.25)
-    assert classify(_hold(W), loose) == classify(_hold(scaled), loose)
-    assert classify(_hold(scaled), loose) == "chaotic_pattern"
+    assert classify(W, thresholds=loose) == classify(scaled, thresholds=loose)
+    assert classify(scaled, thresholds=loose) == "chaotic_pattern"
 
 
 def test_classifier_custom_thresholds(ps6):
@@ -162,11 +165,11 @@ def test_classifier_custom_thresholds(ps6):
     ms = rng.normal(size=ps6.shape)
     W = CoefficientField(ps=ps6, coeffs=_from_ms_2d(ps6, ms))
     strict = ClassifierThresholds(theta_chaos=0.999)
-    assert classify(_hold(W), strict) == "unclassified"
+    assert classify(W, thresholds=strict) == "unclassified"
 
 
 def test_report_fields(ps6w, gaussian_field6w):
-    report = diagnostics_report(_hold(gaussian_field6w))
+    report = diagnostics_report(gaussian_field6w)
     assert abs(report.total_integral - 1.0) < 1e-9
     assert abs(report.purity - 1.0) < 1e-5
     assert report.fock_norm == pytest.approx(report.l2_norm ** 2)

@@ -221,8 +221,7 @@ def harmonic_small():
 
 def test_stationary_eigen_harmonic(harmonic_small):
     ps, U = harmonic_small
-    A = assemble_stationary_cnumber(ps, U, PARAMS)
-    states = stationary_eigen(A, 3)
+    states = stationary_eigen(*assemble_stationary_pair(ps, U, PARAMS), 3)
     for n, (eps, W) in enumerate(states):
         assert abs(eps - (n + 0.5)) < 5e-3
         assert abs(W.total_integral() - 1.0) < 1e-8
@@ -232,14 +231,14 @@ def test_stationary_eigen_harmonic(harmonic_small):
     # levels below zero: the shift sits below the spectrum, not at zero
     ("0.5*q^2 - 5", 1.0, 4.0, 5),
     ("0.5*q^2 - 5", 1.0, 4.0, 6),
-    # mu = 40 / hbar^2 keeps |0><1| above the third level at small hbar
+    # the penalty lifts |0><1| by 10, above the third level, at any hbar
     ("0.5*q^2", 0.1, 2.0, 5),
 ])
 def test_stationary_eigen_shifted_and_scaled_oscillator(expr, hbar, box, j_fine):
     U = parse_potential(expr)
-    A = assemble_stationary_cnumber(_order10(j_fine, box), U,
-                                    ModelParams(hbar=hbar))
-    states = stationary_eigen(A, 3)
+    A_sym, A_anti = assemble_stationary_pair(_order10(j_fine, box), U,
+                                             ModelParams(hbar=hbar))
+    states = stationary_eigen(A_sym, A_anti, 3)
     for n, (eps, W) in enumerate(states):
         assert abs(eps - (hbar * (n + 0.5) + U(0.0))) < 5e-3
         assert abs(W.total_integral() - 1.0) < 1e-8
@@ -247,14 +246,20 @@ def test_stationary_eigen_shifted_and_scaled_oscillator(expr, hbar, box, j_fine)
 
 @pytest.mark.parametrize("hbar", [1.0, 0.5])
 def test_penalty_matrix_matches_kron_reference(hbar):
-    """The dense P equals Re A + (40/hbar^2) (Im A)^T (Im A) of the materialized A."""
+    """The dense P equals S + 10 K^T K of the materialized pair, and
+    Re M + (40/hbar^2) (Im M)^T (Im M) of the materialized c-number M."""
     ps = _order10(4)
-    A = assemble_stationary_cnumber(ps, parse_potential("0.5*q^2 + 0.1*q^4"),
-                                    ModelParams(hbar=hbar))
-    M = A.dense()
-    ref = M.real + _PENALTY / hbar ** 2 * M.imag.T @ M.imag
-    P = _penalty_operator(A)
-    assert np.max(np.abs(_dense_real(P) - ref)) < 1e-12 * np.max(np.abs(ref))
+    U = parse_potential("0.5*q^2 + 0.1*q^4")
+    params = ModelParams(hbar=hbar)
+    A_sym, A_anti = assemble_stationary_pair(ps, U, params)
+    S, K = A_sym.dense(), A_anti.dense()
+    ref = S + _PENALTY * K.T @ K
+    M = assemble_stationary_cnumber(ps, U, params).dense()
+    ref_cnumber = M.real + 40.0 / hbar ** 2 * M.imag.T @ M.imag
+    P = _penalty_operator(A_sym, A_anti)
+    dense = _dense_real(P)
+    for r in (ref, ref_cnumber):
+        assert np.max(np.abs(dense - r)) < 1e-12 * np.max(np.abs(r))
     v = np.random.default_rng(1).normal(size=ps.dim)
     Pv = ref @ v
     assert np.max(np.abs(P.apply(v) - Pv)) < 1e-12 * np.max(np.abs(Pv))
@@ -266,10 +271,10 @@ def test_stationary_eigen_rejects_shift_above_spectrum(harmonic_small,
     import wigner.solve
 
     ps, U = harmonic_small
-    A = assemble_stationary_cnumber(ps, U, PARAMS)
+    A_sym, A_anti = assemble_stationary_pair(ps, U, PARAMS)
     monkeypatch.setattr(wigner.solve, "_spectrum_floor", lambda P: 1.0)
     with pytest.raises(NumericalError, match="below the shift"):
-        stationary_eigen(A, 2)
+        stationary_eigen(A_sym, A_anti, 2)
 
 
 def test_stationary_eigen_anharmonic_matches_fd_oracle():
@@ -277,9 +282,9 @@ def test_stationary_eigen_anharmonic_matches_fd_oracle():
     assert np.max(np.abs(fd_schrodinger_levels(lambda q: 0.5 * q ** 2, 4)
                          - (np.arange(4) + 0.5))) < 1e-8
     ps = _order10(6)
-    A = assemble_stationary_cnumber(ps, parse_potential("0.5*q^2 + 0.1*q^4"),
-                                    PARAMS)
-    states = stationary_eigen(A, 4)
+    A_sym, A_anti = assemble_stationary_pair(
+        ps, parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
+    states = stationary_eigen(A_sym, A_anti, 4)
     eps = np.array([e for e, _ in states])
     ref = fd_schrodinger_levels(lambda q: 0.5 * q ** 2 + 0.1 * q ** 4, 4)
     assert np.all(np.diff(eps) > 0)
@@ -291,17 +296,17 @@ def test_stationary_eigen_anharmonic_matches_fd_oracle():
 def test_stationary_eigen_double_well_fails_closed():
     """A tunnelling pair |0><1| stays below E_1 in the penalty: raise, not guess."""
     ps = _order10(5)
-    A = assemble_stationary_cnumber(ps, parse_potential("0.25*q^4 - 2*q^2 + 5"),
-                                    PARAMS)
+    A_sym, A_anti = assemble_stationary_pair(
+        ps, parse_potential("0.25*q^4 - 2*q^2 + 5"), PARAMS)
     with pytest.raises(NumericalError, match="off-diagonal"):
-        stationary_eigen(A, 2)
+        stationary_eigen(A_sym, A_anti, 2)
 
 
 def test_stationary_eigen_is_deterministic(harmonic_small):
     """ARPACK starts from a fixed vector, so repeated solves agree bit for bit."""
     ps, U = harmonic_small
-    A = assemble_stationary_cnumber(ps, U, PARAMS)
-    a, b = (stationary_eigen(A, 3) for _ in range(2))
+    A_sym, A_anti = assemble_stationary_pair(ps, U, PARAMS)
+    a, b = (stationary_eigen(A_sym, A_anti, 3) for _ in range(2))
     for (eps_a, W_a), (eps_b, W_b) in zip(a, b):
         assert eps_a == eps_b
         assert W_a.coeffs.tobytes() == W_b.coeffs.tobytes()
@@ -321,10 +326,9 @@ def test_moyal_eigen_harmonic_pairs(harmonic_small):
 
 def test_eigen_contract_errors(harmonic_small):
     ps, U = harmonic_small
-    A = assemble_stationary_cnumber(ps, U, PARAMS)
-    with pytest.raises(ContractError):
-        stationary_eigen(A, 0)
     A_sym, A_anti = assemble_stationary_pair(ps, U, PARAMS)
+    with pytest.raises(ContractError):
+        stationary_eigen(A_sym, A_anti, 0)
     with pytest.raises(ContractError):
         moyal_eigen(A_sym, A_anti, 0)
 
