@@ -39,8 +39,9 @@ def main():
     L = assemble_evolution(ps, parse_potential("0.5*q^2"), params)
     # About 40 checkpoints at any length (every 20th step of the default run).
     store_every = max(1, round(args.t_end / args.dt) // 40)
-    traj = evolve(W0, L, EvolutionConfig(dt=args.dt, t_end=args.t_end,
-                                         store_every=store_every))
+    traj = []
+    evolve(W0, L, EvolutionConfig(dt=args.dt, t_end=args.t_end,
+                                  store_every=store_every), store=traj.append)
 
     print("#    t      purity    <q>       <p>       ||dW/dt||")
     for W in traj:

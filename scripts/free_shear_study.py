@@ -37,8 +37,9 @@ def main():
         lambda q, p: np.exp(-(q ** 2 + p ** 2) / (2 * v)) / (2 * np.pi * v)))
 
     L = assemble_evolution(ps, parse_potential("0"), ModelParams())
-    traj = evolve(W0, L, EvolutionConfig(dt=args.dt, t_end=args.t_end,
-                                         store_every=20))
+    traj = []
+    evolve(W0, L, EvolutionConfig(dt=args.dt, t_end=args.t_end, store_every=20),
+           store=traj.append)
 
     n = 96
     xs = -4.0 + 8.0 * (np.arange(n) + 0.5) / n

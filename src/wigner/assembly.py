@@ -38,9 +38,6 @@ class PhaseSpaceBasis:
     def shape(self) -> tuple:
         return (self.basis_q.dim, self.basis_p.dim)
 
-    def flat_index(self, iq: int, ip: int) -> int:
-        return iq * self.basis_p.dim + ip
-
     def as_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Reshape a flat coefficient vector to (dim_q, dim_p)."""
         c = np.asarray(coeffs)
@@ -100,10 +97,6 @@ class AssembledOperator:
     @property
     def shape(self) -> tuple:
         return (self.ps.dim, self.ps.dim)
-
-    @property
-    def term_tags(self) -> list:
-        return [t.tag for t in self.terms]
 
     @property
     def is_complex(self) -> bool:

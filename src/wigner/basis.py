@@ -67,10 +67,6 @@ class FilterCoefficients:
     support_length: int
 
     @property
-    def genus(self) -> int:
-        return self.order // 2
-
-    @property
     def high_pass(self) -> np.ndarray:
         """Quadrature-mirror high-pass taps g_k = (-1)^k h_{n-1-k}."""
         n = self.order
@@ -213,9 +209,6 @@ class ConnectionTable:
     d2: int
     offsets: np.ndarray
     values: np.ndarray
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.offsets.tolist(), self.values.tolist()))
 
 
 _deriv_cache: dict = {}
@@ -381,8 +374,8 @@ class WaveletBasis:
 
     Coefficient vectors of length ``dim = 2**j_fine`` are stored in the
     single-scale representation (scaling functions at level ``j_fine``);
-    ``to_multiscale`` maps to the (scaling at j_coarse) + (details at
-    j_coarse..j_fine-1) representation via the orthogonal periodic DWT.
+    the orthogonal periodic DWT ``dwt_matrix`` maps them to the (scaling at
+    j_coarse) + (details at j_coarse..j_fine-1) representation.
     Bases compare equal by filter order, levels and domain.
     """
 
@@ -459,12 +452,6 @@ class WaveletBasis:
                 m //= 2
             self._dwt = T
         return self._dwt
-
-    def to_multiscale(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.dwt_matrix @ np.asarray(coeffs, dtype=float)
-
-    def from_multiscale(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.dwt_matrix.T @ np.asarray(coeffs, dtype=float)
 
     # -- quadrature tables -------------------------------------------------
 

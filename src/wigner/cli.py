@@ -462,27 +462,28 @@ def _execute(cfg: RunConfig, run_dir, manifest):
     U = parse_potential(cfg.potential_text)
     params = _model_params(cfg)
 
-    # the fields each mode computed, the last one final
+    # every mode hands the states it computes to one writer, the last one final
+    store = _CheckpointWriter(cfg, U, run_dir)
     if cfg.mode == "evolve":
-        fields = _run_evolution(cfg, U, params)
+        _run_evolution(cfg, U, params, store)
     elif cfg.mode == "ensemble":
-        fields = _run_ensemble(cfg, params)
+        _run_ensemble(cfg, params, store)
     elif cfg.mode == "stationary":
-        fields = _run_stationary(cfg, U, params, manifest)
+        _run_stationary(cfg, U, params, manifest, store)
     elif cfg.mode == "moyal":
-        fields = _run_moyal(cfg, U, params, manifest)
+        _run_moyal(cfg, U, params, manifest, store)
     elif cfg.mode == "refine":
-        fields, not_converged = _run_refine(cfg, U, params, manifest)
+        not_converged = _run_refine(cfg, U, params, manifest, store)
     else:  # pragma: no cover - parse_config rejects unknown modes
         raise ConfigurationError(f"unhandled mode {cfg.mode!r}")
+    store.finish()
 
-    final = fields[-1]
-    dump_grid(fields[0], cfg.grid_resolution,
+    final = store.last
+    dump_grid(store.first, cfg.grid_resolution,
               os.path.join(run_dir, "w_initial.wgrid"))
     dump_grid(final, cfg.grid_resolution,
               os.path.join(run_dir, "w_final.wgrid"))
     _dump_scale_parts(cfg, final, run_dir)
-    _dump_checkpoints(cfg, fields, run_dir)
 
     dq, dp = marginals(final)
     _dump_marginal(dq, cfg.grid_resolution,
@@ -490,8 +491,7 @@ def _execute(cfg: RunConfig, run_dir, manifest):
     _dump_marginal(dp, cfg.grid_resolution,
                    os.path.join(run_dir, "marginal_p.txt"))
 
-    previous = fields[-2] if len(fields) > 1 else None
-    report = diagnostics_report(final, previous, hbar=cfg.hbar,
+    report = diagnostics_report(final, store.previous, hbar=cfg.hbar,
                                 thresholds=_thresholds(cfg))
     manifest += ["", "[diagnostics]", report.to_text().rstrip(), ""]
     manifest.append(f"converged = {not not_converged}")
@@ -509,13 +509,14 @@ def _evolution_config(cfg: RunConfig):
                            store_every=cfg.store_every)
 
 
-def _run_evolution(cfg, U, params):
+def _run_evolution(cfg, U, params, store):
     from .assembly import assemble_evolution
     from .solve import evolve
 
     ps = _build_phase_space(cfg)
     W0 = _initial_field(cfg, ps)
-    return evolve(W0, assemble_evolution(ps, U, params), _evolution_config(cfg))
+    evolve(W0, assemble_evolution(ps, U, params), _evolution_config(cfg),
+           store=store)
 
 
 def _ensemble_weights(text, n_max):
@@ -535,8 +536,8 @@ def _ensemble_weights(text, n_max):
     return weights / weights.sum()
 
 
-def _run_ensemble(cfg, params):
-    """The initial and the final superposed field."""
+def _run_ensemble(cfg, params, store):
+    """Stores the initial and the final superposed field."""
     from .ensemble import (FockEnsemble, evolve_fock_hierarchy,
                            incoherent_superpose)
     from .model import parse_potential
@@ -547,11 +548,12 @@ def _run_ensemble(cfg, params):
     ens = FockEnsemble(weights=spec["weights"], U0=spec["u0"],
                        g=parse_potential(spec["g"]),
                        fields=[W0.copy() for _ in spec["weights"]])
+    store(incoherent_superpose(ens))
     evolved = evolve_fock_hierarchy(ens, params, _evolution_config(cfg))
-    return [incoherent_superpose(ens), incoherent_superpose(evolved)]
+    store(incoherent_superpose(evolved))
 
 
-def _run_stationary(cfg, U, params, manifest):
+def _run_stationary(cfg, U, params, manifest, store):
     from .assembly import assemble_stationary_pair
     from .solve import stationary_eigen
 
@@ -561,10 +563,10 @@ def _run_stationary(cfg, U, params, manifest):
     manifest.append("[eigenvalues]")
     for i, (eps, _) in enumerate(states):
         manifest.append(f"eps_{i} = {eps:.12g}")
-    return [states[0][1]]
+    store(states[0][1])
 
 
-def _run_moyal(cfg, U, params, manifest):
+def _run_moyal(cfg, U, params, manifest, store):
     import numpy as np
 
     from .assembly import assemble_stationary_pair
@@ -577,10 +579,11 @@ def _run_moyal(cfg, U, params, manifest):
     for i, (e_lo, e_hi, _) in enumerate(pairs):
         manifest.append(f"pair_{i} = {e_lo:.12g} {e_hi:.12g}")
     W = pairs[0][2]
-    return [CoefficientField(ps=W.ps, coeffs=np.real(W.coeffs), time=W.time)]
+    store(CoefficientField(ps=W.ps, coeffs=np.real(W.coeffs), time=W.time))
 
 
-def _run_refine(cfg, U, params, manifest):
+def _run_refine(cfg, U, params, manifest, store):
+    """Stores the accepted field; returns True when refinement did not converge."""
     from .assembly import assemble_stationary_pair
     from .solve import refine_until, stationary_eigen
 
@@ -597,7 +600,8 @@ def _run_refine(cfg, U, params, manifest):
     manifest.append(f"accepted_level = {report.accepted_level}")
     manifest.append(f"refine_converged = {report.converged}")
     manifest.append(f"monotone = {report.monotone}")
-    return [W], not report.converged
+    store(W)
+    return not report.converged
 
 
 def _dump_scale_parts(cfg, final, run_dir):
@@ -613,17 +617,54 @@ def _dump_scale_parts(cfg, final, run_dir):
                   os.path.join(run_dir, f"scale_fast_{cut + i}.wgrid"))
 
 
-def _dump_checkpoints(cfg, fields, run_dir):
-    import numpy as np
+class _CheckpointWriter:
+    """The sink for the states every mode computes, in order.
 
-    kept = fields[:: cfg.checkpoint_every]
-    if fields[-1] is not kept[-1]:
-        kept = kept + [fields[-1]]
-    with open(os.path.join(run_dir, "checkpoints.txt"), "w") as fh:
-        for i, W in enumerate(kept):
-            name = f"checkpoint_{i:04d}.npy"
-            np.save(os.path.join(run_dir, name), W.coeffs)
-            fh.write("%s %.17g\n" % (name, W.time))
+    Stored state i goes to ``checkpoint_{k:04d}.npy`` when i is a multiple
+    of ``checkpoint_every``, and ``finish`` writes the last state if it was
+    not.  Each checkpoint appends its line to ``checkpoints.txt`` and its
+    ``HealthSeries`` row to ``series.txt`` at once, so a run that fails
+    midway lists exactly the checkpoints it wrote.  Only the first, the
+    previous and the last state are kept: the initial dump, ``classify`` and
+    the final dumps read them.
+    """
+
+    def __init__(self, cfg: RunConfig, U, run_dir):
+        self.cfg, self.U, self.run_dir = cfg, U, run_dir
+        self.first = self.previous = self.last = None
+        self.stored = self.written = 0
+        self._series = None
+
+    def __call__(self, W):
+        if self.first is None:
+            from .diagnostics import HealthSeries
+
+            self.first = W
+            self._series = HealthSeries(W.ps, self.U, mass=self.cfg.mass,
+                                        hbar=self.cfg.hbar)
+            self._append("series.txt", "# " + " ".join(HealthSeries.COLUMNS))
+        self.previous, self.last = self.last, W
+        if self.stored % self.cfg.checkpoint_every == 0:
+            self._write(W)
+        self.stored += 1
+
+    def finish(self):
+        if (self.stored - 1) % self.cfg.checkpoint_every:
+            self._write(self.last)
+
+    def _write(self, W):
+        import numpy as np
+
+        name = f"checkpoint_{self.written:04d}.npy"
+        np.save(os.path.join(self.run_dir, name), W.coeffs)
+        self._append("checkpoints.txt", "%s %.17g" % (name, W.time))
+        self._append("series.txt",
+                     " ".join("%.17g" % x for x in self._series.row(W)))
+        self.written += 1
+
+    def _append(self, name, line):
+        with open(os.path.join(self.run_dir, name), "a") as fh:
+            fh.write(line + "\n")
 
 
 def _write_failure(run_dir, manifest, message):

@@ -200,3 +200,49 @@ def diagnostics_report(final: CoefficientField, previous: CoefficientField = Non
         localization_radius=localization_radius(final),
         regime=classify(final, previous, thresholds),
     )
+
+
+def _edge_mask(basis) -> np.ndarray:
+    """Functions centred within one filter support of the periodic wrap."""
+    n, support = basis.dim, basis.filter.support_length
+    centre = (np.arange(n) + support / 2.0) % n
+    return np.minimum(centre, n - centre) < support
+
+
+class HealthSeries:
+    """Run-health figures of fields on one phase-space basis.
+
+    A row holds the time, the total integral, the energy
+    <H> = int (p^2/2m + U(q)) W, the purity 2 pi hbar ||c||^2, the L2 norm
+    ||c||, the edge fraction (the share of ||c||^2 on functions centred
+    within one filter support of the periodic wrap on either axis) and the
+    finest fraction (the share of the multiscale energy on the finest
+    level).  Each is read off the coefficient vector; the functionals are
+    built once.
+    """
+
+    COLUMNS = ("time", "integral", "energy", "purity", "l2_norm",
+               "edge_fraction", "finest_fraction")
+
+    def __init__(self, ps, U, mass: float = 1.0, hbar: float = 1.0):
+        bq, bp = ps.basis_q, ps.basis_p
+        sq, sp_ = bq.integration_functional(), bp.integration_functional()
+        uq = sum((a * bq.moment_functional(k) for k, a in enumerate(U.coeffs_q)),
+                 np.zeros(bq.dim))
+        self.ps, self.hbar = ps, hbar
+        self._integral = np.kron(sq, sp_)
+        self._energy = (np.kron(uq, sp_)
+                        + np.kron(sq, bp.moment_functional(2)) / (2.0 * mass))
+        self._edge = np.logical_or.outer(_edge_mask(bq), _edge_mask(bp)).reshape(-1)
+        labels = np.maximum.outer(bq.multiscale_levels(), bp.multiscale_levels())
+        self._finest = (labels == labels.max()).reshape(-1)
+
+    def row(self, W: CoefficientField) -> tuple:
+        c = np.real(W.coeffs)
+        c2 = c * c
+        ms = _to_ms_2d(self.ps, c) ** 2
+        norm2, ms_total = float(c2.sum()), float(ms.sum())
+        return (W.time, float(self._integral @ c), float(self._energy @ c),
+                2.0 * np.pi * self.hbar * norm2, np.sqrt(norm2),
+                float(c2[self._edge].sum()) / norm2 if norm2 else 0.0,
+                float(ms[self._finest].sum()) / ms_total if ms_total else 0.0)

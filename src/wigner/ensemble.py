@@ -65,8 +65,9 @@ def evolve_fock_hierarchy(ens: FockEnsemble, params: ModelParams,
                           cfg: EvolutionConfig) -> FockEnsemble:
     """Evolve every level under its own potential U_n = U0 * n * g.
 
-    Levels with weight below the floor (1e-12) are skipped and carried
-    unchanged.  Errors from a level's evolution are re-raised tagged with n.
+    Each level keeps only its final state.  Levels with weight below the
+    floor (1e-12) are skipped and carried unchanged.  Errors from a level's
+    evolution are re-raised tagged with n.
     """
     new_fields = []
     for n, (w, W) in enumerate(zip(ens.weights, ens.fields)):
@@ -76,11 +77,10 @@ def evolve_fock_hierarchy(ens: FockEnsemble, params: ModelParams,
         U_n = fock_potential(ens.U0, ens.g, n)
         L = assemble_evolution(W.ps, U_n, params)
         try:
-            trajectory = evolve(W, L, cfg)
+            new_fields.append(evolve(W, L, cfg))
         except WignerError as exc:
             exc.args = (f"Fock level n={n}: {exc.args[0]}",) + exc.args[1:]
             raise
-        new_fields.append(trajectory[-1])
     return replace(ens, fields=new_fields)
 
 

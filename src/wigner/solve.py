@@ -1,5 +1,5 @@
-"""Time evolution, stationary/two-sided eigenproblems, variational solves,
-level refinement, and scale decomposition of coefficient fields."""
+"""Time evolution, stationary/two-sided eigenproblems, level refinement, and
+scale decomposition of coefficient fields."""
 
 from __future__ import annotations
 
@@ -260,9 +260,19 @@ class _MidpointStepper:
         return self.lu.solve(self.rhs @ c)
 
 
-def evolve(W0: CoefficientField, L: AssembledOperator,
-           cfg: EvolutionConfig) -> list:
-    """Integrate dW/dt = L W; returns checkpoints including t=0 and t=t_end."""
+def evolve(W0: CoefficientField, L: AssembledOperator, cfg: EvolutionConfig,
+           store=None) -> CoefficientField:
+    """Integrate dW/dt = L W from W0 to t_end; returns the final field.
+
+    The stored states are a copy of W0, every ``store_every``-th step and the
+    last step.  Each is built as one ``CoefficientField`` when it is reached
+    and handed to ``store(field)`` if given; no other field is constructed
+    and none is kept, so memory does not grow with the step count.  The
+    benchmark times the steps by counting these constructions, so ``store``
+    must build no field itself.  A step whose norm is not finite or exceeds
+    1e6 times the initial one raises AbortedEvolutionError carrying the last
+    stored state.
+    """
     if L.ps is not W0.ps and L.ps != W0.ps:
         raise ContractError("operator and initial field live on different bases")
 
@@ -286,7 +296,9 @@ def evolve(W0: CoefficientField, L: AssembledOperator,
     norm0 = max(np.linalg.norm(W0.coeffs), 1e-300)
     max_drift = 0.0
 
-    trajectory = [W0.copy()]
+    last = W0.copy()
+    if store is not None:
+        store(last)
     c = W0.coeffs.astype(float).copy()
     t = W0.time
     dts = [cfg.dt] * n_full + ([remainder] if remainder > 0.0 else [])
@@ -300,7 +312,7 @@ def evolve(W0: CoefficientField, L: AssembledOperator,
         if not np.isfinite(norm) or norm > 1e6 * norm0:
             raise AbortedEvolutionError(
                 f"evolution unstable at t={t:.6g} (norm ratio {norm / norm0:.3e})",
-                last_state=trajectory[-1],
+                last_state=last,
                 diagnostic={"t": t, "norm_ratio": float(norm / norm0)},
             )
         if cfg.renormalize:
@@ -311,11 +323,13 @@ def evolve(W0: CoefficientField, L: AssembledOperator,
                 c *= target / current
         is_last = i == len(dts) - 1
         if is_last or (i + 1) % cfg.store_every == 0:
-            trajectory.append(CoefficientField(ps=W0.ps, coeffs=c.copy(), time=t))
+            last = CoefficientField(ps=W0.ps, coeffs=c.copy(), time=t)
+            if store is not None:
+                store(last)
     if cfg.renormalize and max_drift > 0.0:
         level = logging.WARNING if max_drift > 1e-6 else logging.INFO
         logger.log(level, "renormalization drift up to %.3e over the run", max_drift)
-    return trajectory
+    return last
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +536,8 @@ def moyal_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
 
 
 # ---------------------------------------------------------------------------
-# variational solves and refinement
+# refinement and scale splits
 # ---------------------------------------------------------------------------
-
-def _multiscale_masks(ps: PhaseSpaceBasis, level: int) -> np.ndarray:
-    """Boolean mask of 2D multiscale indices with max(axis level) < level."""
-    lq = ps.basis_q.multiscale_levels()
-    lp = ps.basis_p.multiscale_levels()
-    return (np.maximum.outer(lq, lp) < level).reshape(-1)
-
 
 def _to_ms_2d(ps: PhaseSpaceBasis, coeffs: np.ndarray) -> np.ndarray:
     Tq = ps.basis_q.dwt_matrix
@@ -542,54 +549,6 @@ def _from_ms_2d(ps: PhaseSpaceBasis, ms: np.ndarray) -> np.ndarray:
     Tq = ps.basis_q.dwt_matrix
     Tp = ps.basis_p.dwt_matrix
     return (Tq.T @ ms.reshape(ps.shape) @ Tp).reshape(-1)
-
-
-def variational_solve(L: AssembledOperator, rhs: np.ndarray,
-                      level: int = None) -> CoefficientField:
-    """Direct Galerkin solve of L W = rhs truncated to the level subspace.
-
-    The residual of the returned field is orthogonal to every retained test
-    function within 1e-10 (checked; failure raises).
-    """
-    ps = L.ps
-    rhs = np.asarray(rhs)
-    if rhs.shape != (ps.dim,):
-        raise ContractError("right-hand side length does not match basis")
-    M = L.matrix()
-    if level is None:
-        mask = np.ones(ps.dim, dtype=bool)
-    else:
-        mask = _multiscale_masks(ps, level)
-        if not np.any(mask):
-            raise ContractError(f"level-{level} truncated index set is empty")
-    Tq = sp.csr_matrix(ps.basis_q.dwt_matrix)
-    Tp = sp.csr_matrix(ps.basis_p.dwt_matrix)
-    T = sp.kron(Tq, Tp, format="csr")
-    M_ms = (T @ M @ T.T).toarray()
-    b_ms = T @ rhs
-    sub = M_ms[np.ix_(mask, mask)]
-    try:
-        sol_sub = np.linalg.solve(sub, b_ms[mask])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "reduced Galerkin system is singular",
-            diagnostic={"rank": int(np.linalg.matrix_rank(sub)),
-                        "size": int(sub.shape[0])},
-        ) from exc
-    sol_ms = np.zeros(ps.dim, dtype=sol_sub.dtype)
-    sol_ms[mask] = sol_sub
-    residual = np.abs(M_ms @ sol_ms - b_ms)[mask]
-    if residual.size and np.max(residual) > 1e-10 * max(1.0, np.linalg.norm(b_ms)):
-        raise NumericalError(
-            "Galerkin residual against retained test functions too large",
-            diagnostic={"max_residual": float(np.max(residual))},
-        )
-    coeffs = _from_ms_2d(ps, sol_ms)
-    if np.iscomplexobj(coeffs) and np.max(np.abs(coeffs.imag)) < \
-            1e-12 * max(1.0, np.max(np.abs(coeffs.real))):
-        # roundoff-only imaginary part (real operator, real data)
-        coeffs = coeffs.real
-    return CoefficientField(ps=ps, coeffs=coeffs)
 
 
 def refine_until(solve_at_level, epsilon: float, n_max: int,

@@ -30,7 +30,6 @@ from wigner.solve import (
     evolve,
     refine_until,
     stationary_eigen,
-    variational_solve,
     _from_ms_2d,
 )
 
@@ -100,7 +99,7 @@ def test_free_particle_shear_matches_analytic_flow():
     ps = _phase_space(6, 6, (-4.0, 4.0))
     W0 = _gaussian(ps)
     L = assemble_evolution(ps, parse_potential("0"), PARAMS)
-    W1 = evolve(W0, L, EvolutionConfig(dt=0.01, t_end=1.0))[-1]
+    W1 = evolve(W0, L, EvolutionConfig(dt=0.01, t_end=1.0))
     n = 128
     xs = -4.0 + 8.0 * (np.arange(n) + 0.5) / n
     vals = ps.evaluate_grid(np.real(W1.coeffs), xs, xs)
@@ -119,7 +118,7 @@ def test_harmonic_ground_state_is_stationary_over_a_period():
     W0 = _gaussian(ps)
     L = assemble_evolution(ps, parse_potential("0.5*q^2"), PARAMS)
     period = 2.0 * np.pi
-    W1 = evolve(W0, L, EvolutionConfig(dt=period / 200, t_end=period))[-1]
+    W1 = evolve(W0, L, EvolutionConfig(dt=period / 200, t_end=period))
     drift = (np.linalg.norm(W1.coeffs - W0.coeffs)
              / np.linalg.norm(W0.coeffs))
     elapsed = time.time() - t0
@@ -159,7 +158,8 @@ def test_midpoint_stepping_scales_to_128x128():
     L = assemble_evolution(ps, parse_potential("0.5*q^2 + 0.1*q^4"),
                            ModelParams(gamma=0.05, diffusion=0.02))
     h = 0.01 / 2
-    traj = evolve(W0, L, EvolutionConfig(dt=0.01, t_end=0.2))
+    traj = []
+    evolve(W0, L, EvolutionConfig(dt=0.01, t_end=0.2), store=traj.append)
     worst = 0.0
     for a, b in zip(traj, traj[1:]):
         rhs = a.coeffs + h * L.apply(a.coeffs)
@@ -200,34 +200,12 @@ def test_quartic_quantum_correction_matches_finite_differences():
            / np.max(np.abs(ref[interior])))
 
     quad = assemble_quantum_correction(ps, parse_potential("0.5*q^2"), PARAMS)
-    assert quad.term_tags == ["force"]
+    assert [t.tag for t in quad.terms] == ["force"]
     elapsed = time.time() - t0
     print(f"\nPASS quartic correction: rel err {err:.2e} (<1e-6), quadratic "
           f"potential has no higher terms, {elapsed:.1f}s (<60s)")
     assert err < 1e-6
     assert elapsed < 60.0
-
-
-def test_variational_residuals_vanish_on_linear_problems():
-    t0 = time.time()
-    ps = _phase_space(6, 5, (-4.0, 4.0))
-    U = parse_potential("0.5*q^2 + 0.1*q^3")
-    from wigner.assembly import AssembledOperator, OperatorTerm
-
-    A = assemble_stationary_cnumber(ps, U, PARAMS)
-    shift = AssembledOperator(ps=ps, terms=[
-        OperatorTerm("shift", 3.0, np.eye(ps.basis_q.dim),
-                     np.eye(ps.basis_p.dim))])
-    shifted = A + shift
-    rng = np.random.default_rng(42)
-    rhs = rng.normal(size=ps.dim)
-    sol = variational_solve(shifted, rhs)
-    residual = np.max(np.abs(shifted.apply(sol.coeffs) - rhs))
-    elapsed = time.time() - t0
-    print(f"\nPASS variational residuals: {residual:.2e} (<1e-10), "
-          f"{elapsed:.1f}s (<30s)")
-    assert residual < 1e-10
-    assert elapsed < 30.0
 
 
 def test_refinement_converges_monotonically_for_the_ground_state():
@@ -261,7 +239,9 @@ def test_dissipative_diffusion_rate_and_damped_waveleton():
     W0 = _gaussian(ps)
     L = assemble_evolution(ps, parse_potential("0"),
                            ModelParams(gamma=0.0, diffusion=D))
-    traj = evolve(W0, L, EvolutionConfig(dt=0.05, t_end=1.0, store_every=1))
+    traj = []
+    evolve(W0, L, EvolutionConfig(dt=0.05, t_end=1.0, store_every=1),
+           store=traj.append)
     m0 = _p_second_moment(traj[0])
     m1 = _p_second_moment(traj[-1])
     rate = (m1 - m0) / (traj[-1].time - traj[0].time)
@@ -274,8 +254,9 @@ def test_dissipative_diffusion_rate_and_damped_waveleton():
     W0 = _gaussian(ps2)
     L2 = assemble_evolution(ps2, parse_potential("0.5*q^2"),
                             ModelParams(gamma=0.2, diffusion=0.2))
-    traj2 = evolve(W0, L2, EvolutionConfig(dt=0.05, t_end=40.0,
-                                           store_every=100))
+    traj2 = []
+    evolve(W0, L2, EvolutionConfig(dt=0.05, t_end=40.0, store_every=100),
+           store=traj2.append)
     residual = np.linalg.norm(L2.apply(traj2[-1].coeffs))
     regime = classify(traj2[-1], previous=traj2[-2])
     elapsed = time.time() - t0
@@ -307,7 +288,7 @@ def test_fock_hierarchy_recombination_is_exact():
     manual = np.zeros(ps.dim)
     for n, w in enumerate(weights):
         L = assemble_evolution(ps, fock_potential(0.5, g, n), PARAMS)
-        manual += w * evolve(W0, L, cfg)[-1].coeffs
+        manual += w * evolve(W0, L, cfg).coeffs
     gap = np.max(np.abs(combined.coeffs - manual))
     drift = abs(combined.total_integral() - W0.total_integral())
     elapsed = time.time() - t0
@@ -331,7 +312,9 @@ def test_classifier_separates_the_three_regimes():
 
     W0 = _gaussian(ps, var=4.0)
     L = assemble_evolution(ps, parse_potential("0"), PARAMS)
-    traj = evolve(W0, L, EvolutionConfig(dt=0.05, t_end=15.0, store_every=100))
+    traj = []
+    evolve(W0, L, EvolutionConfig(dt=0.05, t_end=15.0, store_every=100),
+           store=traj.append)
     _, participation = scale_entropy(traj[-1])
     sheared = classify(traj[-1], traj[-2], thresholds)
     assert sheared == "chaotic_pattern"

@@ -49,7 +49,7 @@ def test_high_pass_vanishing_moments(order):
     filt = daubechies_filter(order)
     g = filt.high_pass
     k = np.arange(order, dtype=float)
-    for m in range(filt.genus):
+    for m in range(order // 2):
         assert abs(np.sum(g * k ** m)) < 1e-8 * max(1.0, order ** m)
 
 
@@ -120,7 +120,8 @@ def test_connection_vs_quadrature(order, d, resolutions):
     table = connection_coefficients(filt, 0, d)
     K = order - 2
     ref = aitken_connection(filt, d, resolutions)
-    vals = np.array([table.as_dict()[k] for k in range(-K, K + 1)])
+    values = dict(zip(table.offsets, table.values))
+    vals = np.array([values[k] for k in range(-K, K + 1)])
     assert np.max(np.abs(vals - ref)) < 1e-6
 
 
@@ -129,7 +130,7 @@ def test_connection_vs_quadrature(order, d, resolutions):
 def test_connection_moment_sum_rule(order, d):
     filt = daubechies_filter(order)
     table = connection_coefficients(filt, 0, d)
-    s = sum(k ** d * v for k, v in table.as_dict().items())
+    s = sum(k ** d * v for k, v in zip(table.offsets, table.values))
     assert abs(s - math.factorial(d)) < 1e-10 * math.factorial(d)
     # zeroth sum rule: sum_k Gamma(k) = int (sum_k phi(x-k))^(d) phi = 0
     assert abs(sum(table.values)) < 1e-9
@@ -137,14 +138,16 @@ def test_connection_moment_sum_rule(order, d):
 
 @pytest.mark.parametrize("order,d", [(6, 1), (8, 1), (8, 3), (10, 1), (10, 3)])
 def test_connection_odd_antisymmetric(order, d):
-    table = connection_coefficients(daubechies_filter(order), 0, d).as_dict()
+    table = connection_coefficients(daubechies_filter(order), 0, d)
+    table = dict(zip(table.offsets, table.values))
     for k, v in table.items():
         assert abs(v + table[-k]) < 1e-10 * max(1.0, abs(v))
 
 
 @pytest.mark.parametrize("order,d", [(6, 2), (8, 2), (10, 2), (10, 4)])
 def test_connection_even_symmetric(order, d):
-    table = connection_coefficients(daubechies_filter(order), 0, d).as_dict()
+    table = connection_coefficients(daubechies_filter(order), 0, d)
+    table = dict(zip(table.offsets, table.values))
     for k, v in table.items():
         assert abs(v - table[-k]) < 1e-10 * max(1.0, abs(v))
 
@@ -276,9 +279,9 @@ def test_dwt_round_trip_random(db6, seed):
     basis = WaveletBasis(filter=db6, j_coarse=3, j_fine=5, domain=(-4.0, 4.0))
     rng = np.random.default_rng(seed)
     c = rng.normal(size=basis.dim)
-    ms = basis.to_multiscale(c)
+    ms = basis.dwt_matrix @ c
     assert abs(np.linalg.norm(ms) - np.linalg.norm(c)) < 1e-10
-    np.testing.assert_allclose(basis.from_multiscale(ms), c, atol=1e-10)
+    np.testing.assert_allclose(basis.dwt_matrix.T @ ms, c, atol=1e-10)
 
 
 def test_gram_matrix_identity(basis6):
@@ -336,8 +339,8 @@ def test_bases_compare_by_definition():
     W0 = CoefficientField(ps=ps_a, coeffs=ps_a.project(
         lambda q, p: np.exp(-q ** 2 - p ** 2) / np.pi))
     L = assemble_evolution(ps_b, parse_potential("0.5*q^2"), ModelParams())
-    traj = evolve(W0, L, EvolutionConfig(dt=0.05, t_end=0.1))
-    assert abs(traj[-1].total_integral() - W0.total_integral()) < 1e-12
+    final = evolve(W0, L, EvolutionConfig(dt=0.05, t_end=0.1))
+    assert abs(final.total_integral() - W0.total_integral()) < 1e-12
 
 
 def test_quadrature_weights_reproduce_moments(db6):

@@ -5,19 +5,27 @@ import os
 import numpy as np
 import pytest
 
+from wigner.assembly import assemble_evolution
 from wigner.cli import (
     EXIT_CONFIG,
     EXIT_NOT_CONVERGED,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    _build_phase_space,
+    _evolution_config,
+    _initial_field,
     _make_run_dir,
+    _model_params,
     dump_grid,
     load_grid,
     main,
     parse_config,
 )
+from wigner.diagnostics import HealthSeries
 from wigner.errors import ConfigurationError
+from wigner.model import parse_potential
+from wigner.solve import _MidpointStepper, evolve
 
 MINIMAL = """\
 [run]
@@ -329,7 +337,7 @@ def test_run_determinism_byte_identical(tmp_path, capsys):
         out = str(tmp_path / sub)
         assert main(["run", path, "--threads", "1", "--out", out]) == EXIT_OK
         dirs.append(capsys.readouterr().out.strip())
-    for name in ("w_initial.wgrid", "w_final.wgrid"):
+    for name in ("w_initial.wgrid", "w_final.wgrid", "series.txt"):
         a = open(os.path.join(dirs[0], name), "rb").read()
         b = open(os.path.join(dirs[1], name), "rb").read()
         assert a == b
@@ -347,7 +355,8 @@ def test_run_stationary_determinism_byte_identical(tmp_path, capsys):
         dirs.append(capsys.readouterr().out.strip())
     # everything but timing.txt
     names = [sorted(n for n in os.listdir(d)
-                    if n == "manifest.txt" or n.endswith((".npy", ".wgrid")))
+                    if n in ("manifest.txt", "series.txt")
+                    or n.endswith((".npy", ".wgrid")))
              for d in dirs]
     assert names[0] == names[1]
     assert any(n.endswith(".npy") for n in names[0])
@@ -356,3 +365,110 @@ def test_run_stationary_determinism_byte_identical(tmp_path, capsys):
         a = open(os.path.join(dirs[0], name), "rb").read()
         b = open(os.path.join(dirs[1], name), "rb").read()
         assert a == b, name
+
+
+# ---------------------------------------------------------------------------
+# streamed checkpoints and the health series
+# ---------------------------------------------------------------------------
+
+def _run_dir(tmp_path, text, code=EXIT_OK):
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, text), "--threads", "1",
+                 "--out", str(out)]) == code
+    (run_dir,) = out.iterdir()
+    return str(run_dir)
+
+
+@pytest.mark.parametrize("every", [1, 3, 10])
+@pytest.mark.parametrize("steps", [1, 2, 10, 11])
+def test_checkpoints_thin_the_full_trajectory(tmp_path, steps, every):
+    """Streamed checkpoints equal the whole trajectory thinned afterwards:
+    every ``every``-th stored state, then the last one."""
+    text = _edited([("t_end = 0.1", f"t_end = {0.05 * steps:g}")]) + \
+        f"\n[output]\ncheckpoint_every = {every}\ngrid_resolution = 8\n"
+    run_dir = _run_dir(tmp_path, text)
+
+    cfg = parse_config(_write(tmp_path, text))
+    ps = _build_phase_space(cfg)
+    L = assemble_evolution(ps, parse_potential(cfg.potential_text),
+                           _model_params(cfg))
+    fields = []
+    evolve(_initial_field(cfg, ps), L, _evolution_config(cfg),
+           store=fields.append)
+    assert len(fields) == steps + 1
+    kept = fields[::every]
+    if kept[-1] is not fields[-1]:
+        kept.append(fields[-1])
+
+    lines = open(os.path.join(run_dir, "checkpoints.txt")).read().splitlines()
+    assert lines == ["checkpoint_%04d.npy %.17g" % (i, W.time)
+                     for i, W in enumerate(kept)]
+    saved = sorted(n for n in os.listdir(run_dir) if n.endswith(".npy"))
+    assert saved == [line.split()[0] for line in lines]
+    for name, W in zip(saved, kept):
+        assert np.load(os.path.join(run_dir, name)).tobytes() == W.coeffs.tobytes()
+
+
+def test_aborted_evolve_lists_the_checkpoints_it_wrote(tmp_path, monkeypatch):
+    step, calls = _MidpointStepper.step, []
+
+    def fail_at_25(self, c):
+        calls.append(c)
+        return np.full_like(c, np.inf) if len(calls) == 25 else step(self, c)
+
+    monkeypatch.setattr(_MidpointStepper, "step", fail_at_25)
+    text = _edited([("t_end = 0.1", "t_end = 2")]) + \
+        "\n[output]\ncheckpoint_every = 10\n"
+    run_dir = _run_dir(tmp_path, text, EXIT_NUMERICAL)
+    assert "\nerror = numerical error: evolution unstable" in \
+        open(os.path.join(run_dir, "manifest.txt")).read()
+    lines = open(os.path.join(run_dir, "checkpoints.txt")).read().splitlines()
+    names = [line.split()[0] for line in lines]
+    assert names == [f"checkpoint_{i:04d}.npy" for i in range(3)]
+    assert sorted(n for n in os.listdir(run_dir) if n.endswith(".npy")) == names
+    rows = np.loadtxt(os.path.join(run_dir, "series.txt"), ndmin=2)
+    np.testing.assert_allclose(rows[:, 0], [0.0, 0.5, 1.0], atol=1e-12)
+
+
+def _series(run_dir):
+    path = os.path.join(run_dir, "series.txt")
+    with open(path) as fh:
+        header = fh.readline()
+    return header, np.loadtxt(path, ndmin=2)
+
+
+def _manifest_value(run_dir, key):
+    for line in open(os.path.join(run_dir, "manifest.txt")):
+        if line.startswith(f"{key} = "):
+            return float(line.split(" = ")[1])
+    raise KeyError(key)
+
+
+def test_series_has_one_row_per_checkpoint(tmp_path):
+    text = _edited([("t_end = 0.1", "t_end = 0.55")]) + \
+        "\n[output]\ncheckpoint_every = 3\n"
+    run_dir = _run_dir(tmp_path, text)
+    header, rows = _series(run_dir)
+    assert header.split() == ["#", *HealthSeries.COLUMNS]
+    lines = open(os.path.join(run_dir, "checkpoints.txt")).read().splitlines()
+    assert rows.shape == (len(lines), len(HealthSeries.COLUMNS)) == (5, 7)
+    assert [float(line.split()[1]) for line in lines] == list(rows[:, 0])
+    last = dict(zip(HealthSeries.COLUMNS, rows[-1]))
+    assert abs(last["integral"] - _manifest_value(run_dir, "total_integral")) < 1e-12
+    assert abs(last["purity"] - _manifest_value(run_dir, "purity")) < 1e-12
+    assert abs(last["l2_norm"] - _manifest_value(run_dir, "l2_norm")) < 1e-12
+
+
+def test_series_energy_and_edge_mass(tmp_path):
+    """<H> of the oscillator's ground Gaussian is 1/2; a Gaussian at q0 = 2
+    on +-4 puts far more of its weight next to the periodic wrap."""
+    first = {}
+    for q0 in (0, 2):
+        text = _edited([("j_fine = 4", "j_fine = 5"),
+                        ("t_end = 0.1", f"t_end = 0.05\n\n[initial]\nq0 = {q0}")])
+        (tmp_path / str(q0)).mkdir()
+        _, rows = _series(_run_dir(tmp_path / str(q0), text))
+        first[q0] = dict(zip(HealthSeries.COLUMNS, rows[0]))
+    assert abs(first[0]["energy"] - 0.5) < 1e-5
+    assert first[2]["edge_fraction"] >= 100 * first[0]["edge_fraction"]
+    assert 0 < first[0]["finest_fraction"] < 1e-2

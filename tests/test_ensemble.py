@@ -53,7 +53,7 @@ def test_hierarchy_recombination_oracle(ps6, gaussian_field6):
     manual = np.zeros(ps6.dim)
     for n, w in enumerate(weights):
         L = assemble_evolution(ps6, fock_potential(0.5, g, n), PARAMS)
-        manual += w * evolve(gaussian_field6, L, cfg)[-1].coeffs
+        manual += w * evolve(gaussian_field6, L, cfg).coeffs
     assert np.max(np.abs(combined.coeffs - manual)) < 1e-12
 
 

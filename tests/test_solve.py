@@ -1,4 +1,6 @@
-"""Time stepping, eigenproblems, variational solves, refinement, scale splits."""
+"""Time stepping, eigenproblems, refinement, scale splits."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +34,6 @@ from wigner.solve import (
     reconstruct_by_scale,
     refine_until,
     stationary_eigen,
-    variational_solve,
     _dense_real,
     _penalty_operator,
 )
@@ -74,49 +75,77 @@ def test_evolution_config_validation():
 
 def test_evolve_zero_generator_is_identity(ps6, gaussian_field6):
     Z = AssembledOperator(ps=ps6, terms=[])
-    traj = evolve(gaussian_field6, Z, EvolutionConfig(dt=0.1, t_end=0.5))
-    assert traj[-1].time == pytest.approx(0.5)
-    np.testing.assert_allclose(traj[-1].coeffs, gaussian_field6.coeffs,
-                               atol=1e-13)
+    final = evolve(gaussian_field6, Z, EvolutionConfig(dt=0.1, t_end=0.5))
+    assert final.time == pytest.approx(0.5)
+    np.testing.assert_allclose(final.coeffs, gaussian_field6.coeffs, atol=1e-13)
 
 
 def test_evolve_linearity(ps6, gaussian_field6):
     L = assemble_evolution(ps6, parse_potential("0.5*q^2"), PARAMS)
     cfg = EvolutionConfig(dt=0.05, t_end=0.3)
-    a = evolve(gaussian_field6, L, cfg)[-1].coeffs
+    a = evolve(gaussian_field6, L, cfg).coeffs
     double = CoefficientField(ps=ps6, coeffs=2.0 * gaussian_field6.coeffs)
-    b = evolve(double, L, cfg)[-1].coeffs
+    b = evolve(double, L, cfg).coeffs
     np.testing.assert_allclose(b, 2.0 * a, atol=1e-12)
 
 
 def test_midpoint_preserves_l2_for_antisymmetric_generator(ps6, gaussian_field6):
     """The midpoint rule is exactly norm-preserving for skew generators."""
     L = assemble_evolution(ps6, parse_potential("0"), PARAMS)  # pure transport
-    traj = evolve(gaussian_field6, L, EvolutionConfig(dt=0.05, t_end=1.0))
+    final = evolve(gaussian_field6, L, EvolutionConfig(dt=0.05, t_end=1.0))
     n0 = gaussian_field6.l2_norm()
-    assert abs(traj[-1].l2_norm() - n0) < 1e-16 + 1e-10 * n0
+    assert abs(final.l2_norm() - n0) < 1e-16 + 1e-10 * n0
 
 
 def test_remainder_step(ps6, gaussian_field6):
     L = assemble_evolution(ps6, parse_potential("0"), PARAMS)
-    traj = evolve(gaussian_field6, L, EvolutionConfig(dt=0.4, t_end=1.0))
-    assert traj[-1].time == pytest.approx(1.0)
+    final = evolve(gaussian_field6, L, EvolutionConfig(dt=0.4, t_end=1.0))
+    assert final.time == pytest.approx(1.0)
 
 
 def test_store_every(ps6, gaussian_field6):
     L = assemble_evolution(ps6, parse_potential("0"), PARAMS)
-    traj = evolve(gaussian_field6, L, EvolutionConfig(dt=0.1, t_end=1.0,
-                                                     store_every=5))
+    traj = []
+    final = evolve(gaussian_field6, L,
+                   EvolutionConfig(dt=0.1, t_end=1.0, store_every=5),
+                   store=traj.append)
     assert [round(W.time, 10) for W in traj] == [0.0, 0.5, 1.0]
+    assert final is traj[-1]
+
+
+def test_evolve_memory_does_not_grow_with_stored_steps(ps6, gaussian_field6):
+    """300 stored steps handed to a callback that drops them: the traced
+    peak after the stepper's setup stays below 20 states (the list of every
+    stored state held 301)."""
+    L = _quartic_dissipative(ps6)
+    state_bytes = 8 * ps6.dim
+    seen = []
+
+    def drop(W):
+        if not seen:  # the copy of W0, after the steppers are built
+            tracemalloc.reset_peak()
+            seen.append(tracemalloc.get_traced_memory()[0])
+        else:
+            seen.append(None)
+
+    tracemalloc.start()
+    try:
+        evolve(gaussian_field6, L,
+               EvolutionConfig(dt=0.01, t_end=3.0, store_every=1), store=drop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seen) == 301
+    assert peak - seen[0] < 20 * state_bytes
 
 
 def test_rk4_matches_midpoint(ps6, gaussian_field6):
     L = assemble_evolution(ps6, parse_potential("0.5*q^2"), PARAMS)
     dt = 2e-3
     a = evolve(gaussian_field6, L,
-               EvolutionConfig(dt=dt, t_end=0.1, scheme="explicit_rk4"))[-1]
+               EvolutionConfig(dt=dt, t_end=0.1, scheme="explicit_rk4"))
     b = evolve(gaussian_field6, L,
-               EvolutionConfig(dt=dt, t_end=0.1))[-1]
+               EvolutionConfig(dt=dt, t_end=0.1))
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-8
 
 
@@ -133,16 +162,19 @@ def test_unstable_run_aborts(ps6, gaussian_field6):
     grow = AssembledOperator(ps=ps6, terms=[
         OperatorTerm("growth", 40.0, np.eye(ps6.basis_q.dim),
                      np.eye(ps6.basis_p.dim))])
+    traj = []
     with pytest.raises(AbortedEvolutionError) as exc:
-        evolve(gaussian_field6, grow, EvolutionConfig(dt=0.1, t_end=10.0))
-    assert exc.value.last_state is not None
+        evolve(gaussian_field6, grow, EvolutionConfig(dt=0.1, t_end=10.0),
+               store=traj.append)
+    assert exc.value.last_state is traj[-1]
     assert exc.value.diagnostic["norm_ratio"] > 1e6
 
 
 def test_renormalize_keeps_integral(ps6, gaussian_field6):
     L = assemble_evolution(ps6, parse_potential("0.5*q^2"), PARAMS)
     cfg = EvolutionConfig(dt=0.05, t_end=0.5, renormalize=True)
-    traj = evolve(gaussian_field6, L, cfg)
+    traj = []
+    evolve(gaussian_field6, L, cfg, store=traj.append)
     target = gaussian_field6.total_integral()
     for W in traj:
         assert abs(W.total_integral() - target) < 1e-12
@@ -173,7 +205,9 @@ def test_midpoint_stepper_matches_spsolve_without_lu(ps6, gaussian_field6,
     ref = _spsolve_midpoint(L, gaussian_field6.coeffs, [0.01] * 19 + [0.005])
     monkeypatch.setattr(spla, "splu", _refuse)
     monkeypatch.setattr(AssembledOperator, "matrix", _refuse)
-    traj = evolve(gaussian_field6, L, EvolutionConfig(dt=0.01, t_end=0.195))
+    traj = []
+    evolve(gaussian_field6, L, EvolutionConfig(dt=0.01, t_end=0.195),
+           store=traj.append)
     assert len(traj) == 21 and traj[-1].time == pytest.approx(0.195)
     err = np.linalg.norm(traj[-1].coeffs - ref) / np.linalg.norm(ref)
     assert err < 1e-10
@@ -196,9 +230,9 @@ def test_midpoint_stepper_falls_back_to_lu(db6, case, monkeypatch):
     ref = _spsolve_midpoint(L, W0.coeffs, [dt] * 10)
     calls, splu = [], spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a: calls.append(a) or splu(*a))
-    traj = evolve(W0, L, EvolutionConfig(dt=dt, t_end=10 * dt))
+    final = evolve(W0, L, EvolutionConfig(dt=dt, t_end=10 * dt))
     assert len(calls) == 1
-    err = np.linalg.norm(traj[-1].coeffs - ref) / np.linalg.norm(ref)
+    err = np.linalg.norm(final.coeffs - ref) / np.linalg.norm(ref)
     assert err < 1e-10
 
 
@@ -331,52 +365,6 @@ def test_eigen_contract_errors(harmonic_small):
         stationary_eigen(A_sym, A_anti, 0)
     with pytest.raises(ContractError):
         moyal_eigen(A_sym, A_anti, 0)
-
-
-# ---------------------------------------------------------------------------
-# variational solves
-# ---------------------------------------------------------------------------
-
-def test_variational_identity_problem(ps6, gaussian_field6):
-    from wigner.assembly import OperatorTerm
-
-    I = AssembledOperator(ps=ps6, terms=[
-        OperatorTerm("identity", 1.0, np.eye(ps6.basis_q.dim),
-                     np.eye(ps6.basis_p.dim))])
-    sol = variational_solve(I, gaussian_field6.coeffs)
-    np.testing.assert_allclose(sol.coeffs, gaussian_field6.coeffs, atol=1e-12)
-
-
-def test_variational_residual_orthogonality(harmonic_small):
-    ps, U = harmonic_small
-    A = assemble_stationary_cnumber(ps, U, PARAMS)
-    rhs = ps.project(lambda q, p: np.exp(-q ** 2 - p ** 2))
-    sol = variational_solve(A, rhs)
-    resid = A.apply(sol.coeffs) - rhs
-    assert np.max(np.abs(resid)) < 1e-10 * max(1.0, np.linalg.norm(rhs))
-
-
-def test_variational_level_truncation(harmonic_small):
-    ps, U = harmonic_small
-    A = assemble_stationary_cnumber(ps, U, PARAMS)
-    rhs = ps.project(lambda q, p: np.exp(-q ** 2 - p ** 2))
-    sol = variational_solve(A, rhs, level=4)
-    # solution lives in the truncated subspace
-    from wigner.solve import _multiscale_masks, _to_ms_2d
-
-    mask = _multiscale_masks(ps, 4)
-    ms = _to_ms_2d(ps, np.real(sol.coeffs))
-    assert np.max(np.abs(ms[~mask])) < 1e-10
-    # retained-test-function residuals vanish even though the full ones do not
-    resid_ms = _to_ms_2d(ps, np.real(A.apply(sol.coeffs) - rhs))
-    assert np.max(np.abs(resid_ms[mask])) < 1e-10
-    assert np.max(np.abs(resid_ms[~mask])) > 1e-8
-
-
-def test_variational_bad_rhs(ps6):
-    Z = AssembledOperator(ps=ps6, terms=[])
-    with pytest.raises(ContractError):
-        variational_solve(Z, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
