@@ -2,8 +2,9 @@
 
 Every operator is a sum of Kronecker terms A_q (x) B_p acting on coefficient
 fields stored q-major (flat index = iq * dim_p + ip).  Terms are kept in
-factored form for matrix-free application; sparse/dense materialization is
-lazy.
+factored form for matrix-free application; ``dense`` writes the matrix from
+the factors, and ``matrix`` builds the sparse form only for the midpoint
+stepper's LU fallback.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class AssembledOperator:
         return out.reshape(-1)
 
     def matrix(self) -> sp.csr_matrix:
-        """Sparse CSR materialization (cached)."""
+        """Sparse CSR materialization (cached) for the stepper's LU fallback."""
         if self._matrix is None:
             n = self.ps.dim
             dtype = complex if self.is_complex else float
@@ -132,7 +133,18 @@ class AssembledOperator:
         return self._matrix
 
     def dense(self) -> np.ndarray:
-        return self.matrix().toarray()
+        """The dim x dim matrix, written from the Kronecker factors q-row by
+        q-row (complex when a term is)."""
+        nq, n_p = self.ps.shape
+        Qs = np.stack([t.coeff * t.q_matrix for t in self.terms])
+        Bs = np.stack([t.p_matrix for t in self.terms]).reshape(len(self.terms),
+                                                                n_p * n_p)
+        out = np.empty((self.ps.dim, self.ps.dim),
+                       dtype=complex if self.is_complex else float)
+        rows = out.reshape(nq, n_p, nq, n_p)
+        for i in range(nq):
+            rows[i] = (Qs[:, i, :].T @ Bs).reshape(nq, n_p, n_p).transpose(1, 0, 2)
+        return out
 
     def __add__(self, other: "AssembledOperator") -> "AssembledOperator":
         if other.ps is not self.ps and other.ps != self.ps:

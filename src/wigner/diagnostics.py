@@ -6,7 +6,6 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .ensemble import FockEnsemble
 from .errors import DegenerateInputError
 from .solve import CoefficientField, _to_ms_2d
 
@@ -39,12 +38,9 @@ class DiagnosticsReport:
         return "\n".join(lines) + "\n"
 
 
-def fock_norm(obj) -> float:
-    """Squared L2 norm for a field; weighted sum of level norms for an ensemble."""
-    if isinstance(obj, FockEnsemble):
-        return float(sum(w * float(np.vdot(W.coeffs, W.coeffs).real)
-                         for w, W in zip(obj.weights, obj.fields)))
-    c = obj.coeffs
+def fock_norm(W: CoefficientField) -> float:
+    """Squared L2 norm ||c||^2 of a field's coefficients."""
+    c = W.coeffs
     return float(np.vdot(c, c).real)
 
 
@@ -121,8 +117,10 @@ def scale_entropy(W: CoefficientField):
     return entropy, participation
 
 
-def negativity_volume(W: CoefficientField, resolution: int = 256) -> float:
-    """Heuristic quantumness measure int |W| - |int W| on a sampling grid."""
+def negativity_volume(W: CoefficientField) -> float:
+    """Heuristic quantumness measure int |W| - |int W| on a 256 x 256
+    cell-centred sampling grid."""
+    resolution = 256
     ps = W.ps
     aq, bq = ps.basis_q.domain
     ap, bp = ps.basis_p.domain

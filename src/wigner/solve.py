@@ -90,14 +90,14 @@ class RefinementReport:
     monotone: bool
 
 
-def estimated_spectral_radius(L: AssembledOperator, iterations: int = 80,
-                              seed: int = 0) -> float:
-    """Power-iteration estimate of the largest eigenvalue magnitude of L."""
-    rng = np.random.default_rng(seed)
+def estimated_spectral_radius(L: AssembledOperator) -> float:
+    """Estimate of the largest eigenvalue magnitude of L: 80 power iterations
+    from a fixed random start."""
+    rng = np.random.default_rng(0)
     v = rng.normal(size=L.ps.dim) + 1j * rng.normal(size=L.ps.dim)
     v /= np.linalg.norm(v)
     rho = 0.0
-    for _ in range(iterations):
+    for _ in range(80):
         w = L.apply(v)
         n = np.linalg.norm(w)
         if n == 0.0:
@@ -355,34 +355,85 @@ def _penalty_operator(A_sym: AssembledOperator,
     return AssembledOperator(ps=A_sym.ps, terms=A_sym.terms + penalty)
 
 
-def _spectrum_floor(P: AssembledOperator) -> float:
-    """Lowest eigenvalue of P's q-only part, the terms whose p factor is 1.
+def _spectrum_floor(op: AssembledOperator) -> float:
+    """Lowest eigenvalue of op's q-only part, the terms whose p factor is 1.
 
-    For a stationary operator that part is U(q) - (hbar^2/8m) d^2/dq^2: a
-    particle of mass 4m, whose ground level lies below the ground level E_0
-    of mass m.  A_sym's levels are (E_m + E_n)/2 >= E_0, and the penalty only
-    adds, so this is a shift below P's spectrum and close to its bottom.  It
-    is not a bound for the discretized P: ``stationary_eigen`` checks it.
+    For A_sym, and for the penalty P built on it, that part is
+    U(q) - (hbar^2/8m) d^2/dq^2: a particle of mass 4m, whose ground level
+    lies below the ground level E_0 of mass m.  A_sym's levels are
+    (E_m + E_n)/2 >= E_0, and the penalty only adds, so this is a shift below
+    the spectrum and close to its bottom.  It is not a bound for the
+    discretized operator: ``_lowest_eigenpairs`` checks it.
     """
-    nq, n_p = P.ps.shape
+    nq, n_p = op.ps.shape
     Ip = np.eye(n_p)
     Q = np.zeros((nq, nq))
-    for t in P.terms:
+    for t in op.terms:
         if np.array_equal(t.p_matrix, Ip):
             Q += t.coeff * t.q_matrix
     return float(la.eigvalsh(0.5 * (Q + Q.T), subset_by_index=[0, 0])[0])
 
 
-def _dense_real(P: AssembledOperator) -> np.ndarray:
-    """P's float64 matrix, written from its Kronecker factors q-row by q-row."""
-    nq, n_p = P.ps.shape
-    Qs = np.stack([t.coeff * t.q_matrix for t in P.terms])
-    Bs = np.stack([t.p_matrix for t in P.terms]).reshape(len(P.terms), n_p * n_p)
-    out = np.empty((P.ps.dim, P.ps.dim))
-    rows = out.reshape(nq, n_p, nq, n_p)
-    for i in range(nq):
-        rows[i] = (Qs[:, i, :].T @ Bs).reshape(nq, n_p, n_p).transpose(1, 0, 2)
-    return out
+def _lowest_eigenpairs(op: AssembledOperator, k: int):
+    """The k lowest eigenpairs (ascending values, unit columns of V) of A_sym
+    or its penalty P: the one eigen path of stationary, refine and moyal runs.
+
+    op is written densely into one float64 array, shifted by sigma, the
+    lowest level of its q-only part (``_spectrum_floor``), and Cholesky-
+    factorized in place (8 dim^2 bytes: 134 MB at 64x64, 2.1 GB at 128x128).
+    That factor exists only when sigma lies below every eigenvalue of op, so
+    ARPACK's shift-invert (the k eigenvalues nearest sigma, from a fixed
+    start vector, so runs repeat bit for bit) returns the lowest pairs.
+
+    Raises NumericalError when k >= dim, when op - sigma I is not positive
+    definite, when ARPACK does not converge, or when a residual
+    ||op v - lambda v|| / ||v|| exceeds 1e-8.
+    """
+    n = op.ps.dim
+    if k >= n:
+        raise NumericalError(
+            f"{k} eigenpairs are needed, but the basis has dim = {n}",
+            diagnostic={"eigenpairs": k, "dim": n},
+        )
+    sigma = _spectrum_floor(op)
+    shifted = op.dense()
+    shifted.flat[::n + 1] -= sigma
+    # shifted.T is Fortran-ordered, so LAPACK factors the one dense copy in
+    # place; op is symmetric and only its upper triangle is read.
+    try:
+        factor = la.cho_factor(shifted.T, overwrite_a=True, check_finite=False)
+    except la.LinAlgError as exc:
+        raise NumericalError(
+            f"the stationary operator has a level below the shift {sigma:.6g}, "
+            "so its lowest states cannot be located",
+            diagnostic={"shift": sigma},
+        ) from exc
+    A = spla.LinearOperator((n, n), matvec=op.apply, dtype=float)
+    inv = spla.LinearOperator((n, n), dtype=float,
+                              matvec=lambda v: la.cho_solve(factor, v,
+                                                            check_finite=False))
+    # A fixed start vector, drawn as ARPACK draws its own, makes runs repeatable.
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    try:
+        vals, vecs = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
+                                OPinv=inv)
+    except spla.ArpackNoConvergence as exc:
+        raise NumericalError(
+            "shift-invert eigensolver did not converge",
+            diagnostic={"converged_eigenvalues": getattr(exc, "eigenvalues", None)},
+        ) from exc
+    # np.take keeps eigsh's row-major V (a fancy index would not), and the
+    # last bits of a column's dot products depend on its stride.
+    order = np.argsort(vals)
+    vals, vecs = vals[order], np.take(vecs, order, axis=1)
+    for lam, v in zip(vals, vecs.T):
+        resid = np.linalg.norm(op.apply(v) - lam * v) / np.linalg.norm(v)
+        if resid > 1e-8:
+            raise NumericalError(
+                "stationary eigenpair residual too large",
+                diagnostic={"eigenvalue": float(lam), "residual": float(resid)},
+            )
+    return vals, vecs
 
 
 def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
@@ -392,80 +443,30 @@ def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
     Diagonal Wigner functions solve both H*W = EW and W*H = EW, so with the
     pair of ``assemble_stationary_pair`` a real eigenfield has A_sym W = EW
     and A_anti W = 0 (Curtright, Fairlie & Zachos, PRD 58, 025002, 1998).
-    The states are the lowest eigenpairs of the real symmetric penalty
-    P = A_sym + 10 A_anti^T A_anti: an off-diagonal |m><n| is lifted by
-    10 ((E_m - E_n) / hbar)^2, and no eigenfield has to be filtered out.
+    The states are the n_states lowest of the n_states + 2 eigenpairs that
+    ``_lowest_eigenpairs`` finds for the real symmetric penalty
+    P = A_sym + 10 A_anti^T A_anti, which lifts an off-diagonal |m><n| by
+    10 ((E_m - E_n) / hbar)^2.  Each field has unit total integral.
 
-    P is written densely from the Kronecker factors into one float64 array.
-    The shift sigma is the lowest level of P's q-only part (see
-    ``_spectrum_floor``), and P - sigma I is Cholesky-factorized in place
-    (8 dim^2 bytes: 134 MB at 64x64, 2.1 GB at 128x128).  That factorization
-    exists only when sigma lies below every eigenvalue of P, so ARPACK's
-    shift-invert (k = n_states + 2, the k eigenvalues nearest sigma, from a
-    fixed start vector, so runs repeat bit for bit) returns the lowest
-    states.  Each field is normalized to unit total integral.
-
-    Raises NumericalError when n_states + 2 >= dim, when P - sigma I is not
-    positive definite, when ARPACK does not converge, when a residual
-    ||Pv - eps v|| / ||v|| exceeds 1e-8, or when a returned field carries
-    |integral| < 0.5 ||W||.  The last happens when a pair |m><n|, at
-    (E_m + E_n)/2 + 10 ((E_m - E_n) / hbar)^2, lies below a requested level:
-    a near-degenerate doublet (a double well's tunnelling pair), or |0><1| of
-    the oscillator (at 11 hbar) once 12 states are asked for.
+    Raises NumericalError where ``_lowest_eigenpairs`` does, or when a
+    returned field carries |integral| < 0.5 ||W||: a pair |m><n| lies below
+    a requested level, as a near-degenerate doublet (a double well's
+    tunnelling pair) does, or |0><1| of the oscillator (at 11 hbar) once 12
+    states are asked for.
     """
     if n_states < 1:
         raise ContractError("n_states must be >= 1")
     ps = A_sym.ps
-    n = ps.dim
-    k = n_states + 2
-    if k >= n:
-        raise NumericalError(
-            f"{n_states} stationary states need n_states + 2 < dim = {n}",
-            diagnostic={"requested": n_states, "dim": n},
-        )
-    P = _penalty_operator(A_sym, A_anti)
-    sigma = _spectrum_floor(P)
-    shifted = _dense_real(P)
-    shifted.flat[::n + 1] -= sigma
-    # shifted.T is Fortran-ordered, so LAPACK factors the one dense copy in
-    # place; P is symmetric and only its upper triangle is read.
-    try:
-        factor = la.cho_factor(shifted.T, overwrite_a=True, check_finite=False)
-    except la.LinAlgError as exc:
-        raise NumericalError(
-            f"the stationary penalty has a level below the shift {sigma:.6g}, "
-            "so its lowest states cannot be located",
-            diagnostic={"shift": sigma},
-        ) from exc
-    op = spla.LinearOperator((n, n), matvec=P.apply, dtype=float)
-    inv = spla.LinearOperator((n, n), dtype=float,
-                              matvec=lambda v: la.cho_solve(factor, v,
-                                                            check_finite=False))
-    # A fixed start vector, drawn as ARPACK draws its own, makes runs repeatable.
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-    try:
-        vals, vecs = spla.eigsh(op, k=k, sigma=sigma, which="LM", v0=v0,
-                                OPinv=inv)
-    except spla.ArpackNoConvergence as exc:
-        raise NumericalError(
-            "shift-invert eigensolver did not converge",
-            diagnostic={"converged_eigenvalues": getattr(exc, "eigenvalues", None)},
-        ) from exc
+    vals, vecs = _lowest_eigenpairs(_penalty_operator(A_sym, A_anti), n_states + 2)
     s = ps.integration_functional()
     out = []
-    for i in np.argsort(vals)[:n_states]:
+    for i in range(n_states):
         v, eps = vecs[:, i], float(vals[i])
         norm = np.linalg.norm(v)
-        resid = np.linalg.norm(P.apply(v) - eps * v) / norm
-        if resid > 1e-8:
-            raise NumericalError(
-                "stationary eigenpair residual too large",
-                diagnostic={"eigenvalue": eps, "residual": float(resid)},
-            )
         integral = float(s @ v)
         if abs(integral) < _INTEGRAL_FLOOR * norm:
             raise NumericalError(
-                f"stationary state {len(out)} at eps = {eps:.6g} is off-diagonal "
+                f"stationary state {i} at eps = {eps:.6g} is off-diagonal "
                 f"(|integral| = {abs(integral) / norm:.3g} ||W||): the penalty "
                 "lifts a pair |m><n| by only 10 ((E_m - E_n) / hbar)^2, which "
                 "leaves it below this level; ask for fewer states",
@@ -477,62 +478,53 @@ def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
 
 
 def moyal_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
-                pairs: int, hbar: float = 1.0,
-                cluster_tol: float = 1e-5,
-                commutator_tol: float = 1e-6) -> list:
+                pairs: int, hbar: float = 1.0) -> list:
     """Joint eigenfields (E', E'', field) of the two-sided stationary system.
 
-    A_sym eigenvalues give (E' + E'')/2; within each (near-)degenerate
-    cluster the restriction of A_anti is a small real antisymmetric matrix
-    whose imaginary eigenvalues i*y give E'' - E' = hbar*y.  Raises
-    NumericalError when the basis holds fewer than ``pairs`` pairs.
+    A two-sided eigenfield, H*W = E'W and W*H = E''W, has A_sym W =
+    ((E' + E'')/2) W and A_anti W = (i/hbar)(E'' - E') W.  ``_lowest_eigenpairs``
+    gives the k = 2 pairs + 2 lowest eigenpairs (lambda_i, v_i) of A_sym, and
+    K = V^T A_anti V couples them.  A_sym splits |m><n| from |n><m| only by
+    discretization error, while A_anti couples them by (E_n - E_m)/hbar, so
+    the pairs are read off runs of consecutive eigenvalues: v_i joins the
+    current run when its largest |K| with a run member is at least
+    lambda_i - lambda_{i-1}.  The antisymmetric part of K on a run has
+    eigenvalues i y, which give E'' - E' = hbar y about the run's mean
+    eigenvalue.  Pairs come in ascending runs, each run's in ascending y.
+
+    Raises NumericalError where ``_lowest_eigenpairs`` does, and when a
+    requested pair falls in the run that reaches v_{k-1}, which may go on
+    above it.
     """
     if pairs < 1:
         raise ContractError("pairs must be >= 1")
-    Ms = A_sym.dense()
-    Ma = A_anti.dense()
-    lam, V = np.linalg.eigh(0.5 * (Ms + Ms.T))
-
-    # cluster near-degenerate symmetric eigenvalues
-    clusters = []
-    start = 0
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    for i in range(1, lam.size + 1):
-        if i == lam.size or lam[i] - lam[i - 1] > cluster_tol * scale:
-            clusters.append(slice(start, i))
-            start = i
-    clusters.sort(key=lambda sl: lam[sl.start])
-
-    out = []
-    comm_norm = 0.0
-    for sl in clusters:
-        W = V[:, sl]
-        lam_bar = float(np.mean(lam[sl]))
-        K = W.T @ (Ma @ W)
-        # commutator of the pair restricted to this resolved cluster
-        comm_norm = max(comm_norm, float(np.linalg.norm(K + K.T)))
-        K = 0.5 * (K - K.T)
-        mu, u = np.linalg.eig(K)
-        order = np.argsort(mu.imag)
-        for j in order:
+    k = 2 * pairs + 2
+    lam, V = _lowest_eigenpairs(A_sym, k)
+    K = V.T @ np.column_stack([A_anti.apply(v) for v in V.T])
+    out, start = [], 0
+    for i in range(1, k + 1):
+        if i < k and np.max(np.abs(K[i, start:i])) >= lam[i] - lam[i - 1]:
+            continue
+        if i == k:
+            raise NumericalError(
+                f"stationary pair {len(out)} lies in the run of A_sym levels "
+                f"from {lam[start]:.6g} that reaches the {k}-th level, which "
+                "may go on above it",
+                diagnostic={"requested": pairs, "found": len(out)},
+            )
+        run, start = slice(start, i), i
+        lam_bar = float(np.mean(lam[run]))
+        Kr = K[run, run]
+        mu, u = np.linalg.eig(0.5 * (Kr - Kr.T))
+        for j in np.argsort(mu.imag):
             y = float(mu[j].imag)
-            vec = W @ u[:, j]
-            e_lo = lam_bar - 0.5 * hbar * y
-            e_hi = lam_bar + 0.5 * hbar * y
+            vec = V[:, run] @ u[:, j]
             if abs(y) < 1e-10 and np.max(np.abs(vec.imag)) < 1e-8:
                 vec = vec.real.copy()
-            out.append((e_lo, e_hi, CoefficientField(ps=A_sym.ps, coeffs=vec)))
+            out.append((lam_bar - 0.5 * hbar * y, lam_bar + 0.5 * hbar * y,
+                        CoefficientField(ps=A_sym.ps, coeffs=vec)))
             if len(out) == pairs:
-                if comm_norm > commutator_tol:
-                    logger.warning(
-                        "pair operators do not commute on resolved clusters "
-                        "(restricted commutator norm %.3e); eigenpairs are the "
-                        "cluster-restricted joint diagonalization", comm_norm)
                 return out
-    raise NumericalError(
-        f"{pairs} stationary pairs requested, but the basis holds {len(out)}",
-        diagnostic={"requested": pairs, "found": len(out)},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +592,10 @@ def _embedding_difference(coarse: CoefficientField, fine: CoefficientField) -> f
     return float(np.linalg.norm(ms_f - pad))
 
 
-def reconstruct_by_scale(W: CoefficientField, cut: int, top: int = None):
+def reconstruct_by_scale(W: CoefficientField, cut: int):
     """Split a field into a slow part (levels < cut) and per-level fast parts.
 
-    Returns (slow, [fast_cut, ..., fast_top]); parts sum to the full field
+    Returns (slow, [fast_cut, ..., fast_finest]); parts sum to the full field
     exactly by linearity of the orthogonal multiscale transform.
     """
     ps = W.ps
@@ -611,11 +603,9 @@ def reconstruct_by_scale(W: CoefficientField, cut: int, top: int = None):
     lp = ps.basis_p.multiscale_levels()
     finest = max(ps.basis_q.j_fine, ps.basis_p.j_fine) - 1
     coarsest = min(lq.min(), lp.min())
-    if top is None:
-        top = finest
-    if not (coarsest <= cut <= finest + 1) or top > finest:
+    if not coarsest <= cut <= finest + 1:
         raise ContractError(
-            f"scale cut {cut}/{top} outside basis level range "
+            f"scale cut {cut} outside basis level range "
             f"[{coarsest}, {finest + 1}]"
         )
     labels = np.maximum.outer(lq, lp)
@@ -625,11 +615,5 @@ def reconstruct_by_scale(W: CoefficientField, cut: int, top: int = None):
         return CoefficientField(
             ps=ps, coeffs=_from_ms_2d(ps, (ms * mask).reshape(-1)), time=W.time)
 
-    slow = synth(labels < cut)
-    fast = []
-    for lev in range(cut, top + 1):
-        if lev == top:
-            fast.append(synth(labels >= lev))
-        else:
-            fast.append(synth(labels == lev))
-    return slow, fast
+    return synth(labels < cut), [synth(labels == lev)
+                                 for lev in range(cut, finest + 1)]

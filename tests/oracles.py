@@ -193,3 +193,8 @@ def fd_schrodinger_levels(U, n_states: int, half_width: float = 8.0,
     e1, e2, e4 = levels
     r1, r2 = (4.0 * e2 - e1) / 3.0, (4.0 * e4 - e2) / 3.0
     return (16.0 * r2 - r1) / 15.0
+
+
+def kron_dense(op) -> np.ndarray:
+    """An operator's dense matrix as the explicit sum of coeff * kron(Q, B)."""
+    return sum(t.coeff * np.kron(t.q_matrix, t.p_matrix) for t in op.terms)

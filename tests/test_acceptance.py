@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import aitken_connection, fd_apply
+from oracles import aitken_connection, fd_apply, kron_dense
 from wigner.assembly import (
     PhaseSpaceBasis,
     assemble_dissipator,
@@ -139,8 +139,8 @@ def test_harmonic_spectrum_and_assembly_agreement():
     # the two assembly routes produce the same spectrum
     ps_small = _phase_space(10, 5, (-4.0, 4.0))
     A_sym, A_anti = assemble_stationary_pair(ps_small, U, PARAMS)
-    M_pair = A_sym.dense() - 0.5j * PARAMS.hbar * A_anti.dense()
-    M_c = assemble_stationary_cnumber(ps_small, U, PARAMS).dense()
+    M_pair = kron_dense(A_sym) - 0.5j * PARAMS.hbar * kron_dense(A_anti)
+    M_c = kron_dense(assemble_stationary_cnumber(ps_small, U, PARAMS))
     gap = np.max(np.abs(np.sort(np.linalg.eigvalsh(M_pair))
                         - np.sort(np.linalg.eigvalsh(M_c))))
     elapsed = time.time() - t0

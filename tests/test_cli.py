@@ -297,7 +297,7 @@ def test_one_step_evolve_is_classified_against_its_initial_state(tmp_path, capsy
     # a 16 x 16 basis holds 39 stationary states
     ([("mode = evolve", "mode = stationary"),
       ("t_end = 0.1", "t_end = 0.1\nn_states = 100000")], EXIT_NUMERICAL),
-    # and 256 pairs
+    # and at most 126 pairs (2 pairs + 2 < dim = 256)
     ([("mode = evolve", "mode = moyal"),
       ("t_end = 0.1", "t_end = 0.1\npairs = 300")], EXIT_NUMERICAL),
 ], ids=["too_many_states", "too_many_pairs"])

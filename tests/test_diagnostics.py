@@ -14,9 +14,7 @@ from wigner.diagnostics import (
     scale_entropy,
     standard_moments,
 )
-from wigner.ensemble import FockEnsemble
 from wigner.errors import DegenerateInputError
-from wigner.model import parse_potential
 from wigner.solve import CoefficientField, _from_ms_2d
 
 
@@ -46,13 +44,9 @@ def test_purity_scales_with_hbar(shifted_gaussian):
     assert p2 == pytest.approx(2.0 * p1)
 
 
-def test_fock_norm_field_vs_ensemble(ps6, gaussian_field6):
-    n_field = fock_norm(gaussian_field6)
-    assert n_field == pytest.approx(float(gaussian_field6.coeffs @
-                                          gaussian_field6.coeffs))
-    ens = FockEnsemble(weights=[0.25, 0.75], U0=1.0, g=parse_potential("q^2"),
-                       fields=[gaussian_field6, gaussian_field6])
-    assert fock_norm(ens) == pytest.approx(n_field)
+def test_fock_norm_is_squared_l2_norm(ps6, gaussian_field6):
+    assert fock_norm(gaussian_field6) == pytest.approx(float(
+        gaussian_field6.coeffs @ gaussian_field6.coeffs))
 
 
 def test_marginals_gaussian(shifted_gaussian):

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used by it, and
-every function it defines is used outside the tests."""
+"""Source hygiene: every name a package module imports is used by it, every
+function it defines is used outside the tests, and every optional parameter
+is passed by some caller outside the tests."""
 
 import ast
 import re
@@ -104,3 +105,79 @@ def test_no_test_only_functions():
               for p in sorted((ROOT / folder).glob("*.py"))]
     assert unreferenced_functions(package, others,
                                   (ROOT / "README.md").read_text()) == []
+
+
+def _callee_name(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def unused_parameters(package: dict, others: list) -> list:
+    """Defaulted parameters of the module-level functions and methods of
+    ``package`` (module name -> source) that no call, in ``package`` or
+    ``others``, passes by keyword or by position.  Calls match definitions by
+    name; a call with ``*args`` or ``**kwargs`` passes every parameter, and a
+    call of a class is a call of its ``__init__``."""
+    calls = {}
+    for src in list(package.values()) + others:
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee_name(node), []).append(node)
+    found = []
+    for module, src in package.items():
+        defs = []
+        for node in ast.parse(src).body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((node.name, f"{module}.{node.name}", node, 0))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    callee = node.name if item.name == "__init__" else item.name
+                    defs.append((callee, f"{module}.{node.name}.{item.name}", item,
+                                 0 if static else 1))
+        for callee, qualname, node, skip in defs:
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            optional = [(a.arg, i - skip) for i, a in enumerate(positional)
+                        if i >= first]
+            optional += [(a.arg, None) for a, d in zip(args.kwonlyargs,
+                                                       args.kw_defaults)
+                         if d is not None]
+            for name, index in optional:
+                if not any(
+                        any(isinstance(a, ast.Starred) for a in call.args)
+                        or any(k.arg in (None, name) for k in call.keywords)
+                        or (index is not None and len(call.args) > index)
+                        for call in calls.get(callee, [])):
+                    found.append(f"{qualname}({name})")
+    return sorted(found)
+
+
+def test_unused_parameter_detector():
+    package = {"m": (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+        "def g(x=1):\n    pass\n\n"
+        "class A:\n"
+        "    def __init__(self, x, y=0):\n        pass\n\n"
+        "    def method(self, z=None):\n        pass\n\n"
+        "    @staticmethod\n"
+        "    def static(u=1, v=2):\n        pass\n")}
+    others = ["f(0, 1)", "f(0, d=4)", "f(**opts)", "g(*args)", "A(1)",
+              "A(1).method(5)", "A.static(1)"]
+    assert unused_parameters(package, others[:2] + others[4:]) == \
+        ["m.A.__init__(y)", "m.A.static(v)", "m.f(c)", "m.f(e)", "m.g(x)"]
+    assert unused_parameters(package, others) == \
+        ["m.A.__init__(y)", "m.A.static(v)"]
+
+
+def test_no_unused_parameters():
+    package = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    others = [p.read_text() for folder in ("scripts", "perfbench")
+              for p in sorted((ROOT / folder).glob("*.py"))]
+    assert unused_parameters(package, others) == []

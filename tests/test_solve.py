@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from oracles import fd_schrodinger_levels
+from oracles import fd_schrodinger_levels, kron_dense
 
 from wigner.assembly import (
     AssembledOperator,
@@ -34,7 +34,6 @@ from wigner.solve import (
     reconstruct_by_scale,
     refine_until,
     stationary_eigen,
-    _dense_real,
     _penalty_operator,
 )
 
@@ -280,18 +279,24 @@ def test_stationary_eigen_shifted_and_scaled_oscillator(expr, hbar, box, j_fine)
 
 @pytest.mark.parametrize("hbar", [1.0, 0.5])
 def test_penalty_matrix_matches_kron_reference(hbar):
-    """The dense P equals S + 10 K^T K of the materialized pair, and
-    Re M + (40/hbar^2) (Im M)^T (Im M) of the materialized c-number M."""
+    """The dense P equals S + 10 K^T K of the explicit Kronecker sums of the
+    pair, and Re M + (40/hbar^2) (Im M)^T (Im M) of the c-number M, whose own
+    complex dense() matches its Kronecker sum."""
     ps = _order10(4)
     U = parse_potential("0.5*q^2 + 0.1*q^4")
     params = ModelParams(hbar=hbar)
     A_sym, A_anti = assemble_stationary_pair(ps, U, params)
-    S, K = A_sym.dense(), A_anti.dense()
+    S, K = kron_dense(A_sym), kron_dense(A_anti)
     ref = S + _PENALTY * K.T @ K
-    M = assemble_stationary_cnumber(ps, U, params).dense()
+    cnumber = assemble_stationary_cnumber(ps, U, params)
+    M = kron_dense(cnumber)
+    dense_cnumber = cnumber.dense()
+    assert dense_cnumber.dtype == complex
+    assert np.max(np.abs(dense_cnumber - M)) < 1e-12 * np.max(np.abs(M))
     ref_cnumber = M.real + 40.0 / hbar ** 2 * M.imag.T @ M.imag
     P = _penalty_operator(A_sym, A_anti)
-    dense = _dense_real(P)
+    dense = P.dense()
+    assert dense.dtype == float
     for r in (ref, ref_cnumber):
         assert np.max(np.abs(dense - r)) < 1e-12 * np.max(np.abs(r))
     v = np.random.default_rng(1).normal(size=ps.dim)
@@ -356,6 +361,42 @@ def test_moyal_eigen_harmonic_pairs(harmonic_small):
     for (glo, ghi), (elo, ehi) in zip(got, expected):
         assert abs(glo - elo) < 1e-3
         assert abs(ghi - ehi) < 1e-3
+
+
+def test_moyal_eigen_quartic_pairs_match_fd_oracle():
+    """At 64x64 the six lowest quartic pairs are the (E_m, E_n) of the FD
+    levels; |1><1| (1.7696) and the |0><2| pair (1.8489) stay apart."""
+    U = parse_potential("0.5*q^2 + 0.1*q^4")
+    A_sym, A_anti = assemble_stationary_pair(_order10(6), U, PARAMS)
+    pairs = moyal_eigen(A_sym, A_anti, 6)
+    E = fd_schrodinger_levels(lambda q: 0.5 * q ** 2 + 0.1 * q ** 4, 4)
+    lowest = sorted(((m, n) for m in range(4) for n in range(4)),
+                    key=lambda mn: E[mn[0]] + E[mn[1]])[:6]
+    expected = sorted((E[m], E[n]) for m, n in lowest)
+    got = sorted((lo, hi) for lo, hi, _ in pairs)
+    assert np.max(np.abs(np.array(got) - np.array(expected))) < 5e-3
+
+
+def test_moyal_eigen_cubic_fails_closed():
+    """U >= 0 on the box and the shift is 0.246, but the cubic's wrap states
+    sit near -19 in A_sym: the Cholesky fails and moyal raises, as
+    stationary does."""
+    A_sym, A_anti = assemble_stationary_pair(
+        _order10(5), parse_potential("0.1*q^3 + 0.5*q^2"), PARAMS)
+    with pytest.raises(NumericalError, match="below the shift"):
+        moyal_eigen(A_sym, A_anti, 4)
+
+
+def test_moyal_eigen_builds_no_sparse_matrix_and_no_full_eigh(harmonic_small,
+                                                              monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("moyal_eigen left the shared shift-invert path")
+
+    ps, U = harmonic_small
+    A_sym, A_anti = assemble_stationary_pair(ps, U, PARAMS)
+    monkeypatch.setattr(AssembledOperator, "matrix", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert len(moyal_eigen(A_sym, A_anti, 6)) == 6
 
 
 def test_eigen_contract_errors(harmonic_small):
