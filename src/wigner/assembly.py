@@ -2,9 +2,10 @@
 
 Every operator is a sum of Kronecker terms A_q (x) B_p acting on coefficient
 fields stored q-major (flat index = iq * dim_p + ip).  Terms are kept in
-factored form for matrix-free application; ``dense`` writes the matrix from
-the factors, and ``matrix`` builds the sparse form only for the midpoint
-stepper's LU fallback.
+factored form: ``apply``, the one product L x of every solver and script,
+runs as two GEMMs over the terms grouped by q factor.  ``dense`` writes the
+matrix from the factors for the eigen path; ``matrix`` builds the sparse
+form, which no solver uses: tests take it as the direct-solve reference.
 """
 
 from __future__ import annotations
@@ -95,6 +96,21 @@ class AssembledOperator:
     terms: list
     _matrix: object = field(default=None, repr=False)
 
+    def __post_init__(self):
+        # Terms sharing a q factor add their p factors: one GEMM block each.
+        # Built with the operator, not on the first apply, so that a run's
+        # memory after setup holds no block allocation.
+        blocks = []
+        for t in self.terms:
+            for blk in blocks:
+                if np.array_equal(blk[0], t.q_matrix):
+                    blk[1] = blk[1] + t.coeff * t.p_matrix
+                    break
+            else:
+                blocks.append([t.q_matrix, t.coeff * t.p_matrix])
+        self._Q = np.concatenate([q for q, _ in blocks], axis=1) if blocks else None
+        self._Bt = np.concatenate([b.T for _, b in blocks], axis=1) if blocks else None
+
     @property
     def shape(self) -> tuple:
         return (self.ps.dim, self.ps.dim)
@@ -109,17 +125,19 @@ class AssembledOperator:
         return len(self.terms) == 0
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
+        """L x on the q-major grid C in two GEMMs: C [B_1^T ... B_m^T] gives
+        every C B_b^T at once, and [A_1 ... A_m] times their stack sums
+        A_b C B_b^T over the blocks b (one per distinct q factor A_b)."""
         C = self.ps.as_grid(coeffs)
-        out = None
-        for t in self.terms:
-            piece = t.coeff * (t.q_matrix @ C @ t.p_matrix.T)
-            out = piece if out is None else out + piece
-        if out is None:
+        if self._Q is None:
             return np.zeros_like(np.asarray(coeffs))
-        return out.reshape(-1)
+        nq, n_p = C.shape
+        Y = (C @ self._Bt).reshape(nq, -1, n_p).transpose(1, 0, 2)
+        return (self._Q @ Y.reshape(-1, n_p)).reshape(-1)
 
     def matrix(self) -> sp.csr_matrix:
-        """Sparse CSR materialization (cached) for the stepper's LU fallback."""
+        """Sparse CSR materialization (cached).  No solver calls it; tests
+        use it as the direct-solve reference."""
         if self._matrix is None:
             n = self.ps.dim
             dtype = complex if self.is_complex else float

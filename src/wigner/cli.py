@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import difflib
+import math
 import os
 import sys
 import time
@@ -99,7 +100,10 @@ def parse_config(path) -> RunConfig:
     def get(section, key, default=None, cast=str, required=False):
         try:
             if parser.has_option(section, key):
-                return cast(parser.get(section, key))
+                value = cast(parser.get(section, key))
+                if cast is float and not math.isfinite(value):
+                    raise ValueError(f"{value} is not a finite number")
+                return value
             if required:
                 errors.append(f"missing required key {key!r} in [{section}]")
                 return default
@@ -169,6 +173,8 @@ def parse_config(path) -> RunConfig:
     for key in ("sigma_q", "sigma_p"):
         if initial[key] is not None and initial[key] <= 0:
             errors.append(f"[initial] {key} must be positive")
+    if initial["norm"] == 0:
+        errors.append("[initial] norm must be nonzero")
 
     dt = get("solver", "dt", 0.01, float)
     t_end = get("solver", "t_end", 1.0, float)

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import AssembledOperator, OperatorTerm, PhaseSpaceBasis
@@ -124,11 +123,12 @@ def _rk4_step(apply_op, c, dt):
 
 
 # Defect corrections a midpoint step may take after its first preconditioned
-# solve before the stepper falls back to the sparse LU.  At 64x64 one
-# correction costs about 0.75 ms and one LU solve about 8.8 ms (after a
-# 1.5-2 s factorization), so past about 12 corrections per step the LU steps
-# faster.
-_MAX_CORRECTIONS = 12
+# solve.  A Gaussian in U = q^2/2 + 0.1 q^4 with friction and diffusion
+# (order 6 on +-6) needs at most 9, 15, 56 and 168 per step at 64x64 dt 0.01,
+# 128x128 dt 0.01, 64x64 dt 0.05 and 64x64 dt 0.1.  At dt 0.05 the midpoint
+# result is already 3.7% off a dt/8 one, so a step that needs more than 200
+# asks for a smaller dt rather than for another solver.
+_MAX_CORRECTIONS = 200
 # Relative residual ||b - (I - hL) x|| / ||b|| at which a step has converged.
 _STEP_TOL = 1e-12
 
@@ -140,27 +140,6 @@ def _circulant_symbol(A: np.ndarray):
     if not np.array_equal(A, col[(np.arange(n)[:, None] - np.arange(n)) % n]):
         return None
     return np.fft.rfft(col)
-
-
-def _circulant_split(L: AssembledOperator):
-    """L's terms as (T, F) lists of (symbol, other factor), or None.
-
-    T holds the terms whose q factor is circulant, F the rest, whose p factor
-    must be; None when L is complex or a term has neither.
-    """
-    if L.is_complex:
-        return None
-    T, F = [], []
-    for t in L.terms:
-        sym = _circulant_symbol(t.q_matrix)
-        if sym is not None:
-            T.append((t.coeff * sym, t.p_matrix))
-            continue
-        sym = _circulant_symbol(t.p_matrix)
-        if sym is None:
-            return None
-        F.append((t.coeff * sym, t.q_matrix))
-    return T, F
 
 
 def _mode_inverses(h, symbols, factors):
@@ -181,55 +160,38 @@ class _MidpointStepper:
     ``rfft`` along q turns I - hT into one n_p x n_p matrix per q-mode, an
     ``rfft`` along p turns I - hF into one n_q x n_q matrix per p-mode, and
     both sets are inverted once here.  A step runs the defect correction
-    x <- x + P^-1 (b - x + hLx) from x = 0, with Lx applied from the
-    Kronecker factors as two stacked GEMMs, until ||b - x + hLx|| <= 1e-12
-    ||b||.  Neither L's sparse matrix nor an LU is built.
+    x <- x + P^-1 (b - x + hLx) from x = 0, with Lx from ``L.apply``, until
+    ||b - x + hLx|| <= 1e-12 ||b||.  Neither L's sparse matrix nor an LU is
+    built.
 
-    The stepper falls back to a sparse LU of I - hL (``splu``) when L is
-    complex or a term has no circulant factor, and, from then on, when a step
-    has not converged after ``_MAX_CORRECTIONS`` corrections (stiff steps,
-    such as a quartic force at dt = 0.05 on 64x64).
+    L must be real and every term must have a circulant factor, as every
+    ``assemble_evolution`` generator does; otherwise ContractError.  A step
+    that has not converged after ``_MAX_CORRECTIONS`` corrections raises
+    NumericalError: dt is too long for the factorization.
     """
 
     def __init__(self, L: AssembledOperator, dt: float):
+        if L.is_complex:
+            raise ContractError("the midpoint stepper needs a real generator")
+        T, F = [], []
+        for t in L.terms:
+            sym = _circulant_symbol(t.q_matrix)
+            if sym is not None:
+                T.append((t.coeff * sym, t.p_matrix))
+                continue
+            sym = _circulant_symbol(t.p_matrix)
+            if sym is None:
+                raise ContractError(
+                    f"generator term {t.tag!r} has no circulant factor, so "
+                    "the midpoint stepper cannot invert it by FFT")
+            F.append((t.coeff * sym, t.q_matrix))
         self.L = L
         self.h = dt / 2.0
-        self.lu = None
-        split = _circulant_split(L)
-        if split is None:
-            logger.info("midpoint stepper: L is complex or a term has no "
-                        "circulant factor; using the sparse LU")
-            self._factor()
-            return
-        T, F = split
         self._inv_T = _mode_inverses(self.h, *zip(*T)) if T else None
         self._inv_F = _mode_inverses(self.h, *zip(*F)) if F else None
-        # Terms sharing a q factor add their p factors: one GEMM block each.
-        blocks = []
-        for t in L.terms:
-            for blk in blocks:
-                if np.array_equal(blk[0], t.q_matrix):
-                    blk[1] = blk[1] + t.coeff * t.p_matrix
-                    break
-            else:
-                blocks.append([t.q_matrix, t.coeff * t.p_matrix])
-        self._Q = np.concatenate([q for q, _ in blocks], axis=1) if blocks else None
-        self._Bt = np.concatenate([b.T for _, b in blocks], axis=1) if blocks else None
 
-    def _factor(self):
-        M = self.L.matrix()
-        eye = sp.identity(M.shape[0], format="csc", dtype=M.dtype)
-        self.rhs = (eye + self.h * M).tocsr()
-        self.lu = spla.splu((eye - self.h * M).tocsc())
-
-    def _apply_L(self, X):
-        if self._Q is None:
-            return np.zeros_like(X)
-        nq, n_p = X.shape
-        Y = (X @ self._Bt).reshape(nq, -1, n_p).transpose(1, 0, 2)
-        return self._Q @ Y.reshape(-1, n_p)
-
-    def _precondition(self, R):
+    def _precondition(self, r):
+        R = self.L.ps.as_grid(r)
         nq, n_p = R.shape
         if self._inv_T is not None:
             Rh = np.fft.rfft(R, axis=0)
@@ -239,25 +201,25 @@ class _MidpointStepper:
             Rh = np.fft.rfft(R, axis=1).T
             Rh = np.matmul(self._inv_F, Rh[:, :, None])[:, :, 0]
             R = np.fft.irfft(Rh.T, n=n_p, axis=1)
-        return R
+        return R.reshape(-1)
 
     def step(self, c):
-        if self.lu is None:
-            C = self.L.ps.as_grid(c)
-            b = C + self.h * self._apply_L(C)
-            tol = _STEP_TOL * np.linalg.norm(b)
-            x = np.zeros_like(b)
-            r = b
-            # the first pass gives x = P^-1 b, each later one a correction
-            for _ in range(1 + _MAX_CORRECTIONS):
-                x = x + self._precondition(r)
-                r = b - x + self.h * self._apply_L(x)
-                if np.linalg.norm(r) <= tol:
-                    return x.reshape(-1)
-            logger.info("midpoint stepper: no convergence in %d corrections; "
-                        "using the sparse LU", _MAX_CORRECTIONS)
-            self._factor()
-        return self.lu.solve(self.rhs @ c)
+        b = c + self.h * self.L.apply(c)
+        tol = _STEP_TOL * np.linalg.norm(b)
+        x = np.zeros_like(b)
+        r = b
+        # the first pass gives x = P^-1 b, each later one a correction
+        for _ in range(1 + _MAX_CORRECTIONS):
+            x = x + self._precondition(r)
+            r = b - x + self.h * self.L.apply(x)
+            if np.linalg.norm(r) <= tol:
+                return x
+        resid = float(np.linalg.norm(r) / np.linalg.norm(b))
+        raise NumericalError(
+            f"midpoint step dt = {2 * self.h:.6g} has relative residual "
+            f"{resid:.3g} after {_MAX_CORRECTIONS} corrections; reduce dt",
+            diagnostic={"dt": 2 * self.h, "relative_residual": resid},
+        )
 
 
 def evolve(W0: CoefficientField, L: AssembledOperator, cfg: EvolutionConfig,

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from oracles import aitken_connection, fd_apply, kron_dense
 from wigner.assembly import (
@@ -43,11 +44,15 @@ def _phase_space(order, j_fine, box, j_coarse=3):
     return PhaseSpaceBasis(mk(), mk())
 
 
-def _gaussian(ps, var=0.5):
-    # exp(-(q^2+p^2)/(2 var)) normalized to unit integral
-    c = ps.project(lambda q, p: np.exp(-(q ** 2 + p ** 2) / (2 * var))
+def _gaussian(ps, var=0.5, q0=0.0):
+    # exp(-((q-q0)^2+p^2)/(2 var)) normalized to unit integral
+    c = ps.project(lambda q, p: np.exp(-((q - q0) ** 2 + p ** 2) / (2 * var))
                    / (2 * np.pi * var))
     return CoefficientField(ps=ps, coeffs=c)
+
+
+def _refuse_lu(*args, **kwargs):
+    raise AssertionError("the midpoint stepper factorized I - hL")
 
 
 def _p_second_moment(W):
@@ -151,15 +156,18 @@ def test_harmonic_spectrum_and_assembly_agreement():
     assert elapsed < 120.0
 
 
-def test_midpoint_stepping_scales_to_128x128():
+def test_midpoint_stepping_scales_to_128x128(monkeypatch):
+    # Past step 69 a step needs more than 12 defect corrections; no step may
+    # fall back to a sparse LU of I - hL.
+    monkeypatch.setattr(spla, "splu", _refuse_lu)
     t0 = time.time()
     ps = _phase_space(6, 7, (-6.0, 6.0))
-    W0 = _gaussian(ps)
+    W0 = _gaussian(ps, q0=0.5)
     L = assemble_evolution(ps, parse_potential("0.5*q^2 + 0.1*q^4"),
                            ModelParams(gamma=0.05, diffusion=0.02))
     h = 0.01 / 2
     traj = []
-    evolve(W0, L, EvolutionConfig(dt=0.01, t_end=0.2), store=traj.append)
+    evolve(W0, L, EvolutionConfig(dt=0.01, t_end=1.0), store=traj.append)
     worst = 0.0
     for a, b in zip(traj, traj[1:]):
         rhs = a.coeffs + h * L.apply(a.coeffs)
@@ -168,7 +176,7 @@ def test_midpoint_stepping_scales_to_128x128():
     elapsed = time.time() - t0
     print(f"\nPASS 128x128 stepping: {len(traj) - 1} steps, worst midpoint "
           f"residual {worst:.2e} (<1e-11), {elapsed:.1f}s (<20s)")
-    assert len(traj) == 21
+    assert len(traj) == 101
     assert worst < 1e-11
     assert elapsed < 20.0
 

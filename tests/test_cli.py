@@ -221,11 +221,15 @@ def test_validate_command(tmp_path, capsys):
      ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\nn_max = 1\nweights = 1.5 -0.5")],
     [("mode = evolve", "mode = ensemble"),
      ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\nn_max = 1\nweights = 0 0")],
+    # a zero field has no scale entropy to report
+    [("t_end = 0.1", "t_end = 0.1\n\n[initial]\nnorm = 0")],
+    [("t_end = 0.1", "t_end = 0.1\n\n[initial]\nnorm = nan")],
+    [("dt = 0.05", "dt = nan")],
 ], ids=["lindblad", "pure_p", "p_term", "n_states", "pairs", "n_min",
         "ensemble_weights", "filter_too_rough", "q9_evolve", "q9_stationary",
         "support_too_coarse", "moment_band_too_coarse", "refine_n_min_too_coarse",
         "store_every", "checkpoint_every", "sigma_q", "negative_weight",
-        "zero_weights"])
+        "zero_weights", "zero_norm", "nan_norm", "nan_dt"])
 def test_validate_rejects_what_run_would(tmp_path, edits):
     assert main(["validate", _write(tmp_path, _edited(edits))]) == EXIT_CONFIG
 
@@ -300,7 +304,11 @@ def test_one_step_evolve_is_classified_against_its_initial_state(tmp_path, capsy
     # and at most 126 pairs (2 pairs + 2 < dim = 256)
     ([("mode = evolve", "mode = moyal"),
       ("t_end = 0.1", "t_end = 0.1\npairs = 300")], EXIT_NUMERICAL),
-], ids=["too_many_states", "too_many_pairs"])
+    # one midpoint step of dt = 1 needs more defect corrections than the cap
+    ([("potential = 0.5*q^2", "potential = 0.5*q^2 + 0.1*q^4\ngamma = 0.05\n"
+       "diffusion = 0.02"), ("dt = 0.05", "dt = 1.0"),
+      ("t_end = 0.1", "t_end = 1.0")], EXIT_NUMERICAL),
+], ids=["too_many_states", "too_many_pairs", "stiff_step"])
 def test_run_failure_leaves_manifest(tmp_path, capsys, edits, code):
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, _edited(edits)), "--threads", "1",

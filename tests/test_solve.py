@@ -212,27 +212,39 @@ def test_midpoint_stepper_matches_spsolve_without_lu(ps6, gaussian_field6,
     assert err < 1e-10
 
 
-@pytest.mark.parametrize("case", ["stiff", "no_circulant_factor"])
-def test_midpoint_stepper_falls_back_to_lu(db6, case, monkeypatch):
-    mk = lambda: WaveletBasis(filter=db6, j_coarse=3, j_fine=5,
+def _ps32(filt):
+    mk = lambda: WaveletBasis(filter=filt, j_coarse=3, j_fine=5,
                               domain=(-6.0, 6.0))
-    ps = PhaseSpaceBasis(mk(), mk())
+    return PhaseSpaceBasis(mk(), mk())
+
+
+def test_midpoint_stepper_matches_spsolve_on_stiff_steps(db6, monkeypatch):
+    """dt = 0.05 at 32x32: from the third step on, more than 12 corrections
+    per step, still without any sparse matrix or LU."""
+    ps = _ps32(db6)
     L = _quartic_dissipative(ps)
-    if case == "stiff":
-        dt = 0.05  # from the third step on, more corrections than the cap
-    else:
-        dt = 0.01
-        L = L + AssembledOperator(ps=ps, terms=[OperatorTerm(
-            "q_p_coupling", 0.01, ps.basis_q.moment_matrix(1),
-            ps.basis_p.moment_matrix(1))])
     W0 = _field(ps, lambda q, p: np.exp(-(q - 0.5) ** 2 - p ** 2) / np.pi)
-    ref = _spsolve_midpoint(L, W0.coeffs, [dt] * 10)
-    calls, splu = [], spla.splu
-    monkeypatch.setattr(spla, "splu", lambda *a: calls.append(a) or splu(*a))
-    final = evolve(W0, L, EvolutionConfig(dt=dt, t_end=10 * dt))
-    assert len(calls) == 1
+    ref = _spsolve_midpoint(L, W0.coeffs, [0.05] * 10)
+    monkeypatch.setattr(spla, "splu", _refuse)
+    monkeypatch.setattr(AssembledOperator, "matrix", _refuse)
+    final = evolve(W0, L, EvolutionConfig(dt=0.05, t_end=0.5))
     err = np.linalg.norm(final.coeffs - ref) / np.linalg.norm(ref)
     assert err < 1e-10
+
+
+@pytest.mark.parametrize("case", ["no_circulant_factor", "complex"])
+def test_midpoint_stepper_rejects_generator_without_circulant_split(db6, case):
+    ps = _ps32(db6)
+    if case == "no_circulant_factor":
+        extra = OperatorTerm("q_p_coupling", 0.01, ps.basis_q.moment_matrix(1),
+                             ps.basis_p.moment_matrix(1))
+    else:
+        extra = OperatorTerm("complex_diffusion", 0.01j, np.eye(ps.basis_q.dim),
+                             ps.basis_p.derivative_matrix(0, 2))
+    L = _quartic_dissipative(ps) + AssembledOperator(ps=ps, terms=[extra])
+    W0 = _field(ps, lambda q, p: np.exp(-(q - 0.5) ** 2 - p ** 2) / np.pi)
+    with pytest.raises(ContractError):
+        evolve(W0, L, EvolutionConfig(dt=0.01, t_end=0.1))
 
 
 # ---------------------------------------------------------------------------
