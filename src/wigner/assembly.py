@@ -112,17 +112,9 @@ class AssembledOperator:
         self._Bt = np.concatenate([b.T for _, b in blocks], axis=1) if blocks else None
 
     @property
-    def shape(self) -> tuple:
-        return (self.ps.dim, self.ps.dim)
-
-    @property
     def is_complex(self) -> bool:
         return any(np.iscomplexobj(np.asarray(t.coeff)) or abs(np.imag(t.coeff)) > 0
                    for t in self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return len(self.terms) == 0
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         """L x on the q-major grid C in two GEMMs: C [B_1^T ... B_m^T] gives
@@ -168,15 +160,6 @@ class AssembledOperator:
         if other.ps is not self.ps and other.ps != self.ps:
             raise ContractError("cannot add operators on different bases")
         return AssembledOperator(ps=self.ps, terms=self.terms + other.terms)
-
-    def scaled(self, factor) -> "AssembledOperator":
-        return AssembledOperator(
-            ps=self.ps,
-            terms=[
-                OperatorTerm(t.tag, factor * t.coeff, t.q_matrix, t.p_matrix)
-                for t in self.terms
-            ],
-        )
 
 
 def _poly_mult_matrix(basis: WaveletBasis, coeffs) -> np.ndarray:
@@ -234,14 +217,19 @@ def assemble_quantum_correction(
 def assemble_dissipator(ps: PhaseSpaceBasis, params: ModelParams) -> AssembledOperator:
     """Friction 2*gamma d/dp (p W) plus diffusion D d^2/dp^2 W.
 
-    The friction factor d/dp (p W) is assembled by the product rule as
-    W + p dW/dp, reusing the first-moment and first-derivative tables.
+    The friction factor d/dp (p W) is assembled in flux form, Dp M1p: the
+    product p W projected onto the basis, then differentiated.  Dp is
+    circulant with zero column sums, so the integration functional
+    annihilates it and the term conserves iint W exactly, as diffusion does.
+    The product rule W + p dW/dp, I + M1p Dp, does not: the lifted coordinate
+    p jumps from p_max to p_min at the periodic wrap, and the basis functions
+    straddling it leak integral.
     """
     terms = []
     if params.gamma > 0.0:
         M1p = ps.basis_p.moment_matrix(1)
         Dp = ps.basis_p.derivative_matrix(0, 1)
-        B = np.eye(ps.basis_p.dim) + M1p @ Dp
+        B = Dp @ M1p
         terms.append(
             OperatorTerm("dissipator_friction", 2.0 * params.gamma, _identity(ps.basis_q), B)
         )

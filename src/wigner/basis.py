@@ -28,6 +28,7 @@ Sign/normalization conventions are fixed in one place:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb, factorial
 
 import numpy as np
@@ -211,19 +212,14 @@ class ConnectionTable:
     values: np.ndarray
 
 
-_deriv_cache: dict = {}
-
-
+@cache
 def _deriv_product_integrals(filt: FilterCoefficients, d: int) -> np.ndarray:
     """Gamma^d(k) = int phi(x) phi^(d)(x - k) dx, k = -(K)..K, K = order - 2.
 
     Solves the homogeneous refinement system Gamma = 2^d A Gamma together
-    with the moment normalization sum_k k^d Gamma(k) = (-1)^d d!.
+    with the moment normalization sum_k k^d Gamma(k) = (-1)^d d!.  Cached
+    per filter order and d.
     """
-    key = (filt.order, d)
-    if key in _deriv_cache:
-        return _deriv_cache[key]
-
     K = filt.order - 2
     offsets = np.arange(-K, K + 1)
     no = offsets.size
@@ -257,9 +253,7 @@ def _deriv_product_integrals(filt: FilterCoefficients, d: int) -> np.ndarray:
             f"derivative-product integrals of order {d} do not exist for "
             f"filter order {filt.order}; use a higher filter order"
         )
-    gamma = gamma * (target / norm)
-    _deriv_cache[key] = (offsets, gamma)
-    return _deriv_cache[key]
+    return offsets, gamma * (target / norm)
 
 
 def connection_coefficients(
@@ -282,9 +276,6 @@ def connection_coefficients(
 # moments
 # ---------------------------------------------------------------------------
 
-_moment_cache: dict = {}
-
-
 def scaling_function_moments(filt: FilterCoefficients, rmax: int) -> np.ndarray:
     """mu_r = int x^r phi(x) dx for r = 0..rmax, by the two-scale recursion."""
     h = filt.taps
@@ -299,17 +290,15 @@ def scaling_function_moments(filt: FilterCoefficients, rmax: int) -> np.ndarray:
     return mu
 
 
+@cache
 def _product_moments(filt: FilterCoefficients, rmax: int) -> np.ndarray:
     """m_r(d) = int x^r phi(x) phi(x - d) dx for r <= rmax, |d| <= order - 2.
 
     Returned as array of shape (rmax + 1, 2K + 1) with offset index d + K.
     Solved level by level from the two-scale relation, with the row
-    sum_d m_r(d) = mu_r closing the rank deficiency.
+    sum_d m_r(d) = mu_r closing the rank deficiency.  Cached per filter
+    order and rmax.
     """
-    key = (filt.order, rmax)
-    if key in _moment_cache:
-        return _moment_cache[key]
-
     K = filt.order - 2
     offsets = np.arange(-K, K + 1)
     no = offsets.size
@@ -359,8 +348,6 @@ def _product_moments(filt: FilterCoefficients, rmax: int) -> np.ndarray:
                 diagnostic={"residual": resid},
             )
         out[r] = sol
-
-    _moment_cache[key] = out
     return out
 
 
@@ -596,24 +583,18 @@ def moment_coefficients(basis: WaveletBasis, power: int) -> MomentTable:
     return MomentTable(power=power, matrix=M)
 
 
-_quad_weight_cache: dict = {}
-
-
+@cache
 def quadrature_weights(filt: FilterCoefficients) -> np.ndarray:
     """Weights w_t at integer nodes t = 0..order-1 with sum_t w_t t^m = mu_m.
 
     The resulting one-point-per-node rule integrates f against phi exactly
-    for polynomial f up to degree order-1.
+    for polynomial f up to degree order-1.  Cached per filter order.
     """
-    if filt.order in _quad_weight_cache:
-        return _quad_weight_cache[filt.order]
     n = filt.order
     mu = scaling_function_moments(filt, n - 1)
     nodes = np.arange(n, dtype=float)
     V = np.vander(nodes, n, increasing=True).T  # V[m, t] = t^m
-    w = np.linalg.solve(V, mu)
-    _quad_weight_cache[filt.order] = w
-    return w
+    return np.linalg.solve(V, mu)
 
 
 def _stencil_coefficients(F: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:

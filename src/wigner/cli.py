@@ -30,8 +30,8 @@ _KNOWN_KEYS = {
     "model": {"potential", "mass", "hbar", "gamma", "diffusion"},
     "basis": {"order", "j_coarse", "j_fine", "q_min", "q_max", "p_min", "p_max"},
     "initial": {"type", "q0", "p0", "sigma_q", "sigma_p", "norm"},
-    "solver": {"dt", "t_end", "scheme", "renormalize", "epsilon", "n_max",
-               "n_min", "n_states", "pairs", "store_every"},
+    "solver": {"dt", "t_end", "scheme", "epsilon", "n_max", "n_min",
+               "n_states", "pairs", "store_every"},
     "ensemble": {"n_max", "weights", "u0", "g"},
     "output": {"directory", "grid_resolution", "checkpoint_every"},
     "diagnostics": {"theta_loc", "theta_chaos", "theta_stab", "theta_frac",
@@ -41,13 +41,16 @@ _KNOWN_KEYS = {
 
 @dataclass
 class RunConfig:
+    """A validated run: the potential U, the ensemble coupling g and the
+    filter come parsed, so no run step parses or builds them again."""
+
     mode: str
-    potential_text: str
+    U: object
     mass: float
     hbar: float
     gamma: float
     diffusion: float
-    order: int
+    filter: object
     j_coarse: int
     j_fine: int
     q_box: tuple
@@ -56,7 +59,6 @@ class RunConfig:
     dt: float
     t_end: float
     scheme: str
-    renormalize: bool
     epsilon: float
     n_max: int
     n_min: int
@@ -111,14 +113,6 @@ def parse_config(path) -> RunConfig:
         except (ValueError, ConfigurationError) as exc:
             errors.append(f"[{section}] {key}: {exc}")
             return default
-
-    def as_bool(text):
-        t = text.strip().lower()
-        if t in ("1", "true", "yes", "on"):
-            return True
-        if t in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
 
     mode = get("run", "mode", required=True, default="evolve")
     if mode not in _MODES:
@@ -179,7 +173,6 @@ def parse_config(path) -> RunConfig:
     dt = get("solver", "dt", 0.01, float)
     t_end = get("solver", "t_end", 1.0, float)
     scheme = get("solver", "scheme", "implicit_midpoint")
-    renormalize = get("solver", "renormalize", False, as_bool)
     epsilon = get("solver", "epsilon", 1e-4, float)
     n_max = get("solver", "n_max", j_fine if j_fine else 6, int)
     n_min = get("solver", "n_min", 4, int)
@@ -216,6 +209,7 @@ def parse_config(path) -> RunConfig:
             g = parse_potential(ensemble["g"])
         except ConfigurationError as exc:
             errors.append(f"[ensemble] g: {exc}")
+        ensemble["g"] = g
         if ensemble["n_max"] is not None:
             try:
                 ensemble["weights"] = _ensemble_weights(ensemble["weights"],
@@ -227,6 +221,7 @@ def parse_config(path) -> RunConfig:
 
     # Ensemble levels evolve under multiples of g, every other mode under U.
     U_run = g if mode == "ensemble" else U
+    filt = None
     if order in range(2, 11, 2):
         from .basis import WaveletBasis, connection_coefficients, daubechies_filter
         filt = daubechies_filter(order)
@@ -267,11 +262,10 @@ def parse_config(path) -> RunConfig:
             "invalid configuration:\n  " + "\n  ".join(errors))
 
     return RunConfig(
-        mode=mode, potential_text=potential_text, mass=mass, hbar=hbar,
-        gamma=gamma, diffusion=diffusion, order=order, j_coarse=j_coarse,
-        j_fine=j_fine, q_box=(q_min, q_max), p_box=(p_min, p_max),
-        initial=initial, dt=dt, t_end=t_end, scheme=scheme,
-        renormalize=renormalize, epsilon=epsilon, n_max=n_max, n_min=n_min,
+        mode=mode, U=U, mass=mass, hbar=hbar, gamma=gamma,
+        diffusion=diffusion, filter=filt, j_coarse=j_coarse, j_fine=j_fine,
+        q_box=(q_min, q_max), p_box=(p_min, p_max), initial=initial, dt=dt,
+        t_end=t_end, scheme=scheme, epsilon=epsilon, n_max=n_max, n_min=n_min,
         n_states=n_states, pairs=pairs, store_every=store_every,
         ensemble=ensemble, out_directory=out_directory,
         grid_resolution=grid_resolution, checkpoint_every=checkpoint_every,
@@ -370,14 +364,13 @@ def _make_run_dir(cfg: RunConfig, override) -> str:
 
 def _build_phase_space(cfg: RunConfig, j_fine=None):
     from .assembly import PhaseSpaceBasis
-    from .basis import WaveletBasis, daubechies_filter
+    from .basis import WaveletBasis
 
-    filt = daubechies_filter(cfg.order)
     j = j_fine if j_fine is not None else cfg.j_fine
-    bq = WaveletBasis(filter=filt, j_coarse=min(cfg.j_coarse, j), j_fine=j,
-                      domain=cfg.q_box)
-    bp = WaveletBasis(filter=filt, j_coarse=min(cfg.j_coarse, j), j_fine=j,
-                      domain=cfg.p_box)
+    bq = WaveletBasis(filter=cfg.filter, j_coarse=min(cfg.j_coarse, j),
+                      j_fine=j, domain=cfg.q_box)
+    bp = WaveletBasis(filter=cfg.filter, j_coarse=min(cfg.j_coarse, j),
+                      j_fine=j, domain=cfg.p_box)
     return PhaseSpaceBasis(bq, bp)
 
 
@@ -462,24 +455,22 @@ def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
 def _execute(cfg: RunConfig, run_dir, manifest):
     """Run the configured mode and write its artifacts and manifest."""
     from .diagnostics import diagnostics_report, marginals
-    from .model import parse_potential
 
     not_converged = False
-    U = parse_potential(cfg.potential_text)
     params = _model_params(cfg)
 
     # every mode hands the states it computes to one writer, the last one final
-    store = _CheckpointWriter(cfg, U, run_dir)
+    store = _CheckpointWriter(cfg, run_dir)
     if cfg.mode == "evolve":
-        _run_evolution(cfg, U, params, store)
+        _run_evolution(cfg, params, store)
     elif cfg.mode == "ensemble":
         _run_ensemble(cfg, params, store)
     elif cfg.mode == "stationary":
-        _run_stationary(cfg, U, params, manifest, store)
+        _run_stationary(cfg, params, manifest, store)
     elif cfg.mode == "moyal":
-        _run_moyal(cfg, U, params, manifest, store)
+        _run_moyal(cfg, params, manifest, store)
     elif cfg.mode == "refine":
-        not_converged = _run_refine(cfg, U, params, manifest, store)
+        not_converged = _run_refine(cfg, params, manifest, store)
     else:  # pragma: no cover - parse_config rejects unknown modes
         raise ConfigurationError(f"unhandled mode {cfg.mode!r}")
     store.finish()
@@ -511,17 +502,16 @@ def _evolution_config(cfg: RunConfig):
     from .solve import EvolutionConfig
 
     return EvolutionConfig(dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.scheme,
-                           renormalize=cfg.renormalize,
                            store_every=cfg.store_every)
 
 
-def _run_evolution(cfg, U, params, store):
+def _run_evolution(cfg, params, store):
     from .assembly import assemble_evolution
     from .solve import evolve
 
     ps = _build_phase_space(cfg)
     W0 = _initial_field(cfg, ps)
-    evolve(W0, assemble_evolution(ps, U, params), _evolution_config(cfg),
+    evolve(W0, assemble_evolution(ps, cfg.U, params), _evolution_config(cfg),
            store=store)
 
 
@@ -546,25 +536,23 @@ def _run_ensemble(cfg, params, store):
     """Stores the initial and the final superposed field."""
     from .ensemble import (FockEnsemble, evolve_fock_hierarchy,
                            incoherent_superpose)
-    from .model import parse_potential
 
     ps = _build_phase_space(cfg)
     W0 = _initial_field(cfg, ps)
     spec = cfg.ensemble
-    ens = FockEnsemble(weights=spec["weights"], U0=spec["u0"],
-                       g=parse_potential(spec["g"]),
+    ens = FockEnsemble(weights=spec["weights"], U0=spec["u0"], g=spec["g"],
                        fields=[W0.copy() for _ in spec["weights"]])
     store(incoherent_superpose(ens))
     evolved = evolve_fock_hierarchy(ens, params, _evolution_config(cfg))
     store(incoherent_superpose(evolved))
 
 
-def _run_stationary(cfg, U, params, manifest, store):
+def _run_stationary(cfg, params, manifest, store):
     from .assembly import assemble_stationary_pair
     from .solve import stationary_eigen
 
     ps = _build_phase_space(cfg)
-    A_sym, A_anti = assemble_stationary_pair(ps, U, params)
+    A_sym, A_anti = assemble_stationary_pair(ps, cfg.U, params)
     states = stationary_eigen(A_sym, A_anti, cfg.n_states)
     manifest.append("[eigenvalues]")
     for i, (eps, _) in enumerate(states):
@@ -572,14 +560,14 @@ def _run_stationary(cfg, U, params, manifest, store):
     store(states[0][1])
 
 
-def _run_moyal(cfg, U, params, manifest, store):
+def _run_moyal(cfg, params, manifest, store):
     import numpy as np
 
     from .assembly import assemble_stationary_pair
     from .solve import CoefficientField, moyal_eigen
 
     ps = _build_phase_space(cfg)
-    A_sym, A_anti = assemble_stationary_pair(ps, U, params)
+    A_sym, A_anti = assemble_stationary_pair(ps, cfg.U, params)
     pairs = moyal_eigen(A_sym, A_anti, cfg.pairs, hbar=params.hbar)
     manifest.append("[eigenvalues]")
     for i, (e_lo, e_hi, _) in enumerate(pairs):
@@ -588,14 +576,14 @@ def _run_moyal(cfg, U, params, manifest, store):
     store(CoefficientField(ps=W.ps, coeffs=np.real(W.coeffs), time=W.time))
 
 
-def _run_refine(cfg, U, params, manifest, store):
+def _run_refine(cfg, params, manifest, store):
     """Stores the accepted field; returns True when refinement did not converge."""
     from .assembly import assemble_stationary_pair
     from .solve import refine_until, stationary_eigen
 
     def solve_at_level(N):
         ps = _build_phase_space(cfg, j_fine=N)
-        A_sym, A_anti = assemble_stationary_pair(ps, U, params)
+        A_sym, A_anti = assemble_stationary_pair(ps, cfg.U, params)
         return stationary_eigen(A_sym, A_anti, 1)[0][1]
 
     W, report = refine_until(solve_at_level, cfg.epsilon, cfg.n_max,
@@ -635,8 +623,8 @@ class _CheckpointWriter:
     the final dumps read them.
     """
 
-    def __init__(self, cfg: RunConfig, U, run_dir):
-        self.cfg, self.U, self.run_dir = cfg, U, run_dir
+    def __init__(self, cfg: RunConfig, run_dir):
+        self.cfg, self.run_dir = cfg, run_dir
         self.first = self.previous = self.last = None
         self.stored = self.written = 0
         self._series = None
@@ -646,7 +634,7 @@ class _CheckpointWriter:
             from .diagnostics import HealthSeries
 
             self.first = W
-            self._series = HealthSeries(W.ps, self.U, mass=self.cfg.mass,
+            self._series = HealthSeries(W.ps, self.cfg.U, mass=self.cfg.mass,
                                         hbar=self.cfg.hbar)
             self._append("series.txt", "# " + " ".join(HealthSeries.COLUMNS))
         self.previous, self.last = self.last, W
@@ -712,7 +700,6 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    _cap_threads(args.threads)
     from .basis import connection_coefficients, daubechies_filter
 
     try:
@@ -754,7 +741,6 @@ def main(argv=None) -> int:
     p_tab = sub.add_parser("tables", help="precompute/inspect basis tables")
     p_tab.add_argument("--order", type=int, required=True)
     p_tab.add_argument("--max-deriv", type=int, default=2)
-    p_tab.add_argument("--threads", type=int, default=None)
     p_tab.set_defaults(func=_cmd_tables)
 
     args = parser.parse_args(argv)

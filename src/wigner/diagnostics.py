@@ -89,9 +89,6 @@ class Marginal:
     def evaluate(self, x):
         return self.basis.evaluate(self.coeffs, x)
 
-    def total(self) -> float:
-        return float(self.basis.integration_functional() @ self.coeffs)
-
 
 def marginals(W: CoefficientField):
     """Exact partial integration: (density over q, density over p)."""

@@ -39,13 +39,9 @@ class FockEnsemble:
         if len(self.fields) != self.weights.size:
             raise ContractError("one field required per ensemble weight")
 
-    @property
-    def n_max(self) -> int:
-        return self.weights.size - 1
-
 
 def coherent_weights(alpha: float, n_max: int) -> np.ndarray:
-    """Poissonian |w_n|^2 = e^{-|a|^2} |a|^{2n} / n!, renormalized after truncation."""
+    """Poissonian |w_n|^2 = e^{-|a|^2} |a|^{2n} / n!, scaled to sum 1 after truncation."""
     if n_max < 0:
         raise ContractError("n_max must be non-negative")
     n = np.arange(n_max + 1)

@@ -46,14 +46,6 @@ class CoefficientField:
     def copy(self) -> "CoefficientField":
         return CoefficientField(ps=self.ps, coeffs=self.coeffs.copy(), time=self.time)
 
-    @property
-    def grid(self) -> np.ndarray:
-        return self.ps.as_grid(self.coeffs)
-
-    def total_integral(self) -> float:
-        out = self.ps.integration_functional() @ self.coeffs
-        return complex(out).real if np.iscomplexobj(self.coeffs) else float(out)
-
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
@@ -63,7 +55,6 @@ class EvolutionConfig:
     dt: float
     t_end: float
     scheme: str = "implicit_midpoint"
-    renormalize: bool = False
     store_every: int = 1
 
     def __post_init__(self):
@@ -253,11 +244,7 @@ def evolve(W0: CoefficientField, L: AssembledOperator, cfg: EvolutionConfig,
         if remainder > 0.0:
             steppers[remainder] = _MidpointStepper(L, remainder)
 
-    s = W0.ps.integration_functional()
-    target = float(s @ W0.coeffs.real)
     norm0 = max(np.linalg.norm(W0.coeffs), 1e-300)
-    max_drift = 0.0
-
     last = W0.copy()
     if store is not None:
         store(last)
@@ -277,20 +264,11 @@ def evolve(W0: CoefficientField, L: AssembledOperator, cfg: EvolutionConfig,
                 last_state=last,
                 diagnostic={"t": t, "norm_ratio": float(norm / norm0)},
             )
-        if cfg.renormalize:
-            current = float(s @ c)
-            if abs(current) > 1e-14:
-                drift = abs(current - target) / max(abs(target), 1e-14)
-                max_drift = max(max_drift, drift)
-                c *= target / current
         is_last = i == len(dts) - 1
         if is_last or (i + 1) % cfg.store_every == 0:
             last = CoefficientField(ps=W0.ps, coeffs=c.copy(), time=t)
             if store is not None:
                 store(last)
-    if cfg.renormalize and max_drift > 0.0:
-        level = logging.WARNING if max_drift > 1e-6 else logging.INFO
-        logger.log(level, "renormalization drift up to %.3e over the run", max_drift)
     return last
 
 
@@ -506,8 +484,9 @@ def _from_ms_2d(ps: PhaseSpaceBasis, ms: np.ndarray) -> np.ndarray:
 
 
 def refine_until(solve_at_level, epsilon: float, n_max: int,
-                 n_min: int = None) -> tuple:
-    """Refine until ||W^{N+1} - W^N|| <= epsilon in the coefficient L2 norm.
+                 n_min: int) -> tuple:
+    """Refine from level n_min until ||W^{N+1} - W^N|| <= epsilon in the
+    coefficient L2 norm, or until level n_max.
 
     ``solve_at_level(N)`` must return a CoefficientField on a basis with
     j_fine = N; successive fields are compared after zero-pad embedding of
@@ -519,8 +498,7 @@ def refine_until(solve_at_level, epsilon: float, n_max: int,
     prev_level = None
     tried = []
     diffs = []
-    start = n_min if n_min is not None else max(2, n_max - 4)
-    for N in range(start, n_max + 1):
+    for N in range(n_min, n_max + 1):
         cur = solve_at_level(N)
         if prev is not None:
             diff = _embedding_difference(prev, cur)

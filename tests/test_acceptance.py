@@ -298,7 +298,8 @@ def test_fock_hierarchy_recombination_is_exact():
         L = assemble_evolution(ps, fock_potential(0.5, g, n), PARAMS)
         manual += w * evolve(W0, L, cfg).coeffs
     gap = np.max(np.abs(combined.coeffs - manual))
-    drift = abs(combined.total_integral() - W0.total_integral())
+    s = W0.ps.integration_functional()
+    drift = abs(s @ combined.coeffs - s @ W0.coeffs)
     elapsed = time.time() - t0
     print(f"\nPASS ensemble: recombination gap {gap:.2e} (<1e-12), "
           f"normalization drift {drift:.2e} (<1e-9), {elapsed:.1f}s (<120s)")

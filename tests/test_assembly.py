@@ -34,8 +34,8 @@ def test_flat_index_is_q_major(ps6):
     assert ps6.as_grid(c)[3, 5] == 3 * npp + 5
 
 
-def test_integration_functional_gaussian(gaussian_field6w):
-    assert abs(gaussian_field6w.total_integral() - 1.0) < 1e-10
+def test_integration_functional_gaussian(ps6w, gaussian_field6w):
+    assert abs(ps6w.integration_functional() @ gaussian_field6w.coeffs - 1.0) < 1e-10
 
 
 def test_project_rejects_bad_length(ps6):
@@ -67,13 +67,11 @@ def test_add_and_scale(ps6):
     two = T + T
     c = np.random.default_rng(1).normal(size=ps6.dim)
     np.testing.assert_allclose(two.apply(c), 2 * T.apply(c), atol=1e-13)
-    np.testing.assert_allclose(T.scaled(-3.0).apply(c), -3 * T.apply(c),
-                               atol=1e-13)
 
 
 def test_zero_operator(ps6):
     Z = AssembledOperator(ps=ps6, terms=[])
-    assert Z.is_zero
+    assert not Z.terms
     assert not Z.is_complex
     np.testing.assert_allclose(Z.apply(np.ones(ps6.dim)), 0.0)
 
@@ -84,7 +82,7 @@ def test_sparsity_band(ps6):
                            ModelParams(gamma=0.1, diffusion=0.1))
     M = L.matrix()
     # single tables span offsets -(order-2)..order-2; the friction product
-    # M1 @ D doubles the band, so 4(order-2)+1 bounds every factor
+    # D @ M1 doubles the band, so 4(order-2)+1 bounds every factor
     band = 4 * (ps6.basis_q.filter.order - 2) + 1
     nnz_per_row = np.diff(M.indptr)
     assert nnz_per_row.max() <= band * band
@@ -143,7 +141,7 @@ def test_pure_p_potential_rejected():
 
 
 def test_dissipator_tags_and_emptiness(ps6):
-    assert assemble_dissipator(ps6, PARAMS).is_zero
+    assert not assemble_dissipator(ps6, PARAMS).terms
     D = assemble_dissipator(ps6, ModelParams(gamma=0.2, diffusion=0.1))
     assert [t.tag for t in D.terms] == ["dissipator_friction", "dissipator_diffusion"]
 
@@ -166,10 +164,17 @@ def test_friction_second_moment_rate(ps6w, gaussian_field6w):
 
 
 def test_generator_conserves_total_integral(ps6w, gaussian_field6w):
+    """Every term of L is an exact derivative, so s . L c = 0 to roundoff,
+    also for Gaussians whose tails reach the periodic wrap in p (p0 = 4, 5
+    on +-6), where a product-rule friction term leaks integral."""
     L = assemble_evolution(ps6w, parse_potential("0.5*q^2 + 0.1*q^4"),
                            ModelParams(gamma=0.2, diffusion=0.1))
     s = ps6w.integration_functional()
-    assert abs(s @ L.apply(gaussian_field6w.coeffs)) < 1e-8
+    fields = [gaussian_field6w.coeffs] + [
+        ps6w.project(lambda q, p, p0=p0: np.exp(-q ** 2 - (p - p0) ** 2) / np.pi)
+        for p0 in (4.0, 5.0)]
+    for c in fields:
+        assert abs(s @ L.apply(c)) < 1e-12
 
 
 def _p_moment(ps, coeffs, power):

@@ -24,7 +24,6 @@ from wigner.cli import (
 )
 from wigner.diagnostics import HealthSeries
 from wigner.errors import ConfigurationError
-from wigner.model import parse_potential
 from wigner.solve import _MidpointStepper, evolve
 
 MINIMAL = """\
@@ -166,12 +165,12 @@ def test_dump_grid_rejects_tiny_resolution(tmp_path, gaussian_field6):
 def test_run_dir_suffixing(tmp_path):
     from wigner.cli import RunConfig
 
-    cfg = RunConfig(mode="evolve", potential_text="0", mass=1, hbar=1, gamma=0,
-                    diffusion=0, order=6, j_coarse=3, j_fine=4,
+    cfg = RunConfig(mode="evolve", U=None, mass=1, hbar=1, gamma=0,
+                    diffusion=0, filter=None, j_coarse=3, j_fine=4,
                     q_box=(-4, 4), p_box=(-4, 4), initial={}, dt=0.1,
-                    t_end=1.0, scheme="implicit_midpoint", renormalize=False,
-                    epsilon=1e-4, n_max=6, n_min=4, n_states=4, pairs=4,
-                    store_every=1, ensemble=None, out_directory=None,
+                    t_end=1.0, scheme="implicit_midpoint", epsilon=1e-4,
+                    n_max=6, n_min=4, n_states=4, pairs=4, store_every=1,
+                    ensemble=None, out_directory=None,
                     grid_resolution=16, checkpoint_every=10, thresholds={})
     d0 = _make_run_dir(cfg, str(tmp_path))
     d1 = _make_run_dir(cfg, str(tmp_path))
@@ -191,6 +190,10 @@ def test_validate_command(tmp_path, capsys):
     assert "config ok" in capsys.readouterr().out
     bad = _write(tmp_path, MINIMAL.replace("mode = evolve", "mode = x"), "b.ini")
     assert main(["validate", bad]) == EXIT_CONFIG
+    # the generator conserves the integral, so there is no rescale to ask for
+    gone = _write(tmp_path, MINIMAL + "renormalize = true\n", "c.ini")
+    assert main(["validate", gone]) == EXIT_CONFIG
+    assert "unknown key 'renormalize'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edits", [
@@ -398,8 +401,7 @@ def test_checkpoints_thin_the_full_trajectory(tmp_path, steps, every):
 
     cfg = parse_config(_write(tmp_path, text))
     ps = _build_phase_space(cfg)
-    L = assemble_evolution(ps, parse_potential(cfg.potential_text),
-                           _model_params(cfg))
+    L = assemble_evolution(ps, cfg.U, _model_params(cfg))
     fields = []
     evolve(_initial_field(cfg, ps), L, _evolution_config(cfg),
            store=fields.append)

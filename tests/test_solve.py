@@ -169,14 +169,20 @@ def test_unstable_run_aborts(ps6, gaussian_field6):
     assert exc.value.diagnostic["norm_ratio"] > 1e6
 
 
-def test_renormalize_keeps_integral(ps6, gaussian_field6):
-    L = assemble_evolution(ps6, parse_potential("0.5*q^2"), PARAMS)
-    cfg = EvolutionConfig(dt=0.05, t_end=0.5, renormalize=True)
-    traj = []
-    evolve(gaussian_field6, L, cfg, store=traj.append)
-    target = gaussian_field6.total_integral()
-    for W in traj:
-        assert abs(W.total_integral() - target) < 1e-12
+def test_evolve_conserves_integral(ps6):
+    """The generator conserves iint W term by term, so every stored state
+    keeps the initial integral without any rescaling, friction included."""
+    s = ps6.integration_functional()
+    damped = ModelParams(gamma=0.2, diffusion=0.1)
+    for expr, params, p0 in [("0.5*q^2", PARAMS, 0.0),
+                             ("0.5*q^2 + 0.1*q^4", damped, 0.0),
+                             ("0.5*q^2 + 0.1*q^4", damped, 2.0)]:
+        L = assemble_evolution(ps6, parse_potential(expr), params)
+        W0 = _field(ps6, lambda q, p: np.exp(-q ** 2 - (p - p0) ** 2) / np.pi)
+        traj = []
+        evolve(W0, L, EvolutionConfig(dt=0.05, t_end=0.5), store=traj.append)
+        for W in traj:
+            assert abs(s @ W.coeffs - s @ W0.coeffs) < 1e-12
 
 
 def _spsolve_midpoint(L, c, dts):
@@ -269,7 +275,7 @@ def test_stationary_eigen_harmonic(harmonic_small):
     states = stationary_eigen(*assemble_stationary_pair(ps, U, PARAMS), 3)
     for n, (eps, W) in enumerate(states):
         assert abs(eps - (n + 0.5)) < 5e-3
-        assert abs(W.total_integral() - 1.0) < 1e-8
+        assert abs(W.ps.integration_functional() @ W.coeffs - 1.0) < 1e-8
 
 
 @pytest.mark.parametrize("expr, hbar, box, j_fine", [
@@ -286,7 +292,7 @@ def test_stationary_eigen_shifted_and_scaled_oscillator(expr, hbar, box, j_fine)
     states = stationary_eigen(A_sym, A_anti, 3)
     for n, (eps, W) in enumerate(states):
         assert abs(eps - (hbar * (n + 0.5) + U(0.0))) < 5e-3
-        assert abs(W.total_integral() - 1.0) < 1e-8
+        assert abs(W.ps.integration_functional() @ W.coeffs - 1.0) < 1e-8
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.5])
@@ -341,7 +347,7 @@ def test_stationary_eigen_anharmonic_matches_fd_oracle():
     assert np.all(np.diff(eps) > 0)
     assert np.max(np.abs(eps - ref)) < 5e-3
     for _, W in states:
-        assert abs(W.total_integral() - 1.0) < 1e-8
+        assert abs(W.ps.integration_functional() @ W.coeffs - 1.0) < 1e-8
 
 
 def test_stationary_eigen_double_well_fails_closed():
@@ -457,7 +463,7 @@ def test_refine_until_not_converged():
 
 def test_refine_epsilon_positive():
     with pytest.raises(ContractError):
-        refine_until(lambda N: None, epsilon=0.0, n_max=5)
+        refine_until(lambda N: None, epsilon=0.0, n_max=5, n_min=3)
 
 
 # ---------------------------------------------------------------------------
