@@ -10,7 +10,7 @@ form, which no solver uses: tests take it as the direct-solve reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import factorial
 
 import numpy as np
@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .basis import WaveletBasis
 from .errors import ConfigurationError, ContractError
-from .model import ModelParams, PolynomialPotential, derivative, moyal_truncation
+from .model import ModelParams, PolynomialPotential, derivative
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,10 @@ class AssembledOperator:
             raise ContractError("cannot add operators on different bases")
         return AssembledOperator(ps=self.ps, terms=self.terms + other.terms)
 
+    def __neg__(self) -> "AssembledOperator":
+        return AssembledOperator(
+            ps=self.ps, terms=[replace(t, coeff=-t.coeff) for t in self.terms])
+
 
 def _poly_mult_matrix(basis: WaveletBasis, coeffs) -> np.ndarray:
     """Galerkin matrix of multiplication by sum_n coeffs[n] x^n (exact tables)."""
@@ -186,32 +190,44 @@ def assemble_transport(ps: PhaseSpaceBasis, params: ModelParams) -> AssembledOpe
     )
 
 
+def _potential_series(ps: PhaseSpaceBasis, U: PolynomialPotential, hbar: float,
+                      parity: int) -> list:
+    """Terms of U(q + (i hbar/2) d/dp) = sum_r ((i hbar/2)^r / r!) U^(r)(q) d^r/dp^r
+    of one parity, as real coefficients.
+
+    Term r = 2l + parity carries (-1)^l (hbar/2)^(2l) / r!  *  U^(r)(q) (x) d^r/dp^r
+    for r <= deg U, skipping each r with U^(r) = 0.  The odd part (parity 1)
+    is the force and its hbar^2 corrections in the Wigner equation; the even
+    part (parity 0) is the potential of the stationary star-genvalue equation,
+    whose r = 0 term has the identity as its p factor.
+    """
+    names = ("force", "quantum_l") if parity else ("potential", "stationary_sym_l")
+    half_h = hbar / 2.0
+    terms = []
+    for r in range(parity, U.degree + 1, 2):
+        dU = derivative(U, r)
+        if dU.is_zero:
+            continue
+        l = r // 2
+        coeff = ((-1.0) ** l) * half_h ** (2 * l) / factorial(r)
+        try:
+            Lam = _identity(ps.basis_p) if r == 0 else ps.basis_p.derivative_matrix(0, r)
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                f"momentum-derivative order {r} needed by the potential series "
+                f"is not supported: {exc}"
+            ) from exc
+        tag = names[0] if l == 0 else f"{names[1]}{l}"
+        terms.append(OperatorTerm(tag, coeff, _poly_mult_matrix(ps.basis_q, dU.coeffs_q), Lam))
+    return terms
+
+
 def assemble_quantum_correction(
     ps: PhaseSpaceBasis, U: PolynomialPotential, params: ModelParams
 ) -> AssembledOperator:
-    """Force term plus the finite hbar^2l series of odd-derivative corrections.
-
-    Term l carries (-1)^l (hbar/2)^(2l) / (2l+1)!  *  U^(2l+1)(q) d^(2l+1)/dp^(2l+1).
-    """
-    L = moyal_truncation(U)
-    terms = []
-    half_h = params.hbar / 2.0
-    for l in range(L + 1):
-        dU = derivative(U, 2 * l + 1)
-        if dU.is_zero:
-            continue
-        coeff = ((-1.0) ** l) * half_h ** (2 * l) / factorial(2 * l + 1)
-        PM = _poly_mult_matrix(ps.basis_q, dU.coeffs_q)
-        try:
-            Lam = ps.basis_p.derivative_matrix(0, 2 * l + 1)
-        except ConfigurationError as exc:
-            raise ConfigurationError(
-                f"momentum-derivative order {2 * l + 1} needed by the quantum "
-                f"correction is not supported: {exc}"
-            ) from exc
-        tag = "force" if l == 0 else f"quantum_l{l}"
-        terms.append(OperatorTerm(tag, coeff, PM, Lam))
-    return AssembledOperator(ps=ps, terms=terms)
+    """Force term plus the finite hbar^2l series of odd-derivative corrections:
+    the odd part of ``_potential_series``."""
+    return AssembledOperator(ps=ps, terms=_potential_series(ps, U, params.hbar, 1))
 
 
 def assemble_dissipator(ps: PhaseSpaceBasis, params: ModelParams) -> AssembledOperator:
@@ -259,47 +275,22 @@ def assemble_stationary_pair(
 
     A_sym W = ((E' + E'')/2) W   and   A_anti W = (i/hbar)(E'' - E') W
     on exact two-sided eigenfields; A_sym is symmetric, A_anti antisymmetric.
+    A_sym is the kinetic term, the even potential series and the hbar^2
+    curvature; A_anti is minus the Hamiltonian part of the evolution
+    generator, transport plus the odd series.
     """
     m = params.mass
-    half_h = params.hbar / 2.0
-    Iq = _identity(ps.basis_q)
-    Ip = _identity(ps.basis_p)
-    M1p = ps.basis_p.moment_matrix(1)
-    M2p = ps.basis_p.moment_matrix(2)
-    Dq = ps.basis_q.derivative_matrix(0, 1)
-
-    sym_terms = [OperatorTerm("kinetic", 0.5 / m, Iq, M2p)]
-    if not U.is_zero:
-        sym_terms.append(OperatorTerm("potential", 1.0, _poly_mult_matrix(ps.basis_q, U.coeffs_q), Ip))
-    sym_terms.append(
-        OperatorTerm("stationary_sym", -params.hbar ** 2 / (8.0 * m),
-                     ps.basis_q.derivative_matrix(0, 2), Ip)
+    even = _potential_series(ps, U, params.hbar, 0)
+    # even[:1] is the r = 0 term U(q) (x) I, present whenever U is nonzero
+    sym_terms = (
+        [OperatorTerm("kinetic", 0.5 / m, _identity(ps.basis_q), ps.basis_p.moment_matrix(2))]
+        + even[:1]
+        + [OperatorTerm("stationary_sym", -params.hbar ** 2 / (8.0 * m),
+                        ps.basis_q.derivative_matrix(0, 2), _identity(ps.basis_p))]
+        + even[1:]
     )
-    l = 1
-    while not derivative(U, 2 * l).is_zero:
-        dU = derivative(U, 2 * l)
-        coeff = ((-1.0) ** l) * half_h ** (2 * l) / factorial(2 * l)
-        sym_terms.append(
-            OperatorTerm(f"stationary_sym_l{l}", coeff,
-                         _poly_mult_matrix(ps.basis_q, dU.coeffs_q),
-                         ps.basis_p.derivative_matrix(0, 2 * l))
-        )
-        l += 1
-
-    anti_terms = [OperatorTerm("transport", 1.0 / m, Dq, M1p)]
-    l = 0
-    while not derivative(U, 2 * l + 1).is_zero:
-        dU = derivative(U, 2 * l + 1)
-        coeff = -((-1.0) ** l) * half_h ** (2 * l) / factorial(2 * l + 1)
-        anti_terms.append(
-            OperatorTerm(f"stationary_antisym_l{l}", coeff,
-                         _poly_mult_matrix(ps.basis_q, dU.coeffs_q),
-                         ps.basis_p.derivative_matrix(0, 2 * l + 1))
-        )
-        l += 1
-
     A_sym = AssembledOperator(ps=ps, terms=sym_terms)
-    A_anti = AssembledOperator(ps=ps, terms=anti_terms)
+    A_anti = -(assemble_transport(ps, params) + assemble_quantum_correction(ps, U, params))
     return A_sym, A_anti
 
 

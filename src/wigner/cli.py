@@ -41,8 +41,9 @@ _KNOWN_KEYS = {
 
 @dataclass
 class RunConfig:
-    """A validated run: the potential U, the ensemble coupling g and the
-    filter come parsed, so no run step parses or builds them again."""
+    """A validated run: the potential U, the ensemble coupling g, the filter
+    and the classifier thresholds come parsed, so no run step parses or
+    builds them again."""
 
     mode: str
     U: object
@@ -69,7 +70,7 @@ class RunConfig:
     out_directory: str
     grid_resolution: int
     checkpoint_every: int
-    thresholds: dict
+    thresholds: object
     raw_text: str = ""
 
 
@@ -123,15 +124,12 @@ def parse_config(path) -> RunConfig:
     hbar = get("model", "hbar", 1.0, float)
     gamma = get("model", "gamma", 0.0, float)
     diffusion = get("model", "diffusion", 0.0, float)
-    if mass is not None and mass <= 0:
-        errors.append("[model] mass must be positive")
-    if hbar is not None and hbar <= 0:
-        errors.append("[model] hbar must be positive")
-    if gamma is not None and gamma < 0:
-        errors.append("[model] gamma must be non-negative")
-    if diffusion is not None and diffusion < 0:
-        errors.append("[model] diffusion must be non-negative")
-    from .model import parse_potential
+    from .model import ModelParams, parse_potential
+    try:
+        params = ModelParams(mass=mass, hbar=hbar, gamma=gamma, diffusion=diffusion)
+    except ConfigurationError as exc:
+        params = None
+        errors.append(f"[model] {exc}")
     try:
         U = parse_potential(potential_text)
     except ConfigurationError as exc:
@@ -223,7 +221,7 @@ def parse_config(path) -> RunConfig:
     U_run = g if mode == "ensemble" else U
     filt = None
     if order in range(2, 11, 2):
-        from .basis import WaveletBasis, connection_coefficients, daubechies_filter
+        from .basis import WaveletBasis, daubechies_filter
         filt = daubechies_filter(order)
         # The coarsest basis the mode builds (refine mode starts at n_min);
         # its size check reads only the order and the finest level.
@@ -234,10 +232,9 @@ def parse_config(path) -> RunConfig:
                 WaveletBasis(filter=filt, j_coarse=j, j_fine=j, domain=(0.0, 1.0))
             except ConfigurationError as exc:
                 errors.append(f"{key}: {exc}")
-        if U_run is not None:
+        if None not in (U_run, params):
             try:
-                for d in sorted(_derivative_orders(mode, U_run, diffusion)):
-                    connection_coefficients(filt, 0, d)
+                _assemble_smallest(mode, filt, U_run, params)
             except ConfigurationError as exc:
                 errors.append(f"[basis] order {order}: {exc}")
 
@@ -249,13 +246,17 @@ def parse_config(path) -> RunConfig:
     if checkpoint_every is not None and checkpoint_every < 1:
         errors.append("[output] checkpoint_every must be >= 1")
 
-    thresholds = {
-        "theta_loc": get("diagnostics", "theta_loc", 0.05, float),
-        "theta_chaos": get("diagnostics", "theta_chaos", 0.5, float),
-        "theta_stab": get("diagnostics", "theta_stab", 1e-3, float),
-        "theta_frac": get("diagnostics", "theta_frac", 0.9, float),
-        "top_k": get("diagnostics", "top_k", 32, int),
-    }
+    from .diagnostics import ClassifierThresholds
+    try:
+        thresholds = ClassifierThresholds(
+            theta_loc=get("diagnostics", "theta_loc", 0.05, float),
+            theta_chaos=get("diagnostics", "theta_chaos", 0.5, float),
+            theta_stab=get("diagnostics", "theta_stab", 1e-3, float),
+            theta_frac=get("diagnostics", "theta_frac", 0.9, float),
+            top_k=get("diagnostics", "top_k", 32, int),
+        )
+    except ConfigurationError as exc:
+        errors.append(f"[diagnostics] {exc}")
 
     if errors:
         raise ConfigurationError(
@@ -273,17 +274,23 @@ def parse_config(path) -> RunConfig:
     )
 
 
-def _derivative_orders(mode, U, diffusion) -> set:
-    """Orders of the derivative tables that assembling the mode's operator reads."""
-    from .model import moyal_truncation
+def _assemble_smallest(mode, filt, U, params):
+    """Assemble the mode's operator on the smallest basis the filter allows.
 
-    if mode in ("evolve", "ensemble"):
-        # transport and friction d/dp, force and hbar^2 terms d^(2l+1)/dp^(2l+1),
-        # diffusion d^2/dp^2
-        orders = {1} | {2 * l + 1 for l in range(moyal_truncation(U) + 1)}
-        return orders | {2} if diffusion else orders
-    # d/dq, d^2/dq^2 and every d^r/dp^r up to the degree of U
-    return set(range(1, max(2, U.degree) + 1))
+    Which tables an operator reads depends on the mode, U and the filter
+    order, not on the basis size, so this raises the ConfigurationError that
+    the run's own assembly would.
+    """
+    from .assembly import (PhaseSpaceBasis, assemble_evolution,
+                           assemble_stationary_pair)
+    from .basis import WaveletBasis
+
+    need = max(filt.order, 2 * filt.order - 4)
+    j = (need - 1).bit_length()
+    b = WaveletBasis(filter=filt, j_coarse=j, j_fine=j, domain=(0.0, 1.0))
+    assemble = assemble_evolution if mode in ("evolve", "ensemble") \
+        else assemble_stationary_pair
+    assemble(PhaseSpaceBasis(b, b), U, params)
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +326,18 @@ def load_grid(path):
         magic = fh.readline().strip()
         if magic != "WGRID 1":
             raise ConfigurationError(f"{path}: not a WGRID 1 file")
-        parts = fh.readline().split()
-        nq, np_rows = int(parts[0]), int(parts[1])
-        header = {
-            "nq": nq, "np": np_rows,
-            "qmin": float(parts[2]), "qmax": float(parts[3]),
-            "pmin": float(parts[4]), "pmax": float(parts[5]),
-            "time": float(parts[6]),
-        }
-        data = np.loadtxt(fh)
+        try:
+            parts = fh.readline().split()
+            nq, np_rows = int(parts[0]), int(parts[1])
+            header = {
+                "nq": nq, "np": np_rows,
+                "qmin": float(parts[2]), "qmax": float(parts[3]),
+                "pmin": float(parts[4]), "pmax": float(parts[5]),
+                "time": float(parts[6]),
+            }
+            data = np.loadtxt(fh)
+        except (IndexError, ValueError) as exc:
+            raise ConfigurationError(f"{path}: malformed WGRID 1 file: {exc}") from exc
     data = np.atleast_2d(data)
     if data.shape != (np_rows, nq):
         raise ConfigurationError(f"{path}: grid shape mismatch")
@@ -399,12 +409,6 @@ def _model_params(cfg: RunConfig):
                        diffusion=cfg.diffusion)
 
 
-def _thresholds(cfg: RunConfig):
-    from .diagnostics import ClassifierThresholds
-
-    return ClassifierThresholds(**cfg.thresholds)
-
-
 def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
     """Execute a validated config; writes manifest and artifacts; exit code.
 
@@ -430,6 +434,7 @@ def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
         cfg.raw_text.rstrip(),
         "",
     ]
+    report = None
     try:
         report, not_converged = _execute(cfg, run_dir, manifest)
     except WignerError as exc:
@@ -437,7 +442,10 @@ def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
             code, message = EXIT_CONFIG, f"configuration error: {exc}"
         else:
             code, message = EXIT_NUMERICAL, f"numerical error: {exc}"
-        _write_failure(run_dir, manifest, message)
+        manifest += ["", f"error = {message}"]
+    with open(os.path.join(run_dir, "manifest.txt"), "w") as fh:
+        fh.write("\n".join(manifest) + "\n")
+    if report is None:
         print(message, file=sys.stderr)
         return code
 
@@ -453,7 +461,7 @@ def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
 
 
 def _execute(cfg: RunConfig, run_dir, manifest):
-    """Run the configured mode and write its artifacts and manifest."""
+    """Run the configured mode, write its artifacts and fill ``manifest``."""
     from .diagnostics import diagnostics_report, marginals
 
     not_converged = False
@@ -489,12 +497,9 @@ def _execute(cfg: RunConfig, run_dir, manifest):
                    os.path.join(run_dir, "marginal_p.txt"))
 
     report = diagnostics_report(final, store.previous, hbar=cfg.hbar,
-                                thresholds=_thresholds(cfg))
+                                thresholds=cfg.thresholds)
     manifest += ["", "[diagnostics]", report.to_text().rstrip(), ""]
     manifest.append(f"converged = {not not_converged}")
-
-    with open(os.path.join(run_dir, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(manifest) + "\n")
     return report, not_converged
 
 
@@ -527,6 +532,8 @@ def _ensemble_weights(text, n_max):
     weights = np.array([float(tok) for tok in text.replace(",", " ").split()])
     if weights.size != n_max + 1:
         raise ConfigurationError(f"expected {n_max + 1} weights, got {weights.size}")
+    if not np.all(np.isfinite(weights)):
+        raise ConfigurationError("weights must be finite")
     if np.any(weights < 0) or not weights.sum() > 0:
         raise ConfigurationError("weights must be non-negative with a positive sum")
     return weights / weights.sum()
@@ -659,12 +666,6 @@ class _CheckpointWriter:
     def _append(self, name, line):
         with open(os.path.join(self.run_dir, name), "a") as fh:
             fh.write(line + "\n")
-
-
-def _write_failure(run_dir, manifest, message):
-    manifest += ["", f"error = {message}"]
-    with open(os.path.join(run_dir, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(manifest) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .errors import ConfigurationError, DegenerateInputError
 from .solve import CoefficientField, _to_ms_2d
 
 
@@ -19,6 +19,17 @@ class ClassifierThresholds:
     theta_stab: float = 1e-3
     theta_frac: float = 0.9
     top_k: int = 32
+
+    def __post_init__(self):
+        bad = [f"{name} must lie in (0, 1]"
+               for name in ("theta_loc", "theta_chaos", "theta_frac")
+               if not 0 < getattr(self, name) <= 1]
+        if not self.theta_stab > 0:
+            bad.append("theta_stab must be positive")
+        if not self.top_k >= 1:
+            bad.append("top_k must be >= 1")
+        if bad:
+            raise ConfigurationError("; ".join(bad))
 
 
 @dataclass

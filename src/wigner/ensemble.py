@@ -44,6 +44,8 @@ def coherent_weights(alpha: float, n_max: int) -> np.ndarray:
     """Poissonian |w_n|^2 = e^{-|a|^2} |a|^{2n} / n!, scaled to sum 1 after truncation."""
     if n_max < 0:
         raise ContractError("n_max must be non-negative")
+    if not math.isfinite(alpha):
+        raise ConfigurationError(f"coherent amplitude must be finite (got {alpha!r})")
     n = np.arange(n_max + 1)
     logw = -abs(alpha) ** 2 + 2 * n * np.log(max(abs(alpha), 1e-300)) - \
         np.array([math.lgamma(k + 1) for k in n])

@@ -1,4 +1,4 @@
-"""Polynomial Hamiltonian data: potentials, derivatives, series truncation.
+"""Polynomial Hamiltonian data: potentials and their derivatives.
 
 The kinetic term p^2/2m is implicit; ``PolynomialPotential`` holds the
 polynomial potential U(q).  Potentials depend on q only: ``parse_potential``
@@ -65,21 +65,6 @@ def derivative(U: PolynomialPotential, order: int = 1) -> PolynomialPotential:
     return PolynomialPotential(coeffs_q=tuple(cq))
 
 
-def moyal_truncation(U: PolynomialPotential) -> int:
-    """Largest l with nonvanishing (2l+1)-th q-derivative; -1 if none.
-
-    Quadratic U keeps only the l = 0 classical force term; the hbar series of
-    the evolution equation terminates at this l for polynomial U.
-    """
-    L = -1
-    l = 0
-    while 2 * l + 1 <= max(len(U.coeffs_q) - 1, 0):
-        if not derivative(U, 2 * l + 1).is_zero:
-            L = l
-        l += 1
-    return L
-
-
 def fock_potential(U0: float, g: PolynomialPotential, n: int) -> PolynomialPotential:
     """Effective potential U_n(x) = U0 * n * g(x) for the n-photon Fock level."""
     if n < 0:
@@ -97,14 +82,12 @@ class ModelParams:
     diffusion: float = 0.0
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ConfigurationError("mass must be positive")
-        if self.hbar <= 0:
-            raise ConfigurationError("hbar must be positive")
-        if self.gamma < 0:
-            raise ConfigurationError("gamma must be non-negative")
-        if self.diffusion < 0:
-            raise ConfigurationError("diffusion must be non-negative")
+        bad = [f"{name} must be positive" for name in ("mass", "hbar")
+               if not getattr(self, name) > 0]
+        bad += [f"{name} must be non-negative" for name in ("gamma", "diffusion")
+                if not getattr(self, name) >= 0]
+        if bad:
+            raise ConfigurationError("; ".join(bad))
 
 
 _TERM_RE = re.compile(

@@ -16,7 +16,7 @@ from wigner.assembly import (
 )
 from wigner.basis import WaveletBasis, daubechies_filter
 from wigner.errors import ConfigurationError, ContractError
-from wigner.model import ModelParams, parse_potential
+from wigner.model import ModelParams, PolynomialPotential, parse_potential
 from wigner.solve import CoefficientField
 
 PARAMS = ModelParams()
@@ -102,9 +102,10 @@ def test_assembly_deterministic(ps6):
 def test_transport_action_oracle(ps6w):
     """-(p/m) dW/dq on a projected Gaussian, against the analytic image."""
     W = ps6w.project(lambda q, p: np.exp(-q ** 2 - p ** 2))
-    ref = ps6w.project(lambda q, p: 2.0 * q * p * np.exp(-q ** 2 - p ** 2))
-    got = assemble_transport(ps6w, PARAMS).apply(W)
-    assert np.max(np.abs(got - ref)) < 5e-5
+    for m in (1.0, 2.0):
+        ref = ps6w.project(lambda q, p: 2.0 * q * p / m * np.exp(-q ** 2 - p ** 2))
+        got = assemble_transport(ps6w, ModelParams(mass=m)).apply(W)
+        assert np.max(np.abs(got - ref)) < 5e-5, m
 
 
 def test_transport_annihilates_q_constants(ps6):
@@ -131,6 +132,23 @@ def test_quadratic_potential_has_no_corrections(ps6):
 def test_quartic_potential_single_correction(ps6):
     A = assemble_quantum_correction(ps6, parse_potential("0.25*q^4"), PARAMS)
     assert [t.tag for t in A.terms] == ["force", "quantum_l1"]
+
+
+@pytest.mark.parametrize("coeffs,tags", [
+    ((), []),
+    ((1.0, 2.0, 3.0), ["force"]),                    # classical force only
+    ((0.0, 0.0, 0.0, 1.0), ["force", "quantum_l1"]),  # first odd correction
+    ((0.0,) * 4 + (1.0,), ["force", "quantum_l1"]),
+    ((0.0,) * 5 + (1.0,), ["force", "quantum_l1", "quantum_l2"]),
+], ids=["zero", "quadratic", "cubic", "quartic", "quintic"])
+def test_quantum_correction_series_ends_at_the_degree(coeffs, tags):
+    """The odd series of U(q + (i hbar/2) d/dp) stops at the last nonzero odd
+    derivative of U; order 10 carries d^5/dp^5."""
+    filt = daubechies_filter(10)
+    mk = lambda: WaveletBasis(filter=filt, j_coarse=3, j_fine=4, domain=(-4.0, 4.0))
+    A = assemble_quantum_correction(PhaseSpaceBasis(mk(), mk()),
+                                    PolynomialPotential(coeffs_q=coeffs), PARAMS)
+    assert [t.tag for t in A.terms] == tags
 
 
 def test_pure_p_potential_rejected():
@@ -229,7 +247,8 @@ def test_cubic_pair_has_series_terms(ps6):
     A_sym, A_anti = assemble_stationary_pair(
         ps6, parse_potential("0.1*q^3"), PARAMS)
     assert "stationary_sym_l1" in [t.tag for t in A_sym.terms]
-    assert "stationary_antisym_l1" in [t.tag for t in A_anti.terms]
+    # A_anti is minus the generator's transport and odd potential series
+    assert [t.tag for t in A_anti.terms] == ["transport", "force", "quantum_l1"]
     S, K = A_sym.dense(), A_anti.dense()
     assert np.max(np.abs(S - S.T)) < 1e-10 * np.max(np.abs(S))
     assert np.max(np.abs(K + K.T)) < 1e-10 * np.max(np.abs(S))

@@ -73,7 +73,7 @@ def test_parse_minimal_config_defaults(tmp_path):
     assert cfg.q_box == (-4.0, 4.0) and cfg.p_box == (-4.0, 4.0)
     assert cfg.scheme == "implicit_midpoint"
     assert cfg.initial["type"] == "gaussian"
-    assert cfg.thresholds["theta_loc"] == 0.05
+    assert cfg.thresholds.theta_loc == 0.05
     assert cfg.raw_text.startswith("[run]")
 
 
@@ -152,9 +152,12 @@ def test_grid_round_trip(tmp_path, gaussian_field6):
 
 def test_load_grid_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.wgrid"
-    path.write_text("GRID 2\n1 1 0 1 0 1 0\n0\n")
-    with pytest.raises(ConfigurationError, match="WGRID"):
-        load_grid(str(path))
+    # wrong magic, a truncated header, a non-numeric header, unparseable rows
+    for text in ("GRID 2\n1 1 0 1 0 1 0\n0\n", "WGRID 1\n4 4\n",
+                 "WGRID 1\nfour 4 0 1 0 1 0\n", "WGRID 1\n1 1 0 1 0 1 0\nx\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match="bad.wgrid.*WGRID"):
+            load_grid(str(path))
 
 
 def test_dump_grid_rejects_tiny_resolution(tmp_path, gaussian_field6):
@@ -228,11 +231,26 @@ def test_validate_command(tmp_path, capsys):
     [("t_end = 0.1", "t_end = 0.1\n\n[initial]\nnorm = 0")],
     [("t_end = 0.1", "t_end = 0.1\n\n[initial]\nnorm = nan")],
     [("dt = 0.05", "dt = nan")],
+    # a non-finite amplitude or weight gives non-finite Fock weights
+    [("mode = evolve", "mode = ensemble"),
+     ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\nn_max = 2\nweights = coherent:nan")],
+    [("mode = evolve", "mode = ensemble"),
+     ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\nn_max = 2\nweights = coherent:inf")],
+    [("mode = evolve", "mode = ensemble"),
+     ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\nn_max = 1\nweights = inf 1")],
+    # classifier thresholds: top_k >= 1, theta_stab > 0, fractions in (0, 1]
+    [("t_end = 0.1", "t_end = 0.1\n\n[diagnostics]\ntop_k = -5")],
+    [("t_end = 0.1", "t_end = 0.1\n\n[diagnostics]\ntheta_frac = 7")],
+    [("t_end = 0.1", "t_end = 0.1\n\n[diagnostics]\ntheta_loc = 0")],
+    [("t_end = 0.1", "t_end = 0.1\n\n[diagnostics]\ntheta_chaos = 1.5")],
+    [("t_end = 0.1", "t_end = 0.1\n\n[diagnostics]\ntheta_stab = 0")],
 ], ids=["lindblad", "pure_p", "p_term", "n_states", "pairs", "n_min",
         "ensemble_weights", "filter_too_rough", "q9_evolve", "q9_stationary",
         "support_too_coarse", "moment_band_too_coarse", "refine_n_min_too_coarse",
         "store_every", "checkpoint_every", "sigma_q", "negative_weight",
-        "zero_weights", "zero_norm", "nan_norm", "nan_dt"])
+        "zero_weights", "zero_norm", "nan_norm", "nan_dt", "coherent_nan",
+        "coherent_inf", "inf_weight", "top_k", "theta_frac", "theta_loc",
+        "theta_chaos", "theta_stab"])
 def test_validate_rejects_what_run_would(tmp_path, edits):
     assert main(["validate", _write(tmp_path, _edited(edits))]) == EXIT_CONFIG
 

@@ -14,7 +14,7 @@ from wigner.diagnostics import (
     scale_entropy,
     standard_moments,
 )
-from wigner.errors import DegenerateInputError
+from wigner.errors import ConfigurationError, DegenerateInputError
 from wigner.solve import CoefficientField, _from_ms_2d
 
 
@@ -160,6 +160,16 @@ def test_classifier_custom_thresholds(ps6):
     W = CoefficientField(ps=ps6, coeffs=_from_ms_2d(ps6, ms))
     strict = ClassifierThresholds(theta_chaos=0.999)
     assert classify(W, thresholds=strict) == "unclassified"
+
+
+def test_classifier_thresholds_reject_out_of_range_values():
+    """top_k -5 would rank e[:-5]; a fraction above 1 is never reached."""
+    ClassifierThresholds(theta_loc=1.0, theta_chaos=1.0, theta_frac=1.0, top_k=1)
+    with pytest.raises(ConfigurationError) as exc:
+        ClassifierThresholds(theta_loc=0.0, theta_chaos=1.5, theta_stab=-1.0,
+                             theta_frac=7.0, top_k=-5)
+    for name in ("theta_loc", "theta_chaos", "theta_stab", "theta_frac", "top_k"):
+        assert name in str(exc.value)
 
 
 def test_report_fields(ps6w, gaussian_field6w):

@@ -11,7 +11,6 @@ from wigner.model import (
     PolynomialPotential,
     derivative,
     fock_potential,
-    moyal_truncation,
     parse_potential,
 )
 
@@ -62,17 +61,6 @@ def test_derivative_past_degree_is_zero():
         derivative(U, -1)
 
 
-@pytest.mark.parametrize("coeffs,expected", [
-    ((), -1),                      # zero potential
-    ((1.0, 2.0, 3.0), 0),          # quadratic: classical force only
-    ((0.0, 0.0, 0.0, 1.0), 1),     # cubic: first odd correction
-    ((0.0,) * 4 + (1.0,), 1),      # quartic
-    ((0.0,) * 5 + (1.0,), 2),      # quintic
-])
-def test_moyal_truncation(coeffs, expected):
-    assert moyal_truncation(PolynomialPotential(coeffs_q=coeffs)) == expected
-
-
 def test_fock_potential():
     g = PolynomialPotential(coeffs_q=(0.0, 0.0, 1.0))
     U2 = fock_potential(0.5, g, 2)
@@ -92,6 +80,9 @@ def test_model_params_validation():
         ModelParams(gamma=-0.1)
     with pytest.raises(ConfigurationError):
         ModelParams(diffusion=-0.1)
+    # every bad field in one message
+    with pytest.raises(ConfigurationError, match="mass .*; gamma .*; diffusion"):
+        ModelParams(mass=-1.0, gamma=-0.1, diffusion=-0.1)
 
 
 # cq: coefficients of the parsed U(q); cp: coefficients of U'(q)

@@ -295,6 +295,16 @@ def test_stationary_eigen_shifted_and_scaled_oscillator(expr, hbar, box, j_fine)
         assert abs(W.ps.integration_functional() @ W.coeffs - 1.0) < 1e-8
 
 
+def test_stationary_eigen_heavy_oscillator():
+    """m = 2, hbar = 0.5: levels hbar w (n + 1/2) with w = 1/sqrt(2), so the
+    1/m of the kinetic and curvature terms and the hbar of the series count."""
+    A_sym, A_anti = assemble_stationary_pair(
+        _order10(6, 5.0), parse_potential("0.5*q^2"), ModelParams(mass=2.0, hbar=0.5))
+    states = stationary_eigen(A_sym, A_anti, 3)
+    for n, (eps, _) in enumerate(states):
+        assert abs(eps - 0.5 * (n + 0.5) / np.sqrt(2.0)) < 1e-3
+
+
 @pytest.mark.parametrize("hbar", [1.0, 0.5])
 def test_penalty_matrix_matches_kron_reference(hbar):
     """The dense P equals S + 10 K^T K of the explicit Kronecker sums of the
@@ -379,6 +389,17 @@ def test_moyal_eigen_harmonic_pairs(harmonic_small):
     for (glo, ghi), (elo, ehi) in zip(got, expected):
         assert abs(glo - elo) < 1e-3
         assert abs(ghi - ehi) < 1e-3
+
+
+def test_moyal_eigen_heavy_oscillator_pairs(harmonic_small):
+    """m = 2: pairs (E_m, E_n) of the levels (n + 1/2) / sqrt(2); A_anti
+    carries the transport's 1/m."""
+    ps, U = harmonic_small
+    A_sym, A_anti = assemble_stationary_pair(ps, U, ModelParams(mass=2.0))
+    got = sorted((lo, hi) for lo, hi, _ in moyal_eigen(A_sym, A_anti, 3))
+    e0, e1 = 0.5 / np.sqrt(2.0), 1.5 / np.sqrt(2.0)
+    expected = sorted([(e0, e0), (e1, e0), (e0, e1)])
+    assert np.max(np.abs(np.array(got) - np.array(expected))) < 1e-3
 
 
 def test_moyal_eigen_quartic_pairs_match_fd_oracle():
