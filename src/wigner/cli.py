@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError, WignerError
 
@@ -25,47 +25,27 @@ EXIT_NOT_CONVERGED = 4
 
 _MODES = ("evolve", "stationary", "moyal", "ensemble", "refine")
 
-_KNOWN_KEYS = {
-    "run": {"mode"},
-    "model": {"potential", "mass", "hbar", "gamma", "diffusion"},
-    "basis": {"order", "j_coarse", "j_fine", "q_min", "q_max", "p_min", "p_max"},
-    "initial": {"type", "q0", "p0", "sigma_q", "sigma_p", "norm"},
-    "solver": {"dt", "t_end", "scheme", "epsilon", "n_max", "n_min",
-               "n_states", "pairs", "store_every"},
-    "ensemble": {"n_max", "weights", "u0", "g"},
-    "output": {"directory", "grid_resolution", "checkpoint_every"},
-    "diagnostics": {"theta_loc", "theta_chaos", "theta_stab", "theta_frac",
-                    "top_k"},
-}
-
-
 @dataclass
 class RunConfig:
-    """A validated run: the potential U, the ensemble coupling g, the filter
-    and the classifier thresholds come parsed, so no run step parses or
-    builds them again."""
+    """A validated run: the potential U, the model parameters, the evolution
+    settings, the ensemble coupling g, the filter and the classifier
+    thresholds come built, so no run step parses or builds them again."""
 
     mode: str
     U: object
-    mass: float
-    hbar: float
-    gamma: float
-    diffusion: float
+    params: object
     filter: object
     j_coarse: int
     j_fine: int
     q_box: tuple
     p_box: tuple
     initial: dict
-    dt: float
-    t_end: float
-    scheme: str
+    evolution: object
     epsilon: float
     n_max: int
     n_min: int
     n_states: int
     pairs: int
-    store_every: int
     ensemble: dict
     out_directory: str
     grid_resolution: int
@@ -75,7 +55,11 @@ class RunConfig:
 
 
 def parse_config(path) -> RunConfig:
-    """Read and validate an INI-like run config; reports ALL errors at once."""
+    """Read and validate an INI-like run config; reports ALL errors at once.
+
+    The keys read here are the known keys: any other section or key in the
+    file is an error, with a spelling hint.
+    """
     if not os.path.isfile(path):
         raise ConfigurationError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -87,51 +71,45 @@ def parse_config(path) -> RunConfig:
         raise ConfigurationError(f"config syntax error: {exc}") from exc
 
     errors = []
-
-    for section in parser.sections():
-        if section not in _KNOWN_KEYS:
-            close = difflib.get_close_matches(section, _KNOWN_KEYS, n=1)
-            hint = f"; did you mean [{close[0]}]?" if close else ""
-            errors.append(f"unknown section [{section}]{hint}")
-            continue
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
-                close = difflib.get_close_matches(key, _KNOWN_KEYS[section], n=1)
-                hint = f"; did you mean {close[0]!r}?" if close else ""
-                errors.append(f"unknown key {key!r} in [{section}]{hint}")
+    known = {}
 
     def get(section, key, default=None, cast=str, required=False):
-        try:
-            if parser.has_option(section, key):
-                value = cast(parser.get(section, key))
-                if cast is float and not math.isfinite(value):
-                    raise ValueError(f"{value} is not a finite number")
-                return value
+        known.setdefault(section, set()).add(key)
+        if not parser.has_option(section, key):
             if required:
                 errors.append(f"missing required key {key!r} in [{section}]")
-                return default
             return default
-        except (ValueError, ConfigurationError) as exc:
+        try:
+            value = cast(parser.get(section, key))
+            if cast is float and not math.isfinite(value):
+                raise ValueError(f"{value} is not a finite number")
+            return value
+        except (ValueError, configparser.Error) as exc:
             errors.append(f"[{section}] {key}: {exc}")
             return default
+
+    def build(cls, section):
+        """``cls`` from the [section] keys named after its fields: a missing
+        key takes the field's default, a key is cast to the default's type.
+        None if ``cls`` rejects the values."""
+        try:
+            return cls(**{f.name: get(section, f.name, f.default, type(f.default))
+                          for f in fields(cls)})
+        except ConfigurationError as exc:
+            errors.append(f"[{section}] {exc}")
+            return None
 
     mode = get("run", "mode", required=True, default="evolve")
     if mode not in _MODES:
         errors.append(f"[run] mode must be one of {_MODES} (got {mode!r})")
 
-    potential_text = get("model", "potential", default="0")
-    mass = get("model", "mass", 1.0, float)
-    hbar = get("model", "hbar", 1.0, float)
-    gamma = get("model", "gamma", 0.0, float)
-    diffusion = get("model", "diffusion", 0.0, float)
+    from .diagnostics import ClassifierThresholds
     from .model import ModelParams, parse_potential
+    from .solve import EvolutionConfig
+
+    params = build(ModelParams, "model")
     try:
-        params = ModelParams(mass=mass, hbar=hbar, gamma=gamma, diffusion=diffusion)
-    except ConfigurationError as exc:
-        params = None
-        errors.append(f"[model] {exc}")
-    try:
-        U = parse_potential(potential_text)
+        U = parse_potential(get("model", "potential", default="0"))
     except ConfigurationError as exc:
         U = None
         errors.append(f"[model] potential: {exc}")
@@ -143,13 +121,13 @@ def parse_config(path) -> RunConfig:
     q_max = get("basis", "q_max", 5.0, float)
     p_min = get("basis", "p_min", -5.0, float)
     p_max = get("basis", "p_max", 5.0, float)
-    if order is not None and (order % 2 or not 2 <= order <= 10):
+    if order % 2 or not 2 <= order <= 10:
         errors.append("[basis] order must be an even integer in 2..10")
-    if None not in (j_coarse, j_fine) and j_coarse > j_fine:
+    if j_coarse > j_fine:
         errors.append("[basis] j_coarse must not exceed j_fine")
-    if None not in (q_min, q_max) and q_min >= q_max:
+    if q_min >= q_max:
         errors.append("[basis] q_min must be below q_max")
-    if None not in (p_min, p_max) and p_min >= p_max:
+    if p_min >= p_max:
         errors.append("[basis] p_min must be below p_max")
 
     initial = {
@@ -168,54 +146,45 @@ def parse_config(path) -> RunConfig:
     if initial["norm"] == 0:
         errors.append("[initial] norm must be nonzero")
 
-    dt = get("solver", "dt", 0.01, float)
-    t_end = get("solver", "t_end", 1.0, float)
-    scheme = get("solver", "scheme", "implicit_midpoint")
+    evolution = build(EvolutionConfig, "solver")
     epsilon = get("solver", "epsilon", 1e-4, float)
     n_max = get("solver", "n_max", j_fine if j_fine else 6, int)
     n_min = get("solver", "n_min", 4, int)
     n_states = get("solver", "n_states", 4, int)
     pairs = get("solver", "pairs", 4, int)
-    store_every = get("solver", "store_every", 1, int)
-    if dt is not None and dt <= 0:
-        errors.append("[solver] dt must be positive")
-    if t_end is not None and t_end < 0:
-        errors.append("[solver] t_end must be non-negative")
-    if scheme not in ("implicit_midpoint", "explicit_rk4"):
-        errors.append("[solver] scheme must be implicit_midpoint or explicit_rk4")
-    if epsilon is not None and epsilon <= 0:
+    if epsilon <= 0:
         errors.append("[solver] epsilon must be positive")
-    if n_states is not None and n_states < 1:
+    if n_states < 1:
         errors.append("[solver] n_states must be >= 1")
-    if pairs is not None and pairs < 1:
+    if pairs < 1:
         errors.append("[solver] pairs must be >= 1")
-    if store_every is not None and store_every < 1:
-        errors.append("[solver] store_every must be >= 1")
     # n_max defaults to j_fine, so only refine runs must order the levels
-    if mode == "refine" and None not in (n_min, n_max) and n_min > n_max:
+    if mode == "refine" and n_min > n_max:
         errors.append("[solver] n_min must not exceed n_max")
 
-    ensemble = g = None
+    # read even without the section, so that a misspelt one gets its hint
+    ensemble = {
+        "n_max": get("ensemble", "n_max", 1, int),
+        "weights": get("ensemble", "weights", "coherent:1.0"),
+        "u0": get("ensemble", "u0", 1.0, float),
+        "g": get("ensemble", "g", "q^2"),
+    }
+    g = None
     if parser.has_section("ensemble"):
-        ensemble = {
-            "n_max": get("ensemble", "n_max", 1, int),
-            "weights": get("ensemble", "weights", "coherent:1.0"),
-            "u0": get("ensemble", "u0", 1.0, float),
-            "g": get("ensemble", "g", "q^2"),
-        }
         try:
             g = parse_potential(ensemble["g"])
         except ConfigurationError as exc:
             errors.append(f"[ensemble] g: {exc}")
         ensemble["g"] = g
-        if ensemble["n_max"] is not None:
-            try:
-                ensemble["weights"] = _ensemble_weights(ensemble["weights"],
-                                                        ensemble["n_max"])
-            except (ValueError, WignerError) as exc:
-                errors.append(f"[ensemble] weights: {exc}")
-    elif mode == "ensemble":
-        errors.append("mode 'ensemble' requires an [ensemble] section")
+        try:
+            ensemble["weights"] = _ensemble_weights(ensemble["weights"],
+                                                    ensemble["n_max"])
+        except (ValueError, WignerError) as exc:
+            errors.append(f"[ensemble] weights: {exc}")
+    else:
+        ensemble = None
+        if mode == "ensemble":
+            errors.append("mode 'ensemble' requires an [ensemble] section")
 
     # Ensemble levels evolve under multiples of g, every other mode under U.
     U_run = g if mode == "ensemble" else U
@@ -227,11 +196,10 @@ def parse_config(path) -> RunConfig:
         # its size check reads only the order and the finest level.
         key, j = ("[solver] n_min", n_min) if mode == "refine" else \
             ("[basis] j_fine", j_fine)
-        if j is not None:
-            try:
-                WaveletBasis(filter=filt, j_coarse=j, j_fine=j, domain=(0.0, 1.0))
-            except ConfigurationError as exc:
-                errors.append(f"{key}: {exc}")
+        try:
+            WaveletBasis(filter=filt, j_coarse=j, j_fine=j, domain=(0.0, 1.0))
+        except ConfigurationError as exc:
+            errors.append(f"{key}: {exc}")
         if None not in (U_run, params):
             try:
                 _assemble_smallest(mode, filt, U_run, params)
@@ -241,36 +209,36 @@ def parse_config(path) -> RunConfig:
     out_directory = get("output", "directory", None)
     grid_resolution = get("output", "grid_resolution", 128, int)
     checkpoint_every = get("output", "checkpoint_every", 10, int)
-    if grid_resolution is not None and grid_resolution < 2:
+    if grid_resolution < 2:
         errors.append("[output] grid_resolution must be >= 2 per axis")
-    if checkpoint_every is not None and checkpoint_every < 1:
+    if checkpoint_every < 1:
         errors.append("[output] checkpoint_every must be >= 1")
 
-    from .diagnostics import ClassifierThresholds
-    try:
-        thresholds = ClassifierThresholds(
-            theta_loc=get("diagnostics", "theta_loc", 0.05, float),
-            theta_chaos=get("diagnostics", "theta_chaos", 0.5, float),
-            theta_stab=get("diagnostics", "theta_stab", 1e-3, float),
-            theta_frac=get("diagnostics", "theta_frac", 0.9, float),
-            top_k=get("diagnostics", "top_k", 32, int),
-        )
-    except ConfigurationError as exc:
-        errors.append(f"[diagnostics] {exc}")
+    thresholds = build(ClassifierThresholds, "diagnostics")
+
+    for section in parser.sections():
+        if section not in known:
+            close = difflib.get_close_matches(section, known, n=1)
+            hint = f"; did you mean [{close[0]}]?" if close else ""
+            errors.append(f"unknown section [{section}]{hint}")
+            continue
+        for key in parser[section]:
+            if key not in known[section]:
+                close = difflib.get_close_matches(key, known[section], n=1)
+                hint = f"; did you mean {close[0]!r}?" if close else ""
+                errors.append(f"unknown key {key!r} in [{section}]{hint}")
 
     if errors:
         raise ConfigurationError(
             "invalid configuration:\n  " + "\n  ".join(errors))
 
     return RunConfig(
-        mode=mode, U=U, mass=mass, hbar=hbar, gamma=gamma,
-        diffusion=diffusion, filter=filt, j_coarse=j_coarse, j_fine=j_fine,
-        q_box=(q_min, q_max), p_box=(p_min, p_max), initial=initial, dt=dt,
-        t_end=t_end, scheme=scheme, epsilon=epsilon, n_max=n_max, n_min=n_min,
-        n_states=n_states, pairs=pairs, store_every=store_every,
-        ensemble=ensemble, out_directory=out_directory,
-        grid_resolution=grid_resolution, checkpoint_every=checkpoint_every,
-        thresholds=thresholds, raw_text=raw,
+        mode=mode, U=U, params=params, filter=filt, j_coarse=j_coarse,
+        j_fine=j_fine, q_box=(q_min, q_max), p_box=(p_min, p_max),
+        initial=initial, evolution=evolution, epsilon=epsilon, n_max=n_max,
+        n_min=n_min, n_states=n_states, pairs=pairs, ensemble=ensemble,
+        out_directory=out_directory, grid_resolution=grid_resolution,
+        checkpoint_every=checkpoint_every, thresholds=thresholds, raw_text=raw,
     )
 
 
@@ -390,8 +358,9 @@ def _initial_field(cfg: RunConfig, ps):
     from .solve import CoefficientField
 
     ini = cfg.initial
-    sq = ini["sigma_q"] if ini["sigma_q"] is not None else (cfg.hbar / 2.0) ** 0.5
-    sp_ = ini["sigma_p"] if ini["sigma_p"] is not None else (cfg.hbar / 2.0) ** 0.5
+    hbar = cfg.params.hbar
+    sq = ini["sigma_q"] if ini["sigma_q"] is not None else (hbar / 2.0) ** 0.5
+    sp_ = ini["sigma_p"] if ini["sigma_p"] is not None else (hbar / 2.0) ** 0.5
     q0, p0, norm = ini["q0"], ini["p0"], ini["norm"]
     amp = norm / (2.0 * np.pi * sq * sp_)
 
@@ -400,13 +369,6 @@ def _initial_field(cfg: RunConfig, ps):
                             - ((p - p0) ** 2) / (2 * sp_ ** 2))
 
     return CoefficientField(ps=ps, coeffs=ps.project(f))
-
-
-def _model_params(cfg: RunConfig):
-    from .model import ModelParams
-
-    return ModelParams(mass=cfg.mass, hbar=cfg.hbar, gamma=cfg.gamma,
-                       diffusion=cfg.diffusion)
 
 
 def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
@@ -465,20 +427,19 @@ def _execute(cfg: RunConfig, run_dir, manifest):
     from .diagnostics import diagnostics_report, marginals
 
     not_converged = False
-    params = _model_params(cfg)
 
     # every mode hands the states it computes to one writer, the last one final
     store = _CheckpointWriter(cfg, run_dir)
     if cfg.mode == "evolve":
-        _run_evolution(cfg, params, store)
+        _run_evolution(cfg, store)
     elif cfg.mode == "ensemble":
-        _run_ensemble(cfg, params, store)
+        _run_ensemble(cfg, store)
     elif cfg.mode == "stationary":
-        _run_stationary(cfg, params, manifest, store)
+        _run_stationary(cfg, manifest, store)
     elif cfg.mode == "moyal":
-        _run_moyal(cfg, params, manifest, store)
+        _run_moyal(cfg, manifest, store)
     elif cfg.mode == "refine":
-        not_converged = _run_refine(cfg, params, manifest, store)
+        not_converged = _run_refine(cfg, manifest, store)
     else:  # pragma: no cover - parse_config rejects unknown modes
         raise ConfigurationError(f"unhandled mode {cfg.mode!r}")
     store.finish()
@@ -496,27 +457,20 @@ def _execute(cfg: RunConfig, run_dir, manifest):
     _dump_marginal(dp, cfg.grid_resolution,
                    os.path.join(run_dir, "marginal_p.txt"))
 
-    report = diagnostics_report(final, store.previous, hbar=cfg.hbar,
+    report = diagnostics_report(final, store.previous, hbar=cfg.params.hbar,
                                 thresholds=cfg.thresholds)
     manifest += ["", "[diagnostics]", report.to_text().rstrip(), ""]
     manifest.append(f"converged = {not not_converged}")
     return report, not_converged
 
 
-def _evolution_config(cfg: RunConfig):
-    from .solve import EvolutionConfig
-
-    return EvolutionConfig(dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.scheme,
-                           store_every=cfg.store_every)
-
-
-def _run_evolution(cfg, params, store):
+def _run_evolution(cfg, store):
     from .assembly import assemble_evolution
     from .solve import evolve
 
     ps = _build_phase_space(cfg)
     W0 = _initial_field(cfg, ps)
-    evolve(W0, assemble_evolution(ps, cfg.U, params), _evolution_config(cfg),
+    evolve(W0, assemble_evolution(ps, cfg.U, cfg.params), cfg.evolution,
            store=store)
 
 
@@ -539,7 +493,7 @@ def _ensemble_weights(text, n_max):
     return weights / weights.sum()
 
 
-def _run_ensemble(cfg, params, store):
+def _run_ensemble(cfg, store):
     """Stores the initial and the final superposed field."""
     from .ensemble import (FockEnsemble, evolve_fock_hierarchy,
                            incoherent_superpose)
@@ -550,16 +504,16 @@ def _run_ensemble(cfg, params, store):
     ens = FockEnsemble(weights=spec["weights"], U0=spec["u0"], g=spec["g"],
                        fields=[W0.copy() for _ in spec["weights"]])
     store(incoherent_superpose(ens))
-    evolved = evolve_fock_hierarchy(ens, params, _evolution_config(cfg))
+    evolved = evolve_fock_hierarchy(ens, cfg.params, cfg.evolution)
     store(incoherent_superpose(evolved))
 
 
-def _run_stationary(cfg, params, manifest, store):
+def _run_stationary(cfg, manifest, store):
     from .assembly import assemble_stationary_pair
     from .solve import stationary_eigen
 
     ps = _build_phase_space(cfg)
-    A_sym, A_anti = assemble_stationary_pair(ps, cfg.U, params)
+    A_sym, A_anti = assemble_stationary_pair(ps, cfg.U, cfg.params)
     states = stationary_eigen(A_sym, A_anti, cfg.n_states)
     manifest.append("[eigenvalues]")
     for i, (eps, _) in enumerate(states):
@@ -567,15 +521,15 @@ def _run_stationary(cfg, params, manifest, store):
     store(states[0][1])
 
 
-def _run_moyal(cfg, params, manifest, store):
+def _run_moyal(cfg, manifest, store):
     import numpy as np
 
     from .assembly import assemble_stationary_pair
     from .solve import CoefficientField, moyal_eigen
 
     ps = _build_phase_space(cfg)
-    A_sym, A_anti = assemble_stationary_pair(ps, cfg.U, params)
-    pairs = moyal_eigen(A_sym, A_anti, cfg.pairs, hbar=params.hbar)
+    A_sym, A_anti = assemble_stationary_pair(ps, cfg.U, cfg.params)
+    pairs = moyal_eigen(A_sym, A_anti, cfg.pairs, hbar=cfg.params.hbar)
     manifest.append("[eigenvalues]")
     for i, (e_lo, e_hi, _) in enumerate(pairs):
         manifest.append(f"pair_{i} = {e_lo:.12g} {e_hi:.12g}")
@@ -583,14 +537,14 @@ def _run_moyal(cfg, params, manifest, store):
     store(CoefficientField(ps=W.ps, coeffs=np.real(W.coeffs), time=W.time))
 
 
-def _run_refine(cfg, params, manifest, store):
+def _run_refine(cfg, manifest, store):
     """Stores the accepted field; returns True when refinement did not converge."""
     from .assembly import assemble_stationary_pair
     from .solve import refine_until, stationary_eigen
 
     def solve_at_level(N):
         ps = _build_phase_space(cfg, j_fine=N)
-        A_sym, A_anti = assemble_stationary_pair(ps, cfg.U, params)
+        A_sym, A_anti = assemble_stationary_pair(ps, cfg.U, cfg.params)
         return stationary_eigen(A_sym, A_anti, 1)[0][1]
 
     W, report = refine_until(solve_at_level, cfg.epsilon, cfg.n_max,
@@ -641,8 +595,9 @@ class _CheckpointWriter:
             from .diagnostics import HealthSeries
 
             self.first = W
-            self._series = HealthSeries(W.ps, self.cfg.U, mass=self.cfg.mass,
-                                        hbar=self.cfg.hbar)
+            # ensemble levels evolve under different potentials: no energy
+            U = None if self.cfg.mode == "ensemble" else self.cfg.U
+            self._series = HealthSeries(W.ps, U, self.cfg.params)
             self._append("series.txt", "# " + " ".join(HealthSeries.COLUMNS))
         self.previous, self.last = self.last, W
         if self.stored % self.cfg.checkpoint_every == 0:
@@ -671,6 +626,14 @@ class _CheckpointWriter:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+def _thread_count(text):
+    """The ``--threads`` value: an integer of at least 1."""
+    n = int(text) if text.strip().lstrip("+").isdigit() else 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
 
 def _cap_threads(n):
     if n is None:
@@ -729,7 +692,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="execute a run config")
     p_run.add_argument("config")
-    p_run.add_argument("--threads", type=int, default=None,
+    p_run.add_argument("--threads", type=_thread_count, default=None,
                        help="cap BLAS/worker threads (1 for determinism)")
     p_run.add_argument("--out", default=None, help="output root directory")
     p_run.add_argument("--verbose", action="store_true")
@@ -744,7 +707,11 @@ def main(argv=None) -> int:
     p_tab.add_argument("--max-deriv", type=int, default=2)
     p_tab.set_defaults(func=_cmd_tables)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is EXIT_CONFIG here
+        raise SystemExit(exc.code and EXIT_USAGE) from None
     try:
         return args.func(args)
     except WignerError as exc:

@@ -219,26 +219,29 @@ class HealthSeries:
     """Run-health figures of fields on one phase-space basis.
 
     A row holds the time, the total integral, the energy
-    <H> = int (p^2/2m + U(q)) W, the purity 2 pi hbar ||c||^2, the L2 norm
-    ||c||, the edge fraction (the share of ||c||^2 on functions centred
-    within one filter support of the periodic wrap on either axis) and the
-    finest fraction (the share of the multiscale energy on the finest
-    level).  Each is read off the coefficient vector; the functionals are
-    built once.
+    <H> = int (p^2/2m + U(q)) W (nan when U is None), the purity
+    2 pi hbar ||c||^2, the L2 norm ||c||, the edge fraction (the share of
+    ||c||^2 on functions centred within one filter support of the periodic
+    wrap on either axis) and the finest fraction (the share of the
+    multiscale energy on the finest level).  Each is read off the
+    coefficient vector; the functionals are built once.
     """
 
     COLUMNS = ("time", "integral", "energy", "purity", "l2_norm",
                "edge_fraction", "finest_fraction")
 
-    def __init__(self, ps, U, mass: float = 1.0, hbar: float = 1.0):
+    def __init__(self, ps, U, params):
         bq, bp = ps.basis_q, ps.basis_p
         sq, sp_ = bq.integration_functional(), bp.integration_functional()
-        uq = sum((a * bq.moment_functional(k) for k, a in enumerate(U.coeffs_q)),
-                 np.zeros(bq.dim))
-        self.ps, self.hbar = ps, hbar
+        self.ps, self.hbar = ps, params.hbar
         self._integral = np.kron(sq, sp_)
-        self._energy = (np.kron(uq, sp_)
-                        + np.kron(sq, bp.moment_functional(2)) / (2.0 * mass))
+        self._energy = None
+        if U is not None:
+            uq = sum((a * bq.moment_functional(k)
+                      for k, a in enumerate(U.coeffs_q)), np.zeros(bq.dim))
+            self._energy = (
+                np.kron(uq, sp_)
+                + np.kron(sq, bp.moment_functional(2)) / (2.0 * params.mass))
         self._edge = np.logical_or.outer(_edge_mask(bq), _edge_mask(bp)).reshape(-1)
         labels = np.maximum.outer(bq.multiscale_levels(), bp.multiscale_levels())
         self._finest = (labels == labels.max()).reshape(-1)
@@ -248,7 +251,8 @@ class HealthSeries:
         c2 = c * c
         ms = _to_ms_2d(self.ps, c) ** 2
         norm2, ms_total = float(c2.sum()), float(ms.sum())
-        return (W.time, float(self._integral @ c), float(self._energy @ c),
+        energy = np.nan if self._energy is None else float(self._energy @ c)
+        return (W.time, float(self._integral @ c), energy,
                 2.0 * np.pi * self.hbar * norm2, np.sqrt(norm2),
                 float(c2[self._edge].sum()) / norm2 if norm2 else 0.0,
                 float(ms[self._finest].sum()) / ms_total if ms_total else 0.0)

@@ -52,23 +52,24 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    dt: float
-    t_end: float
+    dt: float = 0.01
+    t_end: float = 1.0
     scheme: str = "implicit_midpoint"
     store_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigurationError("dt must be positive")
-        if self.t_end < 0:
-            raise ConfigurationError("t_end must be non-negative")
+        bad = []
+        if not self.dt > 0:
+            bad.append("dt must be positive")
+        if not self.t_end >= 0:
+            bad.append("t_end must be non-negative")
         if self.scheme not in ("implicit_midpoint", "explicit_rk4"):
-            raise ConfigurationError(
-                f"unknown scheme {self.scheme!r}; "
-                "choose implicit_midpoint or explicit_rk4"
-            )
-        if self.store_every < 1:
-            raise ConfigurationError("store_every must be >= 1")
+            bad.append("scheme must be implicit_midpoint or explicit_rk4 "
+                       f"(got {self.scheme!r})")
+        if not self.store_every >= 1:
+            bad.append("store_every must be >= 1")
+        if bad:
+            raise ConfigurationError("; ".join(bad))
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Config parsing, grid dumps, and end-to-end command-line runs."""
 
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +15,8 @@ from wigner.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _build_phase_space,
-    _evolution_config,
     _initial_field,
     _make_run_dir,
-    _model_params,
     dump_grid,
     load_grid,
     main,
@@ -24,7 +24,8 @@ from wigner.cli import (
 )
 from wigner.diagnostics import HealthSeries
 from wigner.errors import ConfigurationError
-from wigner.solve import _MidpointStepper, evolve
+from wigner.model import ModelParams
+from wigner.solve import EvolutionConfig, _MidpointStepper, evolve
 
 MINIMAL = """\
 [run]
@@ -68,10 +69,10 @@ def _write(tmp_path, text, name="run.ini"):
 def test_parse_minimal_config_defaults(tmp_path):
     cfg = parse_config(_write(tmp_path, MINIMAL))
     assert cfg.mode == "evolve"
-    assert cfg.mass == 1.0 and cfg.hbar == 1.0
-    assert cfg.gamma == 0.0 and cfg.diffusion == 0.0
+    assert cfg.params == ModelParams()
     assert cfg.q_box == (-4.0, 4.0) and cfg.p_box == (-4.0, 4.0)
-    assert cfg.scheme == "implicit_midpoint"
+    assert cfg.evolution == EvolutionConfig(dt=0.05, t_end=0.1)
+    assert cfg.evolution.scheme == "implicit_midpoint"
     assert cfg.initial["type"] == "gaussian"
     assert cfg.thresholds.theta_loc == 0.05
     assert cfg.raw_text.startswith("[run]")
@@ -131,6 +132,24 @@ def test_ensemble_mode_requires_section(tmp_path):
         parse_config(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("typo,section", [("ensembel", "ensemble"),
+                                          ("diagnostcs", "diagnostics"),
+                                          ("outptu", "output")])
+def test_misspelt_optional_section_gets_a_hint(tmp_path, typo, section):
+    text = MINIMAL + f"\n[{typo}]\n"
+    hint = f"unknown section [{typo}]; did you mean [{section}]?"
+    with pytest.raises(ConfigurationError, match=re.escape(hint)):
+        parse_config(_write(tmp_path, text))
+
+
+def test_readme_config_reference_validates(tmp_path, capsys):
+    """Every key the README's config reference documents is a known key."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert main(["validate", _write(tmp_path, block)]) == EXIT_OK
+    assert "config ok" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # grid dumps
 # ---------------------------------------------------------------------------
@@ -166,15 +185,7 @@ def test_dump_grid_rejects_tiny_resolution(tmp_path, gaussian_field6):
 
 
 def test_run_dir_suffixing(tmp_path):
-    from wigner.cli import RunConfig
-
-    cfg = RunConfig(mode="evolve", U=None, mass=1, hbar=1, gamma=0,
-                    diffusion=0, filter=None, j_coarse=3, j_fine=4,
-                    q_box=(-4, 4), p_box=(-4, 4), initial={}, dt=0.1,
-                    t_end=1.0, scheme="implicit_midpoint", epsilon=1e-4,
-                    n_max=6, n_min=4, n_states=4, pairs=4, store_every=1,
-                    ensemble=None, out_directory=None,
-                    grid_resolution=16, checkpoint_every=10, thresholds={})
+    cfg = parse_config(_write(tmp_path, MINIMAL))
     d0 = _make_run_dir(cfg, str(tmp_path))
     d1 = _make_run_dir(cfg, str(tmp_path))
     d2 = _make_run_dir(cfg, str(tmp_path))
@@ -244,13 +255,15 @@ def test_validate_command(tmp_path, capsys):
     [("t_end = 0.1", "t_end = 0.1\n\n[diagnostics]\ntheta_loc = 0")],
     [("t_end = 0.1", "t_end = 0.1\n\n[diagnostics]\ntheta_chaos = 1.5")],
     [("t_end = 0.1", "t_end = 0.1\n\n[diagnostics]\ntheta_stab = 0")],
+    # a lone % is an interpolation error of the INI reader
+    [("potential = 0.5*q^2", "potential = 5%")],
 ], ids=["lindblad", "pure_p", "p_term", "n_states", "pairs", "n_min",
         "ensemble_weights", "filter_too_rough", "q9_evolve", "q9_stationary",
         "support_too_coarse", "moment_band_too_coarse", "refine_n_min_too_coarse",
         "store_every", "checkpoint_every", "sigma_q", "negative_weight",
         "zero_weights", "zero_norm", "nan_norm", "nan_dt", "coherent_nan",
         "coherent_inf", "inf_weight", "top_k", "theta_frac", "theta_loc",
-        "theta_chaos", "theta_stab"])
+        "theta_chaos", "theta_stab", "interpolation"])
 def test_validate_rejects_what_run_would(tmp_path, edits):
     assert main(["validate", _write(tmp_path, _edited(edits))]) == EXIT_CONFIG
 
@@ -346,9 +359,29 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
 
 
 def test_usage_error_exit_code(capsys):
+    for argv in ([], ["run"], ["tables", "--order", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE, argv
+
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                            threads):
+    for var in _THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code != EXIT_OK
+        main(["run", _write(tmp_path, MINIMAL), "--threads", threads,
+              "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert "--threads" in capsys.readouterr().err
+    assert not any(var in os.environ for var in _THREAD_VARS)
+    assert not out.exists()
 
 
 def test_tables_command(capsys):
@@ -419,10 +452,9 @@ def test_checkpoints_thin_the_full_trajectory(tmp_path, steps, every):
 
     cfg = parse_config(_write(tmp_path, text))
     ps = _build_phase_space(cfg)
-    L = assemble_evolution(ps, cfg.U, _model_params(cfg))
+    L = assemble_evolution(ps, cfg.U, cfg.params)
     fields = []
-    evolve(_initial_field(cfg, ps), L, _evolution_config(cfg),
-           store=fields.append)
+    evolve(_initial_field(cfg, ps), L, cfg.evolution, store=fields.append)
     assert len(fields) == steps + 1
     kept = fields[::every]
     if kept[-1] is not fields[-1]:
@@ -485,6 +517,25 @@ def test_series_has_one_row_per_checkpoint(tmp_path):
     assert abs(last["integral"] - _manifest_value(run_dir, "total_integral")) < 1e-12
     assert abs(last["purity"] - _manifest_value(run_dir, "purity")) < 1e-12
     assert abs(last["l2_norm"] - _manifest_value(run_dir, "l2_norm")) < 1e-12
+
+
+def test_ensemble_series_has_no_energy(tmp_path):
+    """Ensemble levels evolve under multiples of g, so no single potential
+    gives <H> of the mixture: the [model] potential does not reach
+    series.txt, whose energy column is nan."""
+    series = []
+    for i, potential in enumerate(("0.5*q^2", "5*q^2")):
+        text = _edited([("mode = evolve", "mode = ensemble"),
+                        ("0.5*q^2", potential),
+                        ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\nn_max = 1")])
+        (tmp_path / str(i)).mkdir()
+        run_dir = _run_dir(tmp_path / str(i), text)
+        series.append(open(os.path.join(run_dir, "series.txt"), "rb").read())
+    assert series[0] == series[1]
+    _, rows = _series(run_dir)
+    energy = HealthSeries.COLUMNS.index("energy")
+    assert np.isnan(rows[:, energy]).all()
+    assert np.isfinite(np.delete(rows, energy, axis=1)).all()
 
 
 def test_series_energy_and_edge_mass(tmp_path):
