@@ -183,7 +183,7 @@ def _identity(basis: WaveletBasis) -> np.ndarray:
 
 def assemble_transport(ps: PhaseSpaceBasis, params: ModelParams) -> AssembledOperator:
     """Free streaming -(p/m) dW/dq."""
-    Dq = ps.basis_q.derivative_matrix(0, 1)
+    Dq = ps.basis_q.derivative_matrix(1)
     M1p = ps.basis_p.moment_matrix(1)
     return AssembledOperator(
         ps=ps, terms=[OperatorTerm("transport", -1.0 / params.mass, Dq, M1p)]
@@ -211,7 +211,7 @@ def _potential_series(ps: PhaseSpaceBasis, U: PolynomialPotential, hbar: float,
         l = r // 2
         coeff = ((-1.0) ** l) * half_h ** (2 * l) / factorial(r)
         try:
-            Lam = _identity(ps.basis_p) if r == 0 else ps.basis_p.derivative_matrix(0, r)
+            Lam = _identity(ps.basis_p) if r == 0 else ps.basis_p.derivative_matrix(r)
         except ConfigurationError as exc:
             raise ConfigurationError(
                 f"momentum-derivative order {r} needed by the potential series "
@@ -244,13 +244,13 @@ def assemble_dissipator(ps: PhaseSpaceBasis, params: ModelParams) -> AssembledOp
     terms = []
     if params.gamma > 0.0:
         M1p = ps.basis_p.moment_matrix(1)
-        Dp = ps.basis_p.derivative_matrix(0, 1)
+        Dp = ps.basis_p.derivative_matrix(1)
         B = Dp @ M1p
         terms.append(
             OperatorTerm("dissipator_friction", 2.0 * params.gamma, _identity(ps.basis_q), B)
         )
     if params.diffusion > 0.0:
-        Lam2 = ps.basis_p.derivative_matrix(0, 2)
+        Lam2 = ps.basis_p.derivative_matrix(2)
         terms.append(
             OperatorTerm("dissipator_diffusion", params.diffusion, _identity(ps.basis_q), Lam2)
         )
@@ -286,7 +286,7 @@ def assemble_stationary_pair(
         [OperatorTerm("kinetic", 0.5 / m, _identity(ps.basis_q), ps.basis_p.moment_matrix(2))]
         + even[:1]
         + [OperatorTerm("stationary_sym", -params.hbar ** 2 / (8.0 * m),
-                        ps.basis_q.derivative_matrix(0, 2), _identity(ps.basis_p))]
+                        ps.basis_q.derivative_matrix(2), _identity(ps.basis_p))]
         + even[1:]
     )
     A_sym = AssembledOperator(ps=ps, terms=sym_terms)
@@ -310,15 +310,15 @@ def assemble_stationary_cnumber(
     terms = [
         OperatorTerm("kinetic", 0.5 / m + 0.0j, Iq, ps.basis_p.moment_matrix(2)),
         OperatorTerm("kinetic_flow", -0.5j * params.hbar / m,
-                     ps.basis_q.derivative_matrix(0, 1), ps.basis_p.moment_matrix(1)),
+                     ps.basis_q.derivative_matrix(1), ps.basis_p.moment_matrix(1)),
         OperatorTerm("kinetic_curvature", -params.hbar ** 2 / (8.0 * m) + 0.0j,
-                     ps.basis_q.derivative_matrix(0, 2), Ip),
+                     ps.basis_q.derivative_matrix(2), Ip),
     ]
     r = 0
     while not derivative(U, r).is_zero:
         dU = derivative(U, r)
         coeff = (0.5j * params.hbar) ** r / factorial(r)
-        Lam = Ip if r == 0 else ps.basis_p.derivative_matrix(0, r)
+        Lam = Ip if r == 0 else ps.basis_p.derivative_matrix(r)
         terms.append(
             OperatorTerm(f"potential_star_r{r}", coeff,
                          _poly_mult_matrix(ps.basis_q, dU.coeffs_q), Lam)

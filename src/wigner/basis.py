@@ -15,9 +15,9 @@ the objects built here:
 Sign/normalization conventions are fixed in one place:
 
 * low-pass taps satisfy ``sum(h) = sqrt(2)``;
-* ``Lambda[d1,d2](k) = int phi^(d1)(x) phi^(d2)(x-k) dx`` with the
-  polynomial-moment normalization ``sum_k k^d Lambda[0,d](k) = d!``, which is
-  the value forced by differentiating the polynomial reproduction identity;
+* ``Lambda[d](k) = int phi(x) phi^(d)(x-k) dx`` with the polynomial-moment
+  normalization ``sum_k k^d Lambda[d](k) = d!``, which is the value forced by
+  differentiating the polynomial reproduction identity;
 * position tables use the "lifted" coordinate on the torus: the offset between
   two basis functions is taken by minimal image and the monomial x^m is
   evaluated on the contiguous lift of the pair.  The domain box is assumed
@@ -65,7 +65,10 @@ class FilterCoefficients:
 
     order: int
     taps: np.ndarray = field(compare=False)
-    support_length: int
+
+    @property
+    def support_length(self) -> int:
+        return self.order - 1
 
     @property
     def high_pass(self) -> np.ndarray:
@@ -88,7 +91,7 @@ def daubechies_filter(order: int) -> FilterCoefficients:
     g = order // 2
     if order == 2:
         taps = np.array([1.0, 1.0]) / _SQRT2
-        return FilterCoefficients(order=2, taps=taps, support_length=1)
+        return FilterCoefficients(order=2, taps=taps)
 
     # Half-band polynomial P(y) = sum_{k<g} C(g-1+k, k) y^k, y = sin^2(w/2).
     p = np.array([comb(g - 1 + k, k) for k in range(g)], dtype=float)
@@ -105,7 +108,7 @@ def daubechies_filter(order: int) -> FilterCoefficients:
     all_roots = np.concatenate([np.full(g, -1.0 + 0j), np.array(z_roots)])
     taps = np.real(np.poly(all_roots))
     taps = taps * (_SQRT2 / taps.sum())
-    filt = FilterCoefficients(order=order, taps=taps, support_length=order - 1)
+    filt = FilterCoefficients(order=order, taps=taps)
     _check_filter(filt)
     return filt
 
@@ -204,10 +207,8 @@ def scaling_values(filt: FilterCoefficients, resolution: int) -> ScalingTable:
 
 @dataclass(frozen=True)
 class ConnectionTable:
-    """Lambda[d1,d2](k) = int phi^(d1)(x) phi^(d2)(x - k) dx, banded in k."""
+    """Lambda[d](k) = int phi(x) phi^(d)(x - k) dx, banded in k."""
 
-    d1: int
-    d2: int
     offsets: np.ndarray
     values: np.ndarray
 
@@ -256,20 +257,17 @@ def _deriv_product_integrals(filt: FilterCoefficients, d: int) -> np.ndarray:
     return offsets, gamma * (target / norm)
 
 
-def connection_coefficients(
-    filt: FilterCoefficients, d1: int, d2: int
-) -> ConnectionTable:
-    """Exact Galerkin derivative tables from the refinement linear system."""
-    if d1 < 0 or d2 < 0:
-        raise ContractError("derivative orders must be non-negative")
-    if d1 + d2 >= filt.order / 2 + 1:
+def connection_coefficients(filt: FilterCoefficients, d: int) -> ConnectionTable:
+    """Exact Galerkin table of the d-th derivative, from the refinement system."""
+    if d < 0:
+        raise ContractError("derivative order must be non-negative")
+    if d >= filt.order / 2 + 1:
         raise ConfigurationError(
-            f"derivative order {d1}+{d2} exceeds the regularity of filter order "
+            f"derivative order {d} exceeds the regularity of filter order "
             f"{filt.order}; use a higher filter order"
         )
-    offsets, gamma = _deriv_product_integrals(filt, d1 + d2)
-    values = ((-1.0) ** d1) * gamma
-    return ConnectionTable(d1=d1, d2=d2, offsets=offsets.copy(), values=values.copy())
+    offsets, gamma = _deriv_product_integrals(filt, d)
+    return ConnectionTable(offsets=offsets.copy(), values=gamma.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +440,11 @@ class WaveletBasis:
 
     # -- quadrature tables -------------------------------------------------
 
-    def derivative_matrix(self, d1: int, d2: int) -> np.ndarray:
-        """Dense circulant G[k,k'] = int phi_k^(d1) phi_k'^(d2) dx."""
-        table = connection_coefficients(self.filter, d1, d2)
+    def derivative_matrix(self, d: int) -> np.ndarray:
+        """Dense circulant G[k,k'] = int phi_k phi_k'^(d) dx."""
+        table = connection_coefficients(self.filter, d)
         P = self.dim
-        scale = (P / self.length) ** (d1 + d2)
+        scale = (P / self.length) ** d
         row = np.zeros(P)
         for off, val in zip(table.offsets, table.values):
             row[off % P] += val
@@ -457,7 +455,7 @@ class WaveletBasis:
 
     def moment_matrix(self, power: int) -> np.ndarray:
         """Dense banded M[k,k'] = int x^power phi_k phi_k' dx (lifted torus x)."""
-        return moment_coefficients(self, power).matrix
+        return moment_coefficients(self, power)
 
     def integration_functional(self) -> np.ndarray:
         """Row vector s with int f = s . coeffs for single-scale coeffs."""
@@ -543,16 +541,8 @@ class WaveletBasis:
         return self.project_samples(np.asarray(f(self.projection_nodes()), dtype=float))
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """int x^power phi_k phi_k' dx over the periodized basis, banded."""
-
-    power: int
-    matrix: np.ndarray
-
-
-def moment_coefficients(basis: WaveletBasis, power: int) -> MomentTable:
-    """Polynomial-coordinate tables for multiplication operators."""
+def moment_coefficients(basis: WaveletBasis, power: int) -> np.ndarray:
+    """Banded M[k,k'] = int x^power phi_k phi_k' dx, the multiplication table."""
     if power < 0:
         raise ContractError("moment power must be non-negative")
     if power > MAX_MOMENT_POWER:
@@ -580,7 +570,7 @@ def moment_coefficients(basis: WaveletBasis, power: int) -> MomentTable:
                 val += comb(power, s) * a ** (power - s) * hstep ** s * ns
             M[k, kp] = val
             M[kp, k] = val
-    return MomentTable(power=power, matrix=M)
+    return M
 
 
 @cache

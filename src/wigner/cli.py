@@ -161,6 +161,9 @@ def parse_config(path) -> RunConfig:
     # n_max defaults to j_fine, so only refine runs must order the levels
     if mode == "refine" and n_min > n_max:
         errors.append("[solver] n_min must not exceed n_max")
+    if mode == "refine" and j_coarse > n_min:
+        errors.append("[basis] j_coarse must not exceed [solver] n_min in "
+                      "refine mode")
 
     # read even without the section, so that a misspelt one gets its hint
     ensemble = {
@@ -345,10 +348,10 @@ def _build_phase_space(cfg: RunConfig, j_fine=None):
     from .basis import WaveletBasis
 
     j = j_fine if j_fine is not None else cfg.j_fine
-    bq = WaveletBasis(filter=cfg.filter, j_coarse=min(cfg.j_coarse, j),
-                      j_fine=j, domain=cfg.q_box)
-    bp = WaveletBasis(filter=cfg.filter, j_coarse=min(cfg.j_coarse, j),
-                      j_fine=j, domain=cfg.p_box)
+    bq = WaveletBasis(filter=cfg.filter, j_coarse=cfg.j_coarse, j_fine=j,
+                      domain=cfg.q_box)
+    bp = WaveletBasis(filter=cfg.filter, j_coarse=cfg.j_coarse, j_fine=j,
+                      domain=cfg.p_box)
     return PhaseSpaceBasis(bq, bp)
 
 
@@ -495,17 +498,16 @@ def _ensemble_weights(text, n_max):
 
 def _run_ensemble(cfg, store):
     """Stores the initial and the final superposed field."""
-    from .ensemble import (FockEnsemble, evolve_fock_hierarchy,
-                           incoherent_superpose)
+    from .ensemble import evolve_ensemble
+    from .solve import CoefficientField
 
     ps = _build_phase_space(cfg)
     W0 = _initial_field(cfg, ps)
     spec = cfg.ensemble
-    ens = FockEnsemble(weights=spec["weights"], U0=spec["u0"], g=spec["g"],
-                       fields=[W0.copy() for _ in spec["weights"]])
-    store(incoherent_superpose(ens))
-    evolved = evolve_fock_hierarchy(ens, cfg.params, cfg.evolution)
-    store(incoherent_superpose(evolved))
+    weights = spec["weights"]
+    store(CoefficientField(ps=ps, coeffs=sum(w * W0.coeffs for w in weights)))
+    store(evolve_ensemble(W0, weights, spec["u0"], spec["g"], cfg.params,
+                          cfg.evolution))
 
 
 def _run_stationary(cfg, manifest, store):
@@ -675,7 +677,7 @@ def _cmd_tables(args) -> int:
     print("  taps:", " ".join("%.17g" % h for h in filt.taps))
     for d in range(1, args.max_deriv + 1):
         try:
-            table = connection_coefficients(filt, 0, d)
+            table = connection_coefficients(filt, d)
         except ConfigurationError as exc:
             print(f"  derivative {d}: {exc}")
             continue

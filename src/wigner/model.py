@@ -65,13 +65,6 @@ def derivative(U: PolynomialPotential, order: int = 1) -> PolynomialPotential:
     return PolynomialPotential(coeffs_q=tuple(cq))
 
 
-def fock_potential(U0: float, g: PolynomialPotential, n: int) -> PolynomialPotential:
-    """Effective potential U_n(x) = U0 * n * g(x) for the n-photon Fock level."""
-    if n < 0:
-        raise ContractError("Fock level must be non-negative")
-    return g.scaled(U0 * float(n))
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters shared by all assemblies."""

@@ -1,5 +1,6 @@
-"""Time evolution, stationary/two-sided eigenproblems, level refinement, and
-scale decomposition of coefficient fields."""
+"""Time evolution by the one integrator, the implicit midpoint stepper;
+stationary/two-sided eigenproblems, level refinement, and scale decomposition
+of coefficient fields."""
 
 from __future__ import annotations
 
@@ -63,9 +64,9 @@ class EvolutionConfig:
             bad.append("dt must be positive")
         if not self.t_end >= 0:
             bad.append("t_end must be non-negative")
-        if self.scheme not in ("implicit_midpoint", "explicit_rk4"):
-            bad.append("scheme must be implicit_midpoint or explicit_rk4 "
-                       f"(got {self.scheme!r})")
+        if self.scheme != "implicit_midpoint":
+            bad.append("scheme must be implicit_midpoint, the one time "
+                       f"integrator (got {self.scheme!r})")
         if not self.store_every >= 1:
             bad.append("store_every must be >= 1")
         if bad:
@@ -81,37 +82,12 @@ class RefinementReport:
     monotone: bool
 
 
-def estimated_spectral_radius(L: AssembledOperator) -> float:
-    """Estimate of the largest eigenvalue magnitude of L: 80 power iterations
-    from a fixed random start."""
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=L.ps.dim) + 1j * rng.normal(size=L.ps.dim)
-    v /= np.linalg.norm(v)
-    rho = 0.0
-    for _ in range(80):
-        w = L.apply(v)
-        n = np.linalg.norm(w)
-        if n == 0.0:
-            return 0.0
-        rho = n
-        v = w / n
-    return float(rho)
-
-
 def _step_count(cfg: EvolutionConfig):
     n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-12))
     remainder = cfg.t_end - n_full * cfg.dt
     if remainder < 1e-12 * max(1.0, cfg.t_end):
         remainder = 0.0
     return n_full, remainder
-
-
-def _rk4_step(apply_op, c, dt):
-    k1 = apply_op(c)
-    k2 = apply_op(c + 0.5 * dt * k1)
-    k3 = apply_op(c + 0.5 * dt * k2)
-    k4 = apply_op(c + dt * k3)
-    return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # Defect corrections a midpoint step may take after its first preconditioned
@@ -216,7 +192,7 @@ class _MidpointStepper:
 
 def evolve(W0: CoefficientField, L: AssembledOperator, cfg: EvolutionConfig,
            store=None) -> CoefficientField:
-    """Integrate dW/dt = L W from W0 to t_end; returns the final field.
+    """Midpoint-step dW/dt = L W from W0 to t_end; returns the final field.
 
     The stored states are a copy of W0, every ``store_every``-th step and the
     last step.  Each is built as one ``CoefficientField`` when it is reached
@@ -231,19 +207,9 @@ def evolve(W0: CoefficientField, L: AssembledOperator, cfg: EvolutionConfig,
         raise ContractError("operator and initial field live on different bases")
 
     n_full, remainder = _step_count(cfg)
-    if cfg.scheme == "explicit_rk4":
-        rho = estimated_spectral_radius(L)
-        dt_max = 2.8 / rho if rho > 0 else np.inf
-        if cfg.dt > dt_max:
-            raise ConfigurationError(
-                f"dt={cfg.dt} exceeds the explicit stability bound "
-                f"{dt_max:.3e} (estimated spectral radius {rho:.3e})"
-            )
-        steppers = {}
-    else:
-        steppers = {cfg.dt: _MidpointStepper(L, cfg.dt)}
-        if remainder > 0.0:
-            steppers[remainder] = _MidpointStepper(L, remainder)
+    steppers = {cfg.dt: _MidpointStepper(L, cfg.dt)}
+    if remainder > 0.0:
+        steppers[remainder] = _MidpointStepper(L, remainder)
 
     norm0 = max(np.linalg.norm(W0.coeffs), 1e-300)
     last = W0.copy()
@@ -253,10 +219,7 @@ def evolve(W0: CoefficientField, L: AssembledOperator, cfg: EvolutionConfig,
     t = W0.time
     dts = [cfg.dt] * n_full + ([remainder] if remainder > 0.0 else [])
     for i, dt in enumerate(dts):
-        if cfg.scheme == "explicit_rk4":
-            c = _rk4_step(L.apply, c, dt)
-        else:
-            c = steppers[dt].step(c)
+        c = steppers[dt].step(c)
         t += dt
         norm = np.linalg.norm(c)
         if not np.isfinite(norm) or norm > 1e6 * norm0:
@@ -524,8 +487,13 @@ def _nonincreasing(seq) -> bool:
 
 
 def _embedding_difference(coarse: CoefficientField, fine: CoefficientField) -> float:
-    """L2 distance after zero-pad embedding of the coarse multiscale vector."""
+    """L2 distance after zero-pad embedding of the coarse multiscale vector;
+    ContractError unless both bases share j_coarse, the frame it lines up."""
     ps_c, ps_f = coarse.ps, fine.ps
+    if ps_c.basis_q.j_coarse != ps_f.basis_q.j_coarse or \
+            ps_c.basis_p.j_coarse != ps_f.basis_p.j_coarse:
+        raise ContractError("cannot embed a field in a basis with another "
+                            "j_coarse: the multiscale frames differ")
     ms_c = _to_ms_2d(ps_c, coarse.coeffs).reshape(ps_c.shape)
     ms_f = _to_ms_2d(ps_f, fine.coeffs).reshape(ps_f.shape)
     pad = np.zeros_like(ms_f)

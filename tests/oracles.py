@@ -3,7 +3,8 @@
 Everything here is computed without the package's Galerkin tables: derivative
 values come from their own refinement cascade, integrals from Riemann sums
 with Aitken extrapolation, and grid derivatives from finite-difference
-stencils solved out of a Vandermonde system.
+stencils solved out of a Vandermonde system.  ``rk4_step`` is a reference
+time integrator for the package's implicit midpoint stepper.
 """
 
 import math
@@ -198,3 +199,12 @@ def fd_schrodinger_levels(U, n_states: int, half_width: float = 8.0,
 def kron_dense(op) -> np.ndarray:
     """An operator's dense matrix as the explicit sum of coeff * kron(Q, B)."""
     return sum(t.coeff * np.kron(t.q_matrix, t.p_matrix) for t in op.terms)
+
+
+def rk4_step(apply_op, c, dt):
+    """One classical fourth-order Runge-Kutta step of dc/dt = apply_op(c)."""
+    k1 = apply_op(c)
+    k2 = apply_op(c + 0.5 * dt * k1)
+    k3 = apply_op(c + 0.5 * dt * k2)
+    k4 = apply_op(c + dt * k3)
+    return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -80,14 +80,14 @@ def test_basis_tables_match_independent_oracles():
     worst_conn = 0.0
     for order, d in ((6, 1), (8, 1), (8, 2), (10, 1), (10, 2)):
         filt = daubechies_filter(order)
-        table = connection_coefficients(filt, 0, d)
+        table = connection_coefficients(filt, d)
         ref = aitken_connection(filt, d, (10, 12, 14))
         worst_conn = max(worst_conn, np.max(np.abs(table.values - ref)))
     assert worst_conn < 1e-6
 
     worst_sum = 0.0
     for order, d in ((4, 1), (6, 1), (6, 2), (8, 2), (8, 3), (10, 3)):
-        table = connection_coefficients(daubechies_filter(order), 0, d)
+        table = connection_coefficients(daubechies_filter(order), d)
         worst_sum = max(worst_sum, abs(np.dot(table.offsets ** d, table.values)
                                        - math.factorial(d)))
         worst_sum = max(worst_sum, abs(table.values.sum()))
@@ -279,9 +279,7 @@ def test_dissipative_diffusion_rate_and_damped_waveleton():
 
 
 def test_fock_hierarchy_recombination_is_exact():
-    from wigner.ensemble import (FockEnsemble, coherent_weights,
-                                 evolve_fock_hierarchy, incoherent_superpose)
-    from wigner.model import fock_potential
+    from wigner.ensemble import coherent_weights, evolve_ensemble
 
     t0 = time.time()
     ps = _phase_space(6, 6, (-6.0, 6.0))
@@ -289,13 +287,11 @@ def test_fock_hierarchy_recombination_is_exact():
     g = parse_potential("q^2")
     weights = coherent_weights(1.0, 2)
     cfg = EvolutionConfig(dt=0.05, t_end=0.5)
-    ens = FockEnsemble(weights=weights, U0=0.5, g=g,
-                       fields=[W0.copy() for _ in weights])
-    combined = incoherent_superpose(evolve_fock_hierarchy(ens, PARAMS, cfg))
+    combined = evolve_ensemble(W0, weights, 0.5, g, PARAMS, cfg)
 
     manual = np.zeros(ps.dim)
-    for n, w in enumerate(weights):
-        L = assemble_evolution(ps, fock_potential(0.5, g, n), PARAMS)
+    for w, U_n in zip(weights, ("0", "0.5*q^2", "q^2")):
+        L = assemble_evolution(ps, parse_potential(U_n), PARAMS)
         manual += w * evolve(W0, L, cfg).coeffs
     gap = np.max(np.abs(combined.coeffs - manual))
     s = W0.ps.integration_functional()

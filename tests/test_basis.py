@@ -117,7 +117,7 @@ def test_connection_vs_quadrature(order, d, resolutions):
     same linear system but the pointwise quadrature diverges.
     """
     filt = daubechies_filter(order)
-    table = connection_coefficients(filt, 0, d)
+    table = connection_coefficients(filt, d)
     K = order - 2
     ref = aitken_connection(filt, d, resolutions)
     values = dict(zip(table.offsets, table.values))
@@ -129,7 +129,7 @@ def test_connection_vs_quadrature(order, d, resolutions):
                                      (10, 1), (10, 2), (10, 3), (10, 4)])
 def test_connection_moment_sum_rule(order, d):
     filt = daubechies_filter(order)
-    table = connection_coefficients(filt, 0, d)
+    table = connection_coefficients(filt, d)
     s = sum(k ** d * v for k, v in zip(table.offsets, table.values))
     assert abs(s - math.factorial(d)) < 1e-10 * math.factorial(d)
     # zeroth sum rule: sum_k Gamma(k) = int (sum_k phi(x-k))^(d) phi = 0
@@ -138,7 +138,7 @@ def test_connection_moment_sum_rule(order, d):
 
 @pytest.mark.parametrize("order,d", [(6, 1), (8, 1), (8, 3), (10, 1), (10, 3)])
 def test_connection_odd_antisymmetric(order, d):
-    table = connection_coefficients(daubechies_filter(order), 0, d)
+    table = connection_coefficients(daubechies_filter(order), d)
     table = dict(zip(table.offsets, table.values))
     for k, v in table.items():
         assert abs(v + table[-k]) < 1e-10 * max(1.0, abs(v))
@@ -146,7 +146,7 @@ def test_connection_odd_antisymmetric(order, d):
 
 @pytest.mark.parametrize("order,d", [(6, 2), (8, 2), (10, 2), (10, 4)])
 def test_connection_even_symmetric(order, d):
-    table = connection_coefficients(daubechies_filter(order), 0, d)
+    table = connection_coefficients(daubechies_filter(order), d)
     table = dict(zip(table.offsets, table.values))
     for k, v in table.items():
         assert abs(v - table[-k]) < 1e-10 * max(1.0, abs(v))
@@ -155,24 +155,22 @@ def test_connection_even_symmetric(order, d):
 def test_connection_gate_order4_second_derivative():
     filt = daubechies_filter(4)
     with pytest.raises(ConfigurationError):
-        connection_coefficients(filt, 0, 2)
-    with pytest.raises(ConfigurationError):
-        connection_coefficients(filt, 1, 1)
+        connection_coefficients(filt, 2)
 
 
 def test_connection_gate_regularity_bound(db6):
     with pytest.raises(ConfigurationError):
-        connection_coefficients(db6, 0, 4)  # 4 >= 6/2 + 1
+        connection_coefficients(db6, 4)  # 4 >= 6/2 + 1
 
 
 def test_second_derivative_negative_semidefinite(basis6):
     # the diffusion factor must be dissipative
-    lam = np.linalg.eigvalsh(basis6.derivative_matrix(0, 2))
+    lam = np.linalg.eigvalsh(basis6.derivative_matrix(2))
     assert lam.max() < 1e-8
 
 
 def test_first_derivative_antisymmetric_matrix(basis6):
-    D = basis6.derivative_matrix(0, 1)
+    D = basis6.derivative_matrix(1)
     assert np.max(np.abs(D + D.T)) < 1e-10 * np.max(np.abs(D))
 
 
@@ -182,7 +180,7 @@ def test_derivative_matrix_on_projected_gaussian(basis6f):
     fp = lambda x: -2.0 * x * np.exp(-x ** 2)
     c = basis6f.project(f)
     ref = basis6f.project(fp)
-    got = basis6f.derivative_matrix(0, 1) @ c
+    got = basis6f.derivative_matrix(1) @ c
     assert np.max(np.abs(got - ref)) < 5e-6
 
 
@@ -285,7 +283,7 @@ def test_dwt_round_trip_random(db6, seed):
 
 
 def test_gram_matrix_identity(basis6):
-    np.testing.assert_allclose(basis6.derivative_matrix(0, 0), np.eye(basis6.dim),
+    np.testing.assert_allclose(basis6.derivative_matrix(0), np.eye(basis6.dim),
                                atol=1e-10)
 
 

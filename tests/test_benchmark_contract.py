@@ -1,0 +1,48 @@
+"""The benchmark harness's contract with the package.
+
+``perfbench/run.py`` writes a config per workload and ``perfbench/launch.py``
+runs ``wigner`` with spans installed on package functions it names.  A config
+key, a traced name or a module the launcher imports that the package drops
+fails here, not in the next benchmark run.  This test reads perfbench and
+does not edit it.
+"""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from wigner.cli import EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _benchmark_runner():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RUNNER = _benchmark_runner()
+
+
+@pytest.mark.parametrize("name", sorted(RUNNER.WORKLOADS))
+def test_benchmark_config_validates_under_the_tracer(tmp_path, capsys, name):
+    text, _ = RUNNER.make_config(name, 1)
+    cfg = tmp_path / f"{name}.ini"
+    cfg.write_text(text)
+    assert main(["validate", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "perfbench/launch.py", "trace", "0", str(report),
+         "validate", str(cfg)],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(report.read_text())["exit_code"] == EXIT_OK

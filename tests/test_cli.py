@@ -268,6 +268,29 @@ def test_validate_rejects_what_run_would(tmp_path, edits):
     assert main(["validate", _write(tmp_path, _edited(edits))]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("scheme,code", [("implicit_midpoint", EXIT_OK),
+                                         ("explicit_rk4", EXIT_CONFIG)])
+def test_scheme_has_one_value(tmp_path, capsys, scheme, code):
+    """The midpoint stepper is the one integrator; the key stays so that
+    configs which name it parse."""
+    assert main(["validate", _write(tmp_path, MINIMAL + f"scheme = {scheme}\n")]) \
+        == code
+    if code == EXIT_CONFIG:
+        assert "scheme must be implicit_midpoint" in capsys.readouterr().err
+
+
+def test_refine_j_coarse_must_not_exceed_n_min(tmp_path, capsys):
+    """Refine compares successive levels in one multiscale frame, which
+    every level from n_min up has only when j_coarse <= n_min."""
+    text = _edited([("mode = evolve", "mode = refine"),
+                    ("t_end = 0.1", "t_end = 0.1\nn_min = 3\nn_max = 4")])
+    assert main(["validate", _write(tmp_path, text)]) == EXIT_OK
+    bad = _write(tmp_path, text.replace("j_coarse = 3", "j_coarse = 4"), "b.ini")
+    assert main(["validate", bad]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[basis] j_coarse" in err and "[solver] n_min" in err
+
+
 def test_run_evolve_writes_artifacts(tmp_path, capsys):
     path = _write(tmp_path, MINIMAL)
     out = str(tmp_path / "out")

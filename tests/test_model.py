@@ -10,7 +10,6 @@ from wigner.model import (
     ModelParams,
     PolynomialPotential,
     derivative,
-    fock_potential,
     parse_potential,
 )
 
@@ -59,15 +58,6 @@ def test_derivative_past_degree_is_zero():
     assert derivative(U, 3).is_zero
     with pytest.raises(ContractError):
         derivative(U, -1)
-
-
-def test_fock_potential():
-    g = PolynomialPotential(coeffs_q=(0.0, 0.0, 1.0))
-    U2 = fock_potential(0.5, g, 2)
-    assert U2.coeffs_q == (0.0, 0.0, 1.0)
-    assert fock_potential(0.5, g, 0).is_zero
-    with pytest.raises(ContractError):
-        fock_potential(0.5, g, -1)
 
 
 def test_model_params_validation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from oracles import fd_schrodinger_levels, kron_dense
+from oracles import fd_schrodinger_levels, kron_dense, rk4_step
 
 from wigner.assembly import (
     AssembledOperator,
@@ -28,7 +28,6 @@ from wigner.solve import (
     _PENALTY,
     CoefficientField,
     EvolutionConfig,
-    estimated_spectral_radius,
     evolve,
     moyal_eigen,
     reconstruct_by_scale,
@@ -139,21 +138,16 @@ def test_evolve_memory_does_not_grow_with_stored_steps(ps6, gaussian_field6):
 
 
 def test_rk4_matches_midpoint(ps6, gaussian_field6):
+    """The midpoint stepper agrees with the reference RK4 integrator."""
     L = assemble_evolution(ps6, parse_potential("0.5*q^2"), PARAMS)
     dt = 2e-3
-    a = evolve(gaussian_field6, L,
-               EvolutionConfig(dt=dt, t_end=0.1, scheme="explicit_rk4"))
+    c = gaussian_field6.coeffs.copy()
+    for _ in range(50):
+        c = rk4_step(L.apply, c, dt)
     b = evolve(gaussian_field6, L,
                EvolutionConfig(dt=dt, t_end=0.1))
-    assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-8
-
-
-def test_rk4_stability_gate(ps6, gaussian_field6):
-    L = assemble_evolution(ps6, parse_potential("0.5*q^2"), PARAMS)
-    rho = estimated_spectral_radius(L)
-    with pytest.raises(ConfigurationError):
-        evolve(gaussian_field6, L,
-               EvolutionConfig(dt=10.0 / rho, t_end=1.0, scheme="explicit_rk4"))
+    assert b.time == pytest.approx(0.1)
+    assert np.max(np.abs(c - b.coeffs)) < 1e-8
 
 
 def test_unstable_run_aborts(ps6, gaussian_field6):
@@ -246,7 +240,7 @@ def test_midpoint_stepper_rejects_generator_without_circulant_split(db6, case):
                              ps.basis_p.moment_matrix(1))
     else:
         extra = OperatorTerm("complex_diffusion", 0.01j, np.eye(ps.basis_q.dim),
-                             ps.basis_p.derivative_matrix(0, 2))
+                             ps.basis_p.derivative_matrix(2))
     L = _quartic_dissipative(ps) + AssembledOperator(ps=ps, terms=[extra])
     W0 = _field(ps, lambda q, p: np.exp(-(q - 0.5) ** 2 - p ** 2) / np.pi)
     with pytest.raises(ContractError):
@@ -480,6 +474,22 @@ def test_refine_until_not_converged():
     W, report = refine_until(solve_at_level, epsilon=1e-12, n_max=5, n_min=3)
     assert not report.converged
     assert report.accepted_level == 5
+
+
+def test_refine_rejects_fields_in_different_frames():
+    """Zero-pad embedding lines up the scaling blocks, so two levels with
+    different j_coarse cannot be compared."""
+    filt = daubechies_filter(6)
+
+    def field(j_coarse, j_fine):
+        mk = lambda: WaveletBasis(filter=filt, j_coarse=j_coarse, j_fine=j_fine,
+                                  domain=(-4.0, 4.0))
+        return _field(PhaseSpaceBasis(mk(), mk()),
+                      lambda q, p: np.exp(-q ** 2 - p ** 2) / np.pi)
+
+    fields = {4: field(4, 4), 5: field(5, 5)}
+    with pytest.raises(ContractError, match="j_coarse"):
+        refine_until(fields.get, epsilon=1e-3, n_max=5, n_min=4)
 
 
 def test_refine_epsilon_positive():
