@@ -44,14 +44,12 @@ def main():
     print(f"accepted level: {report.accepted_level}")
     print(f"converged: {report.converged}   monotone: {report.monotone}")
 
-    cut = W.ps.basis_q.j_coarse + 1
-    if cut <= W.ps.basis_q.j_fine:
-        slow, fast = reconstruct_by_scale(W, cut)
-        total = W.l2_norm() ** 2
-        print(f"slow-scale energy fraction: {slow.l2_norm() ** 2 / total:.6f}")
-        for i, part in enumerate(fast):
-            print(f"detail level {cut + i} energy fraction: "
-                  f"{part.l2_norm() ** 2 / total:.3e}")
+    slow, fast = reconstruct_by_scale(W)
+    total = W.l2_norm() ** 2
+    print(f"slow-scale energy fraction: {slow.l2_norm() ** 2 / total:.6f}")
+    for j, part in enumerate(fast, start=W.ps.scale_cut):
+        print(f"detail level {j} energy fraction: "
+              f"{part.l2_norm() ** 2 / total:.3e}")
 
 
 if __name__ == "__main__":

@@ -49,6 +49,29 @@ class PhaseSpaceBasis:
             )
         return c.reshape(self.shape)
 
+    def to_multiscale(self, coeffs: np.ndarray) -> np.ndarray:
+        """Flat multiscale coefficients: each axis's ``dwt_matrix`` applied to
+        the coefficient grid, so each axis runs [phi_coarse | d_coarse ... d_fine]."""
+        Tq, Tp = self.basis_q.dwt_matrix, self.basis_p.dwt_matrix
+        return (Tq @ self.as_grid(coeffs) @ Tp.T).reshape(-1)
+
+    def from_multiscale(self, ms: np.ndarray) -> np.ndarray:
+        """Inverse of ``to_multiscale``: the transforms are orthogonal."""
+        Tq, Tp = self.basis_q.dwt_matrix, self.basis_p.dwt_matrix
+        return (Tq.T @ self.as_grid(ms) @ Tp).reshape(-1)
+
+    def multiscale_levels(self) -> np.ndarray:
+        """Level of each ``to_multiscale`` coefficient, flat: the larger of its
+        two axis levels (``WaveletBasis.multiscale_levels``)."""
+        return np.maximum.outer(self.basis_q.multiscale_levels(),
+                                self.basis_p.multiscale_levels()).reshape(-1)
+
+    @property
+    def scale_cut(self) -> int:
+        """First fast level of ``reconstruct_by_scale``, min(j_coarse + 1, j_fine)
+        on the q axis: the slow part is the scaling block and coarsest details."""
+        return min(self.basis_q.j_coarse + 1, self.basis_q.j_fine)
+
     def integration_functional(self) -> np.ndarray:
         """Flat row vector s with  iint W dq dp = s . coeffs."""
         return np.kron(
@@ -168,8 +191,6 @@ class AssembledOperator:
 
 def _poly_mult_matrix(basis: WaveletBasis, coeffs) -> np.ndarray:
     """Galerkin matrix of multiplication by sum_n coeffs[n] x^n (exact tables)."""
-    if len(coeffs) - 1 > 8:
-        raise ConfigurationError("polynomial multiplication supports degree <= 8")
     M = np.zeros((basis.dim, basis.dim))
     for n, c in enumerate(coeffs):
         if c != 0.0:

@@ -372,6 +372,8 @@ class WaveletBasis:
     _dwt: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.j_coarse < 0:
+            raise ConfigurationError("j_coarse must be >= 0")
         if self.j_coarse > self.j_fine:
             raise ContractError("j_coarse must not exceed j_fine")
         # the filter support needs 2^j_fine >= order, the moment band
@@ -406,25 +408,14 @@ class WaveletBasis:
 
     # -- transforms --------------------------------------------------------
 
-    def _analysis_step(self, n: int) -> np.ndarray:
-        """n x n orthogonal one-level periodic DWT matrix (approx; detail)."""
-        h = self.filter.taps
-        g = self.filter.high_pass
-        half = n // 2
-        T = np.zeros((n, n))
-        for k in range(half):
-            for t, ht in enumerate(h):
-                T[k, (2 * k + t) % n] += ht
-            for t, gt in enumerate(g):
-                T[half + k, (2 * k + t) % n] += gt
-        return T
-
     @property
     def dwt_matrix(self) -> np.ndarray:
         """Full multiscale analysis matrix (orthogonal, dim x dim).
 
         Each step transforms only the leading approximation block, so the rows
-        come out ordered [phi_coarse | d_coarse | ... | d_fine].
+        come out ordered [phi_coarse | d_coarse | ... | d_fine].  A step stacks
+        projection's ``_restrict_once`` of the identity with the low-pass and
+        the high-pass taps: one periodic filter step (Mallat's pyramid).
         """
         if self._dwt is None:
             n = self.dim
@@ -432,7 +423,8 @@ class WaveletBasis:
             m = n
             while m > 2 ** self.j_coarse:
                 step = np.eye(n)
-                step[:m, :m] = self._analysis_step(m)
+                step[:m, :m] = np.vstack([_restrict_once(np.eye(m), h, 0) for h in
+                                          (self.filter.taps, self.filter.high_pass)])
                 T = step @ T
                 m //= 2
             self._dwt = T
@@ -596,7 +588,7 @@ def _stencil_coefficients(F: np.ndarray, weights: np.ndarray, axis: int) -> np.n
 
 
 def _restrict_once(c: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """One low-pass analysis step c'_k = sum_t h_t c_{(2k+t) mod n} (periodic)."""
+    """One analysis step c'_k = sum_t h_t c_{(2k+t) mod n} (periodic)."""
     n = c.shape[axis]
     keep = [slice(None)] * c.ndim
     keep[axis] = slice(0, None, 2)

@@ -103,6 +103,7 @@ def parse_config(path) -> RunConfig:
     if mode not in _MODES:
         errors.append(f"[run] mode must be one of {_MODES} (got {mode!r})")
 
+    from .basis import MAX_MOMENT_POWER, WaveletBasis, daubechies_filter
     from .diagnostics import ClassifierThresholds
     from .model import ModelParams, parse_potential
     from .solve import EvolutionConfig
@@ -123,6 +124,8 @@ def parse_config(path) -> RunConfig:
     p_max = get("basis", "p_max", 5.0, float)
     if order % 2 or not 2 <= order <= 10:
         errors.append("[basis] order must be an even integer in 2..10")
+    if j_coarse < 0:
+        errors.append("[basis] j_coarse must be >= 0")
     if j_coarse > j_fine:
         errors.append("[basis] j_coarse must not exceed j_fine")
     if q_min >= q_max:
@@ -190,10 +193,17 @@ def parse_config(path) -> RunConfig:
             errors.append("mode 'ensemble' requires an [ensemble] section")
 
     # Ensemble levels evolve under multiples of g, every other mode under U.
-    U_run = g if mode == "ensemble" else U
+    U_run, U_key = (g, "[ensemble] g") if mode == "ensemble" else \
+        (U, "[model] potential")
+    # The generator multiplies by U' at most, the stationary pair by U; the
+    # moment tables end at MAX_MOMENT_POWER whatever the filter order.
+    max_degree = MAX_MOMENT_POWER + (mode in ("evolve", "ensemble"))
+    if U_run is not None and U_run.degree > max_degree:
+        errors.append(f"{U_key}: degree {U_run.degree} exceeds {max_degree}, "
+                      f"the highest the moment tables support in {mode} mode")
+        U_run = None
     filt = None
     if order in range(2, 11, 2):
-        from .basis import WaveletBasis, daubechies_filter
         filt = daubechies_filter(order)
         # The coarsest basis the mode builds (refine mode starts at n_min);
         # its size check reads only the order and the finest level.
@@ -564,14 +574,12 @@ def _run_refine(cfg, manifest, store):
 def _dump_scale_parts(cfg, final, run_dir):
     from .solve import reconstruct_by_scale
 
-    bq = final.ps.basis_q
-    cut = min(bq.j_coarse + 1, bq.j_fine)
-    slow, fast = reconstruct_by_scale(final, cut)
+    slow, fast = reconstruct_by_scale(final)
     dump_grid(slow, cfg.grid_resolution,
               os.path.join(run_dir, "scale_slow.wgrid"))
-    for i, part in enumerate(fast):
+    for j, part in enumerate(fast, start=final.ps.scale_cut):
         dump_grid(part, cfg.grid_resolution,
-                  os.path.join(run_dir, f"scale_fast_{cut + i}.wgrid"))
+                  os.path.join(run_dir, f"scale_fast_{j}.wgrid"))
 
 
 class _CheckpointWriter:

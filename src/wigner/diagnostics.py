@@ -7,7 +7,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
-from .solve import CoefficientField, _to_ms_2d
+from .solve import CoefficientField
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,9 @@ def marginals(W: CoefficientField):
     return dq, dp
 
 
-def scale_entropy(W: CoefficientField):
-    """(Shannon entropy, participation ratio) of the squared multiscale spectrum."""
-    ms = _to_ms_2d(W.ps, np.real(W.coeffs))
-    e = np.abs(ms) ** 2
+def _scale_spectrum(W: CoefficientField):
+    """The squared multiscale spectrum e of W's real part and ``scale_entropy``."""
+    e = np.abs(W.ps.to_multiscale(np.real(W.coeffs))) ** 2
     total = e.sum()
     if total <= 0.0:
         raise DegenerateInputError("scale entropy of a zero field is undefined")
@@ -122,7 +121,12 @@ def scale_entropy(W: CoefficientField):
     nz = p[p > 0]
     entropy = float(-np.sum(nz * np.log(nz)))
     participation = float(1.0 / np.sum(p ** 2))
-    return entropy, participation
+    return e, entropy, participation
+
+
+def scale_entropy(W: CoefficientField):
+    """(Shannon entropy, participation ratio) of the squared multiscale spectrum."""
+    return _scale_spectrum(W)[1:]
 
 
 def negativity_volume(W: CoefficientField) -> float:
@@ -160,7 +164,7 @@ def classify(final: CoefficientField, previous: CoefficientField = None,
     """
     dim = final.ps.dim
 
-    _, participation = scale_entropy(final)
+    e, _, participation = _scale_spectrum(final)
     pr_frac = participation / dim
 
     stable = True
@@ -171,8 +175,7 @@ def classify(final: CoefficientField, previous: CoefficientField = None,
         rel_change = np.linalg.norm(final.coeffs - previous.coeffs) / norm_prev
         stable = rel_change < thresholds.theta_stab
 
-    ms = _to_ms_2d(final.ps, np.real(final.coeffs))
-    e = np.sort(np.abs(ms) ** 2)[::-1]
+    e = np.sort(e)[::-1]
     k = min(thresholds.top_k, e.size)
     top_fraction = float(e[:k].sum() / e.sum())
 
@@ -243,13 +246,13 @@ class HealthSeries:
                 np.kron(uq, sp_)
                 + np.kron(sq, bp.moment_functional(2)) / (2.0 * params.mass))
         self._edge = np.logical_or.outer(_edge_mask(bq), _edge_mask(bp)).reshape(-1)
-        labels = np.maximum.outer(bq.multiscale_levels(), bp.multiscale_levels())
-        self._finest = (labels == labels.max()).reshape(-1)
+        labels = ps.multiscale_levels()
+        self._finest = labels == labels.max()
 
     def row(self, W: CoefficientField) -> tuple:
         c = np.real(W.coeffs)
         c2 = c * c
-        ms = _to_ms_2d(self.ps, c) ** 2
+        ms = self.ps.to_multiscale(c) ** 2
         norm2, ms_total = float(c2.sum()), float(ms.sum())
         energy = np.nan if self._energy is None else float(self._energy @ c)
         return (W.time, float(self._integral @ c), energy,

@@ -38,13 +38,6 @@ class PolynomialPotential:
     def scaled(self, factor: float) -> "PolynomialPotential":
         return PolynomialPotential(coeffs_q=tuple(factor * c for c in self.coeffs_q))
 
-    def __add__(self, other: "PolynomialPotential") -> "PolynomialPotential":
-        cq = [0.0] * max(len(self.coeffs_q), len(other.coeffs_q))
-        for src in (self, other):
-            for k, c in enumerate(src.coeffs_q):
-                cq[k] += c
-        return PolynomialPotential(coeffs_q=tuple(cq))
-
 
 def _canonical(coeffs) -> tuple:
     c = list(float(x) for x in coeffs)

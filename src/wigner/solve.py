@@ -435,18 +435,6 @@ def moyal_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
 # refinement and scale splits
 # ---------------------------------------------------------------------------
 
-def _to_ms_2d(ps: PhaseSpaceBasis, coeffs: np.ndarray) -> np.ndarray:
-    Tq = ps.basis_q.dwt_matrix
-    Tp = ps.basis_p.dwt_matrix
-    return (Tq @ ps.as_grid(coeffs) @ Tp.T).reshape(-1)
-
-
-def _from_ms_2d(ps: PhaseSpaceBasis, ms: np.ndarray) -> np.ndarray:
-    Tq = ps.basis_q.dwt_matrix
-    Tp = ps.basis_p.dwt_matrix
-    return (Tq.T @ ms.reshape(ps.shape) @ Tp).reshape(-1)
-
-
 def refine_until(solve_at_level, epsilon: float, n_max: int,
                  n_min: int) -> tuple:
     """Refine from level n_min until ||W^{N+1} - W^N|| <= epsilon in the
@@ -494,35 +482,27 @@ def _embedding_difference(coarse: CoefficientField, fine: CoefficientField) -> f
             ps_c.basis_p.j_coarse != ps_f.basis_p.j_coarse:
         raise ContractError("cannot embed a field in a basis with another "
                             "j_coarse: the multiscale frames differ")
-    ms_c = _to_ms_2d(ps_c, coarse.coeffs).reshape(ps_c.shape)
-    ms_f = _to_ms_2d(ps_f, fine.coeffs).reshape(ps_f.shape)
+    ms_c = ps_c.as_grid(ps_c.to_multiscale(coarse.coeffs))
+    ms_f = ps_f.as_grid(ps_f.to_multiscale(fine.coeffs))
     pad = np.zeros_like(ms_f)
     pad[: ms_c.shape[0], : ms_c.shape[1]] = ms_c
     return float(np.linalg.norm(ms_f - pad))
 
 
-def reconstruct_by_scale(W: CoefficientField, cut: int):
-    """Split a field into a slow part (levels < cut) and per-level fast parts.
+def reconstruct_by_scale(W: CoefficientField):
+    """Split a field into a slow part (levels below the basis's ``scale_cut``)
+    and one fast part per level from the cut to the finest.
 
     Returns (slow, [fast_cut, ..., fast_finest]); parts sum to the full field
     exactly by linearity of the orthogonal multiscale transform.
     """
     ps = W.ps
-    lq = ps.basis_q.multiscale_levels()
-    lp = ps.basis_p.multiscale_levels()
-    finest = max(ps.basis_q.j_fine, ps.basis_p.j_fine) - 1
-    coarsest = min(lq.min(), lp.min())
-    if not coarsest <= cut <= finest + 1:
-        raise ContractError(
-            f"scale cut {cut} outside basis level range "
-            f"[{coarsest}, {finest + 1}]"
-        )
-    labels = np.maximum.outer(lq, lp)
-    ms = _to_ms_2d(ps, W.coeffs).reshape(ps.shape)
+    labels = ps.multiscale_levels()
+    ms = ps.to_multiscale(W.coeffs)
 
     def synth(mask):
-        return CoefficientField(
-            ps=ps, coeffs=_from_ms_2d(ps, (ms * mask).reshape(-1)), time=W.time)
+        return CoefficientField(ps=ps, coeffs=ps.from_multiscale(ms * mask),
+                                time=W.time)
 
-    return synth(labels < cut), [synth(labels == lev)
-                                 for lev in range(cut, finest + 1)]
+    return synth(labels < ps.scale_cut), [
+        synth(labels == lev) for lev in range(ps.scale_cut, labels.max() + 1)]

@@ -4,7 +4,8 @@ Everything here is computed without the package's Galerkin tables: derivative
 values come from their own refinement cascade, integrals from Riemann sums
 with Aitken extrapolation, and grid derivatives from finite-difference
 stencils solved out of a Vandermonde system.  ``rk4_step`` is a reference
-time integrator for the package's implicit midpoint stepper.
+time integrator for the package's implicit midpoint stepper, and
+``dwt_analysis_step`` writes one level of the periodic DWT tap by tap.
 """
 
 import math
@@ -208,3 +209,17 @@ def rk4_step(apply_op, c, dt):
     k3 = apply_op(c + 0.5 * dt * k2)
     k4 = apply_op(c + dt * k3)
     return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def dwt_analysis_step(filt: FilterCoefficients, n: int) -> np.ndarray:
+    """n x n orthogonal one-level periodic DWT matrix: n/2 approximation rows
+    over n/2 detail rows, each tap added at its wrapped column."""
+    h, g = filt.taps, filt.high_pass
+    half = n // 2
+    T = np.zeros((n, n))
+    for k in range(half):
+        for t, ht in enumerate(h):
+            T[k, (2 * k + t) % n] += ht
+        for t, gt in enumerate(g):
+            T[half + k, (2 * k + t) % n] += gt
+    return T

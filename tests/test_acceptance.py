@@ -31,7 +31,6 @@ from wigner.solve import (
     evolve,
     refine_until,
     stationary_eigen,
-    _from_ms_2d,
 )
 
 PARAMS = ModelParams()
@@ -326,7 +325,7 @@ def test_classifier_separates_the_three_regimes():
 
     ms = np.zeros(ps.shape)
     ms[0, 0] = 1.0
-    single = CoefficientField(ps=ps, coeffs=_from_ms_2d(ps, ms))
+    single = CoefficientField(ps=ps, coeffs=ps.from_multiscale(ms.ravel()))
     assert classify(single, thresholds=thresholds) == "waveleton"
     elapsed = time.time() - t0
     print(f"\nPASS classifier: ground waveleton, shear PR/dim "

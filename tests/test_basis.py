@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     aitken_connection,
+    dwt_analysis_step,
     quadrature_moment,
     quadrature_product_moment,
     riemann_projection,
@@ -264,6 +265,35 @@ def test_basis_geometry(basis6):
 def test_basis_too_coarse_for_filter(db6):
     with pytest.raises(ConfigurationError):
         WaveletBasis(filter=db6, j_coarse=2, j_fine=2, domain=(0.0, 1.0))
+
+
+def test_basis_rejects_negative_j_coarse(db6):
+    with pytest.raises(ConfigurationError, match="j_coarse must be >= 0"):
+        WaveletBasis(filter=db6, j_coarse=-1, j_fine=5, domain=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_dwt_matrix_matches_tap_by_tap_steps(order):
+    """The DWT built from projection's restriction is the product of the
+    oracle's one-level steps, bit for bit, on every valid basis up to 128."""
+    filt = daubechies_filter(order)
+    checked = 0
+    for j_fine in range(8):
+        for j_coarse in range(j_fine + 1):
+            try:
+                basis = WaveletBasis(filter=filt, j_coarse=j_coarse,
+                                     j_fine=j_fine, domain=(0.0, 1.0))
+            except ConfigurationError:
+                continue
+            n = basis.dim
+            T = np.eye(n)
+            for m in (2 ** j for j in range(j_fine, j_coarse, -1)):
+                step = np.eye(n)
+                step[:m, :m] = dwt_analysis_step(filt, m)
+                T = step @ T
+            assert np.array_equal(basis.dwt_matrix, T), (j_coarse, j_fine)
+            checked += 1
+    assert checked == {2: 35, 4: 33, 6: 30, 8: 26, 10: 26}[order]  # 150 bases
 
 
 def test_dwt_orthogonal(basis6):

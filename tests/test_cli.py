@@ -257,15 +257,31 @@ def test_validate_command(tmp_path, capsys):
     [("t_end = 0.1", "t_end = 0.1\n\n[diagnostics]\ntheta_stab = 0")],
     # a lone % is an interpolation error of the INI reader
     [("potential = 0.5*q^2", "potential = 5%")],
+    [("j_coarse = 3", "j_coarse = -1")],
 ], ids=["lindblad", "pure_p", "p_term", "n_states", "pairs", "n_min",
         "ensemble_weights", "filter_too_rough", "q9_evolve", "q9_stationary",
         "support_too_coarse", "moment_band_too_coarse", "refine_n_min_too_coarse",
         "store_every", "checkpoint_every", "sigma_q", "negative_weight",
         "zero_weights", "zero_norm", "nan_norm", "nan_dt", "coherent_nan",
         "coherent_inf", "inf_weight", "top_k", "theta_frac", "theta_loc",
-        "theta_chaos", "theta_stab", "interpolation"])
+        "theta_chaos", "theta_stab", "interpolation", "negative_j_coarse"])
 def test_validate_rejects_what_run_would(tmp_path, edits):
     assert main(["validate", _write(tmp_path, _edited(edits))]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("edits,key", [
+    ([("0.5*q^2", "q^10")], "[model] potential"),
+    ([("mode = evolve", "mode = stationary"), ("0.5*q^2", "q^9")],
+     "[model] potential"),
+    ([("mode = evolve", "mode = ensemble"),
+      ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\ng = q^10")], "[ensemble] g"),
+], ids=["evolve", "stationary", "ensemble"])
+def test_potential_degree_is_reported_under_its_key(tmp_path, capsys, edits, key):
+    """The moment tables end at q^8 whatever the filter order, so a potential
+    that needs more is the potential's error, not the filter's."""
+    assert main(["validate", _write(tmp_path, _edited(edits))]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{key}: degree" in err and "[basis]" not in err
 
 
 @pytest.mark.parametrize("scheme,code", [("implicit_midpoint", EXIT_OK),

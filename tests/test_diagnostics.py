@@ -15,7 +15,7 @@ from wigner.diagnostics import (
     standard_moments,
 )
 from wigner.errors import ConfigurationError, DegenerateInputError
-from wigner.solve import CoefficientField, _from_ms_2d
+from wigner.solve import CoefficientField
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def test_marginals_gaussian(shifted_gaussian):
 
 def test_scale_entropy_uniform_spectrum(ps6):
     ms = np.ones(ps6.shape)
-    W = CoefficientField(ps=ps6, coeffs=_from_ms_2d(ps6, ms))
+    W = CoefficientField(ps=ps6, coeffs=ps6.from_multiscale(ms.ravel()))
     entropy, participation = scale_entropy(W)
     assert entropy == pytest.approx(np.log(ps6.dim))
     assert participation == pytest.approx(ps6.dim)
@@ -71,7 +71,7 @@ def test_scale_entropy_uniform_spectrum(ps6):
 def test_scale_entropy_single_coefficient(ps6):
     ms = np.zeros(ps6.shape)
     ms[3, 5] = 2.0
-    W = CoefficientField(ps=ps6, coeffs=_from_ms_2d(ps6, ms))
+    W = CoefficientField(ps=ps6, coeffs=ps6.from_multiscale(ms.ravel()))
     entropy, participation = scale_entropy(W)
     assert entropy == pytest.approx(0.0, abs=1e-14)
     assert participation == pytest.approx(1.0)
@@ -100,7 +100,7 @@ def test_classify_without_previous_counts_as_stable(ps6):
     # a field that moves by more than theta_stab is a waveleton only alone
     ms = np.zeros(ps6.shape)
     ms[0, 0] = 1.0
-    W = CoefficientField(ps=ps6, coeffs=_from_ms_2d(ps6, ms))
+    W = CoefficientField(ps=ps6, coeffs=ps6.from_multiscale(ms.ravel()))
     moved = CoefficientField(ps=ps6, coeffs=1.1 * W.coeffs)
     assert classify(W) == "waveleton"
     assert classify(W, previous=moved) == "localized_mode"
@@ -117,7 +117,7 @@ def test_classify_zero_trajectory(ps6, gaussian_field6):
 def test_stationary_concentrated_field_is_waveleton(ps6):
     ms = np.zeros(ps6.shape)
     ms[0, 0] = 1.0
-    W = CoefficientField(ps=ps6, coeffs=_from_ms_2d(ps6, ms))
+    W = CoefficientField(ps=ps6, coeffs=ps6.from_multiscale(ms.ravel()))
     assert classify(W, previous=W.copy()) == "waveleton"
 
 
@@ -126,10 +126,10 @@ def test_localized_but_drifting_field(ps6):
     rng = np.random.default_rng(7)
     ms = np.zeros(ps6.shape)
     ms[0, 0] = 1.0
-    a = CoefficientField(ps=ps6, coeffs=_from_ms_2d(ps6, ms))
+    a = CoefficientField(ps=ps6, coeffs=ps6.from_multiscale(ms.ravel()))
     ms2 = ms.copy()
     ms2[0, 1] = 0.1
-    b = CoefficientField(ps=ps6, coeffs=_from_ms_2d(ps6, ms2))
+    b = CoefficientField(ps=ps6, coeffs=ps6.from_multiscale(ms2.ravel()))
     assert classify(b, previous=a) == "localized_mode"
 
 
@@ -137,7 +137,7 @@ def test_delocalized_field_is_chaotic(ps6):
     # a full random spectrum has participation ratio near dim/3 > theta * dim
     rng = np.random.default_rng(11)
     ms = rng.normal(size=ps6.shape)
-    W = CoefficientField(ps=ps6, coeffs=_from_ms_2d(ps6, ms))
+    W = CoefficientField(ps=ps6, coeffs=ps6.from_multiscale(ms.ravel()))
     _, participation = scale_entropy(W)
     assert participation / ps6.dim > 0.25
     loose = ClassifierThresholds(theta_chaos=0.25)
@@ -147,7 +147,7 @@ def test_delocalized_field_is_chaotic(ps6):
 def test_classifier_scale_invariance(ps6):
     rng = np.random.default_rng(13)
     ms = rng.normal(size=ps6.shape)
-    W = CoefficientField(ps=ps6, coeffs=_from_ms_2d(ps6, ms))
+    W = CoefficientField(ps=ps6, coeffs=ps6.from_multiscale(ms.ravel()))
     scaled = CoefficientField(ps=ps6, coeffs=1e6 * W.coeffs)
     loose = ClassifierThresholds(theta_chaos=0.25)
     assert classify(W, thresholds=loose) == classify(scaled, thresholds=loose)
@@ -157,7 +157,7 @@ def test_classifier_scale_invariance(ps6):
 def test_classifier_custom_thresholds(ps6):
     rng = np.random.default_rng(17)
     ms = rng.normal(size=ps6.shape)
-    W = CoefficientField(ps=ps6, coeffs=_from_ms_2d(ps6, ms))
+    W = CoefficientField(ps=ps6, coeffs=ps6.from_multiscale(ms.ravel()))
     strict = ClassifierThresholds(theta_chaos=0.999)
     assert classify(W, thresholds=strict) == "unclassified"
 

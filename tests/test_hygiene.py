@@ -1,6 +1,7 @@
-"""Source hygiene: every name a package module imports is used by it, every
-function it defines is used outside the tests, and every optional parameter
-is passed by some caller outside the tests."""
+"""Source hygiene: every name a package module imports is used by it and is
+public in the module it comes from, every function it defines is used outside
+the tests, and every optional parameter is passed by some caller outside the
+tests."""
 
 import ast
 import re
@@ -41,6 +42,28 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list:
+    """``_``-prefixed names, dunders aside, that a package module imports from
+    another package module (a relative import)."""
+    return sorted(
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__"))
+
+
+def test_private_import_detector():
+    src = ("from . import __version__\nfrom .solve import _to_ms_2d, evolve\n"
+           "from numpy import _core\n\ndef f():\n    from .basis import _restrict_once\n")
+    assert private_imports(src) == ["_restrict_once (line 6)", "_to_ms_2d (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
 
 
 def _references(node) -> Counter:

@@ -502,14 +502,24 @@ def test_refine_epsilon_positive():
 # ---------------------------------------------------------------------------
 
 def test_reconstruct_by_scale_partitions(ps6, gaussian_field6):
-    slow, fast = reconstruct_by_scale(gaussian_field6, cut=3)
+    slow, fast = reconstruct_by_scale(gaussian_field6)
     total = slow.coeffs + sum(part.coeffs for part in fast)
     np.testing.assert_allclose(total, gaussian_field6.coeffs, atol=1e-12)
     # parts are L2-orthogonal (orthogonal multiscale masks)
     e_parts = slow.l2_norm() ** 2 + sum(p.l2_norm() ** 2 for p in fast)
     assert abs(e_parts - gaussian_field6.l2_norm() ** 2) < 1e-12
+    # the cut is j_coarse + 1 = 4: levels 2 and 3 are slow, level 4 is fast
+    labels = ps6.multiscale_levels()
+    assert ps6.scale_cut == 4 and len(fast) == 1
+    assert np.max(np.abs(ps6.to_multiscale(slow.coeffs)[labels >= 4])) < 1e-14
+    assert np.max(np.abs(ps6.to_multiscale(fast[0].coeffs)[labels != 4])) < 1e-14
 
 
-def test_reconstruct_by_scale_bad_cut(ps6, gaussian_field6):
-    with pytest.raises(ContractError):
-        reconstruct_by_scale(gaussian_field6, cut=99)
+def test_reconstruct_by_scale_single_level_basis(db6, gaussian_field6):
+    """With j_coarse = j_fine the cut is j_fine: all of the field is slow."""
+    b = WaveletBasis(filter=db6, j_coarse=5, j_fine=5, domain=(-4.0, 4.0))
+    ps = PhaseSpaceBasis(b, b)
+    W = CoefficientField(ps=ps, coeffs=gaussian_field6.coeffs)
+    slow, fast = reconstruct_by_scale(W)
+    assert ps.scale_cut == 5 and fast == []
+    np.testing.assert_array_equal(slow.coeffs, W.coeffs)
