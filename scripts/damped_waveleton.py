@@ -10,7 +10,6 @@ import os
 import numpy as np
 
 from wigner.assembly import PhaseSpaceBasis, assemble_evolution
-from wigner.basis import WaveletBasis, daubechies_filter
 from wigner.cli import dump_grid
 from wigner.diagnostics import classify, standard_moments
 from wigner.model import ModelParams, parse_potential
@@ -28,10 +27,8 @@ def main():
     ap.add_argument("--out", default=os.environ.get("WIGNER_OUT", "."))
     args = ap.parse_args()
 
-    filt = daubechies_filter(args.order)
-    mk = lambda: WaveletBasis(filter=filt, j_coarse=3, j_fine=args.j_fine,
-                              domain=(-5.0, 5.0))
-    ps = PhaseSpaceBasis(mk(), mk())
+    ps = PhaseSpaceBasis(order=args.order, j_coarse=3, j_fine=args.j_fine,
+                         q_min=-5.0, q_max=5.0, p_min=-5.0, p_max=5.0)
     W0 = CoefficientField(ps=ps, coeffs=ps.project(
         lambda q, p: np.exp(-(q - 1.0) ** 2 - p ** 2) / np.pi))
 

@@ -11,7 +11,6 @@ import os
 import numpy as np
 
 from wigner.assembly import PhaseSpaceBasis, assemble_evolution
-from wigner.basis import WaveletBasis, daubechies_filter
 from wigner.diagnostics import scale_entropy
 from wigner.model import ModelParams, parse_potential
 from wigner.solve import CoefficientField, EvolutionConfig, evolve
@@ -28,10 +27,8 @@ def main():
     ap.add_argument("--out", default=os.environ.get("WIGNER_OUT", "."))
     args = ap.parse_args()
 
-    filt = daubechies_filter(args.order)
-    mk = lambda: WaveletBasis(filter=filt, j_coarse=3, j_fine=args.j_fine,
-                              domain=(-4.0, 4.0))
-    ps = PhaseSpaceBasis(mk(), mk())
+    ps = PhaseSpaceBasis(order=args.order, j_coarse=3, j_fine=args.j_fine,
+                         q_min=-4.0, q_max=4.0, p_min=-4.0, p_max=4.0)
     v = args.var
     W0 = CoefficientField(ps=ps, coeffs=ps.project(
         lambda q, p: np.exp(-(q ** 2 + p ** 2) / (2 * v)) / (2 * np.pi * v)))
@@ -41,8 +38,7 @@ def main():
     evolve(W0, L, EvolutionConfig(dt=args.dt, t_end=args.t_end, store_every=20),
            store=traj.append)
 
-    n = 96
-    xs = -4.0 + 8.0 * (np.arange(n) + 0.5) / n
+    xs = ps.basis_q.cell_centres(96)
     Q, P = np.meshgrid(xs, xs, indexing="ij")
     lines = ["# t linf_error pr_over_dim entropy"]
     print("#    t    Linf err   PR/dim    entropy")

@@ -10,16 +10,8 @@ import os
 import numpy as np
 
 from wigner.assembly import PhaseSpaceBasis, assemble_stationary_pair
-from wigner.basis import WaveletBasis, daubechies_filter
 from wigner.model import ModelParams, parse_potential
 from wigner.solve import stationary_eigen
-
-
-def phase_space(order, j_fine, box):
-    filt = daubechies_filter(order)
-    mk = lambda: WaveletBasis(filter=filt, j_coarse=min(3, j_fine),
-                              j_fine=j_fine, domain=box)
-    return PhaseSpaceBasis(mk(), mk())
 
 
 def main():
@@ -36,7 +28,9 @@ def main():
     lines = ["# order j_fine n eps error"]
     for order in args.orders:
         for j in args.levels:
-            ps = phase_space(order, j, (-args.box, args.box))
+            ps = PhaseSpaceBasis(order=order, j_coarse=min(3, j), j_fine=j,
+                                 q_min=-args.box, q_max=args.box,
+                                 p_min=-args.box, p_max=args.box)
             A_sym, A_anti = assemble_stationary_pair(ps, U, params)
             states = stationary_eigen(A_sym, A_anti, args.n_states)
             errs = []

@@ -11,7 +11,6 @@ import os
 import numpy as np
 
 from wigner.assembly import PhaseSpaceBasis, assemble_stationary_pair
-from wigner.basis import WaveletBasis, daubechies_filter
 from wigner.model import ModelParams, parse_potential
 from wigner.solve import reconstruct_by_scale, refine_until, stationary_eigen
 
@@ -27,12 +26,11 @@ def main():
 
     U = parse_potential("0.5*q^2")
     params = ModelParams()
-    filt = daubechies_filter(args.order)
 
     def solve_at_level(j):
-        mk = lambda: WaveletBasis(filter=filt, j_coarse=min(3, j), j_fine=j,
-                                  domain=(-args.box, args.box))
-        ps = PhaseSpaceBasis(mk(), mk())
+        ps = PhaseSpaceBasis(order=args.order, j_coarse=min(3, j), j_fine=j,
+                             q_min=-args.box, q_max=args.box,
+                             p_min=-args.box, p_max=args.box)
         A_sym, A_anti = assemble_stationary_pair(ps, U, params)
         return stationary_eigen(A_sym, A_anti, 1)[0][1]
 

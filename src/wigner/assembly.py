@@ -16,7 +16,7 @@ from math import factorial
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import WaveletBasis
+from .basis import WaveletBasis, daubechies_filter
 from .errors import ConfigurationError, ContractError
 from .model import ModelParams, PolynomialPotential, derivative
 
@@ -25,12 +25,38 @@ from .model import ModelParams, PolynomialPotential, derivative
 class PhaseSpaceBasis:
     """Tensor product of a q-axis and a p-axis wavelet basis.
 
-    Coefficient vectors are flat with q-major ordering:
-    flat = iq * dim_p + ip.
+    The fields are the run's ``[basis]`` settings: the filter order, the
+    levels j_coarse..j_fine both axes share, and the q and p boxes.  The
+    axes ``basis_q`` and ``basis_p`` are built from them, so
+    ``dataclasses.replace`` gives a basis with fresh axes.  Coefficient
+    vectors are flat with q-major ordering: flat = iq * dim_p + ip.
     """
 
-    basis_q: WaveletBasis
-    basis_p: WaveletBasis
+    order: int = 6
+    j_coarse: int = 3
+    j_fine: int = 6
+    q_min: float = -5.0
+    q_max: float = 5.0
+    p_min: float = -5.0
+    p_max: float = 5.0
+    basis_q: WaveletBasis = field(init=False, repr=False, compare=False)
+    basis_p: WaveletBasis = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        filt = daubechies_filter(self.order)
+        bad = []
+        for axis, domain in (("q", (self.q_min, self.q_max)),
+                             ("p", (self.p_min, self.p_max))):
+            try:
+                object.__setattr__(self, f"basis_{axis}", WaveletBasis(
+                    filter=filt, j_coarse=self.j_coarse, j_fine=self.j_fine,
+                    domain=domain))
+            except ConfigurationError as exc:
+                # the axes share the levels, so only a domain names its axis
+                bad += [f"{axis}_min, {axis}_max: {m}" if m.startswith("domain")
+                        else m for m in str(exc).split("; ") if m not in bad]
+        if bad:
+            raise ConfigurationError("; ".join(bad))
 
     @property
     def dim(self) -> int:
@@ -68,9 +94,9 @@ class PhaseSpaceBasis:
 
     @property
     def scale_cut(self) -> int:
-        """First fast level of ``reconstruct_by_scale``, min(j_coarse + 1, j_fine)
-        on the q axis: the slow part is the scaling block and coarsest details."""
-        return min(self.basis_q.j_coarse + 1, self.basis_q.j_fine)
+        """First fast level of ``reconstruct_by_scale``, min(j_coarse + 1, j_fine):
+        the slow part is the scaling block and coarsest details."""
+        return min(self.j_coarse + 1, self.j_fine)
 
     def integration_functional(self) -> np.ndarray:
         """Flat row vector s with  iint W dq dp = s . coeffs."""

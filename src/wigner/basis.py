@@ -368,25 +368,28 @@ class WaveletBasis:
     j_coarse: int
     j_fine: int
     domain: tuple
-    _scaling_table: ScalingTable = field(default=None, repr=False, compare=False)
-    _dwt: np.ndarray = field(default=None, repr=False, compare=False)
+    _scaling_table: ScalingTable = field(default=None, init=False, repr=False,
+                                         compare=False)
+    _dwt: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        bad = []
         if self.j_coarse < 0:
-            raise ConfigurationError("j_coarse must be >= 0")
+            bad.append("j_coarse must be >= 0")
         if self.j_coarse > self.j_fine:
-            raise ContractError("j_coarse must not exceed j_fine")
+            bad.append("j_coarse must not exceed j_fine")
         # the filter support needs 2^j_fine >= order, the moment band
         # order - 2 <= 2^(j_fine - 1)
         need = max(self.filter.order, 2 * self.filter.order - 4)
         if self.dim < need:
-            raise ConfigurationError(
-                f"basis too coarse for the order-{self.filter.order} filter: "
-                f"2^{self.j_fine} functions per axis, it needs at least {need}"
-            )
+            bad.append(f"basis too coarse for the order-{self.filter.order} "
+                       f"filter: 2^{self.j_fine} functions per axis, it needs "
+                       f"at least {need}")
         a, b = self.domain
         if not b > a:
-            raise ContractError("domain must be a nonempty interval [a, b)")
+            bad.append(f"domain [{a:g}, {b:g}) is empty")
+        if bad:
+            raise ConfigurationError("; ".join(bad))
 
     # -- geometry ----------------------------------------------------------
 
@@ -397,6 +400,11 @@ class WaveletBasis:
     @property
     def length(self) -> float:
         return self.domain[1] - self.domain[0]
+
+    def cell_centres(self, n: int) -> np.ndarray:
+        """Centres a + (b - a)(k + 1/2)/n of n equal cells of the domain."""
+        a, b = self.domain
+        return a + (b - a) * (np.arange(n) + 0.5) / n
 
     def multiscale_levels(self) -> np.ndarray:
         """Scale label per multiscale coefficient; the scaling block gets

@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigurationError, WignerError
 
@@ -27,18 +27,14 @@ _MODES = ("evolve", "stationary", "moyal", "ensemble", "refine")
 
 @dataclass
 class RunConfig:
-    """A validated run: the potential U, the model parameters, the evolution
-    settings, the ensemble coupling g, the filter and the classifier
+    """A validated run: the potential U, the model parameters, the phase-space
+    basis, the evolution settings, the ensemble coupling g and the classifier
     thresholds come built, so no run step parses or builds them again."""
 
     mode: str
     U: object
     params: object
-    filter: object
-    j_coarse: int
-    j_fine: int
-    q_box: tuple
-    p_box: tuple
+    ps: object
     initial: dict
     evolution: object
     epsilon: float
@@ -94,7 +90,7 @@ def parse_config(path) -> RunConfig:
         None if ``cls`` rejects the values."""
         try:
             return cls(**{f.name: get(section, f.name, f.default, type(f.default))
-                          for f in fields(cls)})
+                          for f in fields(cls) if f.init})
         except ConfigurationError as exc:
             errors.append(f"[{section}] {exc}")
             return None
@@ -103,7 +99,8 @@ def parse_config(path) -> RunConfig:
     if mode not in _MODES:
         errors.append(f"[run] mode must be one of {_MODES} (got {mode!r})")
 
-    from .basis import MAX_MOMENT_POWER, WaveletBasis, daubechies_filter
+    from .assembly import PhaseSpaceBasis
+    from .basis import MAX_MOMENT_POWER
     from .diagnostics import ClassifierThresholds
     from .model import ModelParams, parse_potential
     from .solve import EvolutionConfig
@@ -115,23 +112,7 @@ def parse_config(path) -> RunConfig:
         U = None
         errors.append(f"[model] potential: {exc}")
 
-    order = get("basis", "order", 6, int)
-    j_coarse = get("basis", "j_coarse", 3, int)
-    j_fine = get("basis", "j_fine", 6, int)
-    q_min = get("basis", "q_min", -5.0, float)
-    q_max = get("basis", "q_max", 5.0, float)
-    p_min = get("basis", "p_min", -5.0, float)
-    p_max = get("basis", "p_max", 5.0, float)
-    if order % 2 or not 2 <= order <= 10:
-        errors.append("[basis] order must be an even integer in 2..10")
-    if j_coarse < 0:
-        errors.append("[basis] j_coarse must be >= 0")
-    if j_coarse > j_fine:
-        errors.append("[basis] j_coarse must not exceed j_fine")
-    if q_min >= q_max:
-        errors.append("[basis] q_min must be below q_max")
-    if p_min >= p_max:
-        errors.append("[basis] p_min must be below p_max")
+    ps = build(PhaseSpaceBasis, "basis")
 
     initial = {
         "type": get("initial", "type", "gaussian"),
@@ -151,7 +132,7 @@ def parse_config(path) -> RunConfig:
 
     evolution = build(EvolutionConfig, "solver")
     epsilon = get("solver", "epsilon", 1e-4, float)
-    n_max = get("solver", "n_max", j_fine if j_fine else 6, int)
+    n_max = get("solver", "n_max", ps.j_fine if ps else None, int)
     n_min = get("solver", "n_min", 4, int)
     n_states = get("solver", "n_states", 4, int)
     pairs = get("solver", "pairs", 4, int)
@@ -162,11 +143,14 @@ def parse_config(path) -> RunConfig:
     if pairs < 1:
         errors.append("[solver] pairs must be >= 1")
     # n_max defaults to j_fine, so only refine runs must order the levels
-    if mode == "refine" and n_min > n_max:
+    if mode == "refine" and n_max is not None and n_min > n_max:
         errors.append("[solver] n_min must not exceed n_max")
-    if mode == "refine" and j_coarse > n_min:
-        errors.append("[basis] j_coarse must not exceed [solver] n_min in "
-                      "refine mode")
+    if mode == "refine" and ps is not None:
+        try:
+            replace(ps, j_fine=n_min)
+        except ConfigurationError as exc:
+            errors.append(f"[solver] n_min: the first refine level, j_fine = "
+                          f"{n_min} with [basis] j_coarse = {ps.j_coarse}: {exc}")
 
     # read even without the section, so that a misspelt one gets its hint
     ensemble = {
@@ -202,24 +186,24 @@ def parse_config(path) -> RunConfig:
         errors.append(f"{U_key}: degree {U_run.degree} exceeds {max_degree}, "
                       f"the highest the moment tables support in {mode} mode")
         U_run = None
-    filt = None
-    if order in range(2, 11, 2):
-        filt = daubechies_filter(order)
-        # The coarsest basis the mode builds (refine mode starts at n_min);
-        # its size check reads only the order and the finest level.
-        key, j = ("[solver] n_min", n_min) if mode == "refine" else \
-            ("[basis] j_fine", j_fine)
+    if None not in (U_run, params, ps):
         try:
-            WaveletBasis(filter=filt, j_coarse=j, j_fine=j, domain=(0.0, 1.0))
+            _assemble_smallest(mode, ps, U_run, params)
         except ConfigurationError as exc:
-            errors.append(f"{key}: {exc}")
-        if None not in (U_run, params):
+            # blame the filter only when a supported order assembles U
             try:
-                _assemble_smallest(mode, filt, U_run, params)
-            except ConfigurationError as exc:
-                errors.append(f"[basis] order {order}: {exc}")
+                _assemble_smallest(mode, replace(ps, order=10), U_run, params)
+                errors.append(f"[basis] order {ps.order}: {exc}")
+            except ConfigurationError:
+                errors.append(f"{U_key}: degree {U_run.degree} needs a "
+                              "derivative beyond the regularity of every "
+                              f"filter order in {mode} mode")
 
     out_directory = get("output", "directory", None)
+    if out_directory is not None and os.path.exists(out_directory) \
+            and not os.path.isdir(out_directory):
+        errors.append(f"[output] directory {out_directory!r} exists and is "
+                      "not a directory")
     grid_resolution = get("output", "grid_resolution", 128, int)
     checkpoint_every = get("output", "checkpoint_every", 10, int)
     if grid_resolution < 2:
@@ -246,32 +230,27 @@ def parse_config(path) -> RunConfig:
             "invalid configuration:\n  " + "\n  ".join(errors))
 
     return RunConfig(
-        mode=mode, U=U, params=params, filter=filt, j_coarse=j_coarse,
-        j_fine=j_fine, q_box=(q_min, q_max), p_box=(p_min, p_max),
-        initial=initial, evolution=evolution, epsilon=epsilon, n_max=n_max,
-        n_min=n_min, n_states=n_states, pairs=pairs, ensemble=ensemble,
+        mode=mode, U=U, params=params, ps=ps, initial=initial,
+        evolution=evolution, epsilon=epsilon, n_max=n_max, n_min=n_min,
+        n_states=n_states, pairs=pairs, ensemble=ensemble,
         out_directory=out_directory, grid_resolution=grid_resolution,
         checkpoint_every=checkpoint_every, thresholds=thresholds, raw_text=raw,
     )
 
 
-def _assemble_smallest(mode, filt, U, params):
-    """Assemble the mode's operator on the smallest basis the filter allows.
+def _assemble_smallest(mode, ps, U, params):
+    """Assemble the mode's operator on the smallest basis of ``ps``'s order.
 
     Which tables an operator reads depends on the mode, U and the filter
     order, not on the basis size, so this raises the ConfigurationError that
     the run's own assembly would.
     """
-    from .assembly import (PhaseSpaceBasis, assemble_evolution,
-                           assemble_stationary_pair)
-    from .basis import WaveletBasis
+    from .assembly import assemble_evolution, assemble_stationary_pair
 
-    need = max(filt.order, 2 * filt.order - 4)
-    j = (need - 1).bit_length()
-    b = WaveletBasis(filter=filt, j_coarse=j, j_fine=j, domain=(0.0, 1.0))
+    j = (max(ps.order, 2 * ps.order - 4) - 1).bit_length()
     assemble = assemble_evolution if mode in ("evolve", "ensemble") \
         else assemble_stationary_pair
-    assemble(PhaseSpaceBasis(b, b), U, params)
+    assemble(replace(ps, j_coarse=j, j_fine=j), U, params)
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +264,14 @@ def dump_grid(W, resolution: int, path) -> None:
     if resolution < 2:
         raise ConfigurationError("grid resolution must be >= 2 per axis")
     ps = W.ps
-    qmin, qmax = ps.basis_q.domain
-    pmin, pmax = ps.basis_p.domain
-    qs = qmin + (qmax - qmin) * (np.arange(resolution) + 0.5) / resolution
-    ps_ = pmin + (pmax - pmin) * (np.arange(resolution) + 0.5) / resolution
-    vals = ps.evaluate_grid(np.real(W.coeffs), qs, ps_)  # [iq, ip]
+    vals = ps.evaluate_grid(np.real(W.coeffs),
+                            ps.basis_q.cell_centres(resolution),
+                            ps.basis_p.cell_centres(resolution))  # [iq, ip]
     with open(path, "w") as fh:
         fh.write("WGRID 1\n")
         fh.write("%d %d %.17g %.17g %.17g %.17g %.17g\n"
-                 % (resolution, resolution, qmin, qmax, pmin, pmax, W.time))
+                 % (resolution, resolution, ps.q_min, ps.q_max, ps.p_min,
+                    ps.p_max, W.time))
         for ip in range(resolution):
             fh.write(" ".join("%.17g" % vals[iq, ip] for iq in range(resolution)))
             fh.write("\n")
@@ -326,10 +304,7 @@ def load_grid(path):
 
 
 def _dump_marginal(marg, resolution, path):
-    import numpy as np
-
-    a, b = marg.basis.domain
-    xs = a + (b - a) * (np.arange(resolution) + 0.5) / resolution
+    xs = marg.basis.cell_centres(resolution)
     vals = marg.evaluate(xs)
     with open(path, "w") as fh:
         for x, v in zip(xs, vals):
@@ -341,28 +316,24 @@ def _dump_marginal(marg, resolution, path):
 # ---------------------------------------------------------------------------
 
 def _make_run_dir(cfg: RunConfig, override) -> str:
+    """A fresh ``run-<mode>[-k]`` directory under the output root, or a
+    ConfigurationError naming where the unusable root came from."""
     root = override or cfg.out_directory or os.environ.get("WIGNER_OUT", ".")
-    os.makedirs(root, exist_ok=True)
     base = os.path.join(root, f"run-{cfg.mode}")
     candidate = base
     suffix = 0
-    while os.path.exists(candidate):
-        suffix += 1
-        candidate = f"{base}-{suffix}"
-    os.makedirs(candidate)
+    try:
+        os.makedirs(root, exist_ok=True)
+        while os.path.exists(candidate):
+            suffix += 1
+            candidate = f"{base}-{suffix}"
+        os.makedirs(candidate)
+    except OSError as exc:
+        source = "--out" if override else "[output] directory" \
+            if cfg.out_directory else "$WIGNER_OUT"
+        raise ConfigurationError(
+            f"{source} {root!r} cannot hold a run directory: {exc}") from exc
     return candidate
-
-
-def _build_phase_space(cfg: RunConfig, j_fine=None):
-    from .assembly import PhaseSpaceBasis
-    from .basis import WaveletBasis
-
-    j = j_fine if j_fine is not None else cfg.j_fine
-    bq = WaveletBasis(filter=cfg.filter, j_coarse=cfg.j_coarse, j_fine=j,
-                      domain=cfg.q_box)
-    bp = WaveletBasis(filter=cfg.filter, j_coarse=cfg.j_coarse, j_fine=j,
-                      domain=cfg.p_box)
-    return PhaseSpaceBasis(bq, bp)
 
 
 def _initial_field(cfg: RunConfig, ps):
@@ -388,7 +359,9 @@ def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
     """Execute a validated config; writes manifest and artifacts; exit code.
 
     Any WignerError ends the run with an ``error =`` line in the manifest and
-    exit code 2 for a configuration error, 3 for any other.
+    exit code 2 for a configuration error, 3 for any other.  An output root
+    that cannot hold the run directory raises ConfigurationError, as no
+    manifest can be written.
     """
     import numpy as np
     import scipy
@@ -481,9 +454,8 @@ def _run_evolution(cfg, store):
     from .assembly import assemble_evolution
     from .solve import evolve
 
-    ps = _build_phase_space(cfg)
-    W0 = _initial_field(cfg, ps)
-    evolve(W0, assemble_evolution(ps, cfg.U, cfg.params), cfg.evolution,
+    W0 = _initial_field(cfg, cfg.ps)
+    evolve(W0, assemble_evolution(cfg.ps, cfg.U, cfg.params), cfg.evolution,
            store=store)
 
 
@@ -511,7 +483,7 @@ def _run_ensemble(cfg, store):
     from .ensemble import evolve_ensemble
     from .solve import CoefficientField
 
-    ps = _build_phase_space(cfg)
+    ps = cfg.ps
     W0 = _initial_field(cfg, ps)
     spec = cfg.ensemble
     weights = spec["weights"]
@@ -524,8 +496,7 @@ def _run_stationary(cfg, manifest, store):
     from .assembly import assemble_stationary_pair
     from .solve import stationary_eigen
 
-    ps = _build_phase_space(cfg)
-    A_sym, A_anti = assemble_stationary_pair(ps, cfg.U, cfg.params)
+    A_sym, A_anti = assemble_stationary_pair(cfg.ps, cfg.U, cfg.params)
     states = stationary_eigen(A_sym, A_anti, cfg.n_states)
     manifest.append("[eigenvalues]")
     for i, (eps, _) in enumerate(states):
@@ -539,8 +510,7 @@ def _run_moyal(cfg, manifest, store):
     from .assembly import assemble_stationary_pair
     from .solve import CoefficientField, moyal_eigen
 
-    ps = _build_phase_space(cfg)
-    A_sym, A_anti = assemble_stationary_pair(ps, cfg.U, cfg.params)
+    A_sym, A_anti = assemble_stationary_pair(cfg.ps, cfg.U, cfg.params)
     pairs = moyal_eigen(A_sym, A_anti, cfg.pairs, hbar=cfg.params.hbar)
     manifest.append("[eigenvalues]")
     for i, (e_lo, e_hi, _) in enumerate(pairs):
@@ -555,7 +525,7 @@ def _run_refine(cfg, manifest, store):
     from .solve import refine_until, stationary_eigen
 
     def solve_at_level(N):
-        ps = _build_phase_space(cfg, j_fine=N)
+        ps = replace(cfg.ps, j_fine=N)
         A_sym, A_anti = assemble_stationary_pair(ps, cfg.U, cfg.params)
         return stationary_eigen(A_sym, A_anti, 1)[0][1]
 
@@ -655,20 +625,12 @@ def _cap_threads(n):
 
 def _cmd_run(args) -> int:
     _cap_threads(args.threads)
-    try:
-        cfg = parse_config(args.config)
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
-    return run(cfg, out_override=args.out, verbose=args.verbose)
+    return run(parse_config(args.config), out_override=args.out,
+               verbose=args.verbose)
 
 
 def _cmd_validate(args) -> int:
-    try:
-        parse_config(args.config)
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
+    parse_config(args.config)
     print("config ok")
     return EXIT_OK
 
@@ -726,7 +688,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except WignerError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_CONFIG if isinstance(exc, ConfigurationError) \
+            else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -134,12 +134,10 @@ def negativity_volume(W: CoefficientField) -> float:
     cell-centred sampling grid."""
     resolution = 256
     ps = W.ps
-    aq, bq = ps.basis_q.domain
-    ap, bp = ps.basis_p.domain
-    qs = aq + (bq - aq) * (np.arange(resolution) + 0.5) / resolution
-    ps_ = ap + (bp - ap) * (np.arange(resolution) + 0.5) / resolution
-    vals = ps.evaluate_grid(np.real(W.coeffs), qs, ps_)
-    cell = (bq - aq) * (bp - ap) / resolution ** 2
+    bq, bp = ps.basis_q, ps.basis_p
+    vals = ps.evaluate_grid(np.real(W.coeffs), bq.cell_centres(resolution),
+                            bp.cell_centres(resolution))
+    cell = bq.length * bp.length / resolution ** 2
     return float(np.sum(np.abs(vals)) * cell - abs(np.sum(vals) * cell))
 
 

@@ -33,17 +33,17 @@ def basis6f(db6):
 
 
 @pytest.fixture(scope="session")
-def ps6(basis6, db6):
+def ps6():
     """Workhorse 2D basis: 32 x 32 on [-4, 4)^2."""
-    bp = WaveletBasis(filter=db6, j_coarse=3, j_fine=5, domain=(-4.0, 4.0))
-    return PhaseSpaceBasis(basis6, bp)
+    return PhaseSpaceBasis(order=6, j_coarse=3, j_fine=5,
+                           q_min=-4.0, q_max=4.0, p_min=-4.0, p_max=4.0)
 
 
 @pytest.fixture(scope="session")
-def ps6w(db6):
+def ps6w():
     """Wide, finer 2D basis for quantitative action oracles: 64 x 64 on [-6, 6)^2."""
-    mk = lambda: WaveletBasis(filter=db6, j_coarse=3, j_fine=6, domain=(-6.0, 6.0))
-    return PhaseSpaceBasis(mk(), mk())
+    return PhaseSpaceBasis(order=6, j_coarse=3, j_fine=6,
+                           q_min=-6.0, q_max=6.0, p_min=-6.0, p_max=6.0)
 
 
 @pytest.fixture(scope="session")

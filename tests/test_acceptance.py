@@ -22,7 +22,7 @@ from wigner.assembly import (
     assemble_stationary_cnumber,
     assemble_stationary_pair,
 )
-from wigner.basis import WaveletBasis, connection_coefficients, daubechies_filter
+from wigner.basis import connection_coefficients, daubechies_filter
 from wigner.diagnostics import ClassifierThresholds, classify, scale_entropy, standard_moments
 from wigner.model import ModelParams, parse_potential
 from wigner.solve import (
@@ -37,10 +37,9 @@ PARAMS = ModelParams()
 
 
 def _phase_space(order, j_fine, box, j_coarse=3):
-    filt = daubechies_filter(order)
-    mk = lambda: WaveletBasis(filter=filt, j_coarse=min(j_coarse, j_fine),
-                              j_fine=j_fine, domain=box)
-    return PhaseSpaceBasis(mk(), mk())
+    lo, hi = box
+    return PhaseSpaceBasis(order=order, j_coarse=min(j_coarse, j_fine),
+                           j_fine=j_fine, q_min=lo, q_max=hi, p_min=lo, p_max=hi)
 
 
 def _gaussian(ps, var=0.5, q0=0.0):

@@ -14,7 +14,6 @@ from wigner.assembly import (
     assemble_stationary_pair,
     assemble_transport,
 )
-from wigner.basis import WaveletBasis, daubechies_filter
 from wigner.errors import ConfigurationError, ContractError
 from wigner.model import ModelParams, PolynomialPotential, parse_potential
 from wigner.solve import CoefficientField
@@ -144,10 +143,10 @@ def test_quartic_potential_single_correction(ps6):
 def test_quantum_correction_series_ends_at_the_degree(coeffs, tags):
     """The odd series of U(q + (i hbar/2) d/dp) stops at the last nonzero odd
     derivative of U; order 10 carries d^5/dp^5."""
-    filt = daubechies_filter(10)
-    mk = lambda: WaveletBasis(filter=filt, j_coarse=3, j_fine=4, domain=(-4.0, 4.0))
-    A = assemble_quantum_correction(PhaseSpaceBasis(mk(), mk()),
-                                    PolynomialPotential(coeffs_q=coeffs), PARAMS)
+    ps = PhaseSpaceBasis(order=10, j_coarse=3, j_fine=4,
+                         q_min=-4.0, q_max=4.0, p_min=-4.0, p_max=4.0)
+    A = assemble_quantum_correction(ps, PolynomialPotential(coeffs_q=coeffs),
+                                    PARAMS)
     assert [t.tag for t in A.terms] == tags
 
 

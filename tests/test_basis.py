@@ -1,6 +1,7 @@
 """Filters, cascade values, connection/moment tables, transforms, projection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,6 +273,16 @@ def test_basis_rejects_negative_j_coarse(db6):
         WaveletBasis(filter=db6, j_coarse=-1, j_fine=5, domain=(0.0, 1.0))
 
 
+def test_basis_reports_every_rejection_at_once(db6):
+    with pytest.raises(ConfigurationError) as exc:
+        WaveletBasis(filter=db6, j_coarse=3, j_fine=2, domain=(1.0, 1.0))
+    assert str(exc.value).split("; ") == [
+        "j_coarse must not exceed j_fine",
+        "basis too coarse for the order-6 filter: 2^2 functions per axis, "
+        "it needs at least 8",
+        "domain [1, 1) is empty"]
+
+
 @pytest.mark.parametrize("order", ORDERS)
 def test_dwt_matrix_matches_tap_by_tap_steps(order):
     """The DWT built from projection's restriction is the product of the
@@ -353,9 +364,8 @@ def test_bases_compare_by_definition():
     from wigner.solve import CoefficientField, EvolutionConfig, evolve
 
     def make_ps():
-        mk = lambda: WaveletBasis(filter=daubechies_filter(6), j_coarse=2,
-                                  j_fine=4, domain=(-4.0, 4.0))
-        return PhaseSpaceBasis(mk(), mk())
+        return PhaseSpaceBasis(order=6, j_coarse=2, j_fine=4,
+                               q_min=-4.0, q_max=4.0, p_min=-4.0, p_max=4.0)
 
     ps_a, ps_b = make_ps(), make_ps()
     assert daubechies_filter(6) == daubechies_filter(6)
@@ -364,6 +374,7 @@ def test_bases_compare_by_definition():
     assert ps_a == ps_b
     assert ps_a.basis_q != WaveletBasis(filter=daubechies_filter(6), j_coarse=2,
                                         j_fine=4, domain=(-4.0, 5.0))
+    assert ps_a != replace(ps_a, p_max=5.0)
     W0 = CoefficientField(ps=ps_a, coeffs=ps_a.project(
         lambda q, p: np.exp(-q ** 2 - p ** 2) / np.pi))
     L = assemble_evolution(ps_b, parse_potential("0.5*q^2"), ModelParams())
@@ -386,3 +397,18 @@ def test_projection_polynomial_exact(db6):
     c = basis.project(lambda x: 1.0 + 0.0 * x)
     # the expansion must integrate like the constant even without refinement
     assert abs(basis.integration_functional() @ c - 1.0) < 1e-12
+
+
+def test_replaced_phase_space_builds_fresh_axes():
+    """``replace`` rebuilds the axes from the settings: a transform cached on
+    the coarser basis does not carry over to the finer one."""
+    from wigner.assembly import PhaseSpaceBasis
+
+    ps = PhaseSpaceBasis(order=6, j_coarse=3, j_fine=4)
+    assert ps.basis_q.dwt_matrix.shape == (16, 16)
+    fine = replace(ps, j_fine=5)
+    assert fine == PhaseSpaceBasis(order=6, j_coarse=3, j_fine=5)
+    for axis in (fine.basis_q, fine.basis_p):
+        assert axis.j_fine == 5 and axis.domain == (-5.0, 5.0)
+        assert axis.dwt_matrix.shape == (32, 32)
+    assert ps.basis_q.dwt_matrix.shape == (16, 16)

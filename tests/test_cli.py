@@ -7,14 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wigner.assembly import assemble_evolution
+from wigner.assembly import PhaseSpaceBasis, assemble_evolution
 from wigner.cli import (
     EXIT_CONFIG,
     EXIT_NOT_CONVERGED,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
-    _build_phase_space,
     _initial_field,
     _make_run_dir,
     dump_grid,
@@ -70,7 +69,8 @@ def test_parse_minimal_config_defaults(tmp_path):
     cfg = parse_config(_write(tmp_path, MINIMAL))
     assert cfg.mode == "evolve"
     assert cfg.params == ModelParams()
-    assert cfg.q_box == (-4.0, 4.0) and cfg.p_box == (-4.0, 4.0)
+    assert cfg.ps == PhaseSpaceBasis(order=6, j_coarse=3, j_fine=4, q_min=-4.0,
+                                     q_max=4.0, p_min=-4.0, p_max=4.0)
     assert cfg.evolution == EvolutionConfig(dt=0.05, t_end=0.1)
     assert cfg.evolution.scheme == "implicit_midpoint"
     assert cfg.initial["type"] == "gaussian"
@@ -184,6 +184,28 @@ def test_dump_grid_rejects_tiny_resolution(tmp_path, gaussian_field6):
         dump_grid(gaussian_field6, 1, str(tmp_path / "w.wgrid"))
 
 
+def test_output_directory_must_be_a_directory(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    text = MINIMAL + f"\n[output]\ndirectory = {tmp_path / 'afile'}\n"
+    path = _write(tmp_path, text)
+    assert main(["validate", path]) == EXIT_CONFIG
+    assert "exists and is not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["--out", "$WIGNER_OUT"])
+def test_unusable_output_root_is_a_configuration_error(tmp_path, capsys,
+                                                       monkeypatch, source):
+    (tmp_path / "afile").write_text("")
+    argv = ["run", _write(tmp_path, MINIMAL)]
+    if source == "--out":
+        argv += ["--out", str(tmp_path / "afile")]
+    else:
+        monkeypatch.setenv("WIGNER_OUT", str(tmp_path / "afile"))
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{source} " in err and "cannot hold a run directory" in err
+
+
 def test_run_dir_suffixing(tmp_path):
     cfg = parse_config(_write(tmp_path, MINIMAL))
     d0 = _make_run_dir(cfg, str(tmp_path))
@@ -258,30 +280,61 @@ def test_validate_command(tmp_path, capsys):
     # a lone % is an interpolation error of the INI reader
     [("potential = 0.5*q^2", "potential = 5%")],
     [("j_coarse = 3", "j_coarse = -1")],
+    # the run's own basis is built in refine mode too, though its levels run
+    # from n_min to n_max
+    [("mode = evolve", "mode = refine"), ("order = 6", "order = 10"),
+     ("j_fine = 4", "j_fine = 3"), ("t_end = 0.1", "t_end = 0.1\nn_min = 5\nn_max = 6")],
 ], ids=["lindblad", "pure_p", "p_term", "n_states", "pairs", "n_min",
         "ensemble_weights", "filter_too_rough", "q9_evolve", "q9_stationary",
         "support_too_coarse", "moment_band_too_coarse", "refine_n_min_too_coarse",
         "store_every", "checkpoint_every", "sigma_q", "negative_weight",
         "zero_weights", "zero_norm", "nan_norm", "nan_dt", "coherent_nan",
         "coherent_inf", "inf_weight", "top_k", "theta_frac", "theta_loc",
-        "theta_chaos", "theta_stab", "interpolation", "negative_j_coarse"])
+        "theta_chaos", "theta_stab", "interpolation", "negative_j_coarse",
+        "refine_j_fine_too_coarse"])
 def test_validate_rejects_what_run_would(tmp_path, edits):
     assert main(["validate", _write(tmp_path, _edited(edits))]) == EXIT_CONFIG
 
 
+_ORDER_10 = [("order = 6", "order = 10"), ("j_fine = 4", "j_fine = 5")]
+
+
 @pytest.mark.parametrize("edits,key", [
-    ([("0.5*q^2", "q^10")], "[model] potential"),
+    ([("0.5*q^2", "q^10")], "[model] potential: degree"),
     ([("mode = evolve", "mode = stationary"), ("0.5*q^2", "q^9")],
-     "[model] potential"),
+     "[model] potential: degree"),
     ([("mode = evolve", "mode = ensemble"),
-      ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\ng = q^10")], "[ensemble] g"),
-], ids=["evolve", "stationary", "ensemble"])
+      ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\ng = q^10")], "[ensemble] g: degree"),
+    # order 10 has d^5/dp^5 at most: evolve needs d^7 for q^7, stationary
+    # d^6 for q^6
+    (_ORDER_10 + [("0.5*q^2", "q^7")], "[model] potential: degree"),
+    (_ORDER_10 + [("mode = evolve", "mode = stationary"), ("0.5*q^2", "q^6")],
+     "[model] potential: degree"),
+    (_ORDER_10 + [("mode = evolve", "mode = ensemble"),
+                  ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\ng = q^7")],
+     "[ensemble] g: degree"),
+    # order 6 has the d^3/dp^3 of q^4, order 4 has not
+    ([("order = 6", "order = 4"), ("0.5*q^2", "q^4")], "[basis] order 4:"),
+], ids=["evolve", "stationary", "ensemble", "q7_evolve", "q6_stationary",
+        "g7_ensemble", "q4_order4"])
 def test_potential_degree_is_reported_under_its_key(tmp_path, capsys, edits, key):
-    """The moment tables end at q^8 whatever the filter order, so a potential
-    that needs more is the potential's error, not the filter's."""
+    """The moment tables end at q^8 and the regularity at order 10's, so a
+    potential that needs more is the potential's error, not the filter's;
+    the filter is to blame only when a supported order assembles U."""
     assert main(["validate", _write(tmp_path, _edited(edits))]) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()[1:]
+    assert line.strip().startswith(key)
+
+
+def test_basis_errors_are_reported_in_one_pass(tmp_path, capsys):
+    text = _edited([("j_coarse = 3", "j_coarse = -1"), ("q_min = -4", "q_min = 5"),
+                    ("p_min = -4", "p_min = 5"), ("q_max = 4", "q_max = 5"),
+                    ("p_max = 4", "p_max = 5")])
+    assert main(["validate", _write(tmp_path, text)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"{key}: degree" in err and "[basis]" not in err
+    assert err.count("invalid configuration") == 1
+    assert err.count("j_coarse must be >= 0") == 1
+    assert "q_min" in err and "p_min" in err
 
 
 @pytest.mark.parametrize("scheme,code", [("implicit_midpoint", EXIT_OK),
@@ -490,10 +543,9 @@ def test_checkpoints_thin_the_full_trajectory(tmp_path, steps, every):
     run_dir = _run_dir(tmp_path, text)
 
     cfg = parse_config(_write(tmp_path, text))
-    ps = _build_phase_space(cfg)
-    L = assemble_evolution(ps, cfg.U, cfg.params)
+    L = assemble_evolution(cfg.ps, cfg.U, cfg.params)
     fields = []
-    evolve(_initial_field(cfg, ps), L, cfg.evolution, store=fields.append)
+    evolve(_initial_field(cfg, cfg.ps), L, cfg.evolution, store=fields.append)
     assert len(fields) == steps + 1
     kept = fields[::every]
     if kept[-1] is not fields[-1]:

@@ -1,7 +1,7 @@
 """Source hygiene: every name a package module imports is used by it and is
 public in the module it comes from, every function it defines is used outside
-the tests, and every optional parameter is passed by some caller outside the
-tests."""
+the tests, every optional parameter is passed by some caller outside the
+tests, and only the phase-space basis builds wavelet axes."""
 
 import ast
 import re
@@ -204,3 +204,26 @@ def test_no_unused_parameters():
     others = [p.read_text() for folder in ("scripts", "perfbench")
               for p in sorted((ROOT / folder).glob("*.py"))]
     assert unused_parameters(package, others) == []
+
+
+def basis_calls(source: str) -> list:
+    """Lines of ``source`` that call ``WaveletBasis``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and _callee_name(node) == "WaveletBasis")
+
+
+def test_basis_call_detector():
+    src = ("from wigner import basis\nfrom wigner.basis import WaveletBasis\n\n"
+           "b = WaveletBasis(filter=f, j_coarse=3, j_fine=5, domain=(0, 1))\n"
+           "c = basis.WaveletBasis(f, 3, 5, (0, 1))\nd: WaveletBasis = b\n")
+    assert basis_calls(src) == [4, 5]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+             if p.name != "assembly.py"],
+    ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_only_the_phase_space_basis_builds_axes(path):
+    """``PhaseSpaceBasis`` builds both axes from the [basis] settings; a
+    second place that builds a ``WaveletBasis`` is a second home for them."""
+    assert basis_calls(path.read_text()) == []

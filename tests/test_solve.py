@@ -16,7 +16,6 @@ from wigner.assembly import (
     assemble_stationary_cnumber,
     assemble_stationary_pair,
 )
-from wigner.basis import WaveletBasis, daubechies_filter
 from wigner.errors import (
     AbortedEvolutionError,
     ConfigurationError,
@@ -212,16 +211,15 @@ def test_midpoint_stepper_matches_spsolve_without_lu(ps6, gaussian_field6,
     assert err < 1e-10
 
 
-def _ps32(filt):
-    mk = lambda: WaveletBasis(filter=filt, j_coarse=3, j_fine=5,
-                              domain=(-6.0, 6.0))
-    return PhaseSpaceBasis(mk(), mk())
+def _ps32():
+    return PhaseSpaceBasis(order=6, j_coarse=3, j_fine=5,
+                           q_min=-6.0, q_max=6.0, p_min=-6.0, p_max=6.0)
 
 
-def test_midpoint_stepper_matches_spsolve_on_stiff_steps(db6, monkeypatch):
+def test_midpoint_stepper_matches_spsolve_on_stiff_steps(monkeypatch):
     """dt = 0.05 at 32x32: from the third step on, more than 12 corrections
     per step, still without any sparse matrix or LU."""
-    ps = _ps32(db6)
+    ps = _ps32()
     L = _quartic_dissipative(ps)
     W0 = _field(ps, lambda q, p: np.exp(-(q - 0.5) ** 2 - p ** 2) / np.pi)
     ref = _spsolve_midpoint(L, W0.coeffs, [0.05] * 10)
@@ -233,8 +231,8 @@ def test_midpoint_stepper_matches_spsolve_on_stiff_steps(db6, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["no_circulant_factor", "complex"])
-def test_midpoint_stepper_rejects_generator_without_circulant_split(db6, case):
-    ps = _ps32(db6)
+def test_midpoint_stepper_rejects_generator_without_circulant_split(case):
+    ps = _ps32()
     if case == "no_circulant_factor":
         extra = OperatorTerm("q_p_coupling", 0.01, ps.basis_q.moment_matrix(1),
                              ps.basis_p.moment_matrix(1))
@@ -253,10 +251,8 @@ def test_midpoint_stepper_rejects_generator_without_circulant_split(db6, case):
 
 def _order10(j_fine, box=4.0):
     """Order-10 phase space on [-box, box]^2 with 2^j_fine functions per axis."""
-    filt = daubechies_filter(10)
-    mk = lambda: WaveletBasis(filter=filt, j_coarse=3, j_fine=j_fine,
-                              domain=(-box, box))
-    return PhaseSpaceBasis(mk(), mk())
+    return PhaseSpaceBasis(order=10, j_coarse=3, j_fine=j_fine,
+                           q_min=-box, q_max=box, p_min=-box, p_max=box)
 
 
 @pytest.fixture(scope="module")
@@ -445,13 +441,15 @@ def test_eigen_contract_errors(harmonic_small):
 # refinement
 # ---------------------------------------------------------------------------
 
-def test_refine_until_trivial_convergence():
-    filt = daubechies_filter(6)
+def _square(j_coarse, j_fine):
+    """Order-6 phase space on [-4, 4)^2."""
+    return PhaseSpaceBasis(order=6, j_coarse=j_coarse, j_fine=j_fine,
+                           q_min=-4.0, q_max=4.0, p_min=-4.0, p_max=4.0)
 
+
+def test_refine_until_trivial_convergence():
     def solve_at_level(N):
-        mk = lambda: WaveletBasis(filter=filt, j_coarse=3, j_fine=N,
-                                  domain=(-4.0, 4.0))
-        ps = PhaseSpaceBasis(mk(), mk())
+        ps = _square(3, N)
         return _field(ps, lambda q, p: np.exp(-q ** 2 - p ** 2) / np.pi)
 
     W, report = refine_until(solve_at_level, epsilon=1e-3, n_max=7, n_min=4)
@@ -462,13 +460,10 @@ def test_refine_until_trivial_convergence():
 
 
 def test_refine_until_not_converged():
-    filt = daubechies_filter(6)
     rng = np.random.default_rng(0)
 
     def solve_at_level(N):
-        mk = lambda: WaveletBasis(filter=filt, j_coarse=3, j_fine=N,
-                                  domain=(-4.0, 4.0))
-        ps = PhaseSpaceBasis(mk(), mk())
+        ps = _square(3, N)
         return CoefficientField(ps=ps, coeffs=rng.normal(size=ps.dim))
 
     W, report = refine_until(solve_at_level, epsilon=1e-12, n_max=5, n_min=3)
@@ -479,12 +474,8 @@ def test_refine_until_not_converged():
 def test_refine_rejects_fields_in_different_frames():
     """Zero-pad embedding lines up the scaling blocks, so two levels with
     different j_coarse cannot be compared."""
-    filt = daubechies_filter(6)
-
     def field(j_coarse, j_fine):
-        mk = lambda: WaveletBasis(filter=filt, j_coarse=j_coarse, j_fine=j_fine,
-                                  domain=(-4.0, 4.0))
-        return _field(PhaseSpaceBasis(mk(), mk()),
+        return _field(_square(j_coarse, j_fine),
                       lambda q, p: np.exp(-q ** 2 - p ** 2) / np.pi)
 
     fields = {4: field(4, 4), 5: field(5, 5)}
@@ -515,10 +506,9 @@ def test_reconstruct_by_scale_partitions(ps6, gaussian_field6):
     assert np.max(np.abs(ps6.to_multiscale(fast[0].coeffs)[labels != 4])) < 1e-14
 
 
-def test_reconstruct_by_scale_single_level_basis(db6, gaussian_field6):
+def test_reconstruct_by_scale_single_level_basis(gaussian_field6):
     """With j_coarse = j_fine the cut is j_fine: all of the field is slow."""
-    b = WaveletBasis(filter=db6, j_coarse=5, j_fine=5, domain=(-4.0, 4.0))
-    ps = PhaseSpaceBasis(b, b)
+    ps = _square(5, 5)
     W = CoefficientField(ps=ps, coeffs=gaussian_field6.coeffs)
     slow, fast = reconstruct_by_scale(W)
     assert ps.scale_cut == 5 and fast == []
