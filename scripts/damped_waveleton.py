@@ -11,7 +11,7 @@ import numpy as np
 
 from wigner.assembly import PhaseSpaceBasis, assemble_evolution
 from wigner.cli import dump_grid
-from wigner.diagnostics import classify, standard_moments
+from wigner.diagnostics import HealthSeries, classify
 from wigner.model import ModelParams, parse_potential
 from wigner.solve import CoefficientField, EvolutionConfig, evolve
 
@@ -33,16 +33,18 @@ def main():
         lambda q, p: np.exp(-(q - 1.0) ** 2 - p ** 2) / np.pi))
 
     params = ModelParams(gamma=args.gamma, diffusion=args.diffusion)
-    L = assemble_evolution(ps, parse_potential("0.5*q^2"), params)
+    U = parse_potential("0.5*q^2")
+    L = assemble_evolution(ps, U, params)
     # About 40 checkpoints at any length (every 20th step of the default run).
     store_every = max(1, round(args.t_end / args.dt) // 40)
     traj = []
     evolve(W0, L, EvolutionConfig(dt=args.dt, t_end=args.t_end,
                                   store_every=store_every), store=traj.append)
 
+    series = HealthSeries(ps, U, params)
     print("#    t      purity    <q>       <p>       ||dW/dt||")
     for W in traj:
-        _, (qb, pb), _, purity = standard_moments(W)
+        _, (qb, pb), _, purity = series.moments(W)
         resid = np.linalg.norm(L.apply(W.coeffs))
         print(f"{W.time:7.2f}  {purity:.6f}  {qb:+.5f}  {pb:+.5f}  {resid:.3e}")
 

@@ -7,8 +7,6 @@ Prints the error of the lowest eigenvalues against n + 1/2 for a sweep of
 import argparse
 import os
 
-import numpy as np
-
 from wigner.assembly import PhaseSpaceBasis, assemble_stationary_pair
 from wigner.model import ModelParams, parse_potential
 from wigner.solve import stationary_eigen

@@ -6,9 +6,6 @@ criterion, plus the scale split of the accepted solution.
 """
 
 import argparse
-import os
-
-import numpy as np
 
 from wigner.assembly import PhaseSpaceBasis, assemble_stationary_pair
 from wigner.model import ModelParams, parse_potential

@@ -303,9 +303,9 @@ def load_grid(path):
     return header, data
 
 
-def _dump_marginal(marg, resolution, path):
-    xs = marg.basis.cell_centres(resolution)
-    vals = marg.evaluate(xs)
+def _dump_marginal(basis, coeffs, resolution, path):
+    xs = basis.cell_centres(resolution)
+    vals = basis.evaluate(coeffs, xs)
     with open(path, "w") as fh:
         for x, v in zip(xs, vals):
             fh.write("%.17g %.17g\n" % (x, v))
@@ -438,13 +438,13 @@ def _execute(cfg: RunConfig, run_dir, manifest):
     _dump_scale_parts(cfg, final, run_dir)
 
     dq, dp = marginals(final)
-    _dump_marginal(dq, cfg.grid_resolution,
+    _dump_marginal(final.ps.basis_q, dq, cfg.grid_resolution,
                    os.path.join(run_dir, "marginal_q.txt"))
-    _dump_marginal(dp, cfg.grid_resolution,
+    _dump_marginal(final.ps.basis_p, dp, cfg.grid_resolution,
                    os.path.join(run_dir, "marginal_p.txt"))
 
-    report = diagnostics_report(final, store.previous, hbar=cfg.params.hbar,
-                                thresholds=cfg.thresholds)
+    report = diagnostics_report(final, store.previous, store.series,
+                                cfg.thresholds)
     manifest += ["", "[diagnostics]", report.to_text().rstrip(), ""]
     manifest.append(f"converged = {not not_converged}")
     return report, not_converged
@@ -561,14 +561,16 @@ class _CheckpointWriter:
     ``HealthSeries`` row to ``series.txt`` at once, so a run that fails
     midway lists exactly the checkpoints it wrote.  Only the first, the
     previous and the last state are kept: the initial dump, ``classify`` and
-    the final dumps read them.
+    the final dumps read them.  ``series``, built on the first state, is
+    the run's one ``HealthSeries``: its rows and the diagnostics report read
+    the same functionals.
     """
 
     def __init__(self, cfg: RunConfig, run_dir):
         self.cfg, self.run_dir = cfg, run_dir
         self.first = self.previous = self.last = None
         self.stored = self.written = 0
-        self._series = None
+        self.series = None
 
     def __call__(self, W):
         if self.first is None:
@@ -577,7 +579,7 @@ class _CheckpointWriter:
             self.first = W
             # ensemble levels evolve under different potentials: no energy
             U = None if self.cfg.mode == "ensemble" else self.cfg.U
-            self._series = HealthSeries(W.ps, U, self.cfg.params)
+            self.series = HealthSeries(W.ps, U, self.cfg.params)
             self._append("series.txt", "# " + " ".join(HealthSeries.COLUMNS))
         self.previous, self.last = self.last, W
         if self.stored % self.cfg.checkpoint_every == 0:
@@ -595,7 +597,7 @@ class _CheckpointWriter:
         np.save(os.path.join(self.run_dir, name), W.coeffs)
         self._append("checkpoints.txt", "%s %.17g" % (name, W.time))
         self._append("series.txt",
-                     " ".join("%.17g" % x for x in self._series.row(W)))
+                     " ".join("%.17g" % x for x in self.series.row(W)))
         self.written += 1
 
     def _append(self, name, line):

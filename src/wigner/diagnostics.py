@@ -49,66 +49,13 @@ class DiagnosticsReport:
         return "\n".join(lines) + "\n"
 
 
-def fock_norm(W: CoefficientField) -> float:
-    """Squared L2 norm ||c||^2 of a field's coefficients."""
-    c = W.coeffs
-    return float(np.vdot(c, c).real)
-
-
-def standard_moments(W: CoefficientField, hbar: float = 1.0):
-    """(total_integral, centroid (qbar, pbar), covariance 2x2, purity).
-
-    All integrals are exact pairings of coefficient vectors with moment
-    functionals; purity = 2 pi hbar ||c||^2.
-    """
-    ps = W.ps
-    c = W.coeffs
-    sq = ps.basis_q.integration_functional()
-    sp_ = ps.basis_p.integration_functional()
-    mq1 = ps.basis_q.moment_functional(1)
-    mp1 = ps.basis_p.moment_functional(1)
-    mq2 = ps.basis_q.moment_functional(2)
-    mp2 = ps.basis_p.moment_functional(2)
-    C = ps.as_grid(c)
-
-    total = float(np.real(sq @ C @ sp_))
-    q1 = float(np.real(mq1 @ C @ sp_))
-    p1 = float(np.real(sq @ C @ mp1))
-    q2 = float(np.real(mq2 @ C @ sp_))
-    p2 = float(np.real(sq @ C @ mp2))
-    qp = float(np.real(mq1 @ C @ mp1))
-    if abs(total) > 1e-300:
-        qbar, pbar = q1 / total, p1 / total
-        cov = np.array([
-            [q2 / total - qbar ** 2, qp / total - qbar * pbar],
-            [qp / total - qbar * pbar, p2 / total - pbar ** 2],
-        ])
-    else:
-        qbar = pbar = 0.0
-        cov = np.full((2, 2), np.nan)
-    purity = 2.0 * np.pi * hbar * float(np.vdot(c, c).real)
-    return total, (qbar, pbar), cov, purity
-
-
-@dataclass
-class Marginal:
-    """1D density as a coefficient vector on one axis basis."""
-
-    basis: object
-    coeffs: np.ndarray
-
-    def evaluate(self, x):
-        return self.basis.evaluate(self.coeffs, x)
-
-
 def marginals(W: CoefficientField):
-    """Exact partial integration: (density over q, density over p)."""
+    """Exact partial integration: the coefficient vectors of the density over
+    q on ``W.ps.basis_q`` and of the density over p on ``W.ps.basis_p``."""
     C = W.ps.as_grid(np.real(W.coeffs))
     sq = W.ps.basis_q.integration_functional()
     sp_ = W.ps.basis_p.integration_functional()
-    dq = Marginal(W.ps.basis_q, C @ sp_)
-    dp = Marginal(W.ps.basis_p, sq @ C)
-    return dq, dp
+    return C @ sp_, sq @ C
 
 
 def _scale_spectrum(W: CoefficientField):
@@ -139,15 +86,6 @@ def negativity_volume(W: CoefficientField) -> float:
                             bp.cell_centres(resolution))
     cell = bq.length * bp.length / resolution ** 2
     return float(np.sum(np.abs(vals)) * cell - abs(np.sum(vals) * cell))
-
-
-def localization_radius(W: CoefficientField) -> float:
-    """Phase-space RMS radius about the centroid (from exact moments)."""
-    total, (qbar, pbar), cov, _ = standard_moments(W)
-    if not np.all(np.isfinite(cov)):
-        return float("nan")
-    trace = cov[0, 0] + cov[1, 1]
-    return float(np.sqrt(trace)) if trace >= 0 else float("nan")
 
 
 def classify(final: CoefficientField, previous: CoefficientField = None,
@@ -189,22 +127,28 @@ def classify(final: CoefficientField, previous: CoefficientField = None,
     return "unclassified"
 
 
-def diagnostics_report(final: CoefficientField, previous: CoefficientField = None,
-                       hbar: float = 1.0,
-                       thresholds: ClassifierThresholds = ClassifierThresholds(),
+def diagnostics_report(final: CoefficientField, previous: CoefficientField,
+                       series: HealthSeries, thresholds: ClassifierThresholds,
                        ) -> DiagnosticsReport:
-    """Full report on ``final``; ``previous`` is passed on to ``classify``."""
-    total, _, _, purity = standard_moments(final, hbar=hbar)
+    """Full report on ``final``: the integral, the covariance, ||c||^2 and
+    the purity are ``series``'s figures, the ones its rows hold; ``previous``
+    is passed on to ``classify``."""
+    total, _, cov, purity = series.moments(final)
+    norm2 = series.squared_norm(final)
+    # the phase-space RMS radius about the centroid
+    trace = cov[0, 0] + cov[1, 1]
+    radius = float(np.sqrt(trace)) if np.all(np.isfinite(cov)) and trace >= 0 \
+        else float("nan")
     entropy, participation = scale_entropy(final)
     return DiagnosticsReport(
         total_integral=total,
-        l2_norm=final.l2_norm(),
-        fock_norm=fock_norm(final),
+        l2_norm=float(np.sqrt(norm2)),
+        fock_norm=norm2,
         purity=purity,
         negativity_volume=negativity_volume(final),
         scale_entropy=entropy,
         participation_ratio=participation,
-        localization_radius=localization_radius(final),
+        localization_radius=radius,
         regime=classify(final, previous, thresholds),
     )
 
@@ -216,16 +160,25 @@ def _edge_mask(basis) -> np.ndarray:
     return np.minimum(centre, n - centre) < support
 
 
+def _pairing(fq, C, fp) -> float:
+    """fq . C . fp: a q functional and a p functional applied to the grid C."""
+    return float(np.real(fq @ C @ fp))
+
+
 class HealthSeries:
-    """Run-health figures of fields on one phase-space basis.
+    """The observables of fields on one phase-space basis.
+
+    The integration and moment functionals of both axes and the energy
+    functional are built once; ``moments`` and ``row`` read them, and so
+    does the diagnostics report.  Every figure is read off the coefficient
+    vector c: the total integral is s_q C s_p with C the (q, p) grid of c,
+    ||c||^2 is ``vdot(c, c)`` and the purity is 2 pi hbar ||c||^2.
 
     A row holds the time, the total integral, the energy
-    <H> = int (p^2/2m + U(q)) W (nan when U is None), the purity
-    2 pi hbar ||c||^2, the L2 norm ||c||, the edge fraction (the share of
-    ||c||^2 on functions centred within one filter support of the periodic
-    wrap on either axis) and the finest fraction (the share of the
-    multiscale energy on the finest level).  Each is read off the
-    coefficient vector; the functionals are built once.
+    <H> = int (p^2/2m + U(q)) W (nan when U is None), the purity, the L2
+    norm ||c||, the edge fraction (the share of ||c||^2 on functions centred
+    within one filter support of the periodic wrap on either axis) and the
+    finest fraction (the share of the multiscale energy on the finest level).
     """
 
     COLUMNS = ("time", "integral", "energy", "purity", "l2_norm",
@@ -233,27 +186,54 @@ class HealthSeries:
 
     def __init__(self, ps, U, params):
         bq, bp = ps.basis_q, ps.basis_p
-        sq, sp_ = bq.integration_functional(), bp.integration_functional()
         self.ps, self.hbar = ps, params.hbar
-        self._integral = np.kron(sq, sp_)
+        self._sq, self._sp = bq.integration_functional(), bp.integration_functional()
+        self._mq1, self._mp1 = bq.moment_functional(1), bp.moment_functional(1)
+        self._mq2, self._mp2 = bq.moment_functional(2), bp.moment_functional(2)
         self._energy = None
         if U is not None:
             uq = sum((a * bq.moment_functional(k)
                       for k, a in enumerate(U.coeffs_q)), np.zeros(bq.dim))
-            self._energy = (
-                np.kron(uq, sp_)
-                + np.kron(sq, bp.moment_functional(2)) / (2.0 * params.mass))
+            self._energy = (np.kron(uq, self._sp)
+                            + np.kron(self._sq, self._mp2) / (2.0 * params.mass))
         self._edge = np.logical_or.outer(_edge_mask(bq), _edge_mask(bp)).reshape(-1)
         labels = ps.multiscale_levels()
         self._finest = labels == labels.max()
 
+    def squared_norm(self, W: CoefficientField) -> float:
+        """||c||^2 of W's coefficients."""
+        return float(np.vdot(W.coeffs, W.coeffs).real)
+
+    def moments(self, W: CoefficientField):
+        """(total_integral, centroid (qbar, pbar), covariance 2x2, purity)."""
+        C = self.ps.as_grid(W.coeffs)
+        sq, sp_ = self._sq, self._sp
+        total = _pairing(sq, C, sp_)
+        q1 = _pairing(self._mq1, C, sp_)
+        p1 = _pairing(sq, C, self._mp1)
+        q2 = _pairing(self._mq2, C, sp_)
+        p2 = _pairing(sq, C, self._mp2)
+        qp = _pairing(self._mq1, C, self._mp1)
+        if abs(total) > 1e-300:
+            qbar, pbar = q1 / total, p1 / total
+            cov = np.array([
+                [q2 / total - qbar ** 2, qp / total - qbar * pbar],
+                [qp / total - qbar * pbar, p2 / total - pbar ** 2],
+            ])
+        else:
+            qbar = pbar = 0.0
+            cov = np.full((2, 2), np.nan)
+        return total, (qbar, pbar), cov, self._purity(self.squared_norm(W))
+
+    def _purity(self, norm2: float) -> float:
+        return 2.0 * np.pi * self.hbar * norm2
+
     def row(self, W: CoefficientField) -> tuple:
         c = np.real(W.coeffs)
-        c2 = c * c
         ms = self.ps.to_multiscale(c) ** 2
-        norm2, ms_total = float(c2.sum()), float(ms.sum())
+        norm2, ms_total = self.squared_norm(W), float(ms.sum())
         energy = np.nan if self._energy is None else float(self._energy @ c)
-        return (W.time, float(self._integral @ c), energy,
-                2.0 * np.pi * self.hbar * norm2, np.sqrt(norm2),
-                float(c2[self._edge].sum()) / norm2 if norm2 else 0.0,
+        return (W.time, _pairing(self._sq, self.ps.as_grid(c), self._sp),
+                energy, self._purity(norm2), np.sqrt(norm2),
+                float((c[self._edge] ** 2).sum()) / norm2 if norm2 else 0.0,
                 float(ms[self._finest].sum()) / ms_total if ms_total else 0.0)

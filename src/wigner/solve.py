@@ -4,7 +4,6 @@ of coefficient fields."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,6 @@ from .errors import (
     ContractError,
     NumericalError,
 )
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -77,7 +74,6 @@ class EvolutionConfig:
 class RefinementReport:
     levels_tried: list            # (level, ||W^{N+1} - W^N||) pairs
     accepted_level: int
-    epsilon: float
     converged: bool
     monotone: bool
 
@@ -382,7 +378,7 @@ def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
 
 
 def moyal_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
-                pairs: int, hbar: float = 1.0) -> list:
+                pairs: int, hbar: float) -> list:
     """Joint eigenfields (E', E'', field) of the two-sided stationary system.
 
     A two-sided eigenfield, H*W = E'W and W*H = E''W, has A_sym W =
@@ -458,14 +454,12 @@ def refine_until(solve_at_level, epsilon: float, n_max: int,
             diffs.append(diff)
             if diff <= epsilon:
                 report = RefinementReport(
-                    levels_tried=tried, accepted_level=N, epsilon=epsilon,
+                    levels_tried=tried, accepted_level=N,
                     converged=True, monotone=_nonincreasing(diffs))
                 return cur, report
         prev, prev_level = cur, N
-    if not _nonincreasing(diffs):
-        logger.warning("refinement differences were not monotone: %s", diffs)
     report = RefinementReport(
-        levels_tried=tried, accepted_level=prev_level, epsilon=epsilon,
+        levels_tried=tried, accepted_level=prev_level,
         converged=False, monotone=_nonincreasing(diffs))
     return prev, report
 

@@ -10,20 +10,18 @@ import os
 import time
 
 import numpy as np
-import pytest
 import scipy.sparse.linalg as spla
 
 from oracles import aitken_connection, fd_apply, kron_dense
 from wigner.assembly import (
     PhaseSpaceBasis,
-    assemble_dissipator,
     assemble_evolution,
     assemble_quantum_correction,
     assemble_stationary_cnumber,
     assemble_stationary_pair,
 )
 from wigner.basis import connection_coefficients, daubechies_filter
-from wigner.diagnostics import ClassifierThresholds, classify, scale_entropy, standard_moments
+from wigner.diagnostics import ClassifierThresholds, HealthSeries, classify, scale_entropy
 from wigner.model import ModelParams, parse_potential
 from wigner.solve import (
     CoefficientField,
@@ -243,8 +241,8 @@ def test_dissipative_diffusion_rate_and_damped_waveleton():
     D = 0.1
     ps = _phase_space(6, 6, (-6.0, 6.0))
     W0 = _gaussian(ps)
-    L = assemble_evolution(ps, parse_potential("0"),
-                           ModelParams(gamma=0.0, diffusion=D))
+    params = ModelParams(gamma=0.0, diffusion=D)
+    L = assemble_evolution(ps, parse_potential("0"), params)
     traj = []
     evolve(W0, L, EvolutionConfig(dt=0.05, t_end=1.0, store_every=1),
            store=traj.append)
@@ -252,7 +250,8 @@ def test_dissipative_diffusion_rate_and_damped_waveleton():
     m1 = _p_second_moment(traj[-1])
     rate = (m1 - m0) / (traj[-1].time - traj[0].time)
     rate_err = abs(rate - 2 * D) / (2 * D)
-    purities = [standard_moments(W)[3] for W in traj]
+    series = HealthSeries(ps, None, params)
+    purities = [series.moments(W)[3] for W in traj]
     purity_increase = max(b - a for a, b in zip(purities, purities[1:]))
 
     # damped harmonic oscillator settles into a stable localized state

@@ -5,7 +5,6 @@ import pytest
 
 from wigner.assembly import (
     AssembledOperator,
-    OperatorTerm,
     PhaseSpaceBasis,
     assemble_dissipator,
     assemble_evolution,
@@ -16,7 +15,6 @@ from wigner.assembly import (
 )
 from wigner.errors import ConfigurationError, ContractError
 from wigner.model import ModelParams, PolynomialPotential, parse_potential
-from wigner.solve import CoefficientField
 
 PARAMS = ModelParams()
 

@@ -2,11 +2,14 @@
 
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wigner
 from wigner.assembly import PhaseSpaceBasis, assemble_evolution
 from wigner.cli import (
     EXIT_CONFIG,
@@ -608,6 +611,47 @@ def test_series_has_one_row_per_checkpoint(tmp_path):
     assert abs(last["integral"] - _manifest_value(run_dir, "total_integral")) < 1e-12
     assert abs(last["purity"] - _manifest_value(run_dir, "purity")) < 1e-12
     assert abs(last["l2_norm"] - _manifest_value(run_dir, "l2_norm")) < 1e-12
+
+
+_QUARTIC = [("0.5*q^2", "0.5*q^2 + 0.1*q^4"), ("order = 6", "order = 10"),
+            ("j_fine = 4", "j_fine = 5")]
+
+
+@pytest.mark.parametrize("edits,code", [
+    ([("t_end = 0.1", "t_end = 0.2")], EXIT_OK),
+    ([("mode = evolve", "mode = stationary")] + _QUARTIC
+     + [("t_end = 0.1", "n_states = 2")], EXIT_OK),
+    ([("mode = evolve", "mode = moyal")] + _QUARTIC
+     + [("j_fine = 5", "j_fine = 6"), ("t_end = 0.1", "pairs = 2")], EXIT_OK),
+    ([("mode = evolve", "mode = ensemble"), ("order = 6", "order = 8"),
+      ("j_fine = 4", "j_fine = 5"), ("-4", "-5"), ("= 4", "= 5"),
+      ("0.5*q^2", "0.5*q^2\ngamma = 0.1\ndiffusion = 0.05"),
+      ("dt = 0.05", "dt = 0.02"),
+      ("t_end = 0.1", "t_end = 0.4\n\n[initial]\nq0 = 0.3\n\n[ensemble]\n"
+       "n_max = 2\nweights = coherent:0.8\nu0 = 0.3\ng = 0.1*q^3 + q^2")], EXIT_OK),
+    ([("mode = evolve", "mode = refine"),
+      ("t_end = 0.1", "epsilon = 1e-14\nn_min = 3\nn_max = 4")], EXIT_NOT_CONVERGED),
+], ids=["evolve", "stationary", "moyal", "ensemble", "refine"])
+def test_manifest_reports_the_last_series_row(tmp_path, edits, code):
+    """The manifest's [diagnostics] figures of the final state and the last
+    series.txt row are the same numbers: one HealthSeries computes both.
+    ``wigner run`` runs in its own process, where ``--threads 1`` caps BLAS
+    before numpy loads, so the final field is the command line's."""
+    path = _write(tmp_path, _edited(edits) + "\n[output]\ngrid_resolution = 8\n")
+    src = str(Path(wigner.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "wigner.cli", "run", path, "--threads", "1",
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == code, done.stderr
+    run_dir = done.stdout.strip()
+    _, rows = _series(run_dir)
+    last = dict(zip(HealthSeries.COLUMNS, rows[-1]))
+    assert _manifest_value(run_dir, "total_integral") == last["integral"]
+    assert _manifest_value(run_dir, "purity") == last["purity"]
+    assert _manifest_value(run_dir, "l2_norm") == last["l2_norm"]
 
 
 def test_ensemble_series_has_no_energy(tmp_path):

@@ -5,16 +5,15 @@ import pytest
 
 from wigner.diagnostics import (
     ClassifierThresholds,
+    HealthSeries,
     classify,
     diagnostics_report,
-    fock_norm,
-    localization_radius,
     marginals,
     negativity_volume,
     scale_entropy,
-    standard_moments,
 )
 from wigner.errors import ConfigurationError, DegenerateInputError
+from wigner.model import ModelParams
 from wigner.solve import CoefficientField
 
 
@@ -27,8 +26,13 @@ def shifted_gaussian(ps6w):
     return CoefficientField(ps=ps6w, coeffs=coeffs)
 
 
-def test_standard_moments_gaussian(shifted_gaussian):
-    total, (qbar, pbar), cov, purity = standard_moments(shifted_gaussian)
+@pytest.fixture(scope="module")
+def series6w(ps6w):
+    return HealthSeries(ps6w, None, ModelParams())
+
+
+def test_standard_moments_gaussian(series6w, shifted_gaussian):
+    total, (qbar, pbar), cov, purity = series6w.moments(shifted_gaussian)
     assert abs(total - 1.0) < 1e-9
     assert abs(qbar - 1.0) < 1e-7
     assert abs(pbar + 0.5) < 1e-7
@@ -38,26 +42,22 @@ def test_standard_moments_gaussian(shifted_gaussian):
     assert abs(purity - 1.0) < 1e-5
 
 
-def test_purity_scales_with_hbar(shifted_gaussian):
-    _, _, _, p1 = standard_moments(shifted_gaussian, hbar=1.0)
-    _, _, _, p2 = standard_moments(shifted_gaussian, hbar=2.0)
+def test_purity_scales_with_hbar(ps6w, shifted_gaussian):
+    p1, p2 = (HealthSeries(ps6w, None, ModelParams(hbar=hbar)).moments(
+        shifted_gaussian)[3] for hbar in (1.0, 2.0))
     assert p2 == pytest.approx(2.0 * p1)
 
 
-def test_fock_norm_is_squared_l2_norm(ps6, gaussian_field6):
-    assert fock_norm(gaussian_field6) == pytest.approx(float(
-        gaussian_field6.coeffs @ gaussian_field6.coeffs))
-
-
-def test_marginals_gaussian(shifted_gaussian):
+def test_marginals_gaussian(ps6w, shifted_gaussian):
     dq, dp = marginals(shifted_gaussian)
-    for m in (dq, dp):
-        assert abs(m.basis.integration_functional() @ m.coeffs - 1.0) < 1e-9
+    bq, bp = ps6w.basis_q, ps6w.basis_p
+    for basis, coeffs in ((bq, dq), (bp, dp)):
+        assert abs(basis.integration_functional() @ coeffs - 1.0) < 1e-9
     xs = np.linspace(-2.0, 3.0, 21)
     ref_q = np.exp(-(xs - 1.0) ** 2) / np.sqrt(np.pi)
     ref_p = np.exp(-(xs + 0.5) ** 2) / np.sqrt(np.pi)
-    assert np.max(np.abs(dq.evaluate(xs) - ref_q)) < 5e-3
-    assert np.max(np.abs(dp.evaluate(xs) - ref_p)) < 5e-3
+    assert np.max(np.abs(bq.evaluate(dq, xs) - ref_q)) < 5e-3
+    assert np.max(np.abs(bp.evaluate(dp, xs) - ref_p)) < 5e-3
 
 
 def test_scale_entropy_uniform_spectrum(ps6):
@@ -87,9 +87,11 @@ def test_negativity_vanishes_for_gaussian(gaussian_field6w):
     assert negativity_volume(gaussian_field6w) < 1e-6
 
 
-def test_localization_radius_gaussian(shifted_gaussian):
+def test_localization_radius_gaussian(series6w, shifted_gaussian):
     # sqrt(var_q + var_p) = sqrt(1/2 + 1/2) = 1
-    assert localization_radius(shifted_gaussian) == pytest.approx(1.0, abs=1e-6)
+    report = diagnostics_report(shifted_gaussian, None, series6w,
+                                ClassifierThresholds())
+    assert report.localization_radius == pytest.approx(1.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +174,9 @@ def test_classifier_thresholds_reject_out_of_range_values():
         assert name in str(exc.value)
 
 
-def test_report_fields(ps6w, gaussian_field6w):
-    report = diagnostics_report(gaussian_field6w)
+def test_report_fields(series6w, gaussian_field6w):
+    report = diagnostics_report(gaussian_field6w, None, series6w,
+                                ClassifierThresholds())
     assert abs(report.total_integral - 1.0) < 1e-9
     assert abs(report.purity - 1.0) < 1e-5
     assert report.fock_norm == pytest.approx(report.l2_norm ** 2)

@@ -1,7 +1,8 @@
-"""Source hygiene: every name a package module imports is used by it and is
-public in the module it comes from, every function it defines is used outside
-the tests, every optional parameter is passed by some caller outside the
-tests, and only the phase-space basis builds wavelet axes."""
+"""Source hygiene: every name a package module, script or test imports is
+used by it, every name a package module imports is public in the module it
+comes from, every function it defines is used outside the tests, every
+optional parameter is passed by some caller outside the tests, no function
+gives hbar a default, and only the phase-space basis builds wavelet axes."""
 
 import ast
 import re
@@ -39,7 +40,10 @@ def test_unused_import_detector():
     assert unused_imports(src) == ["comb (line 3)", "os (line 1)"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    + sorted((ROOT / "tests").glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -204,6 +208,36 @@ def test_no_unused_parameters():
     others = [p.read_text() for folder in ("scripts", "perfbench")
               for p in sorted((ROOT / folder).glob("*.py"))]
     assert unused_parameters(package, others) == []
+
+
+def hbar_defaults(source: str) -> list:
+    """Functions of ``source`` that give a parameter named ``hbar`` a default."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        if any(a.arg == "hbar" for a in defaulted):
+            found.append(f"{getattr(node, 'name', 'lambda')} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_hbar_default_detector():
+    src = ("def f(x, hbar=1.0):\n    pass\n\n"
+           "def g(hbar, y=2):\n    pass\n\n"
+           "class A:\n    hbar: float = 1.0\n\n"
+           "    def m(self, *, hbar=2.0):\n        return lambda hbar=3: hbar\n")
+    assert hbar_defaults(src) == ["f (line 1)", "lambda (line 11)", "m (line 10)"]
+
+
+def test_hbar_has_one_home():
+    """hbar comes from ``ModelParams``; a function that defaults it is a
+    second home that a caller can reach by leaving it out."""
+    assert [f"{p.name}: {f}" for p in sorted(SRC.glob("*.py"))
+            for f in hbar_defaults(p.read_text())] == []
 
 
 def basis_calls(source: str) -> list:

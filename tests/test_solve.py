@@ -386,7 +386,8 @@ def test_moyal_eigen_heavy_oscillator_pairs(harmonic_small):
     carries the transport's 1/m."""
     ps, U = harmonic_small
     A_sym, A_anti = assemble_stationary_pair(ps, U, ModelParams(mass=2.0))
-    got = sorted((lo, hi) for lo, hi, _ in moyal_eigen(A_sym, A_anti, 3))
+    got = sorted((lo, hi) for lo, hi, _ in moyal_eigen(A_sym, A_anti, 3,
+                                                       hbar=1.0))
     e0, e1 = 0.5 / np.sqrt(2.0), 1.5 / np.sqrt(2.0)
     expected = sorted([(e0, e0), (e1, e0), (e0, e1)])
     assert np.max(np.abs(np.array(got) - np.array(expected))) < 1e-3
@@ -397,7 +398,7 @@ def test_moyal_eigen_quartic_pairs_match_fd_oracle():
     levels; |1><1| (1.7696) and the |0><2| pair (1.8489) stay apart."""
     U = parse_potential("0.5*q^2 + 0.1*q^4")
     A_sym, A_anti = assemble_stationary_pair(_order10(6), U, PARAMS)
-    pairs = moyal_eigen(A_sym, A_anti, 6)
+    pairs = moyal_eigen(A_sym, A_anti, 6, hbar=1.0)
     E = fd_schrodinger_levels(lambda q: 0.5 * q ** 2 + 0.1 * q ** 4, 4)
     lowest = sorted(((m, n) for m in range(4) for n in range(4)),
                     key=lambda mn: E[mn[0]] + E[mn[1]])[:6]
@@ -413,7 +414,7 @@ def test_moyal_eigen_cubic_fails_closed():
     A_sym, A_anti = assemble_stationary_pair(
         _order10(5), parse_potential("0.1*q^3 + 0.5*q^2"), PARAMS)
     with pytest.raises(NumericalError, match="below the shift"):
-        moyal_eigen(A_sym, A_anti, 4)
+        moyal_eigen(A_sym, A_anti, 4, hbar=1.0)
 
 
 def test_moyal_eigen_builds_no_sparse_matrix_and_no_full_eigh(harmonic_small,
@@ -425,7 +426,7 @@ def test_moyal_eigen_builds_no_sparse_matrix_and_no_full_eigh(harmonic_small,
     A_sym, A_anti = assemble_stationary_pair(ps, U, PARAMS)
     monkeypatch.setattr(AssembledOperator, "matrix", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    assert len(moyal_eigen(A_sym, A_anti, 6)) == 6
+    assert len(moyal_eigen(A_sym, A_anti, 6, hbar=1.0)) == 6
 
 
 def test_eigen_contract_errors(harmonic_small):
@@ -434,7 +435,7 @@ def test_eigen_contract_errors(harmonic_small):
     with pytest.raises(ContractError):
         stationary_eigen(A_sym, A_anti, 0)
     with pytest.raises(ContractError):
-        moyal_eigen(A_sym, A_anti, 0)
+        moyal_eigen(A_sym, A_anti, 0, hbar=1.0)
 
 
 # ---------------------------------------------------------------------------
