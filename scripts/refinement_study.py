@@ -7,6 +7,8 @@ criterion, plus the scale split of the accepted solution.
 
 import argparse
 
+import numpy as np
+
 from wigner.assembly import PhaseSpaceBasis, assemble_stationary_pair
 from wigner.model import ModelParams, parse_potential
 from wigner.solve import reconstruct_by_scale, refine_until, stationary_eigen
@@ -40,11 +42,12 @@ def main():
     print(f"converged: {report.converged}   monotone: {report.monotone}")
 
     slow, fast = reconstruct_by_scale(W)
-    total = W.l2_norm() ** 2
-    print(f"slow-scale energy fraction: {slow.l2_norm() ** 2 / total:.6f}")
+    total = np.linalg.norm(W.coeffs) ** 2
+    print(f"slow-scale energy fraction: "
+          f"{np.linalg.norm(slow.coeffs) ** 2 / total:.6f}")
     for j, part in enumerate(fast, start=W.ps.scale_cut):
         print(f"detail level {j} energy fraction: "
-              f"{part.l2_norm() ** 2 / total:.3e}")
+              f"{np.linalg.norm(part.coeffs) ** 2 / total:.3e}")
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 Every operator is a sum of Kronecker terms A_q (x) B_p acting on coefficient
 fields stored q-major (flat index = iq * dim_p + ip).  Terms are kept in
 factored form: ``apply``, the one product L x of every solver and script,
-runs as two GEMMs over the terms grouped by q factor.  ``dense`` writes the
-matrix from the factors for the eigen path; ``matrix`` builds the sparse
-form, which no solver uses: tests take it as the direct-solve reference.
+runs as two GEMMs over the terms grouped by q factor.  The eigen path
+writes its band from the factors itself; ``matrix`` builds the sparse form,
+which no solver uses: tests take it as the direct-solve reference.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ class AssembledOperator:
     """Sum of Kronecker terms with matrix-free application.
 
     ``apply`` computes sum_t coeff_t * (A_t C B_t^T) on the reshaped
-    coefficient grid; ``matrix``/``dense`` materialize on demand.
+    coefficient grid; ``matrix`` materializes the sparse form on demand.
     """
 
     ps: PhaseSpaceBasis
@@ -190,20 +190,6 @@ class AssembledOperator:
             acc.eliminate_zeros()
             self._matrix = acc
         return self._matrix
-
-    def dense(self) -> np.ndarray:
-        """The dim x dim matrix, written from the Kronecker factors q-row by
-        q-row (complex when a term is)."""
-        nq, n_p = self.ps.shape
-        Qs = np.stack([t.coeff * t.q_matrix for t in self.terms])
-        Bs = np.stack([t.p_matrix for t in self.terms]).reshape(len(self.terms),
-                                                                n_p * n_p)
-        out = np.empty((self.ps.dim, self.ps.dim),
-                       dtype=complex if self.is_complex else float)
-        rows = out.reshape(nq, n_p, nq, n_p)
-        for i in range(nq):
-            rows[i] = (Qs[:, i, :].T @ Bs).reshape(nq, n_p, n_p).transpose(1, 0, 2)
-        return out
 
     def __add__(self, other: "AssembledOperator") -> "AssembledOperator":
         if other.ps is not self.ps and other.ps != self.ps:

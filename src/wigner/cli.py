@@ -1,13 +1,15 @@
 """Command-line entry points: run orchestration, config parsing, grid dumps.
 
 Heavy numerical imports happen inside functions so that ``--threads`` can cap
-BLAS worker pools before any thread pool is created.
+BLAS worker pools before any thread pool is created; an OpenBLAS loaded
+before ``main`` runs is capped for the run through its own thread setter.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import difflib
 import math
 import os
@@ -617,18 +619,71 @@ def _thread_count(text):
     return n
 
 
-def _cap_threads(n):
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+
+# The thread-count functions of the OpenBLAS builds that numpy and scipy
+# link, as (extension module, setter, getter): dlsym on the module finds
+# them in the library it depends on.
+_OPENBLAS_THREADS = (
+    ("numpy._core._multiarray_umath", "scipy_openblas_set_num_threads64_",
+     "scipy_openblas_get_num_threads64_"),
+    ("scipy.linalg._flapack", "scipy_openblas_set_num_threads",
+     "scipy_openblas_get_num_threads"),
+)
+
+
+def _openblas_thread_controls() -> list:
+    """(set, get) of each OpenBLAS build that numpy and scipy link; a build
+    without these symbols (another BLAS) is left out."""
+    import ctypes
+    import importlib
+
+    controls = []
+    for module, set_name, get_name in _OPENBLAS_THREADS:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            set_, get = getattr(lib, set_name), getattr(lib, get_name)
+        except (ImportError, OSError, AttributeError):
+            continue
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        get.argtypes, get.restype = [], ctypes.c_int
+        controls.append((set_, get))
+    return controls
+
+
+@contextlib.contextmanager
+def _capped_threads(n):
+    """Cap BLAS at n threads while the block runs, then restore the counts.
+
+    The environment variables reach a BLAS that is not loaded yet, which reads
+    them once, at load time; an OpenBLAS that is already loaded (numpy
+    imported before ``main``) is capped through its own set_num_threads.
+    """
     if n is None:
+        yield
         return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
+    env = {var: os.environ.get(var) for var in _THREAD_VARS}
+    os.environ.update({var: str(n) for var in _THREAD_VARS})
+    controls = [(set_, get()) for set_, get in _openblas_thread_controls()]
+    for set_, _ in controls:
+        set_(n)
+    try:
+        yield
+    finally:
+        for set_, previous in controls:
+            set_(previous)
+        for var, value in env.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 def _cmd_run(args) -> int:
-    _cap_threads(args.threads)
-    return run(parse_config(args.config), out_override=args.out,
-               verbose=args.verbose)
+    with _capped_threads(args.threads):
+        return run(parse_config(args.config), out_override=args.out,
+                   verbose=args.verbose)
 
 
 def _cmd_validate(args) -> int:

@@ -44,9 +44,6 @@ class CoefficientField:
     def copy(self) -> "CoefficientField":
         return CoefficientField(ps=self.ps, coeffs=self.coeffs.copy(), time=self.time)
 
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
 
 @dataclass(frozen=True)
 class EvolutionConfig:
@@ -274,16 +271,108 @@ def _spectrum_floor(op: AssembledOperator) -> float:
     return float(la.eigvalsh(0.5 * (Q + Q.T), subset_by_index=[0, 0])[0])
 
 
+def _folded_order(n: int) -> np.ndarray:
+    """The axis order 0, n-1, 1, n-2, ...: it turns a periodic band of
+    half-width b (wrap included) into a plain band of half-width at most 2b."""
+    order = np.empty(n, dtype=int)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    return order
+
+
+def _half_bandwidth(mats: np.ndarray) -> int:
+    """Largest |i - k| over the nonzero entries of a stack of matrices."""
+    i, k = np.nonzero(np.any(mats != 0, axis=0))
+    return int(np.max(np.abs(i - k))) if i.size else 0
+
+
+def _shifted_band(op: AssembledOperator, sigma: float):
+    """Upper band of the symmetric part of op - sigma I, both axes in
+    folded order.
+
+    Returns (ab, perm): ab[u + r - c, c] is entry (r, c), r <= c, of the
+    folded matrix, whose flat index r is op's index perm[r]; ab is Fortran-
+    ordered LAPACK upper band storage of half-bandwidth u = b_q n_p + b_p,
+    with b_q, b_p the folded half-bandwidths of the q and p factors.  The
+    band is written from the Kronecker terms, one q-block offset at a time,
+    and no dim x dim array is made.  op's tables make it symmetric only to
+    roundoff; the band of (op + op^T) / 2 solves as close to op as a dense
+    LU does, where one triangle of op is off by its asymmetry (1e-10
+    relative on the 32x32 order-10 quartic).
+    """
+    nq, n_p = op.ps.shape
+    fq, fp = _folded_order(nq), _folded_order(n_p)
+    Qs = np.stack([0.5 * t.coeff * t.q_matrix[np.ix_(fq, fq)] for t in op.terms])
+    Bs = np.stack([t.p_matrix[np.ix_(fp, fp)] for t in op.terms])
+    # each term and its transpose: the band of (op + op^T) / 2
+    Qs = np.concatenate([Qs, Qs.transpose(0, 2, 1)])
+    Bs = np.concatenate([Bs, Bs.transpose(0, 2, 1)])
+    bq, bp = _half_bandwidth(Qs), _half_bandwidth(Bs)
+    u = bq * n_p + bp
+    ab = np.zeros((u + 1, nq * n_p), order="F")
+    # ab's Fortran-order flat index of entry (r, c) is u (c + 1) + r, so the
+    # n_p x n_p blocks (iq, iq + dq), entry (j, l) at row iq n_p + j and
+    # column (iq + dq) n_p + l, form one strided view per offset dq.  Only
+    # entries at distance dq n_p + l - j in [0, u] above the diagonal lie in
+    # the band; the others alias band storage and are not written.
+    flat = ab.reshape(-1, order="F")
+    step = ab.itemsize
+    j, l = np.divmod(np.arange(n_p * n_p).reshape(n_p, n_p), n_p)
+    Bs = Bs.reshape(len(Bs), -1)
+    for dq in range(bq + 1):
+        blocks = (Qs.diagonal(dq, axis1=1, axis2=2).T @ Bs).reshape(-1, n_p, n_p)
+        view = np.lib.stride_tricks.as_strided(
+            flat[u * (dq * n_p + 1):], shape=blocks.shape,
+            strides=(n_p * (u + 1) * step, step, u * step))
+        d = dq * n_p + l - j
+        keep = (d >= 0) & (d <= u)
+        if keep.all():  # every 0 < dq < b_q; twice as fast as a masked write
+            view[...] = blocks
+        else:
+            view[:, keep] = blocks[:, keep]
+    ab[u] -= sigma
+    return ab, (fq[:, None] * n_p + fp).reshape(-1)
+
+
+def _shifted_inverse(op: AssembledOperator, sigma: float):
+    """v -> (op - sigma I)^-1 v by a banded Cholesky factor of ``_shifted_band``.
+
+    Raises NumericalError when op - sigma I is not positive definite, that is
+    when op has a level below sigma.
+    """
+    ab, perm = _shifted_band(op, sigma)
+    try:
+        factor = la.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+    except la.LinAlgError as exc:
+        raise NumericalError(
+            f"the stationary operator has a level below the shift {sigma:.6g}, "
+            "so its lowest states cannot be located",
+            diagnostic={"shift": sigma},
+        ) from exc
+
+    def solve(v):
+        x = np.empty(len(perm))
+        x[perm] = la.cho_solve_banded((factor, False), v[perm],
+                                      check_finite=False)
+        return x
+
+    return solve
+
+
 def _lowest_eigenpairs(op: AssembledOperator, k: int):
     """The k lowest eigenpairs (ascending values, unit columns of V) of A_sym
     or its penalty P: the one eigen path of stationary, refine and moyal runs.
 
-    op is written densely into one float64 array, shifted by sigma, the
-    lowest level of its q-only part (``_spectrum_floor``), and Cholesky-
-    factorized in place (8 dim^2 bytes: 134 MB at 64x64, 2.1 GB at 128x128).
-    That factor exists only when sigma lies below every eigenvalue of op, so
-    ARPACK's shift-invert (the k eigenvalues nearest sigma, from a fixed
-    start vector, so runs repeat bit for bit) returns the lowest pairs.
+    op - sigma I, with sigma the lowest level of op's q-only part
+    (``_spectrum_floor``), is written as a band in folded axis order
+    (``_shifted_band``) and Cholesky-factorized in place
+    (``_shifted_inverse``).  The band takes 8 (u + 1) dim bytes for
+    half-bandwidth u = 2 b_q n_p + 2 b_p, where b_q, b_p are the factors'
+    periodic half-bandwidths: 68 MB at 64x64 and 541 MB at 128x128 for the
+    order-10 penalty.  That factor exists only when sigma lies below every
+    eigenvalue of op, so ARPACK's shift-invert with the banded solve as
+    OPinv (the k eigenvalues nearest sigma, from a fixed start vector, so
+    runs repeat bit for bit) returns the lowest pairs.
 
     Raises NumericalError when k >= dim, when op - sigma I is not positive
     definite, when ARPACK does not converge, or when a residual
@@ -296,22 +385,9 @@ def _lowest_eigenpairs(op: AssembledOperator, k: int):
             diagnostic={"eigenpairs": k, "dim": n},
         )
     sigma = _spectrum_floor(op)
-    shifted = op.dense()
-    shifted.flat[::n + 1] -= sigma
-    # shifted.T is Fortran-ordered, so LAPACK factors the one dense copy in
-    # place; op is symmetric and only its upper triangle is read.
-    try:
-        factor = la.cho_factor(shifted.T, overwrite_a=True, check_finite=False)
-    except la.LinAlgError as exc:
-        raise NumericalError(
-            f"the stationary operator has a level below the shift {sigma:.6g}, "
-            "so its lowest states cannot be located",
-            diagnostic={"shift": sigma},
-        ) from exc
+    solve = _shifted_inverse(op, sigma)
     A = spla.LinearOperator((n, n), matvec=op.apply, dtype=float)
-    inv = spla.LinearOperator((n, n), dtype=float,
-                              matvec=lambda v: la.cho_solve(factor, v,
-                                                            check_finite=False))
+    inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
     # A fixed start vector, drawn as ARPACK draws its own, makes runs repeatable.
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     try:

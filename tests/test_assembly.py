@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import kron_dense
 
 from wigner.assembly import (
     AssembledOperator,
@@ -218,8 +219,8 @@ def harmonic_ops(ps6):
 
 def test_pair_symmetry(harmonic_ops):
     A_sym, A_anti, _ = harmonic_ops
-    S = A_sym.dense()
-    K = A_anti.dense()
+    S = kron_dense(A_sym)
+    K = kron_dense(A_anti)
     scale = np.max(np.abs(S))
     assert np.max(np.abs(S - S.T)) < 1e-11 * scale
     assert np.max(np.abs(K + K.T)) < 1e-11 * scale
@@ -227,17 +228,17 @@ def test_pair_symmetry(harmonic_ops):
 
 def test_cnumber_is_hermitian(harmonic_ops):
     _, _, A_c = harmonic_ops
-    M = A_c.dense()
+    M = kron_dense(A_c)
     assert np.max(np.abs(M - M.conj().T)) < 1e-11 * np.max(np.abs(M))
 
 
 def test_cnumber_splits_into_pair(harmonic_ops):
     """Real part = symmetric half; imaginary part = -(hbar/2) x antisymmetric."""
     A_sym, A_anti, A_c = harmonic_ops
-    M = A_c.dense()
+    M = kron_dense(A_c)
     scale = np.max(np.abs(M))
-    assert np.max(np.abs(M.real - A_sym.dense())) < 1e-11 * scale
-    assert np.max(np.abs(M.imag + 0.5 * PARAMS.hbar * A_anti.dense())) < 1e-11 * scale
+    assert np.max(np.abs(M.real - kron_dense(A_sym))) < 1e-11 * scale
+    assert np.max(np.abs(M.imag + 0.5 * PARAMS.hbar * kron_dense(A_anti))) < 1e-11 * scale
 
 
 def test_cubic_pair_has_series_terms(ps6):
@@ -246,6 +247,6 @@ def test_cubic_pair_has_series_terms(ps6):
     assert "stationary_sym_l1" in [t.tag for t in A_sym.terms]
     # A_anti is minus the generator's transport and odd potential series
     assert [t.tag for t in A_anti.terms] == ["transport", "force", "quantum_l1"]
-    S, K = A_sym.dense(), A_anti.dense()
+    S, K = kron_dense(A_sym), kron_dense(A_anti)
     assert np.max(np.abs(S - S.T)) < 1e-10 * np.max(np.abs(S))
     assert np.max(np.abs(K + K.T)) < 1e-10 * np.max(np.abs(S))

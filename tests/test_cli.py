@@ -479,6 +479,59 @@ def test_threads_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+def test_threads_caps_loaded_blas_for_the_run(tmp_path, monkeypatch):
+    """numpy and scipy have loaded their OpenBLAS builds before ``main`` runs
+    here, so the environment no longer reaches them: ``--threads`` caps both
+    for the run, then restores their counts and the environment."""
+    for var in _THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    controls = wigner.cli._openblas_thread_controls()
+    assert len(controls) == 2
+    seen = []
+
+    def fake_run(*args, **kwargs):
+        seen.append(([get() for _, get in controls],
+                     [os.environ.get(var) for var in _THREAD_VARS]))
+        return EXIT_OK
+
+    monkeypatch.setattr(wigner.cli, "run", fake_run)
+    before = [get() for _, get in controls]
+    for set_, _ in controls:
+        set_(2)
+    try:
+        assert main(["run", _write(tmp_path, MINIMAL), "--threads", "1"]) == EXIT_OK
+        assert seen == [([1, 1], ["1"] * len(_THREAD_VARS))]
+        assert [get() for _, get in controls] == [2, 2]
+        assert not any(var in os.environ for var in _THREAD_VARS)
+    finally:
+        for (set_, _), count in zip(controls, before):
+            set_(count)
+
+
+def test_in_process_run_matches_command_line(tmp_path):
+    """``main([... "--threads", "1"])`` in this process, where BLAS loaded
+    before the cap, writes the command line's bytes: the 32x32 order-10
+    quartic stationary run."""
+    path = _write(tmp_path, _edited([("mode = evolve", "mode = stationary")]
+                                    + _QUARTIC + [("t_end = 0.1", "n_states = 2")])
+                  + "\n[output]\ngrid_resolution = 8\n")
+    src = str(Path(wigner.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "wigner.cli", "run", path, "--threads", "1",
+         "--out", str(tmp_path / "cmd")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == EXIT_OK, done.stderr
+    run_dir = _run_dir(tmp_path, open(path).read())
+    names = sorted(n for n in os.listdir(run_dir) if n != "timing.txt")
+    assert "manifest.txt" in names
+    for name in names:
+        a = open(os.path.join(done.stdout.strip(), name), "rb").read()
+        b = open(os.path.join(run_dir, name), "rb").read()
+        assert a == b, name
+
+
 def test_tables_command(capsys):
     assert main(["tables", "--order", "6", "--max-deriv", "2"]) == EXIT_OK
     out = capsys.readouterr().out

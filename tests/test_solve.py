@@ -32,7 +32,11 @@ from wigner.solve import (
     reconstruct_by_scale,
     refine_until,
     stationary_eigen,
+    _lowest_eigenpairs,
     _penalty_operator,
+    _shifted_band,
+    _shifted_inverse,
+    _spectrum_floor,
 )
 
 PARAMS = ModelParams()
@@ -90,8 +94,8 @@ def test_midpoint_preserves_l2_for_antisymmetric_generator(ps6, gaussian_field6)
     """The midpoint rule is exactly norm-preserving for skew generators."""
     L = assemble_evolution(ps6, parse_potential("0"), PARAMS)  # pure transport
     final = evolve(gaussian_field6, L, EvolutionConfig(dt=0.05, t_end=1.0))
-    n0 = gaussian_field6.l2_norm()
-    assert abs(final.l2_norm() - n0) < 1e-16 + 1e-10 * n0
+    n0 = np.linalg.norm(gaussian_field6.coeffs)
+    assert abs(np.linalg.norm(final.coeffs) - n0) < 1e-16 + 1e-10 * n0
 
 
 def test_remainder_step(ps6, gaussian_field6):
@@ -297,29 +301,74 @@ def test_stationary_eigen_heavy_oscillator():
 
 @pytest.mark.parametrize("hbar", [1.0, 0.5])
 def test_penalty_matrix_matches_kron_reference(hbar):
-    """The dense P equals S + 10 K^T K of the explicit Kronecker sums of the
-    pair, and Re M + (40/hbar^2) (Im M)^T (Im M) of the c-number M, whose own
-    complex dense() matches its Kronecker sum."""
-    ps = _order10(4)
+    """P's Kronecker sum equals S + 10 K^T K of the pair's and
+    Re M + (40/hbar^2) (Im M)^T (Im M) of the c-number M's, and its shifted
+    band holds the symmetric part of that matrix in folded order.  The
+    32x32 order-8 band (u = 792) is narrower than the matrix, and the folded
+    reference has no nonzero outside it, although the q wrap puts nonzero
+    blocks in the natural order's far corners: folding keeps the wrap."""
+    ps = PhaseSpaceBasis(order=8, j_coarse=3, j_fine=5,
+                         q_min=-4.0, q_max=4.0, p_min=-4.0, p_max=4.0)
     U = parse_potential("0.5*q^2 + 0.1*q^4")
     params = ModelParams(hbar=hbar)
     A_sym, A_anti = assemble_stationary_pair(ps, U, params)
     S, K = kron_dense(A_sym), kron_dense(A_anti)
     ref = S + _PENALTY * K.T @ K
-    cnumber = assemble_stationary_cnumber(ps, U, params)
-    M = kron_dense(cnumber)
-    dense_cnumber = cnumber.dense()
-    assert dense_cnumber.dtype == complex
-    assert np.max(np.abs(dense_cnumber - M)) < 1e-12 * np.max(np.abs(M))
+    M = kron_dense(assemble_stationary_cnumber(ps, U, params))
     ref_cnumber = M.real + 40.0 / hbar ** 2 * M.imag.T @ M.imag
     P = _penalty_operator(A_sym, A_anti)
-    dense = P.dense()
+    dense = kron_dense(P)
     assert dense.dtype == float
     for r in (ref, ref_cnumber):
         assert np.max(np.abs(dense - r)) < 1e-12 * np.max(np.abs(r))
     v = np.random.default_rng(1).normal(size=ps.dim)
     Pv = ref @ v
     assert np.max(np.abs(P.apply(v) - Pv)) < 1e-12 * np.max(np.abs(Pv))
+
+    n, n_p = ps.dim, ps.shape[1]
+    sigma = 0.25
+    ab, perm = _shifted_band(P, sigma)
+    u = ab.shape[0] - 1
+    assert ab.shape[1] == n and ab.flags.f_contiguous and u == 792
+    assert np.any(dense[:n_p, -n_p:] != 0.0)
+    folded = (dense - sigma * np.eye(n))[np.ix_(perm, perm)]
+    sym = 0.5 * (folded + folded.T)
+    scale = np.max(np.abs(folded))
+    for d in range(u + 1):
+        assert np.max(np.abs(ab[u - d, d:] - np.diagonal(sym, d))) < 1e-12 * scale
+    assert not np.any(np.triu(folded, u + 1)) and not np.any(np.tril(folded, -u - 1))
+
+
+@pytest.mark.parametrize("which", ["P", "A_sym"])
+def test_shifted_inverse_matches_dense_solve(which):
+    """The banded shift-invert solve of the eigen path equals a dense solve
+    with (kron_dense(op) - sigma I), for the stationary penalty P and for
+    the moyal and refine operator A_sym (32x32 order-10 quartic)."""
+    ps = _order10(5)
+    A_sym, A_anti = assemble_stationary_pair(
+        ps, parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
+    op = _penalty_operator(A_sym, A_anti) if which == "P" else A_sym
+    sigma = _spectrum_floor(op)
+    v = np.random.default_rng(2).normal(size=ps.dim)
+    x = _shifted_inverse(op, sigma)(v)
+    ref = np.linalg.solve(kron_dense(op) - sigma * np.eye(ps.dim), v)
+    assert np.linalg.norm(x - ref) < 1e-10 * np.linalg.norm(ref)
+
+
+def test_lowest_eigenpairs_allocates_no_dense_matrix():
+    """At 64x64 the eigen path's peak traced allocation stays below 100 MB,
+    three quarters of one dim x dim float64 copy (134 MB): the order-10
+    penalty's band is 68 MB."""
+    A_sym, A_anti = assemble_stationary_pair(
+        _order10(6), parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
+    P = _penalty_operator(A_sym, A_anti)
+    tracemalloc.start()
+    try:
+        _lowest_eigenpairs(P, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 def test_stationary_eigen_rejects_shift_above_spectrum(harmonic_small,
@@ -498,8 +547,8 @@ def test_reconstruct_by_scale_partitions(ps6, gaussian_field6):
     total = slow.coeffs + sum(part.coeffs for part in fast)
     np.testing.assert_allclose(total, gaussian_field6.coeffs, atol=1e-12)
     # parts are L2-orthogonal (orthogonal multiscale masks)
-    e_parts = slow.l2_norm() ** 2 + sum(p.l2_norm() ** 2 for p in fast)
-    assert abs(e_parts - gaussian_field6.l2_norm() ** 2) < 1e-12
+    e_parts = sum(np.linalg.norm(p.coeffs) ** 2 for p in [slow, *fast])
+    assert abs(e_parts - np.linalg.norm(gaussian_field6.coeffs) ** 2) < 1e-12
     # the cut is j_coarse + 1 = 4: levels 2 and 3 are slow, level 4 is fast
     labels = ps6.multiscale_levels()
     assert ps6.scale_cut == 4 and len(fast) == 1
