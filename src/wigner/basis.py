@@ -242,7 +242,9 @@ def _deriv_product_integrals(filt: FilterCoefficients, d: int) -> np.ndarray:
             f"no derivative-product integrals of order {d} exist for filter "
             f"order {filt.order}; use a higher filter order"
         )
-    gamma = vt[-1]
+    # Gamma^d(-k) = (-1)^d Gamma^d(k); the SVD meets it only to roundoff,
+    # and the symmetrized vector stays in the nullspace.
+    gamma = 0.5 * (vt[-1] + (-1) ** d * vt[-1][::-1])
     norm = np.sum(offsets.astype(float) ** d * gamma)
     # sum_k k^d Gamma^d(k) = d!  (apply d/dx^d to the degree-d reproduction
     # identity sum_k k^d phi(x-k) = x^d + lower and pair with phi)

@@ -12,6 +12,7 @@ import configparser
 import contextlib
 import difflib
 import math
+import numbers
 import os
 import sys
 import time
@@ -357,11 +358,26 @@ def _initial_field(cfg: RunConfig, ps):
     return CoefficientField(ps=ps, coeffs=ps.project(f))
 
 
+def _diagnostic_line(diagnostic: dict) -> str:
+    """``error_diagnostic = key=value ...`` with the keys sorted, numbers in
+    %.6g and an array's entries joined by commas."""
+    import numpy as np
+
+    def text(value):
+        return ",".join("%.6g" % v if isinstance(v, numbers.Real) else str(v)
+                        for v in np.ravel(value))
+
+    return "error_diagnostic = " + " ".join(
+        f"{key}={text(diagnostic[key])}" for key in sorted(diagnostic))
+
+
 def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
     """Execute a validated config; writes manifest and artifacts; exit code.
 
     Any WignerError ends the run with an ``error =`` line in the manifest and
-    exit code 2 for a configuration error, 3 for any other.  An output root
+    exit code 2 for a configuration error, 3 for any other; an error that
+    carries a ``diagnostic`` adds an ``error_diagnostic =`` line, and stderr
+    gets the same lines without ``error =``.  An output root
     that cannot hold the run directory raises ConfigurationError, as no
     manifest can be written.
     """
@@ -393,6 +409,10 @@ def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
         else:
             code, message = EXIT_NUMERICAL, f"numerical error: {exc}"
         manifest += ["", f"error = {message}"]
+        if getattr(exc, "diagnostic", None):
+            detail = _diagnostic_line(exc.diagnostic)
+            manifest.append(detail)
+            message += "\n" + detail
     with open(os.path.join(run_dir, "manifest.txt"), "w") as fh:
         fh.write("\n".join(manifest) + "\n")
     if report is None:

@@ -426,25 +426,33 @@ def test_one_step_evolve_is_classified_against_its_initial_state(tmp_path, capsy
     assert "regime = 'localized_mode'" in manifest
 
 
-@pytest.mark.parametrize("edits,code", [
+@pytest.mark.parametrize("edits,code,detail", [
     # a 16 x 16 basis holds 39 stationary states
     ([("mode = evolve", "mode = stationary"),
-      ("t_end = 0.1", "t_end = 0.1\nn_states = 100000")], EXIT_NUMERICAL),
+      ("t_end = 0.1", "t_end = 0.1\nn_states = 100000")], EXIT_NUMERICAL,
+     "dim=256 eigenpairs=100002"),
     # and at most 126 pairs (2 pairs + 2 < dim = 256)
     ([("mode = evolve", "mode = moyal"),
-      ("t_end = 0.1", "t_end = 0.1\npairs = 300")], EXIT_NUMERICAL),
+      ("t_end = 0.1", "t_end = 0.1\npairs = 300")], EXIT_NUMERICAL,
+     "dim=256 eigenpairs=602"),
     # one midpoint step of dt = 1 needs more defect corrections than the cap
     ([("potential = 0.5*q^2", "potential = 0.5*q^2 + 0.1*q^4\ngamma = 0.05\n"
        "diffusion = 0.02"), ("dt = 0.05", "dt = 1.0"),
-      ("t_end = 0.1", "t_end = 1.0")], EXIT_NUMERICAL),
+      ("t_end = 0.1", "t_end = 1.0")], EXIT_NUMERICAL, "dt=1 relative_residual="),
 ], ids=["too_many_states", "too_many_pairs", "stiff_step"])
-def test_run_failure_leaves_manifest(tmp_path, capsys, edits, code):
+def test_run_failure_leaves_manifest(tmp_path, capsys, edits, code, detail):
+    """The manifest ends with the error and its diagnostic, keys sorted, and
+    stderr carries the same diagnostic line."""
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, _edited(edits)), "--threads", "1",
                  "--out", str(out)]) == code
     (run_dir,) = out.iterdir()
-    assert "\nerror = " in (run_dir / "manifest.txt").read_text()
-    assert "error" in capsys.readouterr().err
+    manifest = (run_dir / "manifest.txt").read_text()
+    assert "\nerror = " in manifest
+    tail = manifest.split("\nerror = ")[1].splitlines()
+    assert len(tail) == 2 and tail[1].startswith("error_diagnostic = " + detail)
+    err = capsys.readouterr().err
+    assert "error" in err and "\n" + tail[1] + "\n" in err
 
 
 def test_run_bad_config_exit_code(tmp_path, capsys):

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from oracles import fd_schrodinger_levels, kron_dense, rk4_step
 
+import wigner.solve
 from wigner.assembly import (
     AssembledOperator,
     OperatorTerm,
@@ -33,6 +34,7 @@ from wigner.solve import (
     refine_until,
     stationary_eigen,
     _lowest_eigenpairs,
+    _MidpointStepper,
     _penalty_operator,
     _shifted_band,
     _shifted_inverse,
@@ -215,6 +217,10 @@ def test_midpoint_stepper_matches_spsolve_without_lu(ps6, gaussian_field6,
     assert err < 1e-10
 
 
+def _offset_gaussian(ps):
+    return _field(ps, lambda q, p: np.exp(-(q - 0.5) ** 2 - p ** 2) / np.pi)
+
+
 def _ps32():
     return PhaseSpaceBasis(order=6, j_coarse=3, j_fine=5,
                            q_min=-6.0, q_max=6.0, p_min=-6.0, p_max=6.0)
@@ -225,13 +231,114 @@ def test_midpoint_stepper_matches_spsolve_on_stiff_steps(monkeypatch):
     per step, still without any sparse matrix or LU."""
     ps = _ps32()
     L = _quartic_dissipative(ps)
-    W0 = _field(ps, lambda q, p: np.exp(-(q - 0.5) ** 2 - p ** 2) / np.pi)
+    W0 = _offset_gaussian(ps)
     ref = _spsolve_midpoint(L, W0.coeffs, [0.05] * 10)
     monkeypatch.setattr(spla, "splu", _refuse)
     monkeypatch.setattr(AssembledOperator, "matrix", _refuse)
     final = evolve(W0, L, EvolutionConfig(dt=0.05, t_end=0.5))
     err = np.linalg.norm(final.coeffs - ref) / np.linalg.norm(ref)
     assert err < 1e-10
+
+
+def _evolve_counting_passes(W0, L, dt, steps, fresh=False):
+    """Coefficients after ``steps`` midpoint steps from W0, and the
+    preconditioner passes of each step: by ``evolve``, or with fresh=True by
+    a new stepper for every step, which starts from zero."""
+    passes = []
+    precondition, step = _MidpointStepper._precondition, _MidpointStepper.step
+
+    def counted_precondition(self, r):
+        passes[-1] += 1
+        return precondition(self, r)
+
+    def counted_step(self, c):
+        passes.append(0)
+        return step(self, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_MidpointStepper, "_precondition", counted_precondition)
+        mp.setattr(_MidpointStepper, "step", counted_step)
+        if fresh:
+            c = W0.coeffs
+            for _ in range(steps):
+                c = _MidpointStepper(L, dt).step(c)
+        else:
+            c = evolve(W0, L, EvolutionConfig(dt=dt, t_end=steps * dt)).coeffs
+    assert len(passes) == steps
+    return c, passes
+
+
+def test_extrapolated_start_matches_spsolve():
+    """100 steps at 32x32, dt = 0.01: the first seven start from zero, each
+    later one from the extrapolation of the last seven solutions, which
+    saves passes; the result matches the direct solves to 1e-10."""
+    ps = _ps32()
+    L = _quartic_dissipative(ps)
+    W0 = _offset_gaussian(ps)
+    ref = _spsolve_midpoint(L, W0.coeffs, [0.01] * 100)
+    final, passes = _evolve_counting_passes(W0, L, 0.01, 100)
+    _, zero = _evolve_counting_passes(W0, L, 0.01, 100, fresh=True)
+    assert passes[:7] == zero[:7]
+    assert passes[7] < zero[7]
+    assert all(p <= z for p, z in zip(passes, zero))
+    assert np.linalg.norm(final - ref) / np.linalg.norm(ref) < 1e-10
+
+
+def test_extrapolated_start_mean_passes():
+    """200 steps at 32x32, dt = 0.01 take at most 5 preconditioner passes
+    per step on average (4.26; 6.70 from a zero start)."""
+    ps = _ps32()
+    _, passes = _evolve_counting_passes(_offset_gaussian(ps),
+                                        _quartic_dissipative(ps), 0.01, 200)
+    assert np.mean(passes) <= 5.0
+
+
+def test_start_gate_keeps_stiff_steps_at_zero_start_cost():
+    """dt = 0.05 at 32x32: the extrapolation misses by about 1e-2 ||b||, so
+    the gate keeps the zero start; 40 steps take no more passes than fresh
+    steppers (22.05 per step) and match the direct solves to 1e-10."""
+    ps = _ps32()
+    L = _quartic_dissipative(ps)
+    W0 = _offset_gaussian(ps)
+    ref = _spsolve_midpoint(L, W0.coeffs, [0.05] * 40)
+    final, passes = _evolve_counting_passes(W0, L, 0.05, 40)
+    _, zero = _evolve_counting_passes(W0, L, 0.05, 40, fresh=True)
+    assert sum(passes) <= sum(zero)  # 882 each; 889 with the gate off
+    assert np.linalg.norm(final - ref) / np.linalg.norm(ref) < 1e-10
+
+
+def test_stepper_history_resets_on_a_field_it_did_not_return():
+    """Handed a field it did not return, after one step or after a full
+    history of seven, a stepper steps as a fresh one, byte for byte, for
+    the step and the ten after it.  Handed its own last result, it reuses
+    the stored hLc: with the extrapolated start off, its steps equal those
+    of fresh steppers byte for byte."""
+    ps = _ps32()
+    L = _quartic_dissipative(ps)
+    c0 = _offset_gaussian(ps).coeffs
+    other = _field(ps, lambda q, p: np.exp(-q ** 2 - (p - 0.5) ** 2) / np.pi).coeffs
+
+    def run(stepper, c, n):
+        out = []
+        for _ in range(n):
+            c = stepper.step(c)
+            out.append(c.tobytes())
+        return out
+
+    fresh = run(_MidpointStepper(L, 0.01), other, 11)
+    for history in (1, 7):
+        used = _MidpointStepper(L, 0.01)
+        run(used, c0, history)
+        assert run(used, other, 11) == fresh
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wigner.solve, "_START_GATE", 0.0)
+        chained = run(_MidpointStepper(L, 0.01), c0, 10)
+    c, separate = c0, []
+    for _ in range(10):
+        c = _MidpointStepper(L, 0.01).step(c)
+        separate.append(c.tobytes())
+    assert chained == separate
 
 
 @pytest.mark.parametrize("case", ["no_circulant_factor", "complex"])
@@ -244,7 +351,7 @@ def test_midpoint_stepper_rejects_generator_without_circulant_split(case):
         extra = OperatorTerm("complex_diffusion", 0.01j, np.eye(ps.basis_q.dim),
                              ps.basis_p.derivative_matrix(2))
     L = _quartic_dissipative(ps) + AssembledOperator(ps=ps, terms=[extra])
-    W0 = _field(ps, lambda q, p: np.exp(-(q - 0.5) ** 2 - p ** 2) / np.pi)
+    W0 = _offset_gaussian(ps)
     with pytest.raises(ContractError):
         evolve(W0, L, EvolutionConfig(dt=0.01, t_end=0.1))
 
@@ -374,8 +481,6 @@ def test_lowest_eigenpairs_allocates_no_dense_matrix():
 def test_stationary_eigen_rejects_shift_above_spectrum(harmonic_small,
                                                         monkeypatch):
     """A shift above P's lowest level fails the Cholesky check and raises."""
-    import wigner.solve
-
     ps, U = harmonic_small
     A_sym, A_anti = assemble_stationary_pair(ps, U, PARAMS)
     monkeypatch.setattr(wigner.solve, "_spectrum_floor", lambda P: 1.0)
