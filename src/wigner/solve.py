@@ -132,13 +132,23 @@ class _MidpointStepper:
     Every term of L is coeff * A_q (x) B_p.  A term whose q factor is exactly
     circulant (transport, friction, diffusion, identity) goes to T; one whose
     p factor is circulant (force and the hbar^2 corrections) goes to F.  The
-    approximate factorization P = (I - hT)(I - hF) inverts exactly: an
-    ``rfft`` along q turns I - hT into one n_p x n_p matrix per q-mode, an
-    ``rfft`` along p turns I - hF into one n_q x n_q matrix per p-mode, and
-    both sets are inverted once here.  A step runs the defect correction
-    x <- x + P^-1 (b - x + hLx), with Lx from ``L.apply``, until
-    ||b - x + hLx|| <= 1e-12 ||b||.  Neither L's sparse matrix nor an LU is
-    built.
+    preconditioner P = (I - hT)(I - hF) is the approximate factorization of
+    I - hL.  An ``rfft`` along q turns I - hT into one n_p x n_p matrix per
+    q-mode, each inverted exactly once here.  F's q factors are Galerkin
+    multiplications by derivatives of the potential, so I - hF is inverted
+    in the eigenbasis U of the position matrix (fast diagonalization, Lynch,
+    Rice & Thomas, Numer. Math. 6, 1964): with sigma_t term t's p-symbol
+    and d_t = diag(U^T Q_t U), p-mode k is scaled by
+    1 / (1 - h sum_t sigma_t[k] d_t) between U^T and U.  That is exact when
+    every F q factor is a + b M_q (potentials of degree <= 2) and an
+    approximation otherwise: for the quartic on +-6 at dt 0.01, P^-1 r is
+    5e-4, 1.5e-4 and 5e-5 off the exact inverse at 64x64, 128x128 and
+    256x256, far below the error of the split itself, and the passes per
+    step do not move.  sigma_t is imaginary and d_t real, so no scale
+    exceeds 1, and p-mode 0 (sigma = 0) is left as it is, which keeps the
+    integral.  A step runs the defect correction x <- x + P^-1 (b - x + hLx),
+    with Lx from ``L.apply``, until ||b - x + hLx|| <= 1e-12 ||b||.  Neither
+    L's sparse matrix nor an LU is built.
 
     The stepper keeps its last seven solutions x and their images hLx, which
     the final residual check of each step computes anyway, in two arrays
@@ -173,7 +183,15 @@ class _MidpointStepper:
         self.L = L
         self.h = dt / 2.0
         self._inv_T = _mode_inverses(self.h, *zip(*T)) if T else None
-        self._inv_F = _mode_inverses(self.h, *zip(*F)) if F else None
+        self._U = self._E = None
+        if F:
+            # U diagonalizes the position matrix, and so every q factor that
+            # is a + b M_q; d_t = diag(U^T Q_t U) for any other
+            _, self._U = np.linalg.eigh(L.ps.basis_q.moment_matrix(1))
+            d = np.stack([np.einsum("ij,ij->j", self._U, Q @ self._U)
+                          for _, Q in F])
+            sym = np.stack([s for s, _ in F])
+            self._E = 1.0 / (1.0 - self.h * (d.T @ sym))
         # ring buffers of the last solutions and their images: step k,
         # counted from 0 since the history was last cleared, goes to slot k % 7
         self._xs = np.empty((len(_EXTRAPOLATION), L.ps.dim))
@@ -187,10 +205,13 @@ class _MidpointStepper:
             Rh = np.fft.rfft(R, axis=0)
             Rh = np.matmul(self._inv_T, Rh[:, :, None])[:, :, 0]
             R = np.fft.irfft(Rh, n=nq, axis=0)
-        if self._inv_F is not None:
-            Rh = np.fft.rfft(R, axis=1).T
-            Rh = np.matmul(self._inv_F, Rh[:, :, None])[:, :, 0]
-            R = np.fft.irfft(Rh.T, n=n_p, axis=1)
+        if self._E is not None:
+            # each product with U is one real GEMM on the complex array
+            # viewed as float: U^T rfft_p(R), scaled by E, then U times that
+            U = self._U
+            Rh = (U.T @ np.fft.rfft(R, axis=1).view(float)).view(complex)
+            Rh = (U @ (self._E * Rh).view(float)).view(complex)
+            R = np.fft.irfft(Rh, n=n_p, axis=1)
         return R.reshape(-1)
 
     def step(self, c):
