@@ -523,6 +523,7 @@ def _run_stationary(cfg, manifest, store):
     manifest.append("[eigenvalues]")
     for i, (eps, _) in enumerate(states):
         manifest.append(f"eps_{i} = {eps:.12g}")
+    manifest.append(f"ritz_defect = {states.ritz_defect(cfg.params.hbar):.6g}")
     store(states[0][1])
 
 
@@ -537,6 +538,7 @@ def _run_moyal(cfg, manifest, store):
     manifest.append("[eigenvalues]")
     for i, (e_lo, e_hi, _) in enumerate(pairs):
         manifest.append(f"pair_{i} = {e_lo:.12g} {e_hi:.12g}")
+    manifest.append(f"ritz_defect = {pairs.ritz_defect(cfg.params.hbar):.6g}")
     W = pairs[0][2]
     store(CoefficientField(ps=W.ps, coeffs=np.real(W.coeffs), time=W.time))
 

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from .assembly import AssembledOperator, OperatorTerm, PhaseSpaceBasis
+from .assembly import AssembledOperator, PhaseSpaceBasis
 from .errors import (
     AbortedEvolutionError,
     ConfigurationError,
@@ -298,34 +298,98 @@ def evolve(W0: CoefficientField, L: AssembledOperator, cfg: EvolutionConfig,
 # eigenproblems
 # ---------------------------------------------------------------------------
 
-# Weight of the commutation penalty A_anti^T A_anti.  On an off-diagonal
-# eigenfield |m><n| A_anti acts as (i/hbar)(E_n - E_m), so the penalty lifts
-# it by 10 ((E_m - E_n) / hbar)^2 at any hbar.
-_PENALTY = 10.0
-
 # Smallest |integral| / ||W|| accepted for a diagonal state; off-diagonal
 # eigenfields integrate to zero.
 _INTEGRAL_FLOOR = 0.5
 
+# The split's y values are read relative to max|y|, as no hbar is at hand.
+# A field is diagonal when |y| <= 1e-6 max|y|: in the tests' cases the
+# diagonal states read |y| <= 6.1e-11 and the nearest pair 0.71, or 1.0e-2
+# for the double well's unresolved tunnelling pair, with max|y| from 1.0e-2
+# to 9.1.  The other y values form clusters, one per sign, cut where
+# sorted neighbours lie more than 1e-2 max|y| apart.  One cluster must
+# hold the oscillator's equal gaps |n+1><n|, whose y spread by 2.3e-4 at
+# 32x32 (order 10, +-4) and by 8.9e-3 with hbar 0.1 on +-2, where a cut at
+# 2e-3 left the six lowest pairs 0.1 off and 1e-2 max|y| leaves them 7e-4
+# off; distinct y values in one sign lie at least 0.12 max|y| apart.
+_DIAGONAL = 1e-6
+_CLUSTER = 1e-2
+# Each subspace is cut at the widest gap between its levels above the line
+# lambda_{k-1} - 0.1 (lambda_{k-1} - lambda_0), and a split is accepted
+# when the highest level it returns lies below the line; else k grows by a
+# quarter.  The cut keeps both members of a pair |m><n|, |n><m| or
+# neither: a lone member reads y ~ 0 and mixes with the diagonal states.
+# At 64x64 (order-10 quartic, +-4, k = 27) one at the top moved |1><1|
+# from 1.76961 to 1.77118 and |2><2| by 1.8e-2.
+_MARGIN = 0.1
 
-def _penalty_operator(A_sym: AssembledOperator,
-                      A_anti: AssembledOperator) -> AssembledOperator:
-    """P = A_sym + 10 A_anti^T A_anti as real Kronecker terms."""
-    penalty = [OperatorTerm(f"penalty_{a.tag}_{b.tag}", _PENALTY * a.coeff * b.coeff,
-                            a.q_matrix.T @ b.q_matrix, a.p_matrix.T @ b.p_matrix)
-               for a in A_anti.terms for b in A_anti.terms]
-    return AssembledOperator(ps=A_sym.ps, terms=A_sym.terms + penalty)
+
+@dataclass
+class _Split:
+    """The fields V C[:, i] that split the span of A_sym's eigenvectors V by
+    A_anti, lowest level first: field i has level eps = (E' + E'')/2 and
+    y = (E'' - E')/hbar, 0 for the diagonal states."""
+
+    eps: np.ndarray
+    y: np.ndarray
+    diagonal: np.ndarray
+    V: np.ndarray
+    C: np.ndarray
+
+    def field(self, ps: PhaseSpaceBasis, i: int) -> CoefficientField:
+        """Field i with unit norm; a diagonal one real, with a positive
+        integral, the others complex."""
+        w = self.V @ self.C[:, i]
+        if self.diagonal[i]:
+            integral = ps.integration_functional() @ w
+            w = (w * np.conj(integral) / abs(integral)).real
+        return CoefficientField(ps=ps, coeffs=w)
+
+
+class Spectrum(list):
+    """The states or pairs that a stationary or moyal run returns, lowest
+    level first, with the split they come from.
+
+    ``ritz_defect(hbar)`` is the largest |E' - e_m| + |E'' - e_n| over the
+    split's off-diagonal pairs whose two levels lie among the diagonal
+    levels e returned, each matched to the nearest; a pair counts when both
+    its levels lie within half a level spacing of [e_0, e_top], so a pair
+    with a level above the ones returned does not (nan when fewer than two
+    diagonal levels are returned, or no pair counts).  Exact eigenfields
+    obey the Ritz combination principle, E' and E'' are levels of diagonal
+    states, so the defect estimates the level error without an oracle:
+    3.1e-2, 6.9e-4 and 5.8e-5 for the order-10 quartic on +-4 (three
+    states at 32x32 and 64x64, four at 128x128), whose largest level
+    errors are 3.1e-2, 6.9e-4 and 5.7e-5.
+    """
+
+    def __init__(self, items, split: _Split, levels: np.ndarray):
+        super().__init__(items)
+        self._split, self._levels = split, levels
+
+    def ritz_defect(self, hbar: float) -> float:
+        """The largest Ritz-combination miss, at E', E'' = eps -+ hbar y / 2."""
+        sp, e = self._split, self._levels
+        if len(e) < 2:
+            return float("nan")
+        both = np.stack([sp.eps - 0.5 * hbar * sp.y, sp.eps + 0.5 * hbar * sp.y])
+        inside = ((both >= e[0] - 0.5 * (e[1] - e[0]))
+                  & (both <= e[-1] + 0.5 * (e[-1] - e[-2])))
+        keep = ~sp.diagonal & inside.all(axis=0)
+        if not keep.any():
+            return float("nan")
+        miss = np.min(np.abs(both[:, keep, None] - e), axis=2)
+        return float(np.max(miss.sum(axis=0)))
 
 
 def _spectrum_floor(op: AssembledOperator) -> float:
     """Lowest eigenvalue of op's q-only part, the terms whose p factor is 1.
 
-    For A_sym, and for the penalty P built on it, that part is
-    U(q) - (hbar^2/8m) d^2/dq^2: a particle of mass 4m, whose ground level
-    lies below the ground level E_0 of mass m.  A_sym's levels are
-    (E_m + E_n)/2 >= E_0, and the penalty only adds, so this is a shift below
-    the spectrum and close to its bottom.  It is not a bound for the
-    discretized operator: ``_lowest_eigenpairs`` checks it.
+    For A_sym that part is U(q) - (hbar^2/8m) d^2/dq^2: a particle of mass
+    4m, whose ground level lies below the ground level E_0 of mass m.
+    A_sym's levels are (E_m + E_n)/2 >= E_0, so this is a shift below the
+    spectrum and close to its bottom.  It is not a bound for the discretized
+    operator: ``_shifted_inverse`` checks it.
     """
     nq, n_p = op.ps.shape
     Ip = np.eye(n_p)
@@ -360,10 +424,10 @@ def _shifted_band(op: AssembledOperator, sigma: float):
     ordered LAPACK upper band storage of half-bandwidth u = b_q n_p + b_p,
     with b_q, b_p the folded half-bandwidths of the q and p factors.  The
     band is written from the Kronecker terms, one q-block offset at a time,
-    and no dim x dim array is made.  A_sym is exactly symmetric, but the
-    penalty P only to the roundoff of its factor products (9e-17 relative
-    on the 32x32 order-10 quartic); the band of (op + op^T) / 2 is
-    symmetric by construction, whichever triangle LAPACK reads.
+    and no dim x dim array is made.  A_sym is symmetric only to the
+    roundoff of its derivative tables (3.8e-13 relative on the 32x32
+    order-10 quartic); the band of (op + op^T) / 2 is symmetric by
+    construction, whichever triangle LAPACK reads.
     """
     nq, n_p = op.ps.shape
     fq, fp = _folded_order(nq), _folded_order(n_p)
@@ -424,148 +488,181 @@ def _shifted_inverse(op: AssembledOperator, sigma: float):
     return solve
 
 
-def _lowest_eigenpairs(op: AssembledOperator, k: int):
-    """The k lowest eigenpairs (ascending values, unit columns of V) of A_sym
-    or its penalty P: the one eigen path of stationary, refine and moyal runs.
+def _lowest_eigenpairs(op: AssembledOperator):
+    """Factor op - sigma I once; returns k -> the k lowest eigenpairs
+    (ascending values, unit columns of V) of A_sym, the one operator that
+    stationary, refine and moyal runs factor.
 
-    op - sigma I, with sigma the lowest level of op's q-only part
-    (``_spectrum_floor``), is written as a band in folded axis order
+    sigma is the lowest level of op's q-only part (``_spectrum_floor``).
+    op - sigma I is written as a band in folded axis order
     (``_shifted_band``) and Cholesky-factorized in place
     (``_shifted_inverse``).  The band takes 8 (u + 1) dim bytes for
     half-bandwidth u = 2 b_q n_p + 2 b_p, where b_q, b_p are the factors'
-    periodic half-bandwidths: 68 MB at 64x64 and 541 MB at 128x128 for the
-    order-10 penalty.  That factor exists only when sigma lies below every
+    periodic half-bandwidths: b = 8 at order 10, so 34 MB at 64x64 and
+    270 MB at 128x128.  That factor exists only when sigma lies below every
     eigenvalue of op, so ARPACK's shift-invert with the banded solve as
-    OPinv (the k eigenvalues nearest sigma, from a fixed start vector, so
-    runs repeat bit for bit) returns the lowest pairs.
+    OPinv (the k eigenvalues nearest sigma) returns the lowest pairs.  Every
+    call starts from the same vector, so runs repeat bit for bit.
 
-    Raises NumericalError when k >= dim, when op - sigma I is not positive
-    definite, when ARPACK does not converge, or when a residual
-    ||op v - lambda v|| / ||v|| exceeds 1e-8.
+    Raises NumericalError when op - sigma I is not positive definite, and
+    from a call when k >= dim, when ARPACK does not converge, or when a
+    residual ||op v - lambda v|| / ||v|| exceeds 1e-8.
     """
     n = op.ps.dim
-    if k >= n:
-        raise NumericalError(
-            f"{k} eigenpairs are needed, but the basis has dim = {n}",
-            diagnostic={"eigenpairs": k, "dim": n},
-        )
     sigma = _spectrum_floor(op)
     solve = _shifted_inverse(op, sigma)
     A = spla.LinearOperator((n, n), matvec=op.apply, dtype=float)
     inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
     # A fixed start vector, drawn as ARPACK draws its own, makes runs repeatable.
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-    try:
-        vals, vecs = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
-                                OPinv=inv)
-    except spla.ArpackNoConvergence as exc:
-        raise NumericalError(
-            "shift-invert eigensolver did not converge",
-            diagnostic={"converged_eigenvalues": getattr(exc, "eigenvalues", None)},
-        ) from exc
-    # np.take keeps eigsh's row-major V (a fancy index would not), and the
-    # last bits of a column's dot products depend on its stride.
-    order = np.argsort(vals)
-    vals, vecs = vals[order], np.take(vecs, order, axis=1)
-    for lam, v in zip(vals, vecs.T):
-        resid = np.linalg.norm(op.apply(v) - lam * v) / np.linalg.norm(v)
-        if resid > 1e-8:
+
+    def lowest(k):
+        if k >= n:
             raise NumericalError(
-                "stationary eigenpair residual too large",
-                diagnostic={"eigenvalue": float(lam), "residual": float(resid)},
+                f"{k} eigenpairs are needed, but the basis has dim = {n}",
+                diagnostic={"eigenpairs": k, "dim": n},
             )
-    return vals, vecs
+        try:
+            vals, vecs = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
+                                    OPinv=inv)
+        except spla.ArpackNoConvergence as exc:
+            raise NumericalError(
+                "shift-invert eigensolver did not converge",
+                diagnostic={"converged_eigenvalues":
+                            getattr(exc, "eigenvalues", None)},
+            ) from exc
+        # np.take keeps eigsh's row-major V (a fancy index would not), and
+        # the last bits of a column's dot products depend on its stride.
+        order = np.argsort(vals)
+        vals, vecs = vals[order], np.take(vecs, order, axis=1)
+        for lam, v in zip(vals, vecs.T):
+            resid = np.linalg.norm(op.apply(v) - lam * v) / np.linalg.norm(v)
+            if resid > 1e-8:
+                raise NumericalError(
+                    "stationary eigenpair residual too large",
+                    diagnostic={"eigenvalue": float(lam), "residual": float(resid)},
+                )
+        return vals, vecs
+
+    return lowest
+
+
+def _split_subspace(A_anti: AssembledOperator, lam, V) -> _Split:
+    """Split the span of A_sym's eigenvectors V (eigenvalues lam) by A_anti.
+
+    The Hermitian -i(K - K^T)/2, K = V^T A_anti V, has eigenvalues
+    y = (E'' - E')/hbar.  Those with |y| <= ``_DIAGONAL`` max|y| form the
+    cluster of the diagonal states, whose y is set to 0; the others form
+    clusters of one sign each (``_CLUSTER``).  Inside each cluster
+    A_sym = diag(lam) is Rayleigh-Ritz'd.  That gives each field's level
+    eps = (E' + E'')/2 and, as its Rayleigh quotient, its own y.
+    """
+    K = V.T @ np.column_stack([A_anti.apply(v) for v in V.T])
+    y, U = np.linalg.eigh(-0.5j * (K - K.T))
+    scale = np.max(np.abs(y))
+    side = np.where(np.abs(y) <= _DIAGONAL * scale, 0.0, np.sign(y))
+    cuts = np.flatnonzero((np.diff(y) > _CLUSTER * scale) | (np.diff(side) != 0))
+    eps, ys, diagonal, C = [], [], [], []
+    for c in np.split(np.arange(len(y)), cuts + 1):
+        e, Z = np.linalg.eigh(U[:, c].conj().T @ (lam[:, None] * U[:, c]))
+        is_diagonal = side[c[0]] == 0.0
+        eps.append(e)
+        ys.append(np.zeros(len(c)) if is_diagonal else
+                  np.einsum("ij,i,ij->j", Z.conj(), y[c], Z).real)
+        diagonal.append(np.full(len(c), is_diagonal))
+        C.append(U[:, c] @ Z)
+    order = np.argsort(np.concatenate(eps), kind="stable")
+    eps, y, diagonal = (np.concatenate(a)[order] for a in (eps, ys, diagonal))
+    return _Split(eps, y, diagonal, V, np.concatenate(C, axis=1)[:, order])
+
+
+def _splits(A_sym: AssembledOperator, A_anti: AssembledOperator, k: int):
+    """Yields (line, split) for the k lowest eigenpairs of A_sym, then for
+    k grown by a quarter (at least 2) each time the caller asks again.
+
+    A two-sided eigenfield, H*W = E'W and W*H = E''W, has A_sym W =
+    ((E' + E'')/2) W and A_anti W = (i/hbar)(E'' - E') W (Curtright,
+    Fairlie & Zachos, PRD 58, 025002, 1998).  So the k lowest eigenpairs of
+    A_sym (``_lowest_eigenpairs``, one factor for every k) span the fields
+    below lambda_{k-1}, and ``_split_subspace`` reads them off: A_sym alone
+    does not separate |m><n| from a diagonal state of nearby level, nor
+    A_anti the equal gaps of the oscillator; together they do.  Only the
+    eigenvectors below the widest gap above line = lambda_{k-1} -
+    ``_MARGIN`` (lambda_{k-1} - lambda_0) are split, and a caller keeps a
+    split once the highest level it takes lies at or below the line.
+
+    Raises NumericalError where ``_lowest_eigenpairs`` does, so also when k
+    would reach dim.
+    """
+    lowest = _lowest_eigenpairs(A_sym)
+    while True:
+        lam, V = lowest(k)
+        line = lam[-1] - _MARGIN * (lam[-1] - lam[0])
+        top = np.searchsorted(lam, line)
+        keep = top + int(np.argmax(np.diff(lam[top - 1:])))
+        yield line, _split_subspace(A_anti, lam[:keep], V[:, :keep])
+        k += max(2, k // 4)
 
 
 def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
-                     n_states: int) -> list:
+                     n_states: int) -> Spectrum:
     """Lowest diagonal stationary states (eps, field) of the stationary pair.
 
     Diagonal Wigner functions solve both H*W = EW and W*H = EW, so with the
     pair of ``assemble_stationary_pair`` a real eigenfield has A_sym W = EW
-    and A_anti W = 0 (Curtright, Fairlie & Zachos, PRD 58, 025002, 1998).
-    The states are the n_states lowest of the n_states + 2 eigenpairs that
-    ``_lowest_eigenpairs`` finds for the real symmetric penalty
-    P = A_sym + 10 A_anti^T A_anti, which lifts an off-diagonal |m><n| by
-    10 ((E_m - E_n) / hbar)^2.  Each field has unit total integral.
+    and A_anti W = 0.  They are the diagonal fields of ``_splits``, from
+    k = n(2n - 1) + 2 for n states: n(2n - 1) is the count of the
+    oscillator's pair levels (E_m + E_n)/2 <= E_{n-1}, the densest spectrum
+    among the tests.  Each field has unit total integral.
 
-    Raises NumericalError where ``_lowest_eigenpairs`` does, or when a
-    returned field carries |integral| < 0.5 ||W||: a pair |m><n| lies below
-    a requested level, as a near-degenerate doublet (a double well's
-    tunnelling pair) does, or |0><1| of the oscillator (at 11 hbar) once 12
-    states are asked for.
+    Raises NumericalError where ``_splits`` does, or when a returned field
+    carries |integral| < 0.5 ||W||: the subspace did not resolve the pairs
+    near that level, as at a near-degenerate doublet (a double well's
+    tunnelling pair) on a coarse basis.
     """
     if n_states < 1:
         raise ContractError("n_states must be >= 1")
-    ps = A_sym.ps
-    vals, vecs = _lowest_eigenpairs(_penalty_operator(A_sym, A_anti), n_states + 2)
-    s = ps.integration_functional()
+    for line, split in _splits(A_sym, A_anti, n_states * (2 * n_states - 1) + 2):
+        chosen = np.flatnonzero(split.diagonal)[:n_states]
+        if len(chosen) == n_states and split.eps[chosen[-1]] <= line:
+            break
+    s = A_sym.ps.integration_functional()
     out = []
-    for i in range(n_states):
-        v, eps = vecs[:, i], float(vals[i])
-        norm = np.linalg.norm(v)
-        integral = float(s @ v)
-        if abs(integral) < _INTEGRAL_FLOOR * norm:
+    for n, i in enumerate(chosen):
+        eps, W = float(split.eps[i]), split.field(A_sym.ps, i)
+        integral = float(s @ W.coeffs)
+        weight = integral / np.linalg.norm(W.coeffs)
+        if weight < _INTEGRAL_FLOOR:
             raise NumericalError(
-                f"stationary state {i} at eps = {eps:.6g} is off-diagonal "
-                f"(|integral| = {abs(integral) / norm:.3g} ||W||): the penalty "
-                "lifts a pair |m><n| by only 10 ((E_m - E_n) / hbar)^2, which "
-                "leaves it below this level; ask for fewer states",
-                diagnostic={"eigenvalue": eps,
-                            "integral_weight": float(abs(integral) / norm)},
+                f"stationary state {n} at eps = {eps:.6g} is off-diagonal "
+                f"(|integral| = {weight:.3g} ||W||): A_sym's subspace does "
+                "not resolve the pairs |m><n| near this level from the "
+                "diagonal states; refine the basis or ask for fewer states",
+                diagnostic={"eigenvalue": eps, "integral_weight": weight},
             )
-        out.append((eps, CoefficientField(ps=ps, coeffs=v / integral)))
-    return out
+        out.append((eps, CoefficientField(ps=W.ps, coeffs=W.coeffs / integral)))
+    return Spectrum(out, split, split.eps[chosen])
 
 
 def moyal_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
-                pairs: int, hbar: float) -> list:
-    """Joint eigenfields (E', E'', field) of the two-sided stationary system.
+                pairs: int, hbar: float) -> Spectrum:
+    """Joint eigenfields (E', E'', field) of the two-sided stationary system:
+    the ``pairs`` fields of ``_splits`` of lowest level (E' + E'')/2, from
+    k = 2 pairs + 2, with (E', E'') = eps -+ hbar y / 2.
 
-    A two-sided eigenfield, H*W = E'W and W*H = E''W, has A_sym W =
-    ((E' + E'')/2) W and A_anti W = (i/hbar)(E'' - E') W.  ``_lowest_eigenpairs``
-    gives the k = 2 pairs + 2 lowest eigenpairs (lambda_i, v_i) of A_sym, and
-    K = V^T A_anti V couples them.  A_sym splits |m><n| from |n><m| only by
-    discretization error, while A_anti couples them by (E_n - E_m)/hbar, so
-    the pairs are read off runs of consecutive eigenvalues: v_i joins the
-    current run when its largest |K| with a run member is at least
-    lambda_i - lambda_{i-1}.  The antisymmetric part of K on a run has
-    eigenvalues i y, which give E'' - E' = hbar y about the run's mean
-    eigenvalue.  Pairs come in ascending runs, each run's in ascending y.
-
-    Raises NumericalError where ``_lowest_eigenpairs`` does, and when a
-    requested pair falls in the run that reaches v_{k-1}, which may go on
-    above it.
+    Raises NumericalError where ``_splits`` does.
     """
     if pairs < 1:
         raise ContractError("pairs must be >= 1")
-    k = 2 * pairs + 2
-    lam, V = _lowest_eigenpairs(A_sym, k)
-    K = V.T @ np.column_stack([A_anti.apply(v) for v in V.T])
-    out, start = [], 0
-    for i in range(1, k + 1):
-        if i < k and np.max(np.abs(K[i, start:i])) >= lam[i] - lam[i - 1]:
-            continue
-        if i == k:
-            raise NumericalError(
-                f"stationary pair {len(out)} lies in the run of A_sym levels "
-                f"from {lam[start]:.6g} that reaches the {k}-th level, which "
-                "may go on above it",
-                diagnostic={"requested": pairs, "found": len(out)},
-            )
-        run, start = slice(start, i), i
-        lam_bar = float(np.mean(lam[run]))
-        Kr = K[run, run]
-        mu, u = np.linalg.eig(0.5 * (Kr - Kr.T))
-        for j in np.argsort(mu.imag):
-            y = float(mu[j].imag)
-            vec = V[:, run] @ u[:, j]
-            if abs(y) < 1e-10 and np.max(np.abs(vec.imag)) < 1e-8:
-                vec = vec.real.copy()
-            out.append((lam_bar - 0.5 * hbar * y, lam_bar + 0.5 * hbar * y,
-                        CoefficientField(ps=A_sym.ps, coeffs=vec)))
-            if len(out) == pairs:
-                return out
+    for line, split in _splits(A_sym, A_anti, 2 * pairs + 2):
+        E_lo = split.eps[:pairs] - 0.5 * hbar * split.y[:pairs]
+        E_hi = split.eps[:pairs] + 0.5 * hbar * split.y[:pairs]
+        if len(E_lo) == pairs and np.max(np.maximum(E_lo, E_hi)) <= line:
+            break
+    diagonal = split.diagonal[:pairs]
+    return Spectrum([(float(lo), float(hi), split.field(A_sym.ps, i))
+                     for i, (lo, hi) in enumerate(zip(E_lo, E_hi))],
+                    split, split.eps[:pairs][diagonal])
 
 
 # ---------------------------------------------------------------------------

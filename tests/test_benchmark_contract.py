@@ -46,3 +46,21 @@ def test_benchmark_config_validates_under_the_tracer(tmp_path, capsys, name):
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(report.read_text())["exit_code"] == EXIT_OK
+
+
+def test_stationary_probe_sees_one_eigensolve(tmp_path):
+    """The probe times a stationary run by its one ``stationary_eigen``
+    call, and the run's artifacts pass the benchmark's own checks."""
+    text, spec = RUNNER.make_config("stationary_quartic", 1)
+    cfg = tmp_path / "stationary_quartic.ini"
+    cfg.write_text(text)
+    report, out = tmp_path / "report.json", tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "perfbench/launch.py", "probe", "0", str(report),
+         "run", str(cfg), "--threads", "1", "--out", str(out)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(report.read_text())["eigen"]) == 1
+    problems, _ = RUNNER.checks.check_run(str(out / f"run-{spec['mode']}"),
+                                          proc.returncode, spec)
+    assert problems == []

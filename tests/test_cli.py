@@ -389,6 +389,25 @@ def test_run_stationary_reports_eigenvalues(tmp_path, capsys):
     assert "eps_0 =" in manifest and "eps_1 =" in manifest
 
 
+@pytest.mark.parametrize("mode, count", [("stationary", "n_states = 2"),
+                                         ("moyal", "pairs = 4")],
+                         ids=["stationary", "moyal"])
+def test_eigen_runs_report_the_ritz_defect(tmp_path, capsys, mode, count):
+    """Stationary and moyal manifests end their [eigenvalues] block with the
+    split's Ritz-combination defect (the 32x32 order-10 quartic)."""
+    path = _write(tmp_path, _edited([
+        ("mode = evolve", f"mode = {mode}"), ("0.5*q^2", "0.5*q^2 + 0.1*q^4"),
+        ("order = 6", "order = 10"), ("j_fine = 4", "j_fine = 5"),
+        ("t_end = 0.1", count)]))
+    assert main(["run", path, "--threads", "1", "--out", str(tmp_path / "out")]) \
+        == EXIT_OK
+    run_dir = capsys.readouterr().out.strip()
+    block = open(os.path.join(run_dir, "manifest.txt")).read().split(
+        "[eigenvalues]\n")[1].split("\n\n")[0].splitlines()
+    key, value = block[-1].split(" = ")
+    assert key == "ritz_defect" and 0.0 < float(value) < 1.0
+
+
 def test_run_refine_not_converged_exit_code(tmp_path, capsys):
     text = MINIMAL.replace("mode = evolve", "mode = refine") + \
         "epsilon = 1e-14\nn_min = 3\nn_max = 4\n"
@@ -427,11 +446,12 @@ def test_one_step_evolve_is_classified_against_its_initial_state(tmp_path, capsy
 
 
 @pytest.mark.parametrize("edits,code,detail", [
-    # a 16 x 16 basis holds 39 stationary states
+    # n states start from k = n (2n - 1) + 2 eigenpairs, here 1.99999e10,
+    # beyond dim = 256 on a 16 x 16 basis
     ([("mode = evolve", "mode = stationary"),
       ("t_end = 0.1", "t_end = 0.1\nn_states = 100000")], EXIT_NUMERICAL,
-     "dim=256 eigenpairs=100002"),
-    # and at most 126 pairs (2 pairs + 2 < dim = 256)
+     "dim=256 eigenpairs=1.99999e+10"),
+    # and pairs from k = 2 pairs + 2
     ([("mode = evolve", "mode = moyal"),
       ("t_end = 0.1", "t_end = 0.1\npairs = 300")], EXIT_NUMERICAL,
      "dim=256 eigenpairs=602"),

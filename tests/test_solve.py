@@ -14,7 +14,6 @@ from wigner.assembly import (
     OperatorTerm,
     PhaseSpaceBasis,
     assemble_evolution,
-    assemble_stationary_cnumber,
     assemble_stationary_pair,
 )
 from wigner.errors import (
@@ -25,7 +24,6 @@ from wigner.errors import (
 )
 from wigner.model import ModelParams, parse_potential
 from wigner.solve import (
-    _PENALTY,
     CoefficientField,
     EvolutionConfig,
     evolve,
@@ -35,7 +33,6 @@ from wigner.solve import (
     stationary_eigen,
     _lowest_eigenpairs,
     _MidpointStepper,
-    _penalty_operator,
     _shifted_band,
     _shifted_inverse,
     _spectrum_floor,
@@ -438,7 +435,7 @@ def test_stationary_eigen_harmonic(harmonic_small):
     # levels below zero: the shift sits below the spectrum, not at zero
     ("0.5*q^2 - 5", 1.0, 4.0, 5),
     ("0.5*q^2 - 5", 1.0, 4.0, 6),
-    # the penalty lifts |0><1| by 10, above the third level, at any hbar
+    # hbar scales the levels and the pairs' y = (E'' - E')/hbar alike
     ("0.5*q^2", 0.1, 2.0, 5),
 ])
 def test_stationary_eigen_shifted_and_scaled_oscillator(expr, hbar, box, j_fine):
@@ -462,36 +459,27 @@ def test_stationary_eigen_heavy_oscillator():
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.5])
-def test_penalty_matrix_matches_kron_reference(hbar):
-    """P's Kronecker sum equals S + 10 K^T K of the pair's and
-    Re M + (40/hbar^2) (Im M)^T (Im M) of the c-number M's, and its shifted
+def test_shifted_band_matches_kron_reference(hbar):
+    """A_sym's Kronecker sum applies as its dense matrix, and its shifted
     band holds the symmetric part of that matrix in folded order.  The
-    32x32 order-8 band (u = 792) is narrower than the matrix, and the folded
+    32x32 order-8 band (u = 396) is narrower than the matrix, and the folded
     reference has no nonzero outside it, although the q wrap puts nonzero
     blocks in the natural order's far corners: folding keeps the wrap."""
     ps = PhaseSpaceBasis(order=8, j_coarse=3, j_fine=5,
                          q_min=-4.0, q_max=4.0, p_min=-4.0, p_max=4.0)
-    U = parse_potential("0.5*q^2 + 0.1*q^4")
-    params = ModelParams(hbar=hbar)
-    A_sym, A_anti = assemble_stationary_pair(ps, U, params)
-    S, K = kron_dense(A_sym), kron_dense(A_anti)
-    ref = S + _PENALTY * K.T @ K
-    M = kron_dense(assemble_stationary_cnumber(ps, U, params))
-    ref_cnumber = M.real + 40.0 / hbar ** 2 * M.imag.T @ M.imag
-    P = _penalty_operator(A_sym, A_anti)
-    dense = kron_dense(P)
+    A_sym, _ = assemble_stationary_pair(
+        ps, parse_potential("0.5*q^2 + 0.1*q^4"), ModelParams(hbar=hbar))
+    dense = kron_dense(A_sym)
     assert dense.dtype == float
-    for r in (ref, ref_cnumber):
-        assert np.max(np.abs(dense - r)) < 1e-12 * np.max(np.abs(r))
     v = np.random.default_rng(1).normal(size=ps.dim)
-    Pv = ref @ v
-    assert np.max(np.abs(P.apply(v) - Pv)) < 1e-12 * np.max(np.abs(Pv))
+    ref = dense @ v
+    assert np.max(np.abs(A_sym.apply(v) - ref)) < 1e-12 * np.max(np.abs(ref))
 
     n, n_p = ps.dim, ps.shape[1]
     sigma = 0.25
-    ab, perm = _shifted_band(P, sigma)
+    ab, perm = _shifted_band(A_sym, sigma)
     u = ab.shape[0] - 1
-    assert ab.shape[1] == n and ab.flags.f_contiguous and u == 792
+    assert ab.shape[1] == n and ab.flags.f_contiguous and u == 396
     assert np.any(dense[:n_p, -n_p:] != 0.0)
     folded = (dense - sigma * np.eye(n))[np.ix_(perm, perm)]
     sym = 0.5 * (folded + folded.T)
@@ -501,44 +489,40 @@ def test_penalty_matrix_matches_kron_reference(hbar):
     assert not np.any(np.triu(folded, u + 1)) and not np.any(np.tril(folded, -u - 1))
 
 
-@pytest.mark.parametrize("which", ["P", "A_sym"])
-def test_shifted_inverse_matches_dense_solve(which):
+def test_shifted_inverse_matches_dense_solve():
     """The banded shift-invert solve of the eigen path equals a dense solve
-    with (kron_dense(op) - sigma I), for the stationary penalty P and for
-    the moyal and refine operator A_sym (32x32 order-10 quartic)."""
+    with (kron_dense(A_sym) - sigma I) (32x32 order-10 quartic)."""
     ps = _order10(5)
-    A_sym, A_anti = assemble_stationary_pair(
+    A_sym, _ = assemble_stationary_pair(
         ps, parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
-    op = _penalty_operator(A_sym, A_anti) if which == "P" else A_sym
-    sigma = _spectrum_floor(op)
+    sigma = _spectrum_floor(A_sym)
     v = np.random.default_rng(2).normal(size=ps.dim)
-    x = _shifted_inverse(op, sigma)(v)
-    ref = np.linalg.solve(kron_dense(op) - sigma * np.eye(ps.dim), v)
+    x = _shifted_inverse(A_sym, sigma)(v)
+    ref = np.linalg.solve(kron_dense(A_sym) - sigma * np.eye(ps.dim), v)
     assert np.linalg.norm(x - ref) < 1e-10 * np.linalg.norm(ref)
 
 
 def test_lowest_eigenpairs_allocates_no_dense_matrix():
-    """At 64x64 the eigen path's peak traced allocation stays below 100 MB,
-    three quarters of one dim x dim float64 copy (134 MB): the order-10
-    penalty's band is 68 MB."""
-    A_sym, A_anti = assemble_stationary_pair(
+    """At 64x64 the eigen path's peak traced allocation stays below 45 MB,
+    a third of one dim x dim float64 copy (134 MB): the order-10 A_sym band
+    is 34 MB, and it measured 39 MB in all."""
+    A_sym, _ = assemble_stationary_pair(
         _order10(6), parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
-    P = _penalty_operator(A_sym, A_anti)
     tracemalloc.start()
     try:
-        _lowest_eigenpairs(P, 2)
+        _lowest_eigenpairs(A_sym)(2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100e6
+    assert peak < 45e6
 
 
 def test_stationary_eigen_rejects_shift_above_spectrum(harmonic_small,
                                                         monkeypatch):
-    """A shift above P's lowest level fails the Cholesky check and raises."""
+    """A shift above A_sym's lowest level fails the Cholesky check and raises."""
     ps, U = harmonic_small
     A_sym, A_anti = assemble_stationary_pair(ps, U, PARAMS)
-    monkeypatch.setattr(wigner.solve, "_spectrum_floor", lambda P: 1.0)
+    monkeypatch.setattr(wigner.solve, "_spectrum_floor", lambda op: 1.0)
     with pytest.raises(NumericalError, match="below the shift"):
         stationary_eigen(A_sym, A_anti, 2)
 
@@ -602,18 +586,49 @@ def test_moyal_eigen_heavy_oscillator_pairs(harmonic_small):
     assert np.max(np.abs(np.array(got) - np.array(expected))) < 1e-3
 
 
+def _quartic_pair_error(j_fine, pairs):
+    """Largest level error of moyal's lowest quartic pairs (order 10, +-4)
+    against the (E_m, E_n) of the FD levels."""
+    U = parse_potential("0.5*q^2 + 0.1*q^4")
+    A_sym, A_anti = assemble_stationary_pair(_order10(j_fine), U, PARAMS)
+    got = sorted((lo, hi) for lo, hi, _ in moyal_eigen(A_sym, A_anti, pairs,
+                                                       hbar=1.0))
+    E = fd_schrodinger_levels(lambda q: 0.5 * q ** 2 + 0.1 * q ** 4, 4)
+    lowest = sorted(((m, n) for m in range(4) for n in range(4)),
+                    key=lambda mn: E[mn[0]] + E[mn[1]])[:pairs]
+    expected = sorted((E[m], E[n]) for m, n in lowest)
+    return np.max(np.abs(np.array(got) - np.array(expected)))
+
+
 def test_moyal_eigen_quartic_pairs_match_fd_oracle():
     """At 64x64 the six lowest quartic pairs are the (E_m, E_n) of the FD
     levels; |1><1| (1.7696) and the |0><2| pair (1.8489) stay apart."""
-    U = parse_potential("0.5*q^2 + 0.1*q^4")
-    A_sym, A_anti = assemble_stationary_pair(_order10(6), U, PARAMS)
-    pairs = moyal_eigen(A_sym, A_anti, 6, hbar=1.0)
-    E = fd_schrodinger_levels(lambda q: 0.5 * q ** 2 + 0.1 * q ** 4, 4)
-    lowest = sorted(((m, n) for m in range(4) for n in range(4)),
-                    key=lambda mn: E[mn[0]] + E[mn[1]])[:6]
-    expected = sorted((E[m], E[n]) for m, n in lowest)
-    got = sorted((lo, hi) for lo, hi, _ in pairs)
-    assert np.max(np.abs(np.array(got) - np.array(expected))) < 5e-3
+    assert _quartic_pair_error(6, 6) < 5e-3
+
+
+def test_moyal_eigen_quartic_at_32x32_returns_no_fake_diagonal():
+    """At 32x32 A_anti's discretization coupling between |1><1| and the
+    |0><2| pair exceeds their A_sym gap, so grouping A_sym's levels first
+    merged the three into a fake diagonal (1.8267, 1.8267), 5.7e-2 off.
+    Splitting by A_anti first keeps them apart: 5.6e-3."""
+    assert _quartic_pair_error(5, 6) < 1e-2
+
+
+@pytest.mark.parametrize("j_fine, low, high", [(5, 1e-2, np.inf), (6, 0.0, 1e-3)],
+                         ids=["32x32", "64x64"])
+def test_ritz_defect_flags_the_coarse_quartic(j_fine, low, high):
+    """The Ritz-combination defect of the quartic's three states (order 10,
+    +-4) reads above 1e-2 at 32x32 and below 1e-3 at 64x64, as their level
+    errors against the FD oracle do (3.1e-2 and 6.9e-4): an a-posteriori
+    estimate that needs no oracle."""
+    A_sym, A_anti = assemble_stationary_pair(
+        _order10(j_fine), parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
+    states = stationary_eigen(A_sym, A_anti, 3)
+    error = np.max(np.abs(np.array([e for e, _ in states]) - fd_schrodinger_levels(
+        lambda q: 0.5 * q ** 2 + 0.1 * q ** 4, 3)))
+    defect = states.ritz_defect(1.0)
+    assert low <= defect <= high, (defect, error)
+    assert low <= error <= high
 
 
 def test_moyal_eigen_cubic_fails_closed():
@@ -628,13 +643,22 @@ def test_moyal_eigen_cubic_fails_closed():
 
 def test_moyal_eigen_builds_no_sparse_matrix_and_no_full_eigh(harmonic_small,
                                                               monkeypatch):
+    """The split diagonalizes k x k matrices only; an eigh of a dim-sized
+    matrix would mean the shift-invert path was left."""
     def refuse(*args, **kwargs):
         raise AssertionError("moyal_eigen left the shared shift-invert path")
 
     ps, U = harmonic_small
+    eigh = np.linalg.eigh
+
+    def small_eigh(a, *args, **kwargs):
+        if np.shape(a)[0] >= ps.dim:
+            refuse()
+        return eigh(a, *args, **kwargs)
+
     A_sym, A_anti = assemble_stationary_pair(ps, U, PARAMS)
     monkeypatch.setattr(AssembledOperator, "matrix", refuse)
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", small_eigh)
     assert len(moyal_eigen(A_sym, A_anti, 6, hbar=1.0)) == 6
 
 
