@@ -2,7 +2,7 @@
 
 Every operator is a sum of Kronecker terms A_q (x) B_p acting on coefficient
 fields stored q-major (flat index = iq * dim_p + ip).  Terms are kept in
-factored form: ``apply``, the one product L x of every solver and script,
+factored form: ``apply``, the one product L x of every solver,
 runs as two GEMMs over the terms grouped by q factor.  The eigen path
 writes its band from the factors itself; ``matrix`` builds the sparse form,
 which no solver uses: tests take it as the direct-solve reference.

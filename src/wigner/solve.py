@@ -488,40 +488,39 @@ def _shifted_inverse(op: AssembledOperator, sigma: float):
     return solve
 
 
-def _lowest_eigenpairs(op: AssembledOperator):
-    """Factor op - sigma I once; returns k -> the k lowest eigenpairs
-    (ascending values, unit columns of V) of A_sym, the one operator that
-    stationary, refine and moyal runs factor.
+def _lowest_eigenpairs(op: AssembledOperator, k: int):
+    """Yields the k lowest eigenpairs (ascending values, unit columns of V)
+    of A_sym, the one operator that stationary, refine and moyal runs
+    factor, then those for k grown by a quarter (at least 2) each time the
+    caller asks again.
 
     sigma is the lowest level of op's q-only part (``_spectrum_floor``).
     op - sigma I is written as a band in folded axis order
     (``_shifted_band``) and Cholesky-factorized in place
-    (``_shifted_inverse``).  The band takes 8 (u + 1) dim bytes for
-    half-bandwidth u = 2 b_q n_p + 2 b_p, where b_q, b_p are the factors'
-    periodic half-bandwidths: b = 8 at order 10, so 34 MB at 64x64 and
-    270 MB at 128x128.  That factor exists only when sigma lies below every
-    eigenvalue of op, so ARPACK's shift-invert with the banded solve as
-    OPinv (the k eigenvalues nearest sigma) returns the lowest pairs.  Every
-    call starts from the same vector, so runs repeat bit for bit.
+    (``_shifted_inverse``), once for every k.  The band takes 8 (u + 1) dim
+    bytes for half-bandwidth u = 2 b_q n_p + 2 b_p, where b_q, b_p are the
+    factors' periodic half-bandwidths: b = 8 at order 10, so 34 MB at 64x64
+    and 270 MB at 128x128.  That factor exists only when sigma lies below
+    every eigenvalue of op, so ARPACK's shift-invert with the banded solve
+    as OPinv (the k eigenvalues nearest sigma) returns the lowest pairs.
+    Every k starts from the same vector, so runs repeat bit for bit.
 
-    Raises NumericalError when op - sigma I is not positive definite, and
-    from a call when k >= dim, when ARPACK does not converge, or when a
-    residual ||op v - lambda v|| / ||v|| exceeds 1e-8.
+    Raises NumericalError when k >= dim, the first k before the band is
+    written; when op - sigma I is not positive definite; when ARPACK does
+    not converge; or when a residual ||op v - lambda v|| / ||v|| exceeds
+    1e-8.
     """
     n = op.ps.dim
-    sigma = _spectrum_floor(op)
-    solve = _shifted_inverse(op, sigma)
-    A = spla.LinearOperator((n, n), matvec=op.apply, dtype=float)
-    inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
-    # A fixed start vector, drawn as ARPACK draws its own, makes runs repeatable.
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-
-    def lowest(k):
-        if k >= n:
-            raise NumericalError(
-                f"{k} eigenpairs are needed, but the basis has dim = {n}",
-                diagnostic={"eigenpairs": k, "dim": n},
-            )
+    inv = None
+    while k < n:
+        if inv is None:
+            sigma = _spectrum_floor(op)
+            A = spla.LinearOperator((n, n), matvec=op.apply, dtype=float)
+            inv = spla.LinearOperator((n, n), matvec=_shifted_inverse(op, sigma),
+                                      dtype=float)
+            # A fixed start vector, drawn as ARPACK draws its own, makes runs
+            # repeatable.
+            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
         try:
             vals, vecs = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
                                     OPinv=inv)
@@ -542,9 +541,12 @@ def _lowest_eigenpairs(op: AssembledOperator):
                     "stationary eigenpair residual too large",
                     diagnostic={"eigenvalue": float(lam), "residual": float(resid)},
                 )
-        return vals, vecs
-
-    return lowest
+        yield vals, vecs
+        k += max(2, k // 4)
+    raise NumericalError(
+        f"{k} eigenpairs are needed, but the basis has dim = {n}",
+        diagnostic={"eigenpairs": k, "dim": n},
+    )
 
 
 def _split_subspace(A_anti: AssembledOperator, lam, V) -> _Split:
@@ -578,7 +580,7 @@ def _split_subspace(A_anti: AssembledOperator, lam, V) -> _Split:
 
 def _splits(A_sym: AssembledOperator, A_anti: AssembledOperator, k: int):
     """Yields (line, split) for the k lowest eigenpairs of A_sym, then for
-    k grown by a quarter (at least 2) each time the caller asks again.
+    each grown k of ``_lowest_eigenpairs`` each time the caller asks again.
 
     A two-sided eigenfield, H*W = E'W and W*H = E''W, has A_sym W =
     ((E' + E'')/2) W and A_anti W = (i/hbar)(E'' - E') W (Curtright,
@@ -592,16 +594,13 @@ def _splits(A_sym: AssembledOperator, A_anti: AssembledOperator, k: int):
     split once the highest level it takes lies at or below the line.
 
     Raises NumericalError where ``_lowest_eigenpairs`` does, so also when k
-    would reach dim.
+    would reach dim, before anything is factored if the first k does.
     """
-    lowest = _lowest_eigenpairs(A_sym)
-    while True:
-        lam, V = lowest(k)
+    for lam, V in _lowest_eigenpairs(A_sym, k):
         line = lam[-1] - _MARGIN * (lam[-1] - lam[0])
         top = np.searchsorted(lam, line)
         keep = top + int(np.argmax(np.diff(lam[top - 1:])))
         yield line, _split_subspace(A_anti, lam[:keep], V[:, :keep])
-        k += max(2, k // 4)
 
 
 def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,

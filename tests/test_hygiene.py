@@ -1,8 +1,8 @@
-"""Source hygiene: every name a package module, script or test imports is
-used by it, every name a package module imports is public in the module it
-comes from, every function it defines is used outside the tests, every
-optional parameter is passed by some caller outside the tests, no function
-gives hbar a default, and only the phase-space basis builds wavelet axes."""
+"""Source hygiene: every name a package module or test imports is used by
+it, every name a package module imports is public in the module it comes
+from, every function it defines is used outside the tests, every optional
+parameter is passed by some caller outside the tests, no function gives
+hbar a default, and only the phase-space basis builds wavelet axes."""
 
 import ast
 import re
@@ -41,8 +41,7 @@ def test_unused_import_detector():
 
 
 @pytest.mark.parametrize(
-    "path", sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
-    + sorted((ROOT / "tests").glob("*.py")),
+    "path", sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),
     ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -128,8 +127,7 @@ def test_unreferenced_function_detector():
 
 def test_no_test_only_functions():
     package = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    others = [p.read_text() for folder in ("scripts", "perfbench")
-              for p in sorted((ROOT / folder).glob("*.py"))]
+    others = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
     assert unreferenced_functions(package, others,
                                   (ROOT / "README.md").read_text()) == []
 
@@ -205,8 +203,7 @@ def test_unused_parameter_detector():
 
 def test_no_unused_parameters():
     package = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    others = [p.read_text() for folder in ("scripts", "perfbench")
-              for p in sorted((ROOT / folder).glob("*.py"))]
+    others = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
     assert unused_parameters(package, others) == []
 
 
@@ -254,8 +251,7 @@ def test_basis_call_detector():
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
-             if p.name != "assembly.py"],
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "assembly.py"],
     ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_only_the_phase_space_basis_builds_axes(path):
     """``PhaseSpaceBasis`` builds both axes from the [basis] settings; a

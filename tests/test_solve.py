@@ -510,11 +510,27 @@ def test_lowest_eigenpairs_allocates_no_dense_matrix():
         _order10(6), parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
     tracemalloc.start()
     try:
-        _lowest_eigenpairs(A_sym)(2)
+        next(_lowest_eigenpairs(A_sym, 2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 45e6
+
+
+def test_lowest_eigenpairs_checks_dim_before_factoring(harmonic_small):
+    """A k that reaches dim raises before the band is written and factored:
+    100000 states ask for k = n (2n - 1) + 2 on a 1024-dim basis."""
+    ps, U = harmonic_small
+    A_sym, A_anti = assemble_stationary_pair(ps, U, PARAMS)
+
+    def factor(*args, **kwargs):
+        pytest.fail("the band was factored for a k beyond dim")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wigner.solve.la, "cholesky_banded", factor)
+        with pytest.raises(NumericalError, match="eigenpairs are needed") as info:
+            stationary_eigen(A_sym, A_anti, 100000)
+    assert info.value.diagnostic == {"eigenpairs": 19999900002, "dim": ps.dim}
 
 
 def test_stationary_eigen_rejects_shift_above_spectrum(harmonic_small,
@@ -544,7 +560,9 @@ def test_stationary_eigen_anharmonic_matches_fd_oracle():
 
 
 def test_stationary_eigen_double_well_fails_closed():
-    """A tunnelling pair |0><1| stays below E_1 in the penalty: raise, not guess."""
+    """At 32x32 the double well's second diagonal field integrates to 0.05
+    of its norm, below ``_INTEGRAL_FLOOR`` (0.5): the subspace does not
+    resolve its tunnelling pair, so ``stationary_eigen`` raises, not guesses."""
     ps = _order10(5)
     A_sym, A_anti = assemble_stationary_pair(
         ps, parse_potential("0.25*q^4 - 2*q^2 + 5"), PARAMS)
