@@ -210,10 +210,6 @@ def _poly_mult_matrix(basis: WaveletBasis, coeffs) -> np.ndarray:
     return M
 
 
-def _identity(basis: WaveletBasis) -> np.ndarray:
-    return np.eye(basis.dim)
-
-
 def assemble_transport(ps: PhaseSpaceBasis, params: ModelParams) -> AssembledOperator:
     """Free streaming -(p/m) dW/dq."""
     Dq = ps.basis_q.derivative_matrix(1)
@@ -244,7 +240,7 @@ def _potential_series(ps: PhaseSpaceBasis, U: PolynomialPotential, hbar: float,
         l = r // 2
         coeff = ((-1.0) ** l) * half_h ** (2 * l) / factorial(r)
         try:
-            Lam = _identity(ps.basis_p) if r == 0 else ps.basis_p.derivative_matrix(r)
+            Lam = np.eye(ps.basis_p.dim) if r == 0 else ps.basis_p.derivative_matrix(r)
         except ConfigurationError as exc:
             raise ConfigurationError(
                 f"momentum-derivative order {r} needed by the potential series "
@@ -280,12 +276,12 @@ def assemble_dissipator(ps: PhaseSpaceBasis, params: ModelParams) -> AssembledOp
         Dp = ps.basis_p.derivative_matrix(1)
         B = Dp @ M1p
         terms.append(
-            OperatorTerm("dissipator_friction", 2.0 * params.gamma, _identity(ps.basis_q), B)
+            OperatorTerm("dissipator_friction", 2.0 * params.gamma, np.eye(ps.basis_q.dim), B)
         )
     if params.diffusion > 0.0:
         Lam2 = ps.basis_p.derivative_matrix(2)
         terms.append(
-            OperatorTerm("dissipator_diffusion", params.diffusion, _identity(ps.basis_q), Lam2)
+            OperatorTerm("dissipator_diffusion", params.diffusion, np.eye(ps.basis_q.dim), Lam2)
         )
     return AssembledOperator(ps=ps, terms=terms)
 
@@ -316,10 +312,10 @@ def assemble_stationary_pair(
     even = _potential_series(ps, U, params.hbar, 0)
     # even[:1] is the r = 0 term U(q) (x) I, present whenever U is nonzero
     sym_terms = (
-        [OperatorTerm("kinetic", 0.5 / m, _identity(ps.basis_q), ps.basis_p.moment_matrix(2))]
+        [OperatorTerm("kinetic", 0.5 / m, np.eye(ps.basis_q.dim), ps.basis_p.moment_matrix(2))]
         + even[:1]
         + [OperatorTerm("stationary_sym", -params.hbar ** 2 / (8.0 * m),
-                        ps.basis_q.derivative_matrix(2), _identity(ps.basis_p))]
+                        ps.basis_q.derivative_matrix(2), np.eye(ps.basis_p.dim))]
         + even[1:]
     )
     A_sym = AssembledOperator(ps=ps, terms=sym_terms)
@@ -338,8 +334,8 @@ def assemble_stationary_cnumber(
     A_sym - i (hbar/2) A_anti of assemble_stationary_pair.
     """
     m = params.mass
-    Iq = _identity(ps.basis_q)
-    Ip = _identity(ps.basis_p)
+    Iq = np.eye(ps.basis_q.dim)
+    Ip = np.eye(ps.basis_p.dim)
     terms = [
         OperatorTerm("kinetic", 0.5 / m + 0.0j, Iq, ps.basis_p.moment_matrix(2)),
         OperatorTerm("kinetic_flow", -0.5j * params.hbar / m,

@@ -7,10 +7,10 @@ the objects built here:
 * ``scaling_values`` -- the scaling function phi on a dyadic grid (cascade).
 * ``connection_coefficients`` -- integrals of products of derivatives of phi,
   obtained exactly from the refinement relation (not by quadrature).
-* ``moment_coefficients`` -- integrals of x^m against products of basis
-  functions, for polynomial multiplication operators.
 * ``WaveletBasis`` -- a periodized multiresolution basis on an interval, with
-  single-scale <-> multiscale transforms, expansion evaluation and projection.
+  its Galerkin tables (``derivative_matrix``, ``moment_matrix`` of x^m
+  against products of basis functions, ``moment_functional``), single-scale
+  <-> multiscale transforms, expansion evaluation and projection.
 
 Sign/normalization conventions are fixed in one place:
 
@@ -22,7 +22,10 @@ Sign/normalization conventions are fixed in one place:
   two basis functions is taken by minimal image and the monomial x^m is
   evaluated on the contiguous lift of the pair.  The domain box is assumed
   large enough that fields are negligible near the wrap, so the lift choice
-  is immaterial for the physics.
+  is immaterial for the physics;
+* the connection and product-moment tables solve one two-scale system
+  (``_two_scale_matrix``), and both position tables share one binomial sum
+  on the lift (``_lifted``).
 """
 
 from __future__ import annotations
@@ -144,11 +147,8 @@ class ScalingTable:
 
     def __call__(self, x):
         """Evaluate phi(x); exact at represented dyadic points, linear in between."""
-        x = np.asarray(x, dtype=float)
-        out = np.interp(
-            x, self.grid, self.values, left=0.0, right=0.0
-        )
-        return out
+        return np.interp(np.asarray(x, dtype=float), self.grid, self.values,
+                         left=0.0, right=0.0)
 
 
 def scaling_values(filt: FilterCoefficients, resolution: int) -> ScalingTable:
@@ -166,12 +166,8 @@ def scaling_values(filt: FilterCoefficients, resolution: int) -> ScalingTable:
         ints = np.array([1.0, 0.0])
     else:
         idx = np.arange(1, support)
-        T = np.zeros((support - 1, support - 1))
-        for ii, i in enumerate(idx):
-            for jj, j in enumerate(idx):
-                k = 2 * i - j
-                if 0 <= k < n:
-                    T[ii, jj] = _SQRT2 * h[k]
+        k = 2 * idx[:, None] - idx[None, :]
+        T = np.where((k >= 0) & (k < n), _SQRT2 * h[np.clip(k, 0, n - 1)], 0.0)
         w, v = np.linalg.eig(T)
         pos = np.argmin(np.abs(w - 1.0))
         if abs(w[pos] - 1.0) > 1e-8:
@@ -223,18 +219,8 @@ def _deriv_product_integrals(filt: FilterCoefficients, d: int) -> np.ndarray:
     """
     K = filt.order - 2
     offsets = np.arange(-K, K + 1)
-    no = offsets.size
-    a = filt.autocorrelation()  # index m + order - 1
-    nshift = filt.order - 1
-
-    A = np.zeros((no, no))
-    for i, k in enumerate(offsets):
-        for j, l in enumerate(offsets):
-            m = l - 2 * k
-            if -nshift <= m <= nshift:
-                A[i, j] = a[m + nshift]
-
-    M = np.eye(no) - (2.0 ** d) * A
+    A = _two_scale_matrix(filt.autocorrelation(), K)
+    M = np.eye(offsets.size) - (2.0 ** d) * A
     # Nullspace direction via SVD, then scale by the moment normalization.
     _, s, vt = np.linalg.svd(M)
     if s[-1] > 1e-8:
@@ -290,6 +276,17 @@ def scaling_function_moments(filt: FilterCoefficients, rmax: int) -> np.ndarray:
     return mu
 
 
+def _two_scale_matrix(weights: np.ndarray, K: int) -> np.ndarray:
+    """A[d, e] = w(e - 2d) for offsets d, e = -K..K: the two-scale relation
+    of the integrals over phi(x) phi(x - d).  ``weights`` holds w(m) at index
+    m + weights.size // 2; A is zero where e - 2d runs past it."""
+    nshift = weights.size // 2
+    offsets = np.arange(-K, K + 1)
+    m = offsets[None, :] - 2 * offsets[:, None]
+    inside = np.abs(m) <= nshift
+    return np.where(inside, weights[np.where(inside, m + nshift, 0)], 0.0)
+
+
 @cache
 def _product_moments(filt: FilterCoefficients, rmax: int) -> np.ndarray:
     """m_r(d) = int x^r phi(x) phi(x - d) dx for r <= rmax, |d| <= order - 2.
@@ -300,44 +297,26 @@ def _product_moments(filt: FilterCoefficients, rmax: int) -> np.ndarray:
     order and rmax.
     """
     K = filt.order - 2
-    offsets = np.arange(-K, K + 1)
-    no = offsets.size
+    no = 2 * K + 1
     h = filt.taps
     n = filt.order
-    nshift = n - 1
     mu = scaling_function_moments(filt, rmax)
 
-    # weighted autocorrelations w_u(m) = sum_k h_k h_{k+m} k^u
-    wmax = rmax
-    w = np.zeros((wmax + 1, 2 * nshift + 1))
-    for u in range(wmax + 1):
-        for m in range(-nshift, nshift + 1):
-            acc = 0.0
-            for k in range(n):
-                if 0 <= k + m < n:
-                    acc += h[k] * h[k + m] * float(k) ** u
-            w[u, m + nshift] = acc
-
-    A = np.zeros((no, no))
-    for i, d in enumerate(offsets):
-        for j, e in enumerate(offsets):
-            m = e - 2 * d
-            if -nshift <= m <= nshift:
-                A[i, j] = w[0, m + nshift]
+    # weighted autocorrelations w_u(m) = sum_k h_k h_{k+m} k^u, in k order
+    m = np.arange(-(n - 1), n)
+    w = np.zeros((rmax + 1, m.size))
+    for k in range(n):
+        ok = (k + m >= 0) & (k + m < n)
+        w[:, ok] += h[k] * h[k + m[ok]] * (float(k) ** np.arange(rmax + 1))[:, None]
+    A = [_two_scale_matrix(w_u, K) for w_u in w]
 
     out = np.zeros((rmax + 1, no))
     for r in range(rmax + 1):
         rhs = np.zeros(no)
         for s in range(r):
-            c = comb(r, s)
-            for i, d in enumerate(offsets):
-                acc = 0.0
-                for j, e in enumerate(offsets):
-                    m = e - 2 * d
-                    if -nshift <= m <= nshift:
-                        acc += w[r - s, m + nshift] * out[s, j]
-                rhs[i] += c * acc
-        M = np.eye(no) - (2.0 ** -r) * A
+            # a running sum in offset order, where BLAS would reorder it
+            rhs += comb(r, s) * np.cumsum(A[r - s] * out[s], axis=1)[:, -1]
+        M = np.eye(no) - (2.0 ** -r) * A[0]
         sys = np.vstack([M, np.ones((1, no))])
         b = np.concatenate([(2.0 ** -r) * rhs, [mu[r]]])
         sol, *_ = np.linalg.lstsq(sys, b, rcond=None)
@@ -349,6 +328,25 @@ def _product_moments(filt: FilterCoefficients, rmax: int) -> np.ndarray:
             )
         out[r] = sol
     return out
+
+
+def _lifted(power: int, a: float, h: float, k, tab) -> np.ndarray:
+    """int x^power f(t) dt on the lift x = a + h (k + t) for basis indices k:
+    sum_s C(power, s) a^(power-s) h^s sum_u C(s, u) k^(s-u) tab[u], where
+    tab[u] = int t^u f(t) dt."""
+    out = 0.0
+    for s in range(power + 1):
+        inner = 0.0
+        for u in range(s + 1):
+            inner = inner + comb(s, u) * k ** (s - u) * tab[u]
+        out = out + comb(power, s) * a ** (power - s) * h ** s * inner
+    return out
+
+
+def smallest_level(order: int) -> int:
+    """Smallest j_fine for the filter order: 2^j_fine functions per axis hold
+    the filter support (order) and twice the moment band (2 order - 4)."""
+    return (max(order, 2 * order - 4) - 1).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +378,11 @@ class WaveletBasis:
             bad.append("j_coarse must be >= 0")
         if self.j_coarse > self.j_fine:
             bad.append("j_coarse must not exceed j_fine")
-        # the filter support needs 2^j_fine >= order, the moment band
-        # order - 2 <= 2^(j_fine - 1)
-        need = max(self.filter.order, 2 * self.filter.order - 4)
-        if self.dim < need:
+        j_min = smallest_level(self.filter.order)
+        if self.j_fine < j_min:
             bad.append(f"basis too coarse for the order-{self.filter.order} "
                        f"filter: 2^{self.j_fine} functions per axis, it needs "
-                       f"at least {need}")
+                       f"at least {2 ** j_min}")
         a, b = self.domain
         if not b > a:
             bad.append(f"domain [{a:g}, {b:g}) is empty")
@@ -448,16 +444,34 @@ class WaveletBasis:
         P = self.dim
         scale = (P / self.length) ** d
         row = np.zeros(P)
-        for off, val in zip(table.offsets, table.values):
-            row[off % P] += val
-        G = np.zeros((P, P))
-        for k in range(P):
-            G[k] = np.roll(row, k)
-        return scale * G
+        np.add.at(row, table.offsets % P, table.values)  # aliases add in order
+        k = np.arange(P)
+        return scale * row[(k[None, :] - k[:, None]) % P]
 
     def moment_matrix(self, power: int) -> np.ndarray:
-        """Dense banded M[k,k'] = int x^power phi_k phi_k' dx (lifted torus x)."""
-        return moment_coefficients(self, power)
+        """Dense banded M[k,k'] = int x^power phi_k phi_k' dx (lifted torus x).
+
+        Entry (k, k + delta), delta <= K = order - 2, is the lift of that
+        pair; at dim = 2K, delta = K pairs overlap twice and add both lifts.
+        """
+        if power < 0:
+            raise ContractError("moment power must be non-negative")
+        if power > MAX_MOMENT_POWER:
+            raise ConfigurationError(
+                f"moment power {power} exceeds the configured maximum {MAX_MOMENT_POWER}"
+            )
+        m_tab = _product_moments(self.filter, power)  # offset index delta + K
+        K = self.filter.order - 2
+        P = self.dim
+        k = np.arange(P)
+        M = np.zeros((P, P))
+        for delta in range(K + 1):
+            val = _lifted(power, self.domain[0], self.length / P,
+                          k.astype(float), m_tab[:, delta + K])
+            M[k, (k + delta) % P] += val
+            if delta:
+                M[(k + delta) % P, k] += val
+        return M
 
     def integration_functional(self) -> np.ndarray:
         """Row vector s with int f = s . coeffs for single-scale coeffs."""
@@ -468,15 +482,9 @@ class WaveletBasis:
         if power < 0:
             raise ContractError("moment power must be non-negative")
         mu = scaling_function_moments(self.filter, power)
-        a, _ = self.domain
-        P = self.dim
-        hstep = self.length / P
-        k = np.arange(P, dtype=float)
-        out = np.zeros(P)
-        for s_ in range(power + 1):
-            inner = sum(comb(s_, u) * k ** (s_ - u) * mu[u] for u in range(s_ + 1))
-            out += comb(power, s_) * a ** (power - s_) * hstep ** s_ * inner
-        return np.sqrt(hstep) * out
+        hstep = self.length / self.dim
+        k = np.arange(self.dim, dtype=float)
+        return np.sqrt(hstep) * _lifted(power, self.domain[0], hstep, k, mu)
 
     # -- evaluation --------------------------------------------------------
 
@@ -489,18 +497,18 @@ class WaveletBasis:
     def evaluation_matrix(self, x: np.ndarray) -> np.ndarray:
         """Phi[i, k] = phi_k(x_i) for single-scale basis functions."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        a, _ = self.domain
         P = self.dim
-        t = (x - a) * (P / self.length)
+        t = (x - self.domain[0]) * (P / self.length)
         tab = self.scaling_table
         support = self.filter.support_length
         amp = np.sqrt(P / self.length)
         out = np.zeros((x.size, P))
-        for k in range(P):
+        # phi_k(x) is nonzero for k = floor(t) - j, j = 0 .. support
+        for j in range(support + 1):
+            k = (np.floor(t) - j) % P
             u = (t - k) % P
-            mask = u <= support
-            if np.any(mask):
-                out[mask, k] = amp * tab(u[mask])
+            ok = u <= support
+            out[ok, k[ok].astype(int)] = amp * tab(u[ok])
         return out
 
     def evaluate(self, coeffs: np.ndarray, x) -> np.ndarray:
@@ -509,8 +517,7 @@ class WaveletBasis:
             raise ContractError(
                 f"coefficient length {coeffs.shape} does not match basis dim {self.dim}"
             )
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = self.evaluation_matrix(x_arr) @ coeffs
+        vals = self.evaluation_matrix(x) @ coeffs
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             return float(vals[0])
         return vals
@@ -541,38 +548,6 @@ class WaveletBasis:
     def project(self, f) -> np.ndarray:
         """Single-scale coefficients <phi_k, f>; ``f`` must accept numpy arrays."""
         return self.project_samples(np.asarray(f(self.projection_nodes()), dtype=float))
-
-
-def moment_coefficients(basis: WaveletBasis, power: int) -> np.ndarray:
-    """Banded M[k,k'] = int x^power phi_k phi_k' dx, the multiplication table."""
-    if power < 0:
-        raise ContractError("moment power must be non-negative")
-    if power > MAX_MOMENT_POWER:
-        raise ConfigurationError(
-            f"moment power {power} exceeds the configured maximum {MAX_MOMENT_POWER}"
-        )
-    filt = basis.filter
-    P = basis.dim
-    a, _ = basis.domain
-    L = basis.length
-    K = filt.order - 2
-
-    m_tab = _product_moments(filt, power)  # (power+1, 2K+1), offset idx d+K
-    M = np.zeros((P, P))
-    hstep = L / P
-    for k in range(P):
-        for delta in range(0, K + 1):
-            kp = (k + delta) % P
-            # n_s = int t^s phi(t-k) phi(t-k-delta) dt on the lifted line
-            val = 0.0
-            for s in range(power + 1):
-                ns = 0.0
-                for u in range(s + 1):
-                    ns += comb(s, u) * float(k) ** (s - u) * m_tab[u, delta + K]
-                val += comb(power, s) * a ** (power - s) * hstep ** s * ns
-            M[k, kp] = val
-            M[kp, k] = val
-    return M
 
 
 @cache

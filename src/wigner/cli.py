@@ -28,6 +28,12 @@ EXIT_NOT_CONVERGED = 4
 
 _MODES = ("evolve", "stationary", "moyal", "ensemble", "refine")
 
+
+def _exit_code(exc: WignerError) -> int:
+    """2 for a ConfigurationError, 3 for any other WignerError."""
+    return EXIT_CONFIG if isinstance(exc, ConfigurationError) else EXIT_NUMERICAL
+
+
 @dataclass
 class RunConfig:
     """A validated run: the potential U, the model parameters, the phase-space
@@ -249,8 +255,9 @@ def _assemble_smallest(mode, ps, U, params):
     the run's own assembly would.
     """
     from .assembly import assemble_evolution, assemble_stationary_pair
+    from .basis import smallest_level
 
-    j = (max(ps.order, 2 * ps.order - 4) - 1).bit_length()
+    j = smallest_level(ps.order)
     assemble = assemble_evolution if mode in ("evolve", "ensemble") \
         else assemble_stationary_pair
     assemble(replace(ps, j_coarse=j, j_fine=j), U, params)
@@ -275,9 +282,7 @@ def dump_grid(W, resolution: int, path) -> None:
         fh.write("%d %d %.17g %.17g %.17g %.17g %.17g\n"
                  % (resolution, resolution, ps.q_min, ps.q_max, ps.p_min,
                     ps.p_max, W.time))
-        for ip in range(resolution):
-            fh.write(" ".join("%.17g" % vals[iq, ip] for iq in range(resolution)))
-            fh.write("\n")
+        np.savetxt(fh, vals.T, fmt="%.17g")
 
 
 def load_grid(path):
@@ -307,11 +312,11 @@ def load_grid(path):
 
 
 def _dump_marginal(basis, coeffs, resolution, path):
+    import numpy as np
+
     xs = basis.cell_centres(resolution)
-    vals = basis.evaluate(coeffs, xs)
-    with open(path, "w") as fh:
-        for x, v in zip(xs, vals):
-            fh.write("%.17g %.17g\n" % (x, v))
+    np.savetxt(path, np.column_stack([xs, basis.evaluate(coeffs, xs)]),
+               fmt="%.17g")
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +409,9 @@ def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
     try:
         report, not_converged = _execute(cfg, run_dir, manifest)
     except WignerError as exc:
-        if isinstance(exc, ConfigurationError):
-            code, message = EXIT_CONFIG, f"configuration error: {exc}"
-        else:
-            code, message = EXIT_NUMERICAL, f"numerical error: {exc}"
+        code = _exit_code(exc)
+        kind = "configuration" if code == EXIT_CONFIG else "numerical"
+        message = f"{kind} error: {exc}"
         manifest += ["", f"error = {message}"]
         if getattr(exc, "diagnostic", None):
             detail = _diagnostic_line(exc.diagnostic)
@@ -717,11 +721,7 @@ def _cmd_validate(args) -> int:
 def _cmd_tables(args) -> int:
     from .basis import connection_coefficients, daubechies_filter
 
-    try:
-        filt = daubechies_filter(args.order)
-    except (ConfigurationError, WignerError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
+    filt = daubechies_filter(args.order)
     print(f"filter order {args.order}:")
     print("  taps:", " ".join("%.17g" % h for h in filt.taps))
     for d in range(1, args.max_deriv + 1):
@@ -767,8 +767,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except WignerError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG if isinstance(exc, ConfigurationError) \
-            else EXIT_NUMERICAL
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -20,10 +20,10 @@ from wigner.basis import (
     _product_moments,
     connection_coefficients,
     daubechies_filter,
-    moment_coefficients,
     quadrature_weights,
     scaling_function_moments,
     scaling_values,
+    smallest_level,
 )
 from wigner.errors import ConfigurationError, ContractError
 
@@ -246,7 +246,39 @@ def test_moment_power_bounds(basis6):
     with pytest.raises(ContractError):
         basis6.moment_functional(-1)
     with pytest.raises(ConfigurationError):
-        moment_coefficients(basis6, 99)
+        basis6.moment_matrix(99)
+
+
+@pytest.mark.parametrize("order", (4, 6))
+def test_moment_matrix_adds_both_overlaps_at_half_period(order):
+    """On the smallest basis, 2K functions for K = order - 2, phi_k and
+    phi_{k+K} overlap twice on the torus.  At power 1 each overlap gives
+    h m_1(K), h = L / P, since m_0(K) = 0; the entry holds both."""
+    filt = daubechies_filter(order)
+    K = order - 2
+    basis = WaveletBasis(filter=filt, j_coarse=1, j_fine=smallest_level(order),
+                         domain=(-5.0, 5.0))
+    assert basis.dim == 2 * K
+    ref = 2.0 * (basis.length / basis.dim) * quadrature_product_moment(filt, 1, K)
+    M1 = basis.moment_matrix(1)
+    for k in range(basis.dim):
+        assert abs(M1[k, (k + K) % basis.dim] - ref) < 1e-7 * abs(ref)
+
+
+@pytest.mark.parametrize("order,box", [(6, 4.0), (6, 6.0), (10, 4.0), (10, 6.0)])
+def test_moment_matrix_and_functional_share_the_lift(order, box):
+    """By the partition of unity sum_k' phi_k' = (L / P)^(-1/2), a row of
+    M_p times the integration functional is the p-th moment functional, on
+    the rows K <= k < P - K whose band does not wrap."""
+    basis = WaveletBasis(filter=daubechies_filter(order), j_coarse=3, j_fine=6,
+                         domain=(-box, box))
+    K = order - 2
+    rows = slice(K, basis.dim - K)
+    s = basis.integration_functional()
+    for p in range(5):
+        ref = basis.moment_functional(p)[rows]
+        got = (basis.moment_matrix(p) @ s)[rows]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), p
 
 
 # ---------------------------------------------------------------------------
