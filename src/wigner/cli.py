@@ -26,8 +26,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_NOT_CONVERGED = 4
 
-_MODES = ("evolve", "stationary", "moyal", "ensemble", "refine")
-
 
 def _exit_code(exc: WignerError) -> int:
     """2 for a ConfigurationError, 3 for any other WignerError."""
@@ -47,10 +45,8 @@ class RunConfig:
     initial: dict
     evolution: object
     epsilon: float
-    n_max: int
     n_min: int
     n_states: int
-    pairs: int
     ensemble: dict
     out_directory: str
     grid_resolution: int
@@ -105,8 +101,9 @@ def parse_config(path) -> RunConfig:
             return None
 
     mode = get("run", "mode", required=True, default="evolve")
-    if mode not in _MODES:
-        errors.append(f"[run] mode must be one of {_MODES} (got {mode!r})")
+    if mode not in _RUNNERS:
+        errors.append(f"[run] mode must be one of {tuple(_RUNNERS)} "
+                      f"(got {mode!r})")
 
     from .assembly import PhaseSpaceBasis
     from .basis import MAX_MOMENT_POWER
@@ -129,32 +126,26 @@ def parse_config(path) -> RunConfig:
         "p0": get("initial", "p0", 0.0, float),
         "sigma_q": get("initial", "sigma_q", None, float),
         "sigma_p": get("initial", "sigma_p", None, float),
-        "norm": get("initial", "norm", 1.0, float),
     }
     if initial["type"] not in ("gaussian",):
         errors.append(f"[initial] type must be 'gaussian' (got {initial['type']!r})")
     for key in ("sigma_q", "sigma_p"):
         if initial[key] is not None and initial[key] <= 0:
             errors.append(f"[initial] {key} must be positive")
-    if initial["norm"] == 0:
-        errors.append("[initial] norm must be nonzero")
 
     evolution = build(EvolutionConfig, "solver")
     epsilon = get("solver", "epsilon", 1e-4, float)
-    n_max = get("solver", "n_max", ps.j_fine if ps else None, int)
     n_min = get("solver", "n_min", 4, int)
     n_states = get("solver", "n_states", 4, int)
-    pairs = get("solver", "pairs", 4, int)
     if epsilon <= 0:
         errors.append("[solver] epsilon must be positive")
     if n_states < 1:
         errors.append("[solver] n_states must be >= 1")
-    if pairs < 1:
-        errors.append("[solver] pairs must be >= 1")
-    # n_max defaults to j_fine, so only refine runs must order the levels
-    if mode == "refine" and n_max is not None and n_min > n_max:
-        errors.append("[solver] n_min must not exceed n_max")
+    # refine levels run from n_min to the run's own j_fine
     if mode == "refine" and ps is not None:
+        if n_min > ps.j_fine:
+            errors.append(f"[solver] n_min {n_min} exceeds [basis] j_fine = "
+                          f"{ps.j_fine}, the last refine level")
         try:
             replace(ps, j_fine=n_min)
         except ConfigurationError as exc:
@@ -165,7 +156,6 @@ def parse_config(path) -> RunConfig:
     ensemble = {
         "n_max": get("ensemble", "n_max", 1, int),
         "weights": get("ensemble", "weights", "coherent:1.0"),
-        "u0": get("ensemble", "u0", 1.0, float),
         "g": get("ensemble", "g", "q^2"),
     }
     g = None
@@ -224,13 +214,14 @@ def parse_config(path) -> RunConfig:
 
     for section in parser.sections():
         if section not in known:
-            close = difflib.get_close_matches(section, known, n=1)
+            close = difflib.get_close_matches(section, known, n=1, cutoff=0.7)
             hint = f"; did you mean [{close[0]}]?" if close else ""
             errors.append(f"unknown section [{section}]{hint}")
             continue
         for key in parser[section]:
             if key not in known[section]:
-                close = difflib.get_close_matches(key, known[section], n=1)
+                close = difflib.get_close_matches(key, known[section], n=1,
+                                                  cutoff=0.7)
                 hint = f"; did you mean {close[0]!r}?" if close else ""
                 errors.append(f"unknown key {key!r} in [{section}]{hint}")
 
@@ -240,8 +231,8 @@ def parse_config(path) -> RunConfig:
 
     return RunConfig(
         mode=mode, U=U, params=params, ps=ps, initial=initial,
-        evolution=evolution, epsilon=epsilon, n_max=n_max, n_min=n_min,
-        n_states=n_states, pairs=pairs, ensemble=ensemble,
+        evolution=evolution, epsilon=epsilon, n_min=n_min,
+        n_states=n_states, ensemble=ensemble,
         out_directory=out_directory, grid_resolution=grid_resolution,
         checkpoint_every=checkpoint_every, thresholds=thresholds, raw_text=raw,
     )
@@ -353,8 +344,8 @@ def _initial_field(cfg: RunConfig, ps):
     hbar = cfg.params.hbar
     sq = ini["sigma_q"] if ini["sigma_q"] is not None else (hbar / 2.0) ** 0.5
     sp_ = ini["sigma_p"] if ini["sigma_p"] is not None else (hbar / 2.0) ** 0.5
-    q0, p0, norm = ini["q0"], ini["p0"], ini["norm"]
-    amp = norm / (2.0 * np.pi * sq * sp_)
+    q0, p0 = ini["q0"], ini["p0"]
+    amp = 1.0 / (2.0 * np.pi * sq * sp_)
 
     def f(q, p):
         return amp * np.exp(-((q - q0) ** 2) / (2 * sq ** 2)
@@ -438,22 +429,9 @@ def _execute(cfg: RunConfig, run_dir, manifest):
     """Run the configured mode, write its artifacts and fill ``manifest``."""
     from .diagnostics import diagnostics_report, marginals
 
-    not_converged = False
-
     # every mode hands the states it computes to one writer, the last one final
     store = _CheckpointWriter(cfg, run_dir)
-    if cfg.mode == "evolve":
-        _run_evolution(cfg, store)
-    elif cfg.mode == "ensemble":
-        _run_ensemble(cfg, store)
-    elif cfg.mode == "stationary":
-        _run_stationary(cfg, manifest, store)
-    elif cfg.mode == "moyal":
-        _run_moyal(cfg, manifest, store)
-    elif cfg.mode == "refine":
-        not_converged = _run_refine(cfg, manifest, store)
-    else:  # pragma: no cover - parse_config rejects unknown modes
-        raise ConfigurationError(f"unhandled mode {cfg.mode!r}")
+    not_converged = _RUNNERS[cfg.mode](cfg, manifest, store)
     store.finish()
 
     final = store.last
@@ -476,13 +454,14 @@ def _execute(cfg: RunConfig, run_dir, manifest):
     return report, not_converged
 
 
-def _run_evolution(cfg, store):
+def _run_evolution(cfg, manifest, store):
     from .assembly import assemble_evolution
     from .solve import evolve
 
     W0 = _initial_field(cfg, cfg.ps)
     evolve(W0, assemble_evolution(cfg.ps, cfg.U, cfg.params), cfg.evolution,
            store=store)
+    return False
 
 
 def _ensemble_weights(text, n_max):
@@ -504,18 +483,16 @@ def _ensemble_weights(text, n_max):
     return weights / weights.sum()
 
 
-def _run_ensemble(cfg, store):
-    """Stores the initial and the final superposed field."""
+def _run_ensemble(cfg, manifest, store):
+    """Stores W0, the state every level starts from, and the final
+    superposed field."""
     from .ensemble import evolve_ensemble
-    from .solve import CoefficientField
 
-    ps = cfg.ps
-    W0 = _initial_field(cfg, ps)
-    spec = cfg.ensemble
-    weights = spec["weights"]
-    store(CoefficientField(ps=ps, coeffs=sum(w * W0.coeffs for w in weights)))
-    store(evolve_ensemble(W0, weights, spec["u0"], spec["g"], cfg.params,
-                          cfg.evolution))
+    W0 = _initial_field(cfg, cfg.ps)
+    store(W0)
+    store(evolve_ensemble(W0, cfg.ensemble["weights"], cfg.ensemble["g"],
+                          cfg.params, cfg.evolution))
+    return False
 
 
 def _run_stationary(cfg, manifest, store):
@@ -529,6 +506,7 @@ def _run_stationary(cfg, manifest, store):
         manifest.append(f"eps_{i} = {eps:.12g}")
     manifest.append(f"ritz_defect = {states.ritz_defect(cfg.params.hbar):.6g}")
     store(states[0][1])
+    return False
 
 
 def _run_moyal(cfg, manifest, store):
@@ -538,13 +516,14 @@ def _run_moyal(cfg, manifest, store):
     from .solve import CoefficientField, moyal_eigen
 
     A_sym, A_anti = assemble_stationary_pair(cfg.ps, cfg.U, cfg.params)
-    pairs = moyal_eigen(A_sym, A_anti, cfg.pairs, hbar=cfg.params.hbar)
+    pairs = moyal_eigen(A_sym, A_anti, cfg.n_states, hbar=cfg.params.hbar)
     manifest.append("[eigenvalues]")
     for i, (e_lo, e_hi, _) in enumerate(pairs):
         manifest.append(f"pair_{i} = {e_lo:.12g} {e_hi:.12g}")
     manifest.append(f"ritz_defect = {pairs.ritz_defect(cfg.params.hbar):.6g}")
     W = pairs[0][2]
     store(CoefficientField(ps=W.ps, coeffs=np.real(W.coeffs), time=W.time))
+    return False
 
 
 def _run_refine(cfg, manifest, store):
@@ -557,7 +536,7 @@ def _run_refine(cfg, manifest, store):
         A_sym, A_anti = assemble_stationary_pair(ps, cfg.U, cfg.params)
         return stationary_eigen(A_sym, A_anti, 1)[0][1]
 
-    W, report = refine_until(solve_at_level, cfg.epsilon, cfg.n_max,
+    W, report = refine_until(solve_at_level, cfg.epsilon, cfg.ps.j_fine,
                              n_min=cfg.n_min)
     manifest.append("[refinement]")
     for N, diff in report.levels_tried:
@@ -567,6 +546,12 @@ def _run_refine(cfg, manifest, store):
     manifest.append(f"monotone = {report.monotone}")
     store(W)
     return not report.converged
+
+
+# mode -> runner(cfg, manifest, store), which returns True when not converged
+_RUNNERS = {"evolve": _run_evolution, "stationary": _run_stationary,
+            "moyal": _run_moyal, "ensemble": _run_ensemble,
+            "refine": _run_refine}
 
 
 def _dump_scale_parts(cfg, final, run_dir):

@@ -1,6 +1,6 @@
 """Fock-level ensembles of Wigner equations.
 
-Photon-number level n evolves W0 under its own potential U_n = U0 * n * g;
+Photon-number level n evolves W0 under its own potential U_n = n * g;
 the ensemble is the incoherent sum of those evolutions, one ``evolve`` each.
 """
 
@@ -37,10 +37,9 @@ def coherent_weights(alpha: float, n_max: int) -> np.ndarray:
     return w / total
 
 
-def evolve_ensemble(W0: CoefficientField, weights, U0: float,
-                    g: PolynomialPotential, params: ModelParams,
-                    cfg: EvolutionConfig) -> CoefficientField:
-    """The weighted sum sum_n w_n W_n, W_n evolved from W0 under U0 * n * g.
+def evolve_ensemble(W0: CoefficientField, weights, g: PolynomialPotential,
+                    params: ModelParams, cfg: EvolutionConfig) -> CoefficientField:
+    """The weighted sum sum_n w_n W_n, W_n evolved from W0 under n * g.
 
     A level whose weight is below the floor (1e-12) is not evolved and
     contributes W0.  Errors from a level's evolution are re-raised tagged
@@ -50,7 +49,7 @@ def evolve_ensemble(W0: CoefficientField, weights, U0: float,
     for n, w in enumerate(weights):
         W = W0
         if w >= WEIGHT_FLOOR:
-            L = assemble_evolution(W0.ps, g.scaled(U0 * n), params)
+            L = assemble_evolution(W0.ps, g.scaled(n), params)
             try:
                 W = evolve(W0, L, cfg)
             except WignerError as exc:

@@ -679,6 +679,8 @@ def refine_until(solve_at_level, epsilon: float, n_max: int,
     """
     if epsilon <= 0:
         raise ContractError("epsilon must be positive")
+    if n_min > n_max:
+        raise ContractError(f"empty level range: n_min {n_min} > n_max {n_max}")
     prev = None
     prev_level = None
     tried = []

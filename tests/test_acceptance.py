@@ -317,10 +317,10 @@ def test_fock_hierarchy_recombination_is_exact():
     t0 = time.time()
     ps = _phase_space(6, 6, (-6.0, 6.0))
     W0 = _gaussian(ps)
-    g = parse_potential("q^2")
+    g = parse_potential("0.5*q^2")
     weights = coherent_weights(1.0, 2)
     cfg = EvolutionConfig(dt=0.05, t_end=0.5)
-    combined = evolve_ensemble(W0, weights, 0.5, g, PARAMS, cfg)
+    combined = evolve_ensemble(W0, weights, g, PARAMS, cfg)
 
     manual = np.zeros(ps.dim)
     for w, U_n in zip(weights, ("0", "0.5*q^2", "q^2")):

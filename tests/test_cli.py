@@ -153,6 +153,20 @@ def test_readme_config_reference_validates(tmp_path, capsys):
     assert "config ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("section,key", [("solver", "n_max"), ("solver", "pairs"),
+                                         ("initial", "norm"), ("ensemble", "u0")])
+def test_removed_keys_are_unknown_without_a_hint(tmp_path, capsys, section, key):
+    """j_fine ends the refine levels, n_states counts the moyal pairs, and
+    the Gaussian's norm and the ensemble's scale are in its formula and in
+    g: these keys are gone, and no near-miss hint points elsewhere."""
+    # [solver] is the last section of MINIMAL
+    text = MINIMAL if section == "solver" else MINIMAL + f"\n[{section}]\n"
+    assert main(["validate", _write(tmp_path, text + f"{key} = 1\n")]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid configuration:", f"  unknown key {key!r} in [{section}]"]
+
+
 # ---------------------------------------------------------------------------
 # grid dumps
 # ---------------------------------------------------------------------------
@@ -240,8 +254,8 @@ def test_validate_command(tmp_path, capsys):
     [("potential = 0.5*q^2", "potential = p^2")],
     [("potential = 0.5*q^2", "potential = 0.5*q^2 + p^2")],
     [("t_end = 0.1", "t_end = 0.1\nn_states = 0")],
-    [("t_end = 0.1", "t_end = 0.1\npairs = 0")],
-    [("mode = evolve", "mode = refine"), ("t_end = 0.1", "t_end = 0.1\nn_min = 5\nn_max = 4")],
+    # refine levels run from n_min to j_fine = 4
+    [("mode = evolve", "mode = refine"), ("t_end = 0.1", "t_end = 0.1\nn_min = 5")],
     [("mode = evolve", "mode = ensemble"),
      ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\nn_max = 2\nweights = 0.5 0.5")],
     # q^4 needs d^3/dp^3, beyond the regularity of order 4
@@ -263,9 +277,6 @@ def test_validate_command(tmp_path, capsys):
      ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\nn_max = 1\nweights = 1.5 -0.5")],
     [("mode = evolve", "mode = ensemble"),
      ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\nn_max = 1\nweights = 0 0")],
-    # a zero field has no scale entropy to report
-    [("t_end = 0.1", "t_end = 0.1\n\n[initial]\nnorm = 0")],
-    [("t_end = 0.1", "t_end = 0.1\n\n[initial]\nnorm = nan")],
     [("dt = 0.05", "dt = nan")],
     # a non-finite amplitude or weight gives non-finite Fock weights
     [("mode = evolve", "mode = ensemble"),
@@ -283,15 +294,14 @@ def test_validate_command(tmp_path, capsys):
     # a lone % is an interpolation error of the INI reader
     [("potential = 0.5*q^2", "potential = 5%")],
     [("j_coarse = 3", "j_coarse = -1")],
-    # the run's own basis is built in refine mode too, though its levels run
-    # from n_min to n_max
+    # the run's own basis is the last refine level
     [("mode = evolve", "mode = refine"), ("order = 6", "order = 10"),
-     ("j_fine = 4", "j_fine = 3"), ("t_end = 0.1", "t_end = 0.1\nn_min = 5\nn_max = 6")],
-], ids=["lindblad", "pure_p", "p_term", "n_states", "pairs", "n_min",
+     ("j_fine = 4", "j_fine = 3"), ("t_end = 0.1", "t_end = 0.1\nn_min = 3")],
+], ids=["lindblad", "pure_p", "p_term", "n_states", "n_min",
         "ensemble_weights", "filter_too_rough", "q9_evolve", "q9_stationary",
         "support_too_coarse", "moment_band_too_coarse", "refine_n_min_too_coarse",
         "store_every", "checkpoint_every", "sigma_q", "negative_weight",
-        "zero_weights", "zero_norm", "nan_norm", "nan_dt", "coherent_nan",
+        "zero_weights", "nan_dt", "coherent_nan",
         "coherent_inf", "inf_weight", "top_k", "theta_frac", "theta_loc",
         "theta_chaos", "theta_stab", "interpolation", "negative_j_coarse",
         "refine_j_fine_too_coarse"])
@@ -355,7 +365,7 @@ def test_refine_j_coarse_must_not_exceed_n_min(tmp_path, capsys):
     """Refine compares successive levels in one multiscale frame, which
     every level from n_min up has only when j_coarse <= n_min."""
     text = _edited([("mode = evolve", "mode = refine"),
-                    ("t_end = 0.1", "t_end = 0.1\nn_min = 3\nn_max = 4")])
+                    ("t_end = 0.1", "t_end = 0.1\nn_min = 3")])
     assert main(["validate", _write(tmp_path, text)]) == EXIT_OK
     bad = _write(tmp_path, text.replace("j_coarse = 3", "j_coarse = 4"), "b.ini")
     assert main(["validate", bad]) == EXIT_CONFIG
@@ -390,7 +400,7 @@ def test_run_stationary_reports_eigenvalues(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode, count", [("stationary", "n_states = 2"),
-                                         ("moyal", "pairs = 4")],
+                                         ("moyal", "n_states = 4")],
                          ids=["stationary", "moyal"])
 def test_eigen_runs_report_the_ritz_defect(tmp_path, capsys, mode, count):
     """Stationary and moyal manifests end their [eigenvalues] block with the
@@ -410,7 +420,7 @@ def test_eigen_runs_report_the_ritz_defect(tmp_path, capsys, mode, count):
 
 def test_run_refine_not_converged_exit_code(tmp_path, capsys):
     text = MINIMAL.replace("mode = evolve", "mode = refine") + \
-        "epsilon = 1e-14\nn_min = 3\nn_max = 4\n"
+        "epsilon = 1e-14\nn_min = 3\n"
     path = _write(tmp_path, text)
     out = str(tmp_path / "out")
     assert main(["run", path, "--out", out]) == EXIT_NOT_CONVERGED
@@ -451,9 +461,9 @@ def test_one_step_evolve_is_classified_against_its_initial_state(tmp_path, capsy
     ([("mode = evolve", "mode = stationary"),
       ("t_end = 0.1", "t_end = 0.1\nn_states = 100000")], EXIT_NUMERICAL,
      "dim=256 eigenpairs=1.99999e+10"),
-    # and pairs from k = 2 pairs + 2
+    # and n pairs from k = 2n + 2
     ([("mode = evolve", "mode = moyal"),
-      ("t_end = 0.1", "t_end = 0.1\npairs = 300")], EXIT_NUMERICAL,
+      ("t_end = 0.1", "t_end = 0.1\nn_states = 300")], EXIT_NUMERICAL,
      "dim=256 eigenpairs=602"),
     # one midpoint step of dt = 1 needs more defect corrections than the cap
     ([("potential = 0.5*q^2", "potential = 0.5*q^2 + 0.1*q^4\ngamma = 0.05\n"
@@ -703,15 +713,15 @@ _QUARTIC = [("0.5*q^2", "0.5*q^2 + 0.1*q^4"), ("order = 6", "order = 10"),
     ([("mode = evolve", "mode = stationary")] + _QUARTIC
      + [("t_end = 0.1", "n_states = 2")], EXIT_OK),
     ([("mode = evolve", "mode = moyal")] + _QUARTIC
-     + [("j_fine = 5", "j_fine = 6"), ("t_end = 0.1", "pairs = 2")], EXIT_OK),
+     + [("j_fine = 5", "j_fine = 6"), ("t_end = 0.1", "n_states = 2")], EXIT_OK),
     ([("mode = evolve", "mode = ensemble"), ("order = 6", "order = 8"),
       ("j_fine = 4", "j_fine = 5"), ("-4", "-5"), ("= 4", "= 5"),
       ("0.5*q^2", "0.5*q^2\ngamma = 0.1\ndiffusion = 0.05"),
       ("dt = 0.05", "dt = 0.02"),
       ("t_end = 0.1", "t_end = 0.4\n\n[initial]\nq0 = 0.3\n\n[ensemble]\n"
-       "n_max = 2\nweights = coherent:0.8\nu0 = 0.3\ng = 0.1*q^3 + q^2")], EXIT_OK),
+       "n_max = 2\nweights = coherent:0.8\ng = 0.03*q^3 + 0.3*q^2")], EXIT_OK),
     ([("mode = evolve", "mode = refine"),
-      ("t_end = 0.1", "epsilon = 1e-14\nn_min = 3\nn_max = 4")], EXIT_NOT_CONVERGED),
+      ("t_end = 0.1", "epsilon = 1e-14\nn_min = 3")], EXIT_NOT_CONVERGED),
 ], ids=["evolve", "stationary", "moyal", "ensemble", "refine"])
 def test_manifest_reports_the_last_series_row(tmp_path, edits, code):
     """The manifest's [diagnostics] figures of the final state and the last
@@ -752,6 +762,23 @@ def test_ensemble_series_has_no_energy(tmp_path):
     energy = HealthSeries.COLUMNS.index("energy")
     assert np.isnan(rows[:, energy]).all()
     assert np.isfinite(np.delete(rows, energy, axis=1)).all()
+
+
+@pytest.mark.parametrize("alpha", ["0.8", "1.0"])
+def test_ensemble_run_starts_from_w0_itself(tmp_path, alpha):
+    """An ensemble run's initial state is W0, the field every level starts
+    from, bit for bit as an evolve run projects it; not sum_n w_n W0,
+    which equals W0 only to roundoff."""
+    ensemble = ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\nn_max = 2\n"
+                f"weights = coherent:{alpha}")
+    initial = {}
+    for mode, edits in (("evolve", []), ("ensemble", [ensemble])):
+        text = _edited([("mode = evolve", f"mode = {mode}")] + edits)
+        (tmp_path / mode).mkdir()
+        run_dir = _run_dir(tmp_path / mode, text)
+        initial[mode] = [open(os.path.join(run_dir, name), "rb").read()
+                         for name in ("checkpoint_0000.npy", "w_initial.wgrid")]
+    assert initial["ensemble"] == initial["evolve"]
 
 
 def test_series_energy_and_edge_mass(tmp_path):

@@ -26,11 +26,11 @@ def test_coherent_weights_poissonian():
 
 def test_hierarchy_recombination_oracle(ps6, gaussian_field6):
     """The ensemble equals the weighted sum of independent level runs, each
-    under its potential U_n = U0 * n * g written out by hand."""
-    g = parse_potential("q^2")
+    under its potential U_n = n * g written out by hand."""
+    g = parse_potential("0.5*q^2")
     cfg = EvolutionConfig(dt=0.05, t_end=0.3)
     weights = [0.6, 0.4]
-    combined = evolve_ensemble(gaussian_field6, weights, 0.5, g, PARAMS, cfg)
+    combined = evolve_ensemble(gaussian_field6, weights, g, PARAMS, cfg)
     manual = np.zeros(ps6.dim)
     for w, U_n in zip(weights, ("0", "0.5*q^2")):
         L = assemble_evolution(ps6, parse_potential(U_n), PARAMS)
@@ -44,8 +44,8 @@ def test_hierarchy_skips_negligible_weights(ps6, gaussian_field6):
     g = parse_potential("q^2")
     cfg = EvolutionConfig(dt=0.05, t_end=0.2)
     w_tiny = WEIGHT_FLOOR / 10.0
-    out = evolve_ensemble(gaussian_field6, [1.0 - w_tiny, w_tiny], 1.0, g,
-                          PARAMS, cfg)
+    out = evolve_ensemble(gaussian_field6, [1.0 - w_tiny, w_tiny], g, PARAMS,
+                          cfg)
     L0 = assemble_evolution(ps6, parse_potential("0"), PARAMS)
     level0 = evolve(gaussian_field6, L0, cfg).coeffs
     np.testing.assert_allclose(
@@ -59,12 +59,12 @@ def test_hierarchy_error_tagged_with_level(ps6, gaussian_field6):
     g = parse_potential("q^2")
     bad_cfg = EvolutionConfig(dt=1.0, t_end=2.0)
     with pytest.raises(NumericalError, match="Fock level n=1"):
-        evolve_ensemble(gaussian_field6, [0.5, 0.5], 1.0, g, PARAMS, bad_cfg)
+        evolve_ensemble(gaussian_field6, [0.5, 0.5], g, PARAMS, bad_cfg)
 
 
 def test_superpose_preserves_normalization(ps6, gaussian_field6):
     g = parse_potential("q^2")
-    out = evolve_ensemble(gaussian_field6, [0.3, 0.7], 1.0, g, PARAMS,
+    out = evolve_ensemble(gaussian_field6, [0.3, 0.7], g, PARAMS,
                           EvolutionConfig(dt=0.05, t_end=0.2))
     s = gaussian_field6.ps.integration_functional()
     assert abs(s @ out.coeffs - s @ gaussian_field6.coeffs) < 1e-12

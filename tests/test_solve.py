@@ -711,6 +711,15 @@ def test_refine_until_trivial_convergence():
     assert len(report.levels_tried) >= 1
 
 
+def test_refine_until_rejects_an_empty_level_range():
+    """n_min above n_max leaves no level to solve: an error, not a None
+    field with no accepted level."""
+    solved = []
+    with pytest.raises(ContractError, match="n_min 5 > n_max 3"):
+        refine_until(solved.append, epsilon=1e-3, n_max=3, n_min=5)
+    assert solved == []
+
+
 def test_refine_until_not_converged():
     rng = np.random.default_rng(0)
 
