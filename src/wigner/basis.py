@@ -6,7 +6,7 @@ the objects built here:
 * ``FilterCoefficients`` / ``daubechies_filter`` -- orthonormal low-pass taps.
 * ``scaling_values`` -- the scaling function phi on a dyadic grid (cascade).
 * ``connection_coefficients`` -- integrals of products of derivatives of phi,
-  obtained exactly from the refinement relation (not by quadrature).
+  exact from the refinement relation (not by quadrature); cached, read-only.
 * ``WaveletBasis`` -- a periodized multiresolution basis on an interval, with
   its Galerkin tables (``derivative_matrix``, ``moment_matrix`` of x^m
   against products of basis functions, ``moment_functional``), single-scale
@@ -133,26 +133,9 @@ def _check_filter(filt: FilterCoefficients) -> None:
 # scaling function values (cascade)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScalingTable:
-    """phi sampled at k / 2^resolution, k = 0 .. support * 2^resolution."""
-
-    filter: FilterCoefficients
-    resolution: int
-    values: np.ndarray
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.arange(self.values.size) / 2.0 ** self.resolution
-
-    def __call__(self, x):
-        """Evaluate phi(x); exact at represented dyadic points, linear in between."""
-        return np.interp(np.asarray(x, dtype=float), self.grid, self.values,
-                         left=0.0, right=0.0)
-
-
-def scaling_values(filt: FilterCoefficients, resolution: int) -> ScalingTable:
-    """Scaling function on the dyadic grid via refinement-matrix + cascade."""
+def scaling_values(filt: FilterCoefficients, resolution: int) -> np.ndarray:
+    """phi at k / 2^resolution, k = 0 .. support * 2^resolution, by the
+    refinement-matrix eigenvector at the integers and the cascade."""
     if resolution < 0:
         raise ContractError("dyadic resolution must be >= 0")
     n = filt.order
@@ -194,7 +177,7 @@ def scaling_values(filt: FilterCoefficients, resolution: int) -> ScalingTable:
             cur[xs[ok]] += _SQRT2 * h[k] * prev[src[ok]]
         values = cur
 
-    return ScalingTable(filter=filt, resolution=resolution, values=values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +186,28 @@ def scaling_values(filt: FilterCoefficients, resolution: int) -> ScalingTable:
 
 @dataclass(frozen=True)
 class ConnectionTable:
-    """Lambda[d](k) = int phi(x) phi^(d)(x - k) dx, banded in k."""
+    """Lambda[d](k) = int phi(x) phi^(d)(x - k) dx, banded in k; read-only."""
 
     offsets: np.ndarray
     values: np.ndarray
 
 
 @cache
-def _deriv_product_integrals(filt: FilterCoefficients, d: int) -> np.ndarray:
-    """Gamma^d(k) = int phi(x) phi^(d)(x - k) dx, k = -(K)..K, K = order - 2.
+def connection_coefficients(filt: FilterCoefficients, d: int) -> ConnectionTable:
+    """Exact Galerkin table of the d-th derivative, Gamma^d(k) =
+    int phi(x) phi^(d)(x - k) dx for k = -K..K, K = order - 2.
 
     Solves the homogeneous refinement system Gamma = 2^d A Gamma together
     with the moment normalization sum_k k^d Gamma(k) = (-1)^d d!.  Cached
     per filter order and d.
     """
+    if d < 0:
+        raise ContractError("derivative order must be non-negative")
+    if d >= filt.order / 2 + 1:
+        raise ConfigurationError(
+            f"derivative order {d} exceeds the regularity of filter order "
+            f"{filt.order}; use a higher filter order"
+        )
     K = filt.order - 2
     offsets = np.arange(-K, K + 1)
     A = _two_scale_matrix(filt.autocorrelation(), K)
@@ -242,20 +233,9 @@ def _deriv_product_integrals(filt: FilterCoefficients, d: int) -> np.ndarray:
             f"derivative-product integrals of order {d} do not exist for "
             f"filter order {filt.order}; use a higher filter order"
         )
-    return offsets, gamma * (target / norm)
-
-
-def connection_coefficients(filt: FilterCoefficients, d: int) -> ConnectionTable:
-    """Exact Galerkin table of the d-th derivative, from the refinement system."""
-    if d < 0:
-        raise ContractError("derivative order must be non-negative")
-    if d >= filt.order / 2 + 1:
-        raise ConfigurationError(
-            f"derivative order {d} exceeds the regularity of filter order "
-            f"{filt.order}; use a higher filter order"
-        )
-    offsets, gamma = _deriv_product_integrals(filt, d)
-    return ConnectionTable(offsets=offsets.copy(), values=gamma.copy())
+    values = gamma * (target / norm)
+    offsets.flags.writeable = values.flags.writeable = False
+    return ConnectionTable(offsets=offsets, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +348,8 @@ class WaveletBasis:
     j_coarse: int
     j_fine: int
     domain: tuple
-    _scaling_table: ScalingTable = field(default=None, init=False, repr=False,
-                                         compare=False)
+    _scaling_values: np.ndarray = field(default=None, init=False, repr=False,
+                                        compare=False)
     _dwt: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -488,18 +468,15 @@ class WaveletBasis:
 
     # -- evaluation --------------------------------------------------------
 
-    @property
-    def scaling_table(self) -> ScalingTable:
-        if self._scaling_table is None:
-            self._scaling_table = scaling_values(self.filter, EVAL_RESOLUTION)
-        return self._scaling_table
-
     def evaluation_matrix(self, x: np.ndarray) -> np.ndarray:
         """Phi[i, k] = phi_k(x_i) for single-scale basis functions."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         P = self.dim
         t = (x - self.domain[0]) * (P / self.length)
-        tab = self.scaling_table
+        if self._scaling_values is None:
+            self._scaling_values = scaling_values(self.filter, EVAL_RESOLUTION)
+        phi = self._scaling_values
+        grid = np.arange(phi.size) / 2.0 ** EVAL_RESOLUTION
         support = self.filter.support_length
         amp = np.sqrt(P / self.length)
         out = np.zeros((x.size, P))
@@ -508,7 +485,8 @@ class WaveletBasis:
             k = (np.floor(t) - j) % P
             u = (t - k) % P
             ok = u <= support
-            out[ok, k[ok].astype(int)] = amp * tab(u[ok])
+            out[ok, k[ok].astype(int)] = amp * np.interp(u[ok], grid, phi,
+                                                         left=0.0, right=0.0)
         return out
 
     def evaluate(self, coeffs: np.ndarray, x) -> np.ndarray:

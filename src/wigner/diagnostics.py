@@ -92,11 +92,11 @@ def classify(final: CoefficientField, previous: CoefficientField = None,
              thresholds: ClassifierThresholds = ClassifierThresholds()) -> str:
     """Label a state: localized_mode / chaotic_pattern / waveleton.
 
-    ``previous`` is the checkpoint before ``final``; without one the state
-    does not evolve and counts as stable.  All criteria are ratios invariant
-    under global scaling of the fields; waveleton (localized AND stable AND
-    energy concentrated in the top-k coefficients) takes precedence over
-    localized_mode.
+    ``previous`` is the state a run stored before ``final``, not the
+    checkpoint before it; without one the state does not evolve and counts
+    as stable.  All criteria are ratios invariant under global scaling of
+    the fields; waveleton (localized AND stable AND energy concentrated in
+    the top-k coefficients) takes precedence over localized_mode.
     """
     dim = final.ps.dim
 

@@ -463,8 +463,9 @@ def _shifted_band(op: AssembledOperator, sigma: float):
     return ab, (fq[:, None] * n_p + fp).reshape(-1)
 
 
-def _shifted_inverse(op: AssembledOperator, sigma: float):
-    """v -> (op - sigma I)^-1 v by a banded Cholesky factor of ``_shifted_band``.
+def _shifted_inverse(op: AssembledOperator, sigma: float) -> spla.LinearOperator:
+    """(op - sigma I)^-1, the OPinv of ``eigsh``, by a banded Cholesky
+    factor of ``_shifted_band``.
 
     Raises NumericalError when op - sigma I is not positive definite, that is
     when op has a level below sigma.
@@ -485,68 +486,7 @@ def _shifted_inverse(op: AssembledOperator, sigma: float):
                                       check_finite=False)
         return x
 
-    return solve
-
-
-def _lowest_eigenpairs(op: AssembledOperator, k: int):
-    """Yields the k lowest eigenpairs (ascending values, unit columns of V)
-    of A_sym, the one operator that stationary, refine and moyal runs
-    factor, then those for k grown by a quarter (at least 2) each time the
-    caller asks again.
-
-    sigma is the lowest level of op's q-only part (``_spectrum_floor``).
-    op - sigma I is written as a band in folded axis order
-    (``_shifted_band``) and Cholesky-factorized in place
-    (``_shifted_inverse``), once for every k.  The band takes 8 (u + 1) dim
-    bytes for half-bandwidth u = 2 b_q n_p + 2 b_p, where b_q, b_p are the
-    factors' periodic half-bandwidths: b = 8 at order 10, so 34 MB at 64x64
-    and 270 MB at 128x128.  That factor exists only when sigma lies below
-    every eigenvalue of op, so ARPACK's shift-invert with the banded solve
-    as OPinv (the k eigenvalues nearest sigma) returns the lowest pairs.
-    Every k starts from the same vector, so runs repeat bit for bit.
-
-    Raises NumericalError when k >= dim, the first k before the band is
-    written; when op - sigma I is not positive definite; when ARPACK does
-    not converge; or when a residual ||op v - lambda v|| / ||v|| exceeds
-    1e-8.
-    """
-    n = op.ps.dim
-    inv = None
-    while k < n:
-        if inv is None:
-            sigma = _spectrum_floor(op)
-            A = spla.LinearOperator((n, n), matvec=op.apply, dtype=float)
-            inv = spla.LinearOperator((n, n), matvec=_shifted_inverse(op, sigma),
-                                      dtype=float)
-            # A fixed start vector, drawn as ARPACK draws its own, makes runs
-            # repeatable.
-            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-        try:
-            vals, vecs = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
-                                    OPinv=inv)
-        except spla.ArpackNoConvergence as exc:
-            raise NumericalError(
-                "shift-invert eigensolver did not converge",
-                diagnostic={"converged_eigenvalues":
-                            getattr(exc, "eigenvalues", None)},
-            ) from exc
-        # np.take keeps eigsh's row-major V (a fancy index would not), and
-        # the last bits of a column's dot products depend on its stride.
-        order = np.argsort(vals)
-        vals, vecs = vals[order], np.take(vecs, order, axis=1)
-        for lam, v in zip(vals, vecs.T):
-            resid = np.linalg.norm(op.apply(v) - lam * v) / np.linalg.norm(v)
-            if resid > 1e-8:
-                raise NumericalError(
-                    "stationary eigenpair residual too large",
-                    diagnostic={"eigenvalue": float(lam), "residual": float(resid)},
-                )
-        yield vals, vecs
-        k += max(2, k // 4)
-    raise NumericalError(
-        f"{k} eigenpairs are needed, but the basis has dim = {n}",
-        diagnostic={"eigenpairs": k, "dim": n},
-    )
+    return spla.LinearOperator((len(perm), len(perm)), matvec=solve, dtype=float)
 
 
 def _split_subspace(A_anti: AssembledOperator, lam, V) -> _Split:
@@ -579,28 +519,73 @@ def _split_subspace(A_anti: AssembledOperator, lam, V) -> _Split:
 
 
 def _splits(A_sym: AssembledOperator, A_anti: AssembledOperator, k: int):
-    """Yields (line, split) for the k lowest eigenpairs of A_sym, then for
-    each grown k of ``_lowest_eigenpairs`` each time the caller asks again.
+    """Yields (line, split) for the k lowest eigenpairs of A_sym, then for k
+    grown by a quarter (at least 2) each time the caller asks again.
 
     A two-sided eigenfield, H*W = E'W and W*H = E''W, has A_sym W =
     ((E' + E'')/2) W and A_anti W = (i/hbar)(E'' - E') W (Curtright,
     Fairlie & Zachos, PRD 58, 025002, 1998).  So the k lowest eigenpairs of
-    A_sym (``_lowest_eigenpairs``, one factor for every k) span the fields
-    below lambda_{k-1}, and ``_split_subspace`` reads them off: A_sym alone
-    does not separate |m><n| from a diagonal state of nearby level, nor
-    A_anti the equal gaps of the oscillator; together they do.  Only the
-    eigenvectors below the widest gap above line = lambda_{k-1} -
-    ``_MARGIN`` (lambda_{k-1} - lambda_0) are split, and a caller keeps a
-    split once the highest level it takes lies at or below the line.
+    A_sym span the fields below lambda_{k-1}, and ``_split_subspace`` reads
+    them off: A_sym alone does not separate |m><n| from a diagonal state of
+    nearby level, nor A_anti the equal gaps of the oscillator; together they
+    do.  Only the eigenvectors below the widest gap above line =
+    lambda_{k-1} - ``_MARGIN`` (lambda_{k-1} - lambda_0) are split, and a
+    caller keeps a split once the highest level it takes lies at or below
+    the line.
 
-    Raises NumericalError where ``_lowest_eigenpairs`` does, so also when k
-    would reach dim, before anything is factored if the first k does.
+    The eigenpairs are ARPACK's shift-invert at sigma = ``_spectrum_floor``,
+    with A_sym - sigma I written as a band in folded axis order
+    (``_shifted_band``) and Cholesky-factorized (``_shifted_inverse``) once
+    for every k: 8 (u + 1) dim bytes for u = 2 b_q n_p + 2 b_p, with b_q, b_p
+    the factors' periodic half-bandwidths (b = 8 at order 10: 34 MB at
+    64x64, 270 MB at 128x128).  The factor exists only when sigma lies below
+    every level, so the k levels nearest sigma are the lowest.  Every k
+    starts from the same vector, so runs repeat bit for bit.
+
+    Raises NumericalError when k >= dim, the first k before the band is
+    written; when A_sym - sigma I is not positive definite; when ARPACK
+    does not converge; or when a residual ||A_sym v - lambda v|| / ||v||
+    exceeds 1e-8.
     """
-    for lam, V in _lowest_eigenpairs(A_sym, k):
+    n = A_sym.ps.dim
+    inv = None
+    while k < n:
+        if inv is None:
+            sigma = _spectrum_floor(A_sym)
+            A = spla.LinearOperator((n, n), matvec=A_sym.apply, dtype=float)
+            inv = _shifted_inverse(A_sym, sigma)
+            # A fixed start vector, drawn as ARPACK draws its own, makes runs
+            # repeatable.
+            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        try:
+            lam, V = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
+                                OPinv=inv)
+        except spla.ArpackNoConvergence as exc:
+            raise NumericalError(
+                "shift-invert eigensolver did not converge",
+                diagnostic={"converged_eigenvalues":
+                            getattr(exc, "eigenvalues", None)},
+            ) from exc
+        # np.take keeps eigsh's row-major V (a fancy index would not), and
+        # the last bits of a column's dot products depend on its stride.
+        order = np.argsort(lam)
+        lam, V = lam[order], np.take(V, order, axis=1)
+        for e, v in zip(lam, V.T):
+            resid = np.linalg.norm(A_sym.apply(v) - e * v) / np.linalg.norm(v)
+            if resid > 1e-8:
+                raise NumericalError(
+                    "stationary eigenpair residual too large",
+                    diagnostic={"eigenvalue": float(e), "residual": float(resid)},
+                )
         line = lam[-1] - _MARGIN * (lam[-1] - lam[0])
         top = np.searchsorted(lam, line)
         keep = top + int(np.argmax(np.diff(lam[top - 1:])))
         yield line, _split_subspace(A_anti, lam[:keep], V[:, :keep])
+        k += max(2, k // 4)
+    raise NumericalError(
+        f"{k} eigenpairs are needed, but the basis has dim = {n}",
+        diagnostic={"eigenpairs": k, "dim": n},
+    )
 
 
 def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
@@ -682,29 +667,24 @@ def refine_until(solve_at_level, epsilon: float, n_max: int,
     if n_min > n_max:
         raise ContractError(f"empty level range: n_min {n_min} > n_max {n_max}")
     prev = None
-    prev_level = None
     tried = []
-    diffs = []
     for N in range(n_min, n_max + 1):
         cur = solve_at_level(N)
         if prev is not None:
             diff = _embedding_difference(prev, cur)
             tried.append((N, diff))
-            diffs.append(diff)
             if diff <= epsilon:
-                report = RefinementReport(
+                return cur, RefinementReport(
                     levels_tried=tried, accepted_level=N,
-                    converged=True, monotone=_nonincreasing(diffs))
-                return cur, report
-        prev, prev_level = cur, N
-    report = RefinementReport(
-        levels_tried=tried, accepted_level=prev_level,
-        converged=False, monotone=_nonincreasing(diffs))
-    return prev, report
+                    converged=True, monotone=_nonincreasing(tried))
+        prev = cur
+    return prev, RefinementReport(
+        levels_tried=tried, accepted_level=n_max,
+        converged=False, monotone=_nonincreasing(tried))
 
 
-def _nonincreasing(seq) -> bool:
-    return all(b <= a * (1 + 1e-12) for a, b in zip(seq, seq[1:]))
+def _nonincreasing(tried) -> bool:
+    return all(b <= a * (1 + 1e-12) for (_, a), (_, b) in zip(tried, tried[1:]))
 
 
 def _embedding_difference(coarse: CoefficientField, fine: CoefficientField) -> float:

@@ -68,7 +68,7 @@ def quadrature_connection(filt: FilterCoefficients, d: int, resolution: int) -> 
     """
     d1 = d // 2
     d2 = d - d1
-    left = (scaling_values(filt, resolution).values if d1 == 0
+    left = (scaling_values(filt, resolution) if d1 == 0
             else derivative_cascade(filt, d1, resolution))
     right = derivative_cascade(filt, d2, resolution)
     h = 2.0 ** -resolution
@@ -98,7 +98,7 @@ def quadrature_moment(filt: FilterCoefficients, r: int, resolutions=(13, 14, 15,
     """mu_r = int x^r phi(x) dx by Riemann sums with empirical extrapolation."""
     vals = []
     for R in resolutions:
-        phi = scaling_values(filt, R).values
+        phi = scaling_values(filt, R)
         x = np.arange(phi.size) / 2.0 ** R
         vals.append(np.sum(x ** r * phi) / 2.0 ** R)
     # empirical-ratio Richardson using the last three estimates
@@ -115,7 +115,7 @@ def quadrature_product_moment(filt: FilterCoefficients, r: int, shift: int,
     """m_r(shift) = int x^r phi(x) phi(x - shift) dx by extrapolated sums."""
     vals = []
     for R in resolutions:
-        phi = scaling_values(filt, R).values
+        phi = scaling_values(filt, R)
         n = phi.size
         sh = shift * 2 ** R
         lo, hi = max(0, sh), min(n, n + sh)
@@ -164,7 +164,7 @@ def riemann_projection(basis, f, resolution: int = 14) -> np.ndarray:
     dyadic points of phi's support at ``resolution``, with x wrapped into the
     box.  Shares only the cascade values with the package, not its quadrature.
     """
-    phi = scaling_values(basis.filter, resolution).values
+    phi = scaling_values(basis.filter, resolution)
     u = np.arange(phi.size) / 2.0 ** resolution
     a, b = basis.domain
     h = (b - a) / basis.dim

@@ -81,24 +81,23 @@ def test_unsupported_order_rejected():
 @pytest.mark.parametrize("order", (4, 6, 8))
 def test_cascade_partition_of_unity(order):
     filt = daubechies_filter(order)
-    tab = scaling_values(filt, 6)
+    phi = scaling_values(filt, 6)
     # sum_k phi(x - k) = 1 at every represented point
     step = 2 ** 6
-    m = tab.values.size
     for frac in range(step):
-        total = tab.values[frac::step].sum()
+        total = phi[frac::step].sum()
         assert abs(total - 1.0) < 1e-9
 
 
 def test_cascade_refinement_identity(db6):
-    tab = scaling_values(db6, 7)
+    phi = scaling_values(db6, 7)
     h = db6.taps
-    xs = tab.grid
-    lhs = tab.values
-    rhs = np.zeros_like(lhs)
+    xs = np.arange(phi.size) / 2.0 ** 7
+    rhs = np.zeros_like(phi)
     for k, hk in enumerate(h):
-        rhs += math.sqrt(2.0) * hk * tab(2.0 * xs - k)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+        rhs += math.sqrt(2.0) * hk * np.interp(2.0 * xs - k, xs, phi,
+                                               left=0.0, right=0.0)
+    np.testing.assert_allclose(phi, rhs, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +151,18 @@ def test_connection_even_symmetric(order, d):
     table = dict(zip(table.offsets, table.values))
     for k, v in table.items():
         assert v == table[-k]
+
+
+def test_connection_table_is_read_only(basis6):
+    """Every caller shares the cached table, so a write into it raises and
+    leaves the derivative matrices as they were."""
+    before = basis6.derivative_matrix(1)
+    table = connection_coefficients(basis6.filter, 1)
+    with pytest.raises(ValueError):
+        table.values[0] = 1.0
+    with pytest.raises(ValueError):
+        table.offsets[0] = 0
+    assert basis6.derivative_matrix(1).tobytes() == before.tobytes()
 
 
 def test_connection_gate_order4_second_derivative():

@@ -1,8 +1,8 @@
 """Source hygiene: every name a package module or test imports is used by
 it, every name a package module imports is public in the module it comes
-from, every function it defines is used outside the tests, every optional
-parameter is passed by some caller outside the tests, no function gives
-hbar a default, and only the phase-space basis builds wavelet axes."""
+from, every function and class it defines is used outside the tests, every
+optional parameter is passed by some caller outside the tests, no function
+gives hbar a default, and only the phase-space basis builds wavelet axes."""
 
 import ast
 import re
@@ -83,10 +83,11 @@ def _references(node) -> Counter:
     return out
 
 
-def unreferenced_functions(package: dict, others: list, text: str = "") -> list:
-    """Module-level functions and public methods of ``package`` (module name
-    -> source) that no source, in ``package`` or ``others``, references outside
-    the function's own definition, and whose name no word of ``text`` is."""
+def unreferenced_definitions(package: dict, others: list, text: str = "") -> list:
+    """Module-level functions and classes, and public methods, of ``package``
+    (module name -> source) that no source, in ``package`` or ``others``,
+    references outside the definition itself, and whose name no word of
+    ``text`` is."""
     trees = {name: ast.parse(src) for name, src in package.items()}
     refs = Counter()
     for tree in list(trees.values()) + [ast.parse(src) for src in others]:
@@ -99,6 +100,7 @@ def unreferenced_functions(package: dict, others: list, text: str = "") -> list:
             if isinstance(node, ast.FunctionDef):
                 defs.append((f"{module}.{node.name}", node))
             elif isinstance(node, ast.ClassDef):
+                defs.append((f"{module}.{node.name}", node))
                 defs += [(f"{module}.{node.name}.{item.name}", item)
                          for item in node.body if isinstance(item, ast.FunctionDef)
                          and not item.name.startswith("_")]
@@ -117,19 +119,22 @@ def test_unreferenced_function_detector():
         "    def method(self):\n        return used()\n\n"
         "    def _private(self):\n        pass\n\n"
         "    def wrapped(self):\n        pass\n\n"
-        "    def documented(self):\n        pass\n")}
+        "    def documented(self):\n        pass\n\n"
+        "class Alone:\n"
+        "    def _clone(self):\n        return Alone()\n")}
     others = ["A().method()", "getattr(A, 'wrapped')"]
-    assert unreferenced_functions(package, others, "see `documented`.") == \
-        ["m.recursive"]
-    assert unreferenced_functions(package, []) == \
-        ["m.A.documented", "m.A.method", "m.A.wrapped", "m.recursive"]
+    assert unreferenced_definitions(package, others, "see `documented`.") == \
+        ["m.Alone", "m.recursive"]
+    assert unreferenced_definitions(package, []) == \
+        ["m.A", "m.A.documented", "m.A.method", "m.A.wrapped", "m.Alone",
+         "m.recursive"]
 
 
 def test_no_test_only_functions():
     package = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     others = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
-    assert unreferenced_functions(package, others,
-                                  (ROOT / "README.md").read_text()) == []
+    assert unreferenced_definitions(package, others,
+                                    (ROOT / "README.md").read_text()) == []
 
 
 def _callee_name(call):

@@ -31,11 +31,11 @@ from wigner.solve import (
     reconstruct_by_scale,
     refine_until,
     stationary_eigen,
-    _lowest_eigenpairs,
     _MidpointStepper,
     _shifted_band,
     _shifted_inverse,
     _spectrum_floor,
+    _splits,
 )
 
 PARAMS = ModelParams()
@@ -497,7 +497,7 @@ def test_shifted_inverse_matches_dense_solve():
         ps, parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
     sigma = _spectrum_floor(A_sym)
     v = np.random.default_rng(2).normal(size=ps.dim)
-    x = _shifted_inverse(A_sym, sigma)(v)
+    x = _shifted_inverse(A_sym, sigma).matvec(v)
     ref = np.linalg.solve(kron_dense(A_sym) - sigma * np.eye(ps.dim), v)
     assert np.linalg.norm(x - ref) < 1e-10 * np.linalg.norm(ref)
 
@@ -506,11 +506,11 @@ def test_lowest_eigenpairs_allocates_no_dense_matrix():
     """At 64x64 the eigen path's peak traced allocation stays below 45 MB,
     a third of one dim x dim float64 copy (134 MB): the order-10 A_sym band
     is 34 MB, and it measured 39 MB in all."""
-    A_sym, _ = assemble_stationary_pair(
+    A_sym, A_anti = assemble_stationary_pair(
         _order10(6), parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
     tracemalloc.start()
     try:
-        next(_lowest_eigenpairs(A_sym, 2))
+        next(_splits(A_sym, A_anti, 2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -531,6 +531,34 @@ def test_lowest_eigenpairs_checks_dim_before_factoring(harmonic_small):
         with pytest.raises(NumericalError, match="eigenpairs are needed") as info:
             stationary_eigen(A_sym, A_anti, 100000)
     assert info.value.diagnostic == {"eigenpairs": 19999900002, "dim": ps.dim}
+
+
+def test_stationary_eigen_grows_k_on_one_factor():
+    """Six oscillator states (32x32 order-10, +-5) are not all below the
+    line at k = 6 (2 6 - 1) + 2 = 68, so ``_splits`` asks ARPACK again at
+    k = 85 with the band factored once, and the levels returned are the
+    first six diagonal levels of a split started at k = 85, bit for bit."""
+    A_sym, A_anti = assemble_stationary_pair(
+        _order10(5, 5.0), parse_potential("0.5*q^2"), PARAMS)
+    ks, factors = [], []
+    eigsh, cholesky_banded = wigner.solve.spla.eigsh, wigner.solve.la.cholesky_banded
+
+    def counted_eigsh(*args, **kwargs):
+        ks.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    def counted_cholesky(*args, **kwargs):
+        factors.append(1)
+        return cholesky_banded(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wigner.solve.spla, "eigsh", counted_eigsh)
+        mp.setattr(wigner.solve.la, "cholesky_banded", counted_cholesky)
+        states = stationary_eigen(A_sym, A_anti, 6)
+    assert ks == [68, 85] and len(factors) == 1
+    _, split = next(_splits(A_sym, A_anti, 85))
+    levels = split.eps[np.flatnonzero(split.diagonal)[:6]]
+    assert np.array([eps for eps, _ in states]).tobytes() == levels.tobytes()
 
 
 def test_stationary_eigen_rejects_shift_above_spectrum(harmonic_small,
