@@ -16,7 +16,7 @@ from math import factorial
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import WaveletBasis, daubechies_filter
+from .basis import WaveletBasis, daubechies_filter, smallest_level
 from .errors import ConfigurationError, ContractError
 from .model import ModelParams, PolynomialPotential, derivative
 
@@ -45,18 +45,24 @@ class PhaseSpaceBasis:
     def __post_init__(self):
         filt = daubechies_filter(self.order)
         bad = []
-        for axis, domain in (("q", (self.q_min, self.q_max)),
-                             ("p", (self.p_min, self.p_max))):
-            try:
-                object.__setattr__(self, f"basis_{axis}", WaveletBasis(
-                    filter=filt, j_coarse=self.j_coarse, j_fine=self.j_fine,
-                    domain=domain))
-            except ConfigurationError as exc:
-                # the axes share the levels, so only a domain names its axis
-                bad += [f"{axis}_min, {axis}_max: {m}" if m.startswith("domain")
-                        else m for m in str(exc).split("; ") if m not in bad]
+        if self.j_coarse < 0:
+            bad.append("j_coarse must be >= 0")
+        if self.j_coarse > self.j_fine:
+            bad.append("j_coarse must not exceed j_fine")
+        j_min = smallest_level(self.order)
+        if self.j_fine < j_min:
+            bad.append(f"basis too coarse for the order-{self.order} filter: "
+                       f"2^{self.j_fine} functions per axis, it needs at "
+                       f"least {2 ** j_min}")
+        axes = (("q", (self.q_min, self.q_max)), ("p", (self.p_min, self.p_max)))
+        bad += [f"{axis}_min, {axis}_max: domain [{a:g}, {b:g}) is empty"
+                for axis, (a, b) in axes if not b > a]
         if bad:
             raise ConfigurationError("; ".join(bad))
+        for axis, domain in axes:
+            object.__setattr__(self, f"basis_{axis}", WaveletBasis(
+                filter=filt, j_coarse=self.j_coarse, j_fine=self.j_fine,
+                domain=domain))
 
     @property
     def dim(self) -> int:

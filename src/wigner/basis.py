@@ -341,7 +341,8 @@ class WaveletBasis:
     single-scale representation (scaling functions at level ``j_fine``);
     the orthogonal periodic DWT ``dwt_matrix`` maps them to the (scaling at
     j_coarse) + (details at j_coarse..j_fine-1) representation.
-    Bases compare equal by filter order, levels and domain.
+    Bases compare equal by filter order, levels and domain.  The settings
+    are checked by ``PhaseSpaceBasis``, the one place that builds an axis.
     """
 
     filter: FilterCoefficients
@@ -351,23 +352,6 @@ class WaveletBasis:
     _scaling_values: np.ndarray = field(default=None, init=False, repr=False,
                                         compare=False)
     _dwt: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        bad = []
-        if self.j_coarse < 0:
-            bad.append("j_coarse must be >= 0")
-        if self.j_coarse > self.j_fine:
-            bad.append("j_coarse must not exceed j_fine")
-        j_min = smallest_level(self.filter.order)
-        if self.j_fine < j_min:
-            bad.append(f"basis too coarse for the order-{self.filter.order} "
-                       f"filter: 2^{self.j_fine} functions per axis, it needs "
-                       f"at least {2 ** j_min}")
-        a, b = self.domain
-        if not b > a:
-            bad.append(f"domain [{a:g}, {b:g}) is empty")
-        if bad:
-            raise ConfigurationError("; ".join(bad))
 
     # -- geometry ----------------------------------------------------------
 
@@ -488,17 +472,6 @@ class WaveletBasis:
             out[ok, k[ok].astype(int)] = amp * np.interp(u[ok], grid, phi,
                                                          left=0.0, right=0.0)
         return out
-
-    def evaluate(self, coeffs: np.ndarray, x) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.dim,):
-            raise ContractError(
-                f"coefficient length {coeffs.shape} does not match basis dim {self.dim}"
-            )
-        vals = self.evaluation_matrix(x) @ coeffs
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return float(vals[0])
-        return vals
 
     # -- projection --------------------------------------------------------
 

@@ -187,11 +187,11 @@ def parse_config(path) -> RunConfig:
         U_run = None
     if None not in (U_run, params, ps):
         try:
-            _assemble_smallest(mode, ps, U_run, params)
+            _assemble_smallest(mode, ps.order, ps, U_run, params)
         except ConfigurationError as exc:
             # blame the filter only when a supported order assembles U
             try:
-                _assemble_smallest(mode, replace(ps, order=10), U_run, params)
+                _assemble_smallest(mode, 10, ps, U_run, params)
                 errors.append(f"[basis] order {ps.order}: {exc}")
             except ConfigurationError:
                 errors.append(f"{U_key}: degree {U_run.degree} needs a "
@@ -238,8 +238,9 @@ def parse_config(path) -> RunConfig:
     )
 
 
-def _assemble_smallest(mode, ps, U, params):
-    """Assemble the mode's operator on the smallest basis of ``ps``'s order.
+def _assemble_smallest(mode, order, ps, U, params):
+    """Assemble the mode's operator on ``ps``'s boxes at the filter ``order``
+    and its smallest basis, whatever the levels of ``ps``.
 
     Which tables an operator reads depends on the mode, U and the filter
     order, not on the basis size, so this raises the ConfigurationError that
@@ -248,10 +249,10 @@ def _assemble_smallest(mode, ps, U, params):
     from .assembly import assemble_evolution, assemble_stationary_pair
     from .basis import smallest_level
 
-    j = smallest_level(ps.order)
+    j = smallest_level(order)
     assemble = assemble_evolution if mode in ("evolve", "ensemble") \
         else assemble_stationary_pair
-    assemble(replace(ps, j_coarse=j, j_fine=j), U, params)
+    assemble(replace(ps, order=order, j_coarse=j, j_fine=j), U, params)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +307,7 @@ def _dump_marginal(basis, coeffs, resolution, path):
     import numpy as np
 
     xs = basis.cell_centres(resolution)
-    np.savetxt(path, np.column_stack([xs, basis.evaluate(coeffs, xs)]),
+    np.savetxt(path, np.column_stack([xs, basis.evaluation_matrix(xs) @ coeffs]),
                fmt="%.17g")
 
 
@@ -367,7 +368,7 @@ def _diagnostic_line(diagnostic: dict) -> str:
         f"{key}={text(diagnostic[key])}" for key in sorted(diagnostic))
 
 
-def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
+def run(cfg: RunConfig, out_override=None) -> int:
     """Execute a validated config; writes manifest and artifacts; exit code.
 
     Any WignerError ends the run with an ``error =`` line in the manifest and
@@ -396,9 +397,9 @@ def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
         cfg.raw_text.rstrip(),
         "",
     ]
-    report = None
+    code = None
     try:
-        report, not_converged = _execute(cfg, run_dir, manifest)
+        not_converged = _execute(cfg, run_dir, manifest)
     except WignerError as exc:
         code = _exit_code(exc)
         kind = "configuration" if code == EXIT_CONFIG else "numerical"
@@ -410,23 +411,20 @@ def run(cfg: RunConfig, out_override=None, verbose=False) -> int:
             message += "\n" + detail
     with open(os.path.join(run_dir, "manifest.txt"), "w") as fh:
         fh.write("\n".join(manifest) + "\n")
-    if report is None:
+    if code is not None:
         print(message, file=sys.stderr)
         return code
 
     with open(os.path.join(run_dir, "timing.txt"), "w") as fh:
         fh.write(f"wall_seconds = {time.time() - t_wall:.3f}\n")
 
-    if verbose:
-        print(f"run artifacts in {run_dir}")
-        print(report.to_text(), end="")
-    else:
-        print(run_dir)
+    print(run_dir)
     return EXIT_NOT_CONVERGED if not_converged else EXIT_OK
 
 
 def _execute(cfg: RunConfig, run_dir, manifest):
-    """Run the configured mode, write its artifacts and fill ``manifest``."""
+    """Run the configured mode, write its artifacts and fill ``manifest``;
+    True when the run did not converge."""
     from .diagnostics import diagnostics_report, marginals
 
     # every mode hands the states it computes to one writer, the last one final
@@ -451,7 +449,7 @@ def _execute(cfg: RunConfig, run_dir, manifest):
                                 cfg.thresholds)
     manifest += ["", "[diagnostics]", report.to_text().rstrip(), ""]
     manifest.append(f"converged = {not not_converged}")
-    return report, not_converged
+    return not_converged
 
 
 def _run_evolution(cfg, manifest, store):
@@ -693,8 +691,7 @@ def _capped_threads(n):
 
 def _cmd_run(args) -> int:
     with _capped_threads(args.threads):
-        return run(parse_config(args.config), out_override=args.out,
-                   verbose=args.verbose)
+        return run(parse_config(args.config), out_override=args.out)
 
 
 def _cmd_validate(args) -> int:
@@ -731,14 +728,14 @@ def main(argv=None) -> int:
     p_run.add_argument("--threads", type=_thread_count, default=None,
                        help="cap BLAS/worker threads (1 for determinism)")
     p_run.add_argument("--out", default=None, help="output root directory")
-    p_run.add_argument("--verbose", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="validate a run config")
     p_val.add_argument("config")
     p_val.set_defaults(func=_cmd_validate)
 
-    p_tab = sub.add_parser("tables", help="precompute/inspect basis tables")
+    p_tab = sub.add_parser("tables",
+                           help="print a filter's taps and connection tables")
     p_tab.add_argument("--order", type=int, required=True)
     p_tab.add_argument("--max-deriv", type=int, default=2)
     p_tab.set_defaults(func=_cmd_tables)

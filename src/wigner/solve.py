@@ -259,10 +259,12 @@ def evolve(W0: CoefficientField, L: AssembledOperator, cfg: EvolutionConfig,
     benchmark times the steps by counting these constructions, so ``store``
     must build no field itself.  A step whose norm is not finite or exceeds
     1e6 times the initial one raises AbortedEvolutionError carrying the last
-    stored state.
+    stored state.  A complex W0 raises ContractError, as a complex L does.
     """
     if L.ps is not W0.ps and L.ps != W0.ps:
         raise ContractError("operator and initial field live on different bases")
+    if np.iscomplexobj(W0.coeffs):
+        raise ContractError("evolve needs a real initial field")
 
     n_full, remainder = _step_count(cfg)
     steppers = {cfg.dt: _MidpointStepper(L, cfg.dt)}
@@ -273,7 +275,7 @@ def evolve(W0: CoefficientField, L: AssembledOperator, cfg: EvolutionConfig,
     last = W0.copy()
     if store is not None:
         store(last)
-    c = W0.coeffs.astype(float).copy()
+    c = W0.coeffs.astype(float)
     t = W0.time
     dts = [cfg.dt] * n_full + ([remainder] if remainder > 0.0 else [])
     for i, dt in enumerate(dts):

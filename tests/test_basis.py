@@ -15,6 +15,7 @@ from oracles import (
     quadrature_product_moment,
     riemann_projection,
 )
+from wigner.assembly import PhaseSpaceBasis
 from wigner.basis import (
     WaveletBasis,
     _product_moments,
@@ -306,24 +307,24 @@ def test_basis_geometry(basis6):
     assert (labels == 4).sum() == 16
 
 
-def test_basis_too_coarse_for_filter(db6):
+def test_basis_too_coarse_for_filter():
     with pytest.raises(ConfigurationError):
-        WaveletBasis(filter=db6, j_coarse=2, j_fine=2, domain=(0.0, 1.0))
+        PhaseSpaceBasis(order=6, j_coarse=2, j_fine=2)
 
 
-def test_basis_rejects_negative_j_coarse(db6):
+def test_basis_rejects_negative_j_coarse():
     with pytest.raises(ConfigurationError, match="j_coarse must be >= 0"):
-        WaveletBasis(filter=db6, j_coarse=-1, j_fine=5, domain=(0.0, 1.0))
+        PhaseSpaceBasis(order=6, j_coarse=-1, j_fine=5)
 
 
-def test_basis_reports_every_rejection_at_once(db6):
+def test_basis_reports_every_rejection_at_once():
     with pytest.raises(ConfigurationError) as exc:
-        WaveletBasis(filter=db6, j_coarse=3, j_fine=2, domain=(1.0, 1.0))
+        PhaseSpaceBasis(order=6, j_coarse=3, j_fine=2, q_min=1.0, q_max=1.0)
     assert str(exc.value).split("; ") == [
         "j_coarse must not exceed j_fine",
         "basis too coarse for the order-6 filter: 2^2 functions per axis, "
         "it needs at least 8",
-        "domain [1, 1) is empty"]
+        "q_min, q_max: domain [1, 1) is empty"]
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -335,8 +336,8 @@ def test_dwt_matrix_matches_tap_by_tap_steps(order):
     for j_fine in range(8):
         for j_coarse in range(j_fine + 1):
             try:
-                basis = WaveletBasis(filter=filt, j_coarse=j_coarse,
-                                     j_fine=j_fine, domain=(0.0, 1.0))
+                basis = PhaseSpaceBasis(order=order, j_coarse=j_coarse,
+                                        j_fine=j_fine).basis_q
             except ConfigurationError:
                 continue
             n = basis.dim
@@ -375,9 +376,8 @@ def test_evaluate_projected_gaussian(basis6f):
     f = lambda x: np.exp(-x ** 2)
     c = basis6f.project(f)
     xs = np.linspace(-2.5, 2.5, 41)
-    vals = basis6f.evaluate(c, xs)
+    vals = basis6f.evaluation_matrix(xs) @ c
     assert np.max(np.abs(vals - f(xs))) < 5e-4
-    assert isinstance(basis6f.evaluate(c, 0.0), float)
 
 
 def test_projection_parseval(basis6f):
@@ -402,7 +402,7 @@ def test_projection_matches_riemann_oracle(order, j_fine):
 
 def test_bases_compare_by_definition():
     """Bases built from separate filter calls are equal and interoperate."""
-    from wigner.assembly import PhaseSpaceBasis, assemble_evolution
+    from wigner.assembly import assemble_evolution
     from wigner.model import ModelParams, parse_potential
     from wigner.solve import CoefficientField, EvolutionConfig, evolve
 
@@ -445,8 +445,6 @@ def test_projection_polynomial_exact(db6):
 def test_replaced_phase_space_builds_fresh_axes():
     """``replace`` rebuilds the axes from the settings: a transform cached on
     the coarser basis does not carry over to the finer one."""
-    from wigner.assembly import PhaseSpaceBasis
-
     ps = PhaseSpaceBasis(order=6, j_coarse=3, j_fine=4)
     assert ps.basis_q.dwt_matrix.shape == (16, 16)
     fine = replace(ps, j_fine=5)

@@ -328,8 +328,14 @@ _ORDER_10 = [("order = 6", "order = 10"), ("j_fine = 4", "j_fine = 5")]
      "[ensemble] g: degree"),
     # order 6 has the d^3/dp^3 of q^4, order 4 has not
     ([("order = 6", "order = 4"), ("0.5*q^2", "q^4")], "[basis] order 4:"),
+    # below order 10's smallest basis, 2^4 functions per axis, the order-10
+    # retry still assembles U on a basis of its own size
+    ([("order = 6", "order = 4"), ("0.5*q^2", "q^4"), ("j_fine = 4", "j_fine = 3")],
+     "[basis] order 4:"),
+    ([("mode = evolve", "mode = stationary"), ("0.5*q^2", "0.5*q^2 + 0.1*q^4"),
+      ("j_fine = 4", "j_fine = 3")], "[basis] order 6:"),
 ], ids=["evolve", "stationary", "ensemble", "q7_evolve", "q6_stationary",
-        "g7_ensemble", "q4_order4"])
+        "g7_ensemble", "q4_order4", "q4_order4_j3", "quartic_stationary_j3"])
 def test_potential_degree_is_reported_under_its_key(tmp_path, capsys, edits, key):
     """The moment tables end at q^8 and the regularity at order 10's, so a
     potential that needs more is the potential's error, not the filter's;
@@ -702,6 +708,20 @@ def test_series_has_one_row_per_checkpoint(tmp_path):
     assert abs(last["integral"] - _manifest_value(run_dir, "total_integral")) < 1e-12
     assert abs(last["purity"] - _manifest_value(run_dir, "purity")) < 1e-12
     assert abs(last["l2_norm"] - _manifest_value(run_dir, "l2_norm")) < 1e-12
+
+
+@pytest.mark.parametrize("initial,purity", [
+    ("[initial]\nsigma_q = 1\nsigma_p = 1\n", 0.25),
+    ("", 1.0),  # default widths sqrt(hbar / 2)
+])
+def test_hbar_and_widths_reach_the_run(tmp_path, initial, purity):
+    """A Gaussian's purity is hbar / (2 sigma_q sigma_p).  At unit widths a
+    dropped hbar would read 0.5 and dropped widths 1.0; default widths that
+    ignored hbar would read 0.5."""
+    text = _edited([("potential = 0.5*q^2", "potential = 0.5*q^2\nhbar = 0.5"),
+                    ("j_fine = 4", "j_fine = 5"), ("t_end = 0.1", "t_end = 0")])
+    run_dir = _run_dir(tmp_path, text + "\n" + initial)
+    assert abs(_manifest_value(run_dir, "purity") - purity) < 1e-3
 
 
 _QUARTIC = [("0.5*q^2", "0.5*q^2 + 0.1*q^4"), ("order = 6", "order = 10"),

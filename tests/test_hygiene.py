@@ -2,7 +2,8 @@
 it, every name a package module imports is public in the module it comes
 from, every function and class it defines is used outside the tests, every
 optional parameter is passed by some caller outside the tests, no function
-gives hbar a default, and only the phase-space basis builds wavelet axes."""
+gives hbar a default, only the phase-space basis builds wavelet axes, and
+a test or the benchmark passes every command-line flag."""
 
 import ast
 import re
@@ -262,3 +263,35 @@ def test_only_the_phase_space_basis_builds_axes(path):
     """``PhaseSpaceBasis`` builds both axes from the [basis] settings; a
     second place that builds a ``WaveletBasis`` is a second home for them."""
     assert basis_calls(path.read_text()) == []
+
+
+def unexercised_flags(cli_source: str, others: list) -> list:
+    """``--flags`` that ``main`` of ``cli_source`` passes to ``add_argument``
+    and that no source of ``others`` holds as a string literal."""
+    main = next(node for node in ast.parse(cli_source).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    literals = {n.value for src in others for n in ast.walk(ast.parse(src))
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return sorted(a.value for call in ast.walk(main)
+                  if isinstance(call, ast.Call) and _callee_name(call) == "add_argument"
+                  for a in call.args
+                  if isinstance(a, ast.Constant) and isinstance(a.value, str)
+                  and a.value.startswith("--") and a.value not in literals)
+
+
+def test_unexercised_flag_detector():
+    cli = ("def main():\n    p.add_argument('config')\n    p.add_argument('--out')\n"
+           "    p.add_argument('-n', '--count', type=int)\n"
+           "    p.add_argument('--quiet', action='store_true')\n\n"
+           "def other(p):\n    p.add_argument('--hidden')\n")
+    others = ["main(['run', '--out', 'x'])", "argv = '--count 2'"]
+    assert unexercised_flags(cli, others) == ["--count", "--quiet"]
+    assert unexercised_flags(cli, others + ["flags = ['--count', '--quiet']"]) == []
+
+
+def test_every_cli_flag_is_exercised():
+    """A flag that no test and no benchmark passes is an output path no
+    check reads."""
+    others = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))
+              + sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unexercised_flags((SRC / "cli.py").read_text(), others) == []

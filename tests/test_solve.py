@@ -408,6 +408,14 @@ def test_midpoint_stepper_rejects_generator_without_circulant_split(case):
         evolve(W0, L, EvolutionConfig(dt=0.01, t_end=0.1))
 
 
+def test_evolve_rejects_complex_initial_field():
+    """The stepper is real, so a complex W0 would lose its imaginary part."""
+    ps = _ps32()
+    W0 = CoefficientField(ps=ps, coeffs=_offset_gaussian(ps).coeffs * (1 + 0.1j))
+    with pytest.raises(ContractError, match="real initial field"):
+        evolve(W0, _quartic_dissipative(ps), EvolutionConfig(dt=0.01, t_end=0.1))
+
+
 # ---------------------------------------------------------------------------
 # eigenproblems
 # ---------------------------------------------------------------------------
