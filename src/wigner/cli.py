@@ -16,7 +16,8 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigurationError, WignerError
 
@@ -32,25 +33,127 @@ def _exit_code(exc: WignerError) -> int:
     return EXIT_CONFIG if isinstance(exc, ConfigurationError) else EXIT_NUMERICAL
 
 
+@dataclass(frozen=True)
+class InitialState:
+    """The ``[initial]`` Gaussian W0; a width of None is sqrt(hbar/2), the
+    coherent state's."""
+
+    type: str = "gaussian"
+    q0: float = 0.0
+    p0: float = 0.0
+    sigma_q: float | None = None
+    sigma_p: float | None = None
+
+    def __post_init__(self):
+        bad = []
+        if self.type not in ("gaussian",):
+            bad.append(f"type must be 'gaussian' (got {self.type!r})")
+        bad += [f"{name} must be positive" for name in ("sigma_q", "sigma_p")
+                if getattr(self, name) is not None and not getattr(self, name) > 0]
+        if bad:
+            raise ConfigurationError("; ".join(bad))
+
+    def field(self, ps, hbar):
+        """W0 projected onto ``ps``."""
+        import numpy as np
+
+        from .solve import CoefficientField
+
+        sq = self.sigma_q if self.sigma_q is not None else (hbar / 2.0) ** 0.5
+        sp_ = self.sigma_p if self.sigma_p is not None else (hbar / 2.0) ** 0.5
+        amp = 1.0 / (2.0 * np.pi * sq * sp_)
+
+        def f(q, p):
+            return amp * np.exp(-((q - self.q0) ** 2) / (2 * sq ** 2)
+                                - ((p - self.p0) ** 2) / (2 * sp_ ** 2))
+
+        return CoefficientField(ps=ps, coeffs=ps.project(f))
+
+
+@dataclass(frozen=True)
+class EnsembleSettings:
+    """The ``[ensemble]`` Fock levels 0..n_max, level n evolving under n * g.
+    ``fock_weights`` and ``coupling`` are built from ``weights`` and ``g``."""
+
+    n_max: int = 1
+    weights: str = "coherent:1.0"
+    g: str = "q^2"
+    fock_weights: object = field(init=False, repr=False, compare=False)
+    coupling: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        from .model import parse_potential
+
+        bad = []
+        try:
+            object.__setattr__(self, "coupling", parse_potential(self.g))
+        except ConfigurationError as exc:
+            bad.append(f"g: {exc}")
+        if self.n_max < 0:
+            bad.append("n_max must be >= 0")
+        else:
+            try:
+                object.__setattr__(self, "fock_weights", self._fock_weights())
+            except (ValueError, ConfigurationError) as exc:
+                bad.append(f"weights: {exc}")
+        if bad:
+            raise ConfigurationError("; ".join(bad))
+
+    def _fock_weights(self):
+        """Normalized weights from ``coherent:<alpha>`` or n_max + 1 numbers."""
+        import numpy as np
+
+        from .ensemble import coherent_weights
+
+        text = self.weights.strip()
+        if text.startswith("coherent:"):
+            return coherent_weights(float(text.split(":", 1)[1]), self.n_max)
+        weights = np.array([float(tok) for tok in text.replace(",", " ").split()])
+        if weights.size != self.n_max + 1:
+            raise ConfigurationError(f"expected {self.n_max + 1} weights, "
+                                     f"got {weights.size}")
+        if not np.all(np.isfinite(weights)):
+            raise ConfigurationError("weights must be finite")
+        if np.any(weights < 0) or not weights.sum() > 0:
+            raise ConfigurationError("weights must be non-negative with a positive sum")
+        return weights / weights.sum()
+
+
+@dataclass(frozen=True)
+class OutputSettings:
+    """The ``[output]`` settings; ``directory`` None falls back to
+    ``$WIGNER_OUT``, then the working directory, and ``--out`` overrides it."""
+
+    directory: str | None = None
+    grid_resolution: int = 128
+    checkpoint_every: int = 10
+
+    def __post_init__(self):
+        bad = []
+        if self.directory is not None and os.path.exists(self.directory) \
+                and not os.path.isdir(self.directory):
+            bad.append(f"directory {self.directory!r} exists and is not a directory")
+        if not self.grid_resolution >= 2:
+            bad.append("grid_resolution must be >= 2 per axis")
+        if not self.checkpoint_every >= 1:
+            bad.append("checkpoint_every must be >= 1")
+        if bad:
+            raise ConfigurationError("; ".join(bad))
+
+
 @dataclass
 class RunConfig:
-    """A validated run: the potential U, the model parameters, the phase-space
-    basis, the evolution settings, the ensemble coupling g and the classifier
-    thresholds come built, so no run step parses or builds them again."""
+    """A validated run: the potential U and one built object per config
+    section, so no run step parses or builds them again."""
 
     mode: str
     U: object
     params: object
     ps: object
-    initial: dict
-    evolution: object
-    epsilon: float
-    n_min: int
-    n_states: int
-    ensemble: dict
-    out_directory: str
-    grid_resolution: int
-    checkpoint_every: int
+    initial: InitialState
+    solver: object
+    ensemble: EnsembleSettings
+    output: OutputSettings
     thresholds: object
     raw_text: str = ""
 
@@ -91,10 +194,12 @@ def parse_config(path) -> RunConfig:
 
     def build(cls, section):
         """``cls`` from the [section] keys named after its fields: a missing
-        key takes the field's default, a key is cast to the default's type.
-        None if ``cls`` rejects the values."""
+        key takes the field's default, a key is cast to the field's type, T
+        for ``T | None``.  None if ``cls`` rejects the values."""
+        types = {name: next((t for t in typing.get_args(hint) if t is not type(None)),
+                            hint) for name, hint in typing.get_type_hints(cls).items()}
         try:
-            return cls(**{f.name: get(section, f.name, f.default, type(f.default))
+            return cls(**{f.name: get(section, f.name, f.default, types[f.name])
                           for f in fields(cls) if f.init})
         except ConfigurationError as exc:
             errors.append(f"[{section}] {exc}")
@@ -119,65 +224,27 @@ def parse_config(path) -> RunConfig:
         errors.append(f"[model] potential: {exc}")
 
     ps = build(PhaseSpaceBasis, "basis")
-
-    initial = {
-        "type": get("initial", "type", "gaussian"),
-        "q0": get("initial", "q0", 0.0, float),
-        "p0": get("initial", "p0", 0.0, float),
-        "sigma_q": get("initial", "sigma_q", None, float),
-        "sigma_p": get("initial", "sigma_p", None, float),
-    }
-    if initial["type"] not in ("gaussian",):
-        errors.append(f"[initial] type must be 'gaussian' (got {initial['type']!r})")
-    for key in ("sigma_q", "sigma_p"):
-        if initial[key] is not None and initial[key] <= 0:
-            errors.append(f"[initial] {key} must be positive")
-
-    evolution = build(EvolutionConfig, "solver")
-    epsilon = get("solver", "epsilon", 1e-4, float)
-    n_min = get("solver", "n_min", 4, int)
-    n_states = get("solver", "n_states", 4, int)
-    if epsilon <= 0:
-        errors.append("[solver] epsilon must be positive")
-    if n_states < 1:
-        errors.append("[solver] n_states must be >= 1")
+    initial = build(InitialState, "initial")
+    solver = build(EvolutionConfig, "solver")
     # refine levels run from n_min to the run's own j_fine
-    if mode == "refine" and ps is not None:
-        if n_min > ps.j_fine:
-            errors.append(f"[solver] n_min {n_min} exceeds [basis] j_fine = "
-                          f"{ps.j_fine}, the last refine level")
+    if mode == "refine" and None not in (ps, solver):
+        if solver.n_min > ps.j_fine:
+            errors.append(f"[solver] n_min {solver.n_min} exceeds [basis] "
+                          f"j_fine = {ps.j_fine}, the last refine level")
         try:
-            replace(ps, j_fine=n_min)
+            replace(ps, j_fine=solver.n_min)
         except ConfigurationError as exc:
             errors.append(f"[solver] n_min: the first refine level, j_fine = "
-                          f"{n_min} with [basis] j_coarse = {ps.j_coarse}: {exc}")
+                          f"{solver.n_min} with [basis] j_coarse = {ps.j_coarse}: {exc}")
 
-    # read even without the section, so that a misspelt one gets its hint
-    ensemble = {
-        "n_max": get("ensemble", "n_max", 1, int),
-        "weights": get("ensemble", "weights", "coherent:1.0"),
-        "g": get("ensemble", "g", "q^2"),
-    }
-    g = None
-    if parser.has_section("ensemble"):
-        try:
-            g = parse_potential(ensemble["g"])
-        except ConfigurationError as exc:
-            errors.append(f"[ensemble] g: {exc}")
-        ensemble["g"] = g
-        try:
-            ensemble["weights"] = _ensemble_weights(ensemble["weights"],
-                                                    ensemble["n_max"])
-        except (ValueError, WignerError) as exc:
-            errors.append(f"[ensemble] weights: {exc}")
-    else:
-        ensemble = None
-        if mode == "ensemble":
-            errors.append("mode 'ensemble' requires an [ensemble] section")
+    # built even without the section, so that a misspelt one gets its hint
+    ensemble = build(EnsembleSettings, "ensemble")
+    if mode == "ensemble" and not parser.has_section("ensemble"):
+        errors.append("mode 'ensemble' requires an [ensemble] section")
 
     # Ensemble levels evolve under multiples of g, every other mode under U.
-    U_run, U_key = (g, "[ensemble] g") if mode == "ensemble" else \
-        (U, "[model] potential")
+    U_run, U_key = (ensemble and ensemble.coupling, "[ensemble] g") \
+        if mode == "ensemble" else (U, "[model] potential")
     # The generator multiplies by U' at most, the stationary pair by U; the
     # moment tables end at MAX_MOMENT_POWER whatever the filter order.
     max_degree = MAX_MOMENT_POWER + (mode in ("evolve", "ensemble"))
@@ -198,18 +265,7 @@ def parse_config(path) -> RunConfig:
                               "derivative beyond the regularity of every "
                               f"filter order in {mode} mode")
 
-    out_directory = get("output", "directory", None)
-    if out_directory is not None and os.path.exists(out_directory) \
-            and not os.path.isdir(out_directory):
-        errors.append(f"[output] directory {out_directory!r} exists and is "
-                      "not a directory")
-    grid_resolution = get("output", "grid_resolution", 128, int)
-    checkpoint_every = get("output", "checkpoint_every", 10, int)
-    if grid_resolution < 2:
-        errors.append("[output] grid_resolution must be >= 2 per axis")
-    if checkpoint_every < 1:
-        errors.append("[output] checkpoint_every must be >= 1")
-
+    output = build(OutputSettings, "output")
     thresholds = build(ClassifierThresholds, "diagnostics")
 
     for section in parser.sections():
@@ -230,11 +286,8 @@ def parse_config(path) -> RunConfig:
             "invalid configuration:\n  " + "\n  ".join(errors))
 
     return RunConfig(
-        mode=mode, U=U, params=params, ps=ps, initial=initial,
-        evolution=evolution, epsilon=epsilon, n_min=n_min,
-        n_states=n_states, ensemble=ensemble,
-        out_directory=out_directory, grid_resolution=grid_resolution,
-        checkpoint_every=checkpoint_every, thresholds=thresholds, raw_text=raw,
+        mode=mode, U=U, params=params, ps=ps, initial=initial, solver=solver,
+        ensemble=ensemble, output=output, thresholds=thresholds, raw_text=raw,
     )
 
 
@@ -318,7 +371,7 @@ def _dump_marginal(basis, coeffs, resolution, path):
 def _make_run_dir(cfg: RunConfig, override) -> str:
     """A fresh ``run-<mode>[-k]`` directory under the output root, or a
     ConfigurationError naming where the unusable root came from."""
-    root = override or cfg.out_directory or os.environ.get("WIGNER_OUT", ".")
+    root = override or cfg.output.directory or os.environ.get("WIGNER_OUT", ".")
     base = os.path.join(root, f"run-{cfg.mode}")
     candidate = base
     suffix = 0
@@ -330,29 +383,10 @@ def _make_run_dir(cfg: RunConfig, override) -> str:
         os.makedirs(candidate)
     except OSError as exc:
         source = "--out" if override else "[output] directory" \
-            if cfg.out_directory else "$WIGNER_OUT"
+            if cfg.output.directory else "$WIGNER_OUT"
         raise ConfigurationError(
             f"{source} {root!r} cannot hold a run directory: {exc}") from exc
     return candidate
-
-
-def _initial_field(cfg: RunConfig, ps):
-    import numpy as np
-
-    from .solve import CoefficientField
-
-    ini = cfg.initial
-    hbar = cfg.params.hbar
-    sq = ini["sigma_q"] if ini["sigma_q"] is not None else (hbar / 2.0) ** 0.5
-    sp_ = ini["sigma_p"] if ini["sigma_p"] is not None else (hbar / 2.0) ** 0.5
-    q0, p0 = ini["q0"], ini["p0"]
-    amp = 1.0 / (2.0 * np.pi * sq * sp_)
-
-    def f(q, p):
-        return amp * np.exp(-((q - q0) ** 2) / (2 * sq ** 2)
-                            - ((p - p0) ** 2) / (2 * sp_ ** 2))
-
-    return CoefficientField(ps=ps, coeffs=ps.project(f))
 
 
 def _diagnostic_line(diagnostic: dict) -> str:
@@ -433,16 +467,16 @@ def _execute(cfg: RunConfig, run_dir, manifest):
     store.finish()
 
     final = store.last
-    dump_grid(store.first, cfg.grid_resolution,
+    dump_grid(store.first, cfg.output.grid_resolution,
               os.path.join(run_dir, "w_initial.wgrid"))
-    dump_grid(final, cfg.grid_resolution,
+    dump_grid(final, cfg.output.grid_resolution,
               os.path.join(run_dir, "w_final.wgrid"))
     _dump_scale_parts(cfg, final, run_dir)
 
     dq, dp = marginals(final)
-    _dump_marginal(final.ps.basis_q, dq, cfg.grid_resolution,
+    _dump_marginal(final.ps.basis_q, dq, cfg.output.grid_resolution,
                    os.path.join(run_dir, "marginal_q.txt"))
-    _dump_marginal(final.ps.basis_p, dp, cfg.grid_resolution,
+    _dump_marginal(final.ps.basis_p, dp, cfg.output.grid_resolution,
                    os.path.join(run_dir, "marginal_p.txt"))
 
     report = diagnostics_report(final, store.previous, store.series,
@@ -456,29 +490,10 @@ def _run_evolution(cfg, manifest, store):
     from .assembly import assemble_evolution
     from .solve import evolve
 
-    W0 = _initial_field(cfg, cfg.ps)
-    evolve(W0, assemble_evolution(cfg.ps, cfg.U, cfg.params), cfg.evolution,
+    W0 = cfg.initial.field(cfg.ps, cfg.params.hbar)
+    evolve(W0, assemble_evolution(cfg.ps, cfg.U, cfg.params), cfg.solver,
            store=store)
     return False
-
-
-def _ensemble_weights(text, n_max):
-    """Normalized Fock weights from ``coherent:<alpha>`` or n_max + 1 numbers."""
-    import numpy as np
-
-    from .ensemble import coherent_weights
-
-    text = text.strip()
-    if text.startswith("coherent:"):
-        return coherent_weights(float(text.split(":", 1)[1]), n_max)
-    weights = np.array([float(tok) for tok in text.replace(",", " ").split()])
-    if weights.size != n_max + 1:
-        raise ConfigurationError(f"expected {n_max + 1} weights, got {weights.size}")
-    if not np.all(np.isfinite(weights)):
-        raise ConfigurationError("weights must be finite")
-    if np.any(weights < 0) or not weights.sum() > 0:
-        raise ConfigurationError("weights must be non-negative with a positive sum")
-    return weights / weights.sum()
 
 
 def _run_ensemble(cfg, manifest, store):
@@ -486,10 +501,10 @@ def _run_ensemble(cfg, manifest, store):
     superposed field."""
     from .ensemble import evolve_ensemble
 
-    W0 = _initial_field(cfg, cfg.ps)
+    W0 = cfg.initial.field(cfg.ps, cfg.params.hbar)
     store(W0)
-    store(evolve_ensemble(W0, cfg.ensemble["weights"], cfg.ensemble["g"],
-                          cfg.params, cfg.evolution))
+    store(evolve_ensemble(W0, cfg.ensemble.fock_weights, cfg.ensemble.coupling,
+                          cfg.params, cfg.solver))
     return False
 
 
@@ -498,7 +513,7 @@ def _run_stationary(cfg, manifest, store):
     from .solve import stationary_eigen
 
     A_sym, A_anti = assemble_stationary_pair(cfg.ps, cfg.U, cfg.params)
-    states = stationary_eigen(A_sym, A_anti, cfg.n_states)
+    states = stationary_eigen(A_sym, A_anti, cfg.solver.n_states)
     manifest.append("[eigenvalues]")
     for i, (eps, _) in enumerate(states):
         manifest.append(f"eps_{i} = {eps:.12g}")
@@ -514,7 +529,7 @@ def _run_moyal(cfg, manifest, store):
     from .solve import CoefficientField, moyal_eigen
 
     A_sym, A_anti = assemble_stationary_pair(cfg.ps, cfg.U, cfg.params)
-    pairs = moyal_eigen(A_sym, A_anti, cfg.n_states, hbar=cfg.params.hbar)
+    pairs = moyal_eigen(A_sym, A_anti, cfg.solver.n_states, hbar=cfg.params.hbar)
     manifest.append("[eigenvalues]")
     for i, (e_lo, e_hi, _) in enumerate(pairs):
         manifest.append(f"pair_{i} = {e_lo:.12g} {e_hi:.12g}")
@@ -534,8 +549,8 @@ def _run_refine(cfg, manifest, store):
         A_sym, A_anti = assemble_stationary_pair(ps, cfg.U, cfg.params)
         return stationary_eigen(A_sym, A_anti, 1)[0][1]
 
-    W, report = refine_until(solve_at_level, cfg.epsilon, cfg.ps.j_fine,
-                             n_min=cfg.n_min)
+    W, report = refine_until(solve_at_level, cfg.solver.epsilon, cfg.ps.j_fine,
+                             n_min=cfg.solver.n_min)
     manifest.append("[refinement]")
     for N, diff in report.levels_tried:
         manifest.append(f"level_{N}_difference = {diff:.12g}")
@@ -556,10 +571,10 @@ def _dump_scale_parts(cfg, final, run_dir):
     from .solve import reconstruct_by_scale
 
     slow, fast = reconstruct_by_scale(final)
-    dump_grid(slow, cfg.grid_resolution,
+    dump_grid(slow, cfg.output.grid_resolution,
               os.path.join(run_dir, "scale_slow.wgrid"))
     for j, part in enumerate(fast, start=final.ps.scale_cut):
-        dump_grid(part, cfg.grid_resolution,
+        dump_grid(part, cfg.output.grid_resolution,
                   os.path.join(run_dir, f"scale_fast_{j}.wgrid"))
 
 
@@ -593,12 +608,12 @@ class _CheckpointWriter:
             self.series = HealthSeries(W.ps, U, self.cfg.params)
             self._append("series.txt", "# " + " ".join(HealthSeries.COLUMNS))
         self.previous, self.last = self.last, W
-        if self.stored % self.cfg.checkpoint_every == 0:
+        if self.stored % self.cfg.output.checkpoint_every == 0:
             self._write(W)
         self.stored += 1
 
     def finish(self):
-        if (self.stored - 1) % self.cfg.checkpoint_every:
+        if (self.stored - 1) % self.cfg.output.checkpoint_every:
             self._write(self.last)
 
     def _write(self, W):

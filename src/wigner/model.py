@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import MAX_MOMENT_POWER
 from .errors import ConfigurationError, ContractError
 
 
@@ -94,7 +95,8 @@ _TERM_RE = re.compile(
 def parse_potential(text: str) -> PolynomialPotential:
     """Parse "c0 + c1*q + c2*q^2 + ..." (decimal or sci notation).
 
-    Potentials depend on q only, so any p term raises ConfigurationError.
+    Potentials depend on q only, so any p term raises ConfigurationError, as
+    does a degree above MAX_MOMENT_POWER + 1, before its coefficients exist.
     """
     s = text.strip()
     if not s:
@@ -130,5 +132,8 @@ def parse_potential(text: str) -> PolynomialPotential:
         cq[power] = cq.get(power, 0.0) + val
         pos = m.end()
         first = False
-    nq = max(cq.keys(), default=-1) + 1
-    return PolynomialPotential(coeffs_q=tuple(cq.get(k, 0.0) for k in range(nq)))
+    degree = max((k for k, c in cq.items() if c), default=-1)
+    if degree > MAX_MOMENT_POWER + 1:
+        raise ConfigurationError(f"degree {degree} exceeds {MAX_MOMENT_POWER + 1}, "
+                                 "the highest the moment tables support")
+    return PolynomialPotential(coeffs_q=tuple(cq.get(k, 0.0) for k in range(degree + 1)))

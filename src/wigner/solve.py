@@ -47,10 +47,15 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class EvolutionConfig:
+    """The ``[solver]`` settings: time stepping, refine and eigen counts."""
+
     dt: float = 0.01
     t_end: float = 1.0
     scheme: str = "implicit_midpoint"
     store_every: int = 1
+    epsilon: float = 1e-4
+    n_min: int = 4
+    n_states: int = 4
 
     def __post_init__(self):
         bad = []
@@ -63,6 +68,10 @@ class EvolutionConfig:
                        f"integrator (got {self.scheme!r})")
         if not self.store_every >= 1:
             bad.append("store_every must be >= 1")
+        if not self.epsilon > 0:
+            bad.append("epsilon must be positive")
+        if not self.n_states >= 1:
+            bad.append("n_states must be >= 1")
         if bad:
             raise ConfigurationError("; ".join(bad))
 

@@ -17,7 +17,6 @@ from wigner.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
-    _initial_field,
     _make_run_dir,
     dump_grid,
     load_grid,
@@ -74,9 +73,9 @@ def test_parse_minimal_config_defaults(tmp_path):
     assert cfg.params == ModelParams()
     assert cfg.ps == PhaseSpaceBasis(order=6, j_coarse=3, j_fine=4, q_min=-4.0,
                                      q_max=4.0, p_min=-4.0, p_max=4.0)
-    assert cfg.evolution == EvolutionConfig(dt=0.05, t_end=0.1)
-    assert cfg.evolution.scheme == "implicit_midpoint"
-    assert cfg.initial["type"] == "gaussian"
+    assert cfg.solver == EvolutionConfig(dt=0.05, t_end=0.1)
+    assert cfg.solver.scheme == "implicit_midpoint"
+    assert cfg.initial.type == "gaussian"
     assert cfg.thresholds.theta_loc == 0.05
     assert cfg.raw_text.startswith("[run]")
 
@@ -307,6 +306,117 @@ def test_validate_command(tmp_path, capsys):
         "refine_j_fine_too_coarse"])
 def test_validate_rejects_what_run_would(tmp_path, edits):
     assert main(["validate", _write(tmp_path, _edited(edits))]) == EXIT_CONFIG
+
+
+_TAIL = "t_end = 0.1"
+_ENSEMBLE = ("mode = evolve", "mode = ensemble")
+
+
+def _section(name, *lines):
+    """An edit that appends ``[name]`` with ``lines`` after [solver]."""
+    return (_TAIL, "\n".join((_TAIL, "", f"[{name}]") + lines))
+
+
+@pytest.mark.parametrize("edits,line", [
+    ([_section("initial", "type = cat")],
+     "[initial] type must be 'gaussian' (got 'cat')"),
+    ([_section("initial", "sigma_q = 0")], "[initial] sigma_q must be positive"),
+    ([_section("initial", "sigma_p = -1")], "[initial] sigma_p must be positive"),
+    ([_section("initial", "q0 = inf")], "[initial] q0: inf is not a finite number"),
+    ([(_TAIL, _TAIL + "\nepsilon = 0")], "[solver] epsilon must be positive"),
+    ([(_TAIL, _TAIL + "\nn_states = 0")], "[solver] n_states must be >= 1"),
+    ([("mode = evolve", "mode = refine"), (_TAIL, _TAIL + "\nn_min = 5")],
+     "[solver] n_min 5 exceeds [basis] j_fine = 4, the last refine level"),
+    ([("mode = evolve", "mode = refine"), ("order = 6", "order = 10"),
+      (_TAIL, _TAIL + "\nn_min = 3")],
+     "[solver] n_min: the first refine level, j_fine = 3 with [basis] j_coarse "
+     "= 3: basis too coarse for the order-10 filter: 2^3 functions per axis, "
+     "it needs at least 16"),
+    ([_ENSEMBLE, _section("ensemble", "g = q q")],
+     "[ensemble] g: missing +/- between terms in potential 'q q' at position 2"),
+    ([_ENSEMBLE, _section("ensemble", "n_max = 2", "weights = 0.5 0.5")],
+     "[ensemble] weights: expected 3 weights, got 2"),
+    ([_ENSEMBLE, _section("ensemble", "n_max = 1", "weights = inf 1")],
+     "[ensemble] weights: weights must be finite"),
+    ([_ENSEMBLE, _section("ensemble", "n_max = 1", "weights = 1.5 -0.5")],
+     "[ensemble] weights: weights must be non-negative with a positive sum"),
+    ([_ENSEMBLE, _section("ensemble", "n_max = 2", "weights = coherent:nan")],
+     "[ensemble] weights: coherent amplitude must be finite (got nan)"),
+    ([_ENSEMBLE], "mode 'ensemble' requires an [ensemble] section"),
+    ([_section("ensembel", "n_max = 2")],
+     "unknown section [ensembel]; did you mean [ensemble]?"),
+    ([_section("output", "directory = {afile}")],
+     "[output] directory '{afile}' exists and is not a directory"),
+    ([_section("output", "grid_resolution = 1")],
+     "[output] grid_resolution must be >= 2 per axis"),
+    ([_section("output", "checkpoint_every = 0")],
+     "[output] checkpoint_every must be >= 1"),
+], ids=["initial_type", "sigma_q", "sigma_p", "q0_inf", "epsilon", "n_states",
+        "n_min_exceeds_j_fine", "n_min_too_coarse", "g_parse", "weights_count",
+        "weights_inf", "weights_negative", "coherent_nan", "ensemble_section",
+        "ensembel_hint", "directory", "grid_resolution", "checkpoint_every"])
+def test_validate_error_text(tmp_path, capsys, edits, line):
+    """Each single error reads as one exact line under the header."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    text = _edited(edits).replace("{afile}", str(afile))
+    assert main(["validate", _write(tmp_path, text)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid configuration:", "  " + line.replace("{afile}", str(afile))]
+
+
+@pytest.mark.parametrize("edits,line", [
+    ([_section("initial", "sigma_q = 0", "sigma_p = 0")],
+     "[initial] sigma_q must be positive; sigma_p must be positive"),
+    ([("dt = 0.05", "dt = -1"), (_TAIL, _TAIL + "\nepsilon = 0\nn_states = 0")],
+     "[solver] dt must be positive; epsilon must be positive; n_states must be >= 1"),
+    ([_ENSEMBLE, _section("ensemble", "g = q q", "weights = 1 1 1")],
+     "[ensemble] g: missing +/- between terms in potential 'q q' at position 2; "
+     "weights: expected 2 weights, got 3"),
+    ([_section("output", "grid_resolution = 1", "checkpoint_every = 0")],
+     "[output] grid_resolution must be >= 2 per axis; checkpoint_every must be >= 1"),
+], ids=["initial", "solver", "ensemble", "output"])
+def test_errors_in_one_section_share_a_line(tmp_path, capsys, edits, line):
+    """A section's dataclass reports all its rejections at once, joined by
+    "; " on the section's one line."""
+    assert main(["validate", _write(tmp_path, _edited(edits))]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == ["invalid configuration:",
+                                                    "  " + line]
+
+
+@pytest.mark.parametrize("weights", [None, "1"])
+def test_negative_n_max_is_blamed_on_n_max(tmp_path, capsys, weights):
+    lines = ("n_max = -1",) + ((f"weights = {weights}",) if weights else ())
+    text = _edited([_ENSEMBLE, _section("ensemble", *lines)])
+    assert main(["validate", _write(tmp_path, text)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid configuration:", "  [ensemble] n_max must be >= 0"]
+
+
+def _cli_env():
+    """The environment for ``python -m wigner.cli``: this package first."""
+    src = str(Path(wigner.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_huge_power_is_refused_before_it_is_allocated(tmp_path):
+    """A power above 9 is refused while the potential is parsed, before a
+    coefficient tuple of that length exists: ``wigner validate`` of
+    q^1000000000 stays under a 3 GiB address-space cap."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    path = _write(tmp_path, _edited([("0.5*q^2", "q^1000000000")]))
+    done = subprocess.run([sys.executable, "-m", "wigner.cli", "validate", path],
+                          env=_cli_env(), capture_output=True, text=True,
+                          timeout=300, preexec_fn=cap)
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert done.stderr.splitlines() == [
+        "invalid configuration:", "  [model] potential: degree 1000000000 "
+        "exceeds 9, the highest the moment tables support"]
 
 
 _ORDER_10 = [("order = 6", "order = 10"), ("j_fine = 4", "j_fine = 5")]
@@ -559,13 +669,10 @@ def test_in_process_run_matches_command_line(tmp_path):
     path = _write(tmp_path, _edited([("mode = evolve", "mode = stationary")]
                                     + _QUARTIC + [("t_end = 0.1", "n_states = 2")])
                   + "\n[output]\ngrid_resolution = 8\n")
-    src = str(Path(wigner.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-m", "wigner.cli", "run", path, "--threads", "1",
          "--out", str(tmp_path / "cmd")],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=_cli_env(), capture_output=True, text=True, timeout=300)
     assert done.returncode == EXIT_OK, done.stderr
     run_dir = _run_dir(tmp_path, open(path).read())
     names = sorted(n for n in os.listdir(run_dir) if n != "timing.txt")
@@ -645,7 +752,8 @@ def test_checkpoints_thin_the_full_trajectory(tmp_path, steps, every):
     cfg = parse_config(_write(tmp_path, text))
     L = assemble_evolution(cfg.ps, cfg.U, cfg.params)
     fields = []
-    evolve(_initial_field(cfg, cfg.ps), L, cfg.evolution, store=fields.append)
+    evolve(cfg.initial.field(cfg.ps, cfg.params.hbar), L, cfg.solver,
+           store=fields.append)
     assert len(fields) == steps + 1
     kept = fields[::every]
     if kept[-1] is not fields[-1]:
@@ -749,13 +857,10 @@ def test_manifest_reports_the_last_series_row(tmp_path, edits, code):
     ``wigner run`` runs in its own process, where ``--threads 1`` caps BLAS
     before numpy loads, so the final field is the command line's."""
     path = _write(tmp_path, _edited(edits) + "\n[output]\ngrid_resolution = 8\n")
-    src = str(Path(wigner.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-m", "wigner.cli", "run", path, "--threads", "1",
          "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=_cli_env(), capture_output=True, text=True, timeout=300)
     assert done.returncode == code, done.stderr
     run_dir = done.stdout.strip()
     _, rows = _series(run_dir)
