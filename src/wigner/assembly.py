@@ -114,12 +114,25 @@ class PhaseSpaceBasis:
     def project(self, f) -> np.ndarray:
         """Flat coefficients <phi_qk phi_pl, f> by per-axis exact quadrature.
 
-        ``f(q, p)`` must broadcast over numpy arrays.
+        ``f(q, p)`` must broadcast over numpy arrays.  It is called once per
+        block of ``basis_p.dim // 2`` p nodes and sees every node once.  The
+        q stage runs on each block's samples and writes its (dim_q, block)
+        result into one (dim_q, P_p) array G; the p stage then runs on G.
+        The P_q x P_p sample grid is never made.  A block's samples are half
+        G's size, so the q stage never holds more than the p stage does: G
+        and two arrays of G's size.  The q stage works column by column, so
+        the blocks give the bits of one pass over the whole grid.
         """
         bq, bp = self.basis_q, self.basis_p
         qs, ps_ = bq.projection_nodes(), bp.projection_nodes()
-        F = np.broadcast_to(f(qs[:, None], ps_[None, :]), (qs.size, ps_.size)).astype(float)
-        return bp.project_samples(bq.project_samples(F, axis=0), axis=1).reshape(-1)
+        G = np.empty((bq.dim, ps_.size))
+        size = bp.dim // 2
+        for lo in range(0, ps_.size, size):
+            F = np.asarray(f(qs[:, None], ps_[None, lo:lo + size]), dtype=float)
+            G[:, lo:lo + size] = bq.project_samples(
+                np.broadcast_to(F, (qs.size, size)), axis=0)
+            del F  # before the next block's samples and the p stage
+        return bp.project_samples(G, axis=1).reshape(-1)
 
     def evaluate_grid(self, coeffs: np.ndarray, qs, ps_) -> np.ndarray:
         """Pointwise field values, shape (len(qs), len(ps)) indexed [iq, ip]."""

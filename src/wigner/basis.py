@@ -516,21 +516,30 @@ def quadrature_weights(filt: FilterCoefficients) -> np.ndarray:
 
 
 def _stencil_coefficients(F: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
-    """c_k = sum_t w_t F[(k + t) mod n] along the given axis (periodic)."""
+    """c_k = sum_t w_t F[(k + t) mod n] along the given axis (periodic).
+
+    Each shifted copy of F is scaled and added in place and dropped before
+    the next, so F, c and one copy are the only arrays of F's size."""
     out = np.zeros_like(F, dtype=float)
     for t, wt in enumerate(weights):
-        out += wt * np.roll(F, -t, axis=axis)
+        term = np.roll(F, -t, axis=axis)
+        term *= wt
+        out += term
+        del term
     return out
 
 
 def _restrict_once(c: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """One analysis step c'_k = sum_t h_t c_{(2k+t) mod n} (periodic)."""
+    """One analysis step c'_k = sum_t h_t c_{(2k+t) mod n} (periodic).
+
+    Each term takes only the n/2 entries it reads and is scaled and added
+    in place, so c, c' and one term are the only arrays made."""
     n = c.shape[axis]
-    keep = [slice(None)] * c.ndim
-    keep[axis] = slice(0, None, 2)
-    keep = tuple(keep)
-    out = None
-    for t, ht in enumerate(taps):
-        piece = np.roll(c, -t, axis=axis)[keep]
-        out = ht * piece if out is None else out + ht * piece
+    even = np.arange(0, n, 2)
+    out = taps[0] * np.take(c, even, axis=axis)
+    for t in range(1, len(taps)):
+        term = np.take(c, (even + t) % n, axis=axis)
+        term *= taps[t]
+        out += term
+        del term
     return out

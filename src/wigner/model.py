@@ -96,7 +96,8 @@ def parse_potential(text: str) -> PolynomialPotential:
     """Parse "c0 + c1*q + c2*q^2 + ..." (decimal or sci notation).
 
     Potentials depend on q only, so any p term raises ConfigurationError, as
-    does a degree above MAX_MOMENT_POWER + 1, before its coefficients exist.
+    do a coefficient that is not finite (1e999, or a sum that overflows) and
+    a degree above MAX_MOMENT_POWER + 1, before its coefficients exist.
     """
     s = text.strip()
     if not s:
@@ -127,11 +128,21 @@ def parse_potential(text: str) -> PolynomialPotential:
             )
         power = 0
         if var is not None:
-            pw = m.group("pow1") or m.group("pow2")
-            power = int(pw) if pw else 1
+            pw = (m.group("pow1") or m.group("pow2") or "1").lstrip("0") or "0"
+            try:
+                power = int(pw)
+            except ValueError:  # more digits than int() converts
+                raise ConfigurationError(
+                    f"degree of {len(pw)} digits at position {pos} exceeds "
+                    f"{MAX_MOMENT_POWER + 1}, the highest the moment tables "
+                    "support") from None
         cq[power] = cq.get(power, 0.0) + val
         pos = m.end()
         first = False
+    for k, c in sorted(cq.items()):
+        if not np.isfinite(c):
+            raise ConfigurationError(f"coefficient {c} of q^{k} in potential "
+                                     f"{text!r} is not a finite number")
     degree = max((k for k, c in cq.items() if c), default=-1)
     if degree > MAX_MOMENT_POWER + 1:
         raise ConfigurationError(f"degree {degree} exceeds {MAX_MOMENT_POWER + 1}, "

@@ -128,11 +128,19 @@ def _circulant_symbol(A: np.ndarray):
 
 
 def _mode_inverses(h, symbols, factors):
-    """inv(I - h sum_t symbol_t[k] factor_t) for every Fourier mode k."""
+    """inv(I - h sum_t symbol_t[k] factor_t) for every Fourier mode k.
+
+    One stack is made: the sum is scaled by h and subtracted from I in
+    place, and each mode is inverted into its own slot.  That is the LAPACK
+    call of a stacked ``inv`` on the same inputs, so the bits are the same.
+    """
     n = factors[0].shape[0]
-    M = np.eye(n) - h * np.einsum("tk,tij->kij", np.array(symbols),
-                                  np.array(factors))
-    return np.linalg.inv(M)
+    M = np.einsum("tk,tij->kij", np.array(symbols), np.array(factors))
+    M *= h
+    np.subtract(np.eye(n), M, out=M)
+    for k in range(len(M)):
+        M[k] = np.linalg.inv(M[k])
+    return M
 
 
 class _MidpointStepper:
@@ -286,8 +294,9 @@ def evolve(W0: CoefficientField, L: AssembledOperator, cfg: EvolutionConfig,
         store(last)
     c = W0.coeffs.astype(float)
     t = W0.time
-    dts = [cfg.dt] * n_full + ([remainder] if remainder > 0.0 else [])
-    for i, dt in enumerate(dts):
+    n_steps = n_full + (remainder > 0.0)
+    for i in range(n_steps):
+        dt = cfg.dt if i < n_full else remainder
         c = steppers[dt].step(c)
         t += dt
         norm = np.linalg.norm(c)
@@ -297,8 +306,7 @@ def evolve(W0: CoefficientField, L: AssembledOperator, cfg: EvolutionConfig,
                 last_state=last,
                 diagnostic={"t": t, "norm_ratio": float(norm / norm0)},
             )
-        is_last = i == len(dts) - 1
-        if is_last or (i + 1) % cfg.store_every == 0:
+        if i == n_steps - 1 or (i + 1) % cfg.store_every == 0:
             last = CoefficientField(ps=W0.ps, coeffs=c.copy(), time=t)
             if store is not None:
                 store(last)

@@ -9,6 +9,7 @@ does not edit it.
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,3 +65,24 @@ def test_stationary_probe_sees_one_eigensolve(tmp_path):
     problems, _ = RUNNER.checks.check_run(str(out / f"run-{spec['mode']}"),
                                           proc.returncode, spec)
     assert problems == []
+
+
+def test_projection_spans_count_every_sample_once(tmp_path):
+    """The traced ``assembly.PhaseSpaceBasis.project`` spans of an
+    ``evolve_long`` config count 4^(6 + 3) = 262,144 points in all: f sees
+    each node of the 512 x 512 sample grid once, however the projection
+    blocks it, so the per-layer ``assembly.project_points`` keeps its
+    meaning.  ``t_end = 0`` leaves out the steps."""
+    text, _ = RUNNER.make_config("evolve_long", 1)
+    cfg = tmp_path / "evolve_long.ini"
+    cfg.write_text(re.sub(r"(?m)^t_end = .*$", "t_end = 0", text))
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "perfbench/launch.py", "trace", "0", str(report),
+         "run", str(cfg), "--threads", "1", "--out", str(tmp_path / "out")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    points = [info.get("points", 0) for name, *_, info
+              in json.loads(report.read_text())["spans"]
+              if name == "assembly.PhaseSpaceBasis.project"]
+    assert points and sum(points) == 4 ** 9

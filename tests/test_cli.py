@@ -296,6 +296,11 @@ def test_validate_command(tmp_path, capsys):
     # the run's own basis is the last refine level
     [("mode = evolve", "mode = refine"), ("order = 6", "order = 10"),
      ("j_fine = 4", "j_fine = 3"), ("t_end = 0.1", "t_end = 0.1\nn_min = 3")],
+    # a coefficient that is not finite, as written or once summed, and a
+    # power longer than int() converts
+    [("0.5*q^2", "1e999*q^2")],
+    [("0.5*q^2", "1e308*q^4 + 1e308*q^4")],
+    [("0.5*q^2", "q^" + "9" * 5000)],
 ], ids=["lindblad", "pure_p", "p_term", "n_states", "n_min",
         "ensemble_weights", "filter_too_rough", "q9_evolve", "q9_stationary",
         "support_too_coarse", "moment_band_too_coarse", "refine_n_min_too_coarse",
@@ -303,7 +308,8 @@ def test_validate_command(tmp_path, capsys):
         "zero_weights", "nan_dt", "coherent_nan",
         "coherent_inf", "inf_weight", "top_k", "theta_frac", "theta_loc",
         "theta_chaos", "theta_stab", "interpolation", "negative_j_coarse",
-        "refine_j_fine_too_coarse"])
+        "refine_j_fine_too_coarse", "inf_coefficient", "overflowing_sum",
+        "5000_digit_power"])
 def test_validate_rejects_what_run_would(tmp_path, edits):
     assert main(["validate", _write(tmp_path, _edited(edits))]) == EXIT_CONFIG
 

@@ -139,6 +139,32 @@ def test_evolve_memory_does_not_grow_with_stored_steps(ps6, gaussian_field6):
     assert peak - seen[0] < 20 * state_bytes
 
 
+def test_evolve_memory_does_not_grow_with_the_step_count():
+    """Up to the first stepped state of a 10^6-step run on a 16x16 basis the
+    traced peak stays below 1 MB: no list of the steps' dt is made (16 MB
+    with one)."""
+    ps = PhaseSpaceBasis(order=6, j_coarse=3, j_fine=4,
+                         q_min=-6.0, q_max=6.0, p_min=-6.0, p_max=6.0)
+    L = _quartic_dissipative(ps)
+    W0 = _offset_gaussian(ps)
+
+    class FirstStep(Exception):
+        pass
+
+    def stop(W):
+        if W.time > 0.0:
+            raise FirstStep
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstStep):
+            evolve(W0, L, EvolutionConfig(dt=0.01, t_end=1e4), store=stop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_rk4_matches_midpoint(ps6, gaussian_field6):
     """The midpoint stepper agrees with the reference RK4 integrator."""
     L = assemble_evolution(ps6, parse_potential("0.5*q^2"), PARAMS)
@@ -380,17 +406,26 @@ def test_precondition_matches_dense_factorization(expr, bound):
 def test_midpoint_stepper_retains_no_per_p_mode_stack():
     """At 64x64 a stepper retains below 3.5 MB: the 2.2 MB stack of per-q-mode
     inverses of I - hT and the 0.46 MB history, but no stack for I - hF
-    (4.8 MB retained with one)."""
+    (4.8 MB retained with one).  Building it peaks below 3.5 MB as well: the
+    T stack is scaled, subtracted from I and inverted in place (4.5 MB with
+    a copy per stage).  The in-place stack has the bits of one stacked
+    ``inv`` of I - h sum_t symbol_t factor_t."""
     ps = PhaseSpaceBasis(order=6, j_coarse=3, j_fine=6,
                          q_min=-6.0, q_max=6.0, p_min=-6.0, p_max=6.0)
     L = _quartic_dissipative(ps)
     tracemalloc.start()
     try:
         stepper = _MidpointStepper(L, 0.01)  # alive while measured
-        retained = tracemalloc.get_traced_memory()[0]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert stepper.h == 0.005 and retained < 3.5e6
+    assert stepper.h == 0.005 and retained < 3.5e6 and peak < 3.5e6
+    T = [(t.coeff * np.fft.rfft(t.q_matrix[:, 0]), t.p_matrix) for t in L.terms
+         if wigner.solve._circulant_symbol(t.q_matrix) is not None]
+    symbols, factors = map(np.array, zip(*T))
+    stack = np.eye(ps.basis_p.dim) - stepper.h * np.einsum(
+        "tk,tij->kij", symbols, factors)
+    assert stepper._inv_T.tobytes() == np.linalg.inv(stack).tobytes()
 
 
 @pytest.mark.parametrize("case", ["no_circulant_factor", "complex"])
