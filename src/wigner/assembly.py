@@ -16,9 +16,22 @@ from math import factorial
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import WaveletBasis, daubechies_filter, smallest_level
+from .basis import MAX_MOMENT_POWER, WaveletBasis, daubechies_filter, smallest_level
 from .errors import ConfigurationError, ContractError
 from .model import ModelParams, PolynomialPotential, derivative
+
+
+def _overflows(basis: WaveletBasis) -> bool:
+    """Whether the lifted monomial x^(MAX_MOMENT_POWER + 1) or the derivative
+    scale (dim / length)^d, at the highest order d = order / 2 that
+    ``connection_coefficients`` admits, is not finite on the basis' box."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.append(basis.moment_functional(MAX_MOMENT_POWER + 1),
+                               (basis.dim / basis.length) ** (basis.filter.order // 2))
+    except OverflowError:  # a power of Python floats
+        return True
+    return not np.all(np.isfinite(values))
 
 
 @dataclass(frozen=True)
@@ -28,8 +41,9 @@ class PhaseSpaceBasis:
     The fields are the run's ``[basis]`` settings: the filter order, the
     levels j_coarse..j_fine both axes share, and the q and p boxes.  The
     axes ``basis_q`` and ``basis_p`` are built from them, so
-    ``dataclasses.replace`` gives a basis with fresh axes.  Coefficient
-    vectors are flat with q-major ordering: flat = iq * dim_p + ip.
+    ``dataclasses.replace`` gives a basis with fresh axes.  A box that is
+    empty or on which the tables overflow (``_overflows``) is rejected.
+    Coefficient vectors are flat with q-major ordering: flat = iq * dim_p + ip.
     """
 
     order: int = 6
@@ -59,10 +73,16 @@ class PhaseSpaceBasis:
                 for axis, (a, b) in axes if not b > a]
         if bad:
             raise ConfigurationError("; ".join(bad))
-        for axis, domain in axes:
-            object.__setattr__(self, f"basis_{axis}", WaveletBasis(
-                filter=filt, j_coarse=self.j_coarse, j_fine=self.j_fine,
-                domain=domain))
+        for axis, (a, b) in axes:
+            basis = WaveletBasis(filter=filt, j_coarse=self.j_coarse,
+                                 j_fine=self.j_fine, domain=(a, b))
+            if _overflows(basis):
+                bad.append(f"{axis}_min, {axis}_max: domain [{a:g}, {b:g}) "
+                           f"overflows double precision in x^{MAX_MOMENT_POWER + 1} "
+                           f"or in the order-{self.order} derivative scale")
+            object.__setattr__(self, f"basis_{axis}", basis)
+        if bad:
+            raise ConfigurationError("; ".join(bad))
 
     @property
     def dim(self) -> int:
@@ -247,16 +267,26 @@ def _potential_series(ps: PhaseSpaceBasis, U: PolynomialPotential, hbar: float,
     for r <= deg U, skipping each r with U^(r) = 0.  The odd part (parity 1)
     is the force and its hbar^2 corrections in the Wigner equation; the even
     part (parity 0) is the potential of the stationary star-genvalue equation,
-    whose r = 0 term has the identity as its p factor.
+    whose r = 0 term has the identity as its p factor.  A term whose U^(r)
+    or q matrix overflows double precision on the box is a ConfigurationError.
     """
     names = ("force", "quantum_l") if parity else ("potential", "stationary_sym_l")
     half_h = hbar / 2.0
     terms = []
     for r in range(parity, U.degree + 1, 2):
-        dU = derivative(U, r)
-        if dU.is_zero:
-            continue
         l = r // 2
+        tag = names[0] if l == 0 else f"{names[1]}{l}"
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                dU = derivative(U, r)
+                Uq = None if dU.is_zero else _poly_mult_matrix(ps.basis_q, dU.coeffs_q)
+        except FloatingPointError as exc:
+            raise ConfigurationError(
+                f"the {tag} term overflows: U^({r}) or its Galerkin matrix on "
+                f"q in [{ps.q_min:g}, {ps.q_max:g}) exceeds double precision"
+            ) from exc
+        if Uq is None:
+            continue
         coeff = ((-1.0) ** l) * half_h ** (2 * l) / factorial(r)
         try:
             Lam = np.eye(ps.basis_p.dim) if r == 0 else ps.basis_p.derivative_matrix(r)
@@ -265,8 +295,7 @@ def _potential_series(ps: PhaseSpaceBasis, U: PolynomialPotential, hbar: float,
                 f"momentum-derivative order {r} needed by the potential series "
                 f"is not supported: {exc}"
             ) from exc
-        tag = names[0] if l == 0 else f"{names[1]}{l}"
-        terms.append(OperatorTerm(tag, coeff, _poly_mult_matrix(ps.basis_q, dU.coeffs_q), Lam))
+        terms.append(OperatorTerm(tag, coeff, Uq, Lam))
     return terms
 
 

@@ -256,14 +256,18 @@ def parse_config(path) -> RunConfig:
         try:
             _assemble_smallest(mode, ps.order, ps, U_run, params)
         except ConfigurationError as exc:
-            # blame the filter only when a supported order assembles U
+            # blame the filter only when a supported order assembles U, and
+            # U's degree only when that order fails for want of regularity
             try:
                 _assemble_smallest(mode, 10, ps, U_run, params)
                 errors.append(f"[basis] order {ps.order}: {exc}")
-            except ConfigurationError:
-                errors.append(f"{U_key}: degree {U_run.degree} needs a "
-                              "derivative beyond the regularity of every "
-                              f"filter order in {mode} mode")
+            except ConfigurationError as exc10:
+                if isinstance(exc10.__cause__, FloatingPointError):  # overflow
+                    errors.append(f"{U_key}: {exc10}")
+                else:
+                    errors.append(f"{U_key}: degree {U_run.degree} needs a "
+                                  "derivative beyond the regularity of every "
+                                  f"filter order in {mode} mode")
 
     output = build(OutputSettings, "output")
     thresholds = build(ClassifierThresholds, "diagnostics")

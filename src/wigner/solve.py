@@ -435,49 +435,39 @@ def _half_bandwidth(mats: np.ndarray) -> int:
 
 
 def _shifted_band(op: AssembledOperator, sigma: float):
-    """Upper band of the symmetric part of op - sigma I, both axes in
-    folded order.
+    """Upper band of the symmetric part of op - sigma I, axes in folded order.
 
     Returns (ab, perm): ab[u + r - c, c] is entry (r, c), r <= c, of the
     folded matrix, whose flat index r is op's index perm[r]; ab is Fortran-
     ordered LAPACK upper band storage of half-bandwidth u = b_q n_p + b_p,
     with b_q, b_p the folded half-bandwidths of the q and p factors.  The
-    band is written from the Kronecker terms, one q-block offset at a time,
-    and no dim x dim array is made.  A_sym is symmetric only to the
-    roundoff of its derivative tables (3.8e-13 relative on the 32x32
-    order-10 quartic); the band of (op + op^T) / 2 is symmetric by
-    construction, whichever triangle LAPACK reads.
+    band is written from the Kronecker terms, one q-block offset at a time
+    and one plain slice of ab per block column; no dim x dim array is made.
+    A_sym is symmetric only to the roundoff of its derivative tables (3.8e-13
+    relative on the 32x32 order-10 quartic); the band of (op + op^T) / 2 is
+    symmetric by construction, whichever triangle LAPACK reads.
     """
     nq, n_p = op.ps.shape
     fq, fp = _folded_order(nq), _folded_order(n_p)
     Qs = np.stack([0.5 * t.coeff * t.q_matrix[np.ix_(fq, fq)] for t in op.terms])
-    Bs = np.stack([t.p_matrix[np.ix_(fp, fp)] for t in op.terms])
+    Bs = np.stack([t.p_matrix[np.ix_(fp, fp)].T for t in op.terms])
     # each term and its transpose: the band of (op + op^T) / 2
     Qs = np.concatenate([Qs, Qs.transpose(0, 2, 1)])
     Bs = np.concatenate([Bs, Bs.transpose(0, 2, 1)])
     bq, bp = _half_bandwidth(Qs), _half_bandwidth(Bs)
     u = bq * n_p + bp
     ab = np.zeros((u + 1, nq * n_p), order="F")
-    # ab's Fortran-order flat index of entry (r, c) is u (c + 1) + r, so the
-    # n_p x n_p blocks (iq, iq + dq), entry (j, l) at row iq n_p + j and
-    # column (iq + dq) n_p + l, form one strided view per offset dq.  Only
-    # entries at distance dq n_p + l - j in [0, u] above the diagonal lie in
-    # the band; the others alias band storage and are not written.
-    flat = ab.reshape(-1, order="F")
-    step = ab.itemsize
-    j, l = np.divmod(np.arange(n_p * n_p).reshape(n_p, n_p), n_p)
+    cols = ab.T.reshape(nq, n_p, u + 1)  # cols[iq, l]: ab's column iq n_p + l
     Bs = Bs.reshape(len(Bs), -1)
     for dq in range(bq + 1):
+        # Bs holds each B transposed, so blocks[iq, l] is column l of the
+        # n_p x n_p block (iq, iq + dq); its entry j lies at band row top + j
         blocks = (Qs.diagonal(dq, axis1=1, axis2=2).T @ Bs).reshape(-1, n_p, n_p)
-        view = np.lib.stride_tricks.as_strided(
-            flat[u * (dq * n_p + 1):], shape=blocks.shape,
-            strides=(n_p * (u + 1) * step, step, u * step))
-        d = dq * n_p + l - j
-        keep = (d >= 0) & (d <= u)
-        if keep.all():  # every 0 < dq < b_q; twice as fast as a masked write
-            view[...] = blocks
-        else:
-            view[:, keep] = blocks[:, keep]
+        for l in range(n_p):
+            top = u - dq * n_p - l
+            lo, hi = max(0, -top), min(n_p, u + 1 - top)
+            cols[dq:, l, top + lo:top + hi] = blocks[:, l, lo:hi]
+        del blocks
     ab[u] -= sigma
     return ab, (fq[:, None] * n_p + fp).reshape(-1)
 

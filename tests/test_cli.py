@@ -301,6 +301,15 @@ def test_validate_command(tmp_path, capsys):
     [("0.5*q^2", "1e999*q^2")],
     [("0.5*q^2", "1e308*q^4 + 1e308*q^4")],
     [("0.5*q^2", "q^" + "9" * 5000)],
+    # a finite coefficient whose force (4e308) or whose moment entries
+    # (1e306 q^4 on +-4) overflow double precision
+    [("0.5*q^2", "1e308*q^4")],
+    [("mode = evolve", "mode = stationary"), ("order = 6", "order = 10"),
+     ("0.5*q^2", "1e306*q^4")],
+    # a box whose lifted monomials or derivative scales overflow
+    [("q_min = -4", "q_min = -1e300"), ("q_max = 4", "q_max = 1e300")],
+    [("mode = evolve", "mode = stationary"),
+     ("q_min = -4", "q_min = -1e-300"), ("q_max = 4", "q_max = 1e-300")],
 ], ids=["lindblad", "pure_p", "p_term", "n_states", "n_min",
         "ensemble_weights", "filter_too_rough", "q9_evolve", "q9_stationary",
         "support_too_coarse", "moment_band_too_coarse", "refine_n_min_too_coarse",
@@ -309,9 +318,37 @@ def test_validate_command(tmp_path, capsys):
         "coherent_inf", "inf_weight", "top_k", "theta_frac", "theta_loc",
         "theta_chaos", "theta_stab", "interpolation", "negative_j_coarse",
         "refine_j_fine_too_coarse", "inf_coefficient", "overflowing_sum",
-        "5000_digit_power"])
+        "5000_digit_power", "overflowing_force", "overflowing_moments",
+        "huge_box", "tiny_box"])
 def test_validate_rejects_what_run_would(tmp_path, edits):
     assert main(["validate", _write(tmp_path, _edited(edits))]) == EXIT_CONFIG
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("half_width", ["1e-300", "6", "1e300"])
+@pytest.mark.parametrize("c", ["1", "1e306", "1e308"])
+@pytest.mark.parametrize("mode,order,j_fine", [("evolve", 6, 3), ("stationary", 10, 4)])
+def test_numeric_extremes_end_in_an_exit_code(tmp_path, mode, order, j_fine, c,
+                                              half_width):
+    """Each mode on its smallest basis, with c q^4 on +-half_width in both
+    axes: ``validate`` accepts or rejects the config, and a run of what it
+    accepts ends in an exit code and a manifest, never in a traceback or a
+    numpy warning."""
+    w = half_width
+    path = _write(tmp_path, _edited([
+        ("mode = evolve", f"mode = {mode}"), ("order = 6", f"order = {order}"),
+        ("j_fine = 4", f"j_fine = {j_fine}"), ("0.5*q^2", f"{c}*q^4"),
+        ("t_end = 0.1", "t_end = 0.05"),
+        ("q_min = -4", f"q_min = -{w}"), ("q_max = 4", f"q_max = {w}"),
+        ("p_min = -4", f"p_min = -{w}"), ("p_max = 4", f"p_max = {w}")]))
+    code = main(["validate", path])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    if code == EXIT_OK:
+        out = tmp_path / "out"
+        code = main(["run", path, "--threads", "1", "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_NOT_CONVERGED)
+        (run_dir,) = out.iterdir()
+        assert (run_dir / "manifest.txt").is_file()
 
 
 _TAIL = "t_end = 0.1"
@@ -357,10 +394,21 @@ def _section(name, *lines):
      "[output] grid_resolution must be >= 2 per axis"),
     ([_section("output", "checkpoint_every = 0")],
      "[output] checkpoint_every must be >= 1"),
+    ([("0.5*q^2", "1e308*q^4")],
+     "[model] potential: the force term overflows: U^(1) or its Galerkin matrix "
+     "on q in [-4, 4) exceeds double precision"),
+    ([("mode = evolve", "mode = stationary"), ("order = 6", "order = 10"),
+      ("0.5*q^2", "1e306*q^4")],
+     "[model] potential: the potential term overflows: U^(0) or its Galerkin "
+     "matrix on q in [-4, 4) exceeds double precision"),
+    ([("q_min = -4", "q_min = -1e300"), ("q_max = 4", "q_max = 1e300")],
+     "[basis] q_min, q_max: domain [-1e+300, 1e+300) overflows double precision "
+     "in x^9 or in the order-6 derivative scale"),
 ], ids=["initial_type", "sigma_q", "sigma_p", "q0_inf", "epsilon", "n_states",
         "n_min_exceeds_j_fine", "n_min_too_coarse", "g_parse", "weights_count",
         "weights_inf", "weights_negative", "coherent_nan", "ensemble_section",
-        "ensembel_hint", "directory", "grid_resolution", "checkpoint_every"])
+        "ensembel_hint", "directory", "grid_resolution", "checkpoint_every",
+        "overflowing_force", "overflowing_moments", "huge_q_box"])
 def test_validate_error_text(tmp_path, capsys, edits, line):
     """Each single error reads as one exact line under the header."""
     afile = tmp_path / "afile"
