@@ -15,10 +15,11 @@ from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.polynomial import Polynomial
 
 from .basis import MAX_MOMENT_POWER, WaveletBasis, daubechies_filter, smallest_level
 from .errors import ConfigurationError, ContractError
-from .model import ModelParams, PolynomialPotential, derivative
+from .model import ModelParams
 
 
 def _overflows(basis: WaveletBasis) -> bool:
@@ -172,12 +173,18 @@ class OperatorTerm:
     p_matrix: np.ndarray
 
 
+_TERM_KEYS = {"transport": "mass", "kinetic": "mass", "stationary_sym": "hbar, mass",
+              "dissipator_friction": "gamma", "dissipator_diffusion": "diffusion"}
+
+
 @dataclass
 class AssembledOperator:
     """Sum of Kronecker terms with matrix-free application.
 
     ``apply`` computes sum_t coeff_t * (A_t C B_t^T) on the reshaped
     coefficient grid; ``matrix`` materializes the sparse form on demand.
+    A term whose coefficient times its p factor is not finite is refused,
+    naming the ``[model]`` keys of the coefficient: ``_TERM_KEYS``, else hbar.
     """
 
     ps: PhaseSpaceBasis
@@ -190,12 +197,19 @@ class AssembledOperator:
         # memory after setup holds no block allocation.
         blocks = []
         for t in self.terms:
+            with np.errstate(over="ignore", invalid="ignore"):
+                B = t.coeff * t.p_matrix
+            if not np.all(np.isfinite(B)):
+                raise ConfigurationError(
+                    f"[model] {_TERM_KEYS.get(t.tag, 'hbar')}: the {t.tag} term's "
+                    f"coefficient {t.coeff:.6g}, or that times its p factor, "
+                    "exceeds double precision")
             for blk in blocks:
                 if np.array_equal(blk[0], t.q_matrix):
-                    blk[1] = blk[1] + t.coeff * t.p_matrix
+                    blk[1] = blk[1] + B
                     break
             else:
-                blocks.append([t.q_matrix, t.coeff * t.p_matrix])
+                blocks.append([t.q_matrix, B])
         self._Q = np.concatenate([q for q, _ in blocks], axis=1) if blocks else None
         self._Bt = np.concatenate([b.T for _, b in blocks], axis=1) if blocks else None
 
@@ -249,6 +263,14 @@ def _poly_mult_matrix(basis: WaveletBasis, coeffs) -> np.ndarray:
     return M
 
 
+def _power(x: float, n: int) -> float:
+    """x ** n, or inf where it overflows: the operator then refuses its term."""
+    try:
+        return x ** n
+    except OverflowError:
+        return np.inf
+
+
 def assemble_transport(ps: PhaseSpaceBasis, params: ModelParams) -> AssembledOperator:
     """Free streaming -(p/m) dW/dq."""
     Dq = ps.basis_q.derivative_matrix(1)
@@ -258,13 +280,13 @@ def assemble_transport(ps: PhaseSpaceBasis, params: ModelParams) -> AssembledOpe
     )
 
 
-def _potential_series(ps: PhaseSpaceBasis, U: PolynomialPotential, hbar: float,
+def _potential_series(ps: PhaseSpaceBasis, U: Polynomial, hbar: float,
                       parity: int) -> list:
     """Terms of U(q + (i hbar/2) d/dp) = sum_r ((i hbar/2)^r / r!) U^(r)(q) d^r/dp^r
     of one parity, as real coefficients.
 
     Term r = 2l + parity carries (-1)^l (hbar/2)^(2l) / r!  *  U^(r)(q) (x) d^r/dp^r
-    for r <= deg U, skipping each r with U^(r) = 0.  The odd part (parity 1)
+    for r <= deg U, where U^(r) is not 0 unless U is.  The odd part (parity 1)
     is the force and its hbar^2 corrections in the Wigner equation; the even
     part (parity 0) is the potential of the stationary star-genvalue equation,
     whose r = 0 term has the identity as its p factor.  A term whose U^(r)
@@ -273,21 +295,18 @@ def _potential_series(ps: PhaseSpaceBasis, U: PolynomialPotential, hbar: float,
     names = ("force", "quantum_l") if parity else ("potential", "stationary_sym_l")
     half_h = hbar / 2.0
     terms = []
-    for r in range(parity, U.degree + 1, 2):
+    for r in range(parity, U.degree() + 1 if U.coef.any() else 0, 2):
         l = r // 2
         tag = names[0] if l == 0 else f"{names[1]}{l}"
         try:
             with np.errstate(over="raise", invalid="raise"):
-                dU = derivative(U, r)
-                Uq = None if dU.is_zero else _poly_mult_matrix(ps.basis_q, dU.coeffs_q)
+                Uq = _poly_mult_matrix(ps.basis_q, U.deriv(r).coef)
         except FloatingPointError as exc:
             raise ConfigurationError(
                 f"the {tag} term overflows: U^({r}) or its Galerkin matrix on "
                 f"q in [{ps.q_min:g}, {ps.q_max:g}) exceeds double precision"
             ) from exc
-        if Uq is None:
-            continue
-        coeff = ((-1.0) ** l) * half_h ** (2 * l) / factorial(r)
+        coeff = ((-1.0) ** l) * _power(half_h, 2 * l) / factorial(r)
         try:
             Lam = np.eye(ps.basis_p.dim) if r == 0 else ps.basis_p.derivative_matrix(r)
         except ConfigurationError as exc:
@@ -300,7 +319,7 @@ def _potential_series(ps: PhaseSpaceBasis, U: PolynomialPotential, hbar: float,
 
 
 def assemble_quantum_correction(
-    ps: PhaseSpaceBasis, U: PolynomialPotential, params: ModelParams
+    ps: PhaseSpaceBasis, U: Polynomial, params: ModelParams
 ) -> AssembledOperator:
     """Force term plus the finite hbar^2l series of odd-derivative corrections:
     the odd part of ``_potential_series``."""
@@ -335,7 +354,7 @@ def assemble_dissipator(ps: PhaseSpaceBasis, params: ModelParams) -> AssembledOp
 
 
 def assemble_evolution(
-    ps: PhaseSpaceBasis, U: PolynomialPotential, params: ModelParams
+    ps: PhaseSpaceBasis, U: Polynomial, params: ModelParams
 ) -> AssembledOperator:
     """Full generator: transport + quantum correction + dissipator."""
     return (
@@ -346,7 +365,7 @@ def assemble_evolution(
 
 
 def assemble_stationary_pair(
-    ps: PhaseSpaceBasis, U: PolynomialPotential, params: ModelParams
+    ps: PhaseSpaceBasis, U: Polynomial, params: ModelParams
 ):
     """Real symmetric / antisymmetric pair of the stationary two-sided system.
 
@@ -362,7 +381,7 @@ def assemble_stationary_pair(
     sym_terms = (
         [OperatorTerm("kinetic", 0.5 / m, np.eye(ps.basis_q.dim), ps.basis_p.moment_matrix(2))]
         + even[:1]
-        + [OperatorTerm("stationary_sym", -params.hbar ** 2 / (8.0 * m),
+        + [OperatorTerm("stationary_sym", -_power(params.hbar, 2) / (8.0 * m),
                         ps.basis_q.derivative_matrix(2), np.eye(ps.basis_p.dim))]
         + even[1:]
     )
@@ -372,7 +391,7 @@ def assemble_stationary_pair(
 
 
 def assemble_stationary_cnumber(
-    ps: PhaseSpaceBasis, U: PolynomialPotential, params: ModelParams
+    ps: PhaseSpaceBasis, U: Polynomial, params: ModelParams
 ) -> AssembledOperator:
     """Complex stationary operator with the shifted-argument potential.
 
@@ -391,14 +410,9 @@ def assemble_stationary_cnumber(
         OperatorTerm("kinetic_curvature", -params.hbar ** 2 / (8.0 * m) + 0.0j,
                      ps.basis_q.derivative_matrix(2), Ip),
     ]
-    r = 0
-    while not derivative(U, r).is_zero:
-        dU = derivative(U, r)
+    for r in range(U.degree() + 1 if U.coef.any() else 0):
         coeff = (0.5j * params.hbar) ** r / factorial(r)
         Lam = Ip if r == 0 else ps.basis_p.derivative_matrix(r)
-        terms.append(
-            OperatorTerm(f"potential_star_r{r}", coeff,
-                         _poly_mult_matrix(ps.basis_q, dU.coeffs_q), Lam)
-        )
-        r += 1
+        terms.append(OperatorTerm(f"potential_star_r{r}", coeff,
+                                  _poly_mult_matrix(ps.basis_q, U.deriv(r).coef), Lam))
     return AssembledOperator(ps=ps, terms=terms)

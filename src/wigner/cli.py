@@ -53,14 +53,24 @@ class InitialState:
         if bad:
             raise ConfigurationError("; ".join(bad))
 
+    def widths(self, hbar):
+        """(sigma_q, sigma_p) at ``hbar``; a ConfigurationError when W0's
+        exponent or its peak 1/(2 pi sigma_q sigma_p) leaves double precision."""
+        sq, sp_ = ((hbar / 2.0) ** 0.5 if s is None else s
+                   for s in (self.sigma_q, self.sigma_p))
+        with contextlib.suppress(OverflowError):  # a width's square
+            if min(sq ** 2, sp_ ** 2) > 0 and 0 < 2.0 * math.pi * sq * sp_ < math.inf:
+                return sq, sp_
+        raise ConfigurationError(f"sigma_q, sigma_p: widths {sq:g} and {sp_:g} put "
+                                 "W0's exponent or its peak outside double precision")
+
     def field(self, ps, hbar):
         """W0 projected onto ``ps``."""
         import numpy as np
 
         from .solve import CoefficientField
 
-        sq = self.sigma_q if self.sigma_q is not None else (hbar / 2.0) ** 0.5
-        sp_ = self.sigma_p if self.sigma_p is not None else (hbar / 2.0) ** 0.5
+        sq, sp_ = self.widths(hbar)
         amp = 1.0 / (2.0 * np.pi * sq * sp_)
 
         def f(q, p):
@@ -225,6 +235,11 @@ def parse_config(path) -> RunConfig:
 
     ps = build(PhaseSpaceBasis, "basis")
     initial = build(InitialState, "initial")
+    if None not in (initial, params):
+        try:
+            initial.widths(params.hbar)
+        except ConfigurationError as exc:
+            errors.append(f"[initial] {exc}")
     solver = build(EvolutionConfig, "solver")
     # refine levels run from n_min to the run's own j_fine
     if mode == "refine" and None not in (ps, solver):
@@ -248,8 +263,8 @@ def parse_config(path) -> RunConfig:
     # The generator multiplies by U' at most, the stationary pair by U; the
     # moment tables end at MAX_MOMENT_POWER whatever the filter order.
     max_degree = MAX_MOMENT_POWER + (mode in ("evolve", "ensemble"))
-    if U_run is not None and U_run.degree > max_degree:
-        errors.append(f"{U_key}: degree {U_run.degree} exceeds {max_degree}, "
+    if U_run is not None and U_run.degree() > max_degree:
+        errors.append(f"{U_key}: degree {U_run.degree()} exceeds {max_degree}, "
                       f"the highest the moment tables support in {mode} mode")
         U_run = None
     if None not in (U_run, params, ps):
@@ -264,10 +279,12 @@ def parse_config(path) -> RunConfig:
             except ConfigurationError as exc10:
                 if isinstance(exc10.__cause__, FloatingPointError):  # overflow
                     errors.append(f"{U_key}: {exc10}")
-                else:
-                    errors.append(f"{U_key}: degree {U_run.degree} needs a "
+                elif isinstance(exc10.__cause__, ConfigurationError):  # a table
+                    errors.append(f"{U_key}: degree {U_run.degree()} needs a "
                                   "derivative beyond the regularity of every "
                                   f"filter order in {mode} mode")
+                else:  # a term's coefficient, whose error names its [model] key
+                    errors.append(str(exc10))
 
     output = build(OutputSettings, "output")
     thresholds = build(ClassifierThresholds, "diagnostics")

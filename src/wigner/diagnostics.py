@@ -193,7 +193,7 @@ class HealthSeries:
         self._energy = None
         if U is not None:
             uq = sum((a * bq.moment_functional(k)
-                      for k, a in enumerate(U.coeffs_q)), np.zeros(bq.dim))
+                      for k, a in enumerate(U.coef)), np.zeros(bq.dim))
             self._energy = (np.kron(uq, self._sp)
                             + np.kron(self._sq, self._mp2) / (2.0 * params.mass))
         self._edge = np.logical_or.outer(_edge_mask(bq), _edge_mask(bp)).reshape(-1)

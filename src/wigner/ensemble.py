@@ -9,10 +9,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .assembly import assemble_evolution
 from .errors import ConfigurationError, ContractError, WignerError
-from .model import ModelParams, PolynomialPotential
+from .model import ModelParams
 from .solve import CoefficientField, EvolutionConfig, evolve
 
 WEIGHT_FLOOR = 1e-12
@@ -25,19 +26,18 @@ def coherent_weights(alpha: float, n_max: int) -> np.ndarray:
     if not math.isfinite(alpha):
         raise ConfigurationError(f"coherent amplitude must be finite (got {alpha!r})")
     n = np.arange(n_max + 1)
-    logw = -abs(alpha) ** 2 + 2 * n * np.log(max(abs(alpha), 1e-300)) - \
+    # |alpha|^2 overflows past 1e154, where every weight underflows anyway
+    a2 = abs(alpha) ** 2 if abs(alpha) < 1e154 else math.inf
+    logw = -a2 + 2 * n * np.log(max(abs(alpha), 1e-300)) - \
         np.array([math.lgamma(k + 1) for k in n])
-    w = np.exp(logw)
-    if alpha == 0.0:
-        w = np.zeros(n_max + 1)
-        w[0] = 1.0
+    w = np.exp(logw)  # [1, 0, ...] at alpha = 0: e^(2n log 1e-300) underflows
     total = w.sum()
     if total <= 0:
         raise ConfigurationError("coherent weights vanished after truncation")
     return w / total
 
 
-def evolve_ensemble(W0: CoefficientField, weights, g: PolynomialPotential,
+def evolve_ensemble(W0: CoefficientField, weights, g: Polynomial,
                     params: ModelParams, cfg: EvolutionConfig) -> CoefficientField:
     """The weighted sum sum_n w_n W_n, W_n evolved from W0 under n * g.
 
@@ -49,7 +49,7 @@ def evolve_ensemble(W0: CoefficientField, weights, g: PolynomialPotential,
     for n, w in enumerate(weights):
         W = W0
         if w >= WEIGHT_FLOOR:
-            L = assemble_evolution(W0.ps, g.scaled(n), params)
+            L = assemble_evolution(W0.ps, n * g, params)
             try:
                 W = evolve(W0, L, cfg)
             except WignerError as exc:

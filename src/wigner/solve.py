@@ -63,6 +63,8 @@ class EvolutionConfig:
             bad.append("dt must be positive")
         if not self.t_end >= 0:
             bad.append("t_end must be non-negative")
+        elif self.dt > 0 and not np.isfinite(self.t_end / self.dt):
+            bad.append("t_end / dt, the step count, exceeds double precision")
         if self.scheme != "implicit_midpoint":
             bad.append("scheme must be implicit_midpoint, the one time "
                        f"integrator (got {self.scheme!r})")

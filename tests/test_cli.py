@@ -248,6 +248,29 @@ def test_validate_command(tmp_path, capsys):
     assert "unknown key 'renormalize'" in capsys.readouterr().err
 
 
+# Settings that validate accepted, or died on with a traceback, before the
+# term, weight, width and step-count checks; "run side" marks those whose
+# runs then died, with a traceback or exit 3 after NaN corrections.
+_OVERFLOWS = {
+    # (hbar/2)^2 of the quartic's hbar^2 correction (validate side)
+    "overflowing_hbar": [("potential = 0.5*q^2", "potential = 0.5*q^2 + 0.1*q^4\nhbar = 1e200")],
+    # 1/mass of transport, 2 gamma of friction (run side)
+    "tiny_mass": [("potential = 0.5*q^2", "potential = 0.5*q^2 + 0.1*q^4\nmass = 1e-320")],
+    "huge_dissipators": [("potential = 0.5*q^2", "potential = 0.5*q^2 + 0.1*q^4"
+                          "\ngamma = 1e308\ndiffusion = 1e308")],
+    # |alpha|^2 overflows, so every Fock weight underflows (validate side)
+    "coherent_1e200": [("mode = evolve", "mode = ensemble"),
+                       ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\nn_max = 2"
+                        "\nweights = coherent:1e200")],
+    # W0's peak 1/(2 pi sigma_q sigma_p) divides by 0 (run side)
+    "tiny_widths": [("t_end = 0.1",
+                     "t_end = 0.1\n\n[initial]\nsigma_q = 1e-300\nsigma_p = 1e-300")],
+    # the step count t_end / dt overflows (run side)
+    "tiny_dt": [("dt = 0.05", "dt = 1e-320"), ("t_end = 0.1", "t_end = 1")],
+}
+_RUN_SIDE = ("tiny_mass", "huge_dissipators", "tiny_widths", "tiny_dt")
+
+
 @pytest.mark.parametrize("edits", [
     [("mode = evolve", "mode = lindblad")],
     [("potential = 0.5*q^2", "potential = p^2")],
@@ -310,7 +333,7 @@ def test_validate_command(tmp_path, capsys):
     [("q_min = -4", "q_min = -1e300"), ("q_max = 4", "q_max = 1e300")],
     [("mode = evolve", "mode = stationary"),
      ("q_min = -4", "q_min = -1e-300"), ("q_max = 4", "q_max = 1e-300")],
-], ids=["lindblad", "pure_p", "p_term", "n_states", "n_min",
+] + list(_OVERFLOWS.values()), ids=["lindblad", "pure_p", "p_term", "n_states", "n_min",
         "ensemble_weights", "filter_too_rough", "q9_evolve", "q9_stationary",
         "support_too_coarse", "moment_band_too_coarse", "refine_n_min_too_coarse",
         "store_every", "checkpoint_every", "sigma_q", "negative_weight",
@@ -319,28 +342,39 @@ def test_validate_command(tmp_path, capsys):
         "theta_chaos", "theta_stab", "interpolation", "negative_j_coarse",
         "refine_j_fine_too_coarse", "inf_coefficient", "overflowing_sum",
         "5000_digit_power", "overflowing_force", "overflowing_moments",
-        "huge_box", "tiny_box"])
+        "huge_box", "tiny_box"] + list(_OVERFLOWS))
 def test_validate_rejects_what_run_would(tmp_path, edits):
     assert main(["validate", _write(tmp_path, _edited(edits))]) == EXIT_CONFIG
 
 
+def _quartic_on_box(mode, order, j_fine, c, half_width):
+    """Edits for ``mode`` on its smallest basis, with c q^4 on +-half_width
+    in both axes."""
+    w = half_width
+    return [("mode = evolve", f"mode = {mode}"), ("order = 6", f"order = {order}"),
+            ("j_fine = 4", f"j_fine = {j_fine}"), ("0.5*q^2", f"{c}*q^4"),
+            ("t_end = 0.1", "t_end = 0.05"),
+            ("q_min = -4", f"q_min = -{w}"), ("q_max = 4", f"q_max = {w}"),
+            ("p_min = -4", f"p_min = -{w}"), ("p_max = 4", f"p_max = {w}")]
+
+
+_QUARTIC_EXTREMES = [(mode, order, j_fine, c, w)
+                     for mode, order, j_fine in [("evolve", 6, 3), ("stationary", 10, 4)]
+                     for c in ["1", "1e306", "1e308"]
+                     for w in ["1e-300", "6", "1e300"]]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("half_width", ["1e-300", "6", "1e300"])
-@pytest.mark.parametrize("c", ["1", "1e306", "1e308"])
-@pytest.mark.parametrize("mode,order,j_fine", [("evolve", 6, 3), ("stationary", 10, 4)])
-def test_numeric_extremes_end_in_an_exit_code(tmp_path, mode, order, j_fine, c,
-                                              half_width):
-    """Each mode on its smallest basis, with c q^4 on +-half_width in both
-    axes: ``validate`` accepts or rejects the config, and a run of what it
+@pytest.mark.parametrize(
+    "edits", [_quartic_on_box(*x) for x in _QUARTIC_EXTREMES]
+    + [_OVERFLOWS[k] for k in _RUN_SIDE],
+    ids=["-".join(map(str, x)) for x in _QUARTIC_EXTREMES] + list(_RUN_SIDE))
+def test_numeric_extremes_end_in_an_exit_code(tmp_path, edits):
+    """Each ``_quartic_on_box`` extreme and each run-side ``_OVERFLOWS`` case:
+    ``validate`` accepts or rejects the config, and a run of what it
     accepts ends in an exit code and a manifest, never in a traceback or a
     numpy warning."""
-    w = half_width
-    path = _write(tmp_path, _edited([
-        ("mode = evolve", f"mode = {mode}"), ("order = 6", f"order = {order}"),
-        ("j_fine = 4", f"j_fine = {j_fine}"), ("0.5*q^2", f"{c}*q^4"),
-        ("t_end = 0.1", "t_end = 0.05"),
-        ("q_min = -4", f"q_min = -{w}"), ("q_max = 4", f"q_max = {w}"),
-        ("p_min = -4", f"p_min = -{w}"), ("p_max = 4", f"p_max = {w}")]))
+    path = _write(tmp_path, _edited(edits))
     code = main(["validate", path])
     assert code in (EXIT_OK, EXIT_CONFIG)
     if code == EXIT_OK:
@@ -404,11 +438,26 @@ def _section(name, *lines):
     ([("q_min = -4", "q_min = -1e300"), ("q_max = 4", "q_max = 1e300")],
      "[basis] q_min, q_max: domain [-1e+300, 1e+300) overflows double precision "
      "in x^9 or in the order-6 derivative scale"),
+    (_OVERFLOWS["overflowing_hbar"],
+     "[model] hbar: the quantum_l1 term's coefficient -inf, or that times its "
+     "p factor, exceeds double precision"),
+    (_OVERFLOWS["tiny_mass"],
+     "[model] mass: the transport term's coefficient -inf, or that times its "
+     "p factor, exceeds double precision"),
+    (_OVERFLOWS["huge_dissipators"],
+     "[model] gamma: the dissipator_friction term's coefficient inf, or that "
+     "times its p factor, exceeds double precision"),
+    (_OVERFLOWS["coherent_1e200"],
+     "[ensemble] weights: coherent weights vanished after truncation"),
+    (_OVERFLOWS["tiny_widths"],
+     "[initial] sigma_q, sigma_p: widths 1e-300 and 1e-300 put W0's exponent "
+     "or its peak outside double precision"),
+    (_OVERFLOWS["tiny_dt"], "[solver] t_end / dt, the step count, exceeds double precision"),
 ], ids=["initial_type", "sigma_q", "sigma_p", "q0_inf", "epsilon", "n_states",
         "n_min_exceeds_j_fine", "n_min_too_coarse", "g_parse", "weights_count",
         "weights_inf", "weights_negative", "coherent_nan", "ensemble_section",
         "ensembel_hint", "directory", "grid_resolution", "checkpoint_every",
-        "overflowing_force", "overflowing_moments", "huge_q_box"])
+        "overflowing_force", "overflowing_moments", "huge_q_box"] + list(_OVERFLOWS))
 def test_validate_error_text(tmp_path, capsys, edits, line):
     """Each single error reads as one exact line under the header."""
     afile = tmp_path / "afile"

@@ -574,7 +574,7 @@ def _band_operator(order, j_fine, expr):
     if order >= 8:
         return assemble_stationary_pair(ps, U, PARAMS)[0]
     bq, bp = ps.basis_q, ps.basis_p
-    Uq = sum(c * bq.moment_matrix(n) for n, c in enumerate(U.coeffs_q) if c)
+    Uq = sum(c * bq.moment_matrix(n) for n, c in enumerate(U.coef) if c)
     return AssembledOperator(ps=ps, terms=[
         OperatorTerm("potential", 1.0, Uq, np.eye(bp.dim)),
         OperatorTerm("kinetic", 0.5, np.eye(bq.dim), bp.moment_matrix(2)),
