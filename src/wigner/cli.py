@@ -223,6 +223,7 @@ def parse_config(path) -> RunConfig:
     from .assembly import PhaseSpaceBasis
     from .basis import MAX_MOMENT_POWER
     from .diagnostics import ClassifierThresholds
+    from .ensemble import WEIGHT_FLOOR
     from .model import ModelParams, parse_potential
     from .solve import EvolutionConfig
 
@@ -257,9 +258,14 @@ def parse_config(path) -> RunConfig:
     if mode == "ensemble" and not parser.has_section("ensemble"):
         errors.append("mode 'ensemble' requires an [ensemble] section")
 
-    # Ensemble levels evolve under multiples of g, every other mode under U.
-    U_run, U_key = (ensemble and ensemble.coupling, "[ensemble] g") \
-        if mode == "ensemble" else (U, "[model] potential")
+    # Every other mode evolves under U, an ensemble's levels under n * g, of
+    # which the top level whose weight clears the floor has the largest terms.
+    U_run, U_key = U, "[model] potential"
+    if mode == "ensemble":
+        U_key = "[ensemble] g"
+        U_run = ensemble and ensemble.coupling * max(
+            (n for n, w in enumerate(ensemble.fock_weights) if w >= WEIGHT_FLOOR),
+            default=0)
     # The generator multiplies by U' at most, the stationary pair by U; the
     # moment tables end at MAX_MOMENT_POWER whatever the filter order.
     max_degree = MAX_MOMENT_POWER + (mode in ("evolve", "ensemble"))

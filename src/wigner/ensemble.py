@@ -42,16 +42,15 @@ def evolve_ensemble(W0: CoefficientField, weights, g: Polynomial,
     """The weighted sum sum_n w_n W_n, W_n evolved from W0 under n * g.
 
     A level whose weight is below the floor (1e-12) is not evolved and
-    contributes W0.  Errors from a level's evolution are re-raised tagged
-    with ``Fock level n=``.  The sum runs in level order.
+    contributes W0.  Errors from a level's assembly or evolution are
+    re-raised tagged with ``Fock level n=``.  The sum runs in level order.
     """
     coeffs, t = 0.0, W0.time
     for n, w in enumerate(weights):
         W = W0
         if w >= WEIGHT_FLOOR:
-            L = assemble_evolution(W0.ps, n * g, params)
             try:
-                W = evolve(W0, L, cfg)
+                W = evolve(W0, assemble_evolution(W0.ps, n * g, params), cfg)
             except WignerError as exc:
                 exc.args = (f"Fock level n={n}: {exc.args[0]}",) + exc.args[1:]
                 raise

@@ -86,14 +86,6 @@ class RefinementReport:
     monotone: bool
 
 
-def _step_count(cfg: EvolutionConfig):
-    n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-12))
-    remainder = cfg.t_end - n_full * cfg.dt
-    if remainder < 1e-12 * max(1.0, cfg.t_end):
-        remainder = 0.0
-    return n_full, remainder
-
-
 # Defect corrections a midpoint step may take after its first preconditioned
 # solve.  A Gaussian in U = q^2/2 + 0.1 q^4 with friction and diffusion
 # (order 6 on +-6) needs at most 9, 15, 56 and 168 per step from a zero start
@@ -271,6 +263,10 @@ def evolve(W0: CoefficientField, L: AssembledOperator, cfg: EvolutionConfig,
            store=None) -> CoefficientField:
     """Midpoint-step dW/dt = L W from W0 to t_end; returns the final field.
 
+    ``cfg.dt`` is the largest step: one stepper takes n = ceil(t_end / dt)
+    steps of t_end / n, where a t_end / dt within a relative 1e-12 above a
+    whole number counts as that number.
+
     The stored states are a copy of W0, every ``store_every``-th step and the
     last step.  Each is built as one ``CoefficientField`` when it is reached
     and handed to ``store(field)`` if given; no other field is constructed
@@ -285,10 +281,9 @@ def evolve(W0: CoefficientField, L: AssembledOperator, cfg: EvolutionConfig,
     if np.iscomplexobj(W0.coeffs):
         raise ContractError("evolve needs a real initial field")
 
-    n_full, remainder = _step_count(cfg)
-    steppers = {cfg.dt: _MidpointStepper(L, cfg.dt)}
-    if remainder > 0.0:
-        steppers[remainder] = _MidpointStepper(L, remainder)
+    n_steps = int(np.ceil(cfg.t_end / cfg.dt * (1.0 - 1e-12)))
+    dt = cfg.t_end / max(n_steps, 1)
+    stepper = _MidpointStepper(L, dt)
 
     norm0 = max(np.linalg.norm(W0.coeffs), 1e-300)
     last = W0.copy()
@@ -296,10 +291,8 @@ def evolve(W0: CoefficientField, L: AssembledOperator, cfg: EvolutionConfig,
         store(last)
     c = W0.coeffs.astype(float)
     t = W0.time
-    n_steps = n_full + (remainder > 0.0)
     for i in range(n_steps):
-        dt = cfg.dt if i < n_full else remainder
-        c = steppers[dt].step(c)
+        c = stepper.step(c)
         t += dt
         norm = np.linalg.norm(c)
         if not np.isfinite(norm) or norm > 1e6 * norm0:

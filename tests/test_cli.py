@@ -248,6 +248,17 @@ def test_validate_command(tmp_path, capsys):
     assert "unknown key 'renormalize'" in capsys.readouterr().err
 
 
+def _unit_box_ensemble(g, weights):
+    """Edits for an ensemble under ``g`` with the given Fock ``weights``, on
+    8x8 functions on +-1."""
+    n_max = len(weights.split()) - 1
+    return [("mode = evolve", "mode = ensemble"), ("j_fine = 4", "j_fine = 3"),
+            ("q_min = -4", "q_min = -1"), ("q_max = 4", "q_max = 1"),
+            ("p_min = -4", "p_min = -1"), ("p_max = 4", "p_max = 1"),
+            ("t_end = 0.1", f"t_end = 0.1\n\n[ensemble]\nn_max = {n_max}"
+             f"\nweights = {weights}\ng = {g}")]
+
+
 # Settings that validate accepted, or died on with a traceback, before the
 # term, weight, width and step-count checks; "run side" marks those whose
 # runs then died, with a traceback or exit 3 after NaN corrections.
@@ -267,8 +278,11 @@ _OVERFLOWS = {
                      "t_end = 0.1\n\n[initial]\nsigma_q = 1e-300\nsigma_p = 1e-300")],
     # the step count t_end / dt overflows (run side)
     "tiny_dt": [("dt = 0.05", "dt = 1e-320"), ("t_end = 0.1", "t_end = 1")],
+    # level 3's force 3e308 q overflows, level 1's 1e308 q does not (run side)
+    "ensemble_top_level": _unit_box_ensemble("5e307*q^2", "1 0 0 1"),
 }
-_RUN_SIDE = ("tiny_mass", "huge_dissipators", "tiny_widths", "tiny_dt")
+_RUN_SIDE = ("tiny_mass", "huge_dissipators", "tiny_widths", "tiny_dt",
+             "ensemble_top_level")
 
 
 @pytest.mark.parametrize("edits", [
@@ -453,6 +467,9 @@ def _section(name, *lines):
      "[initial] sigma_q, sigma_p: widths 1e-300 and 1e-300 put W0's exponent "
      "or its peak outside double precision"),
     (_OVERFLOWS["tiny_dt"], "[solver] t_end / dt, the step count, exceeds double precision"),
+    (_OVERFLOWS["ensemble_top_level"],
+     "[ensemble] g: the force term overflows: U^(1) or its Galerkin matrix on "
+     "q in [-1, 1) exceeds double precision"),
 ], ids=["initial_type", "sigma_q", "sigma_p", "q0_inf", "epsilon", "n_states",
         "n_min_exceeds_j_fine", "n_min_too_coarse", "g_parse", "weights_count",
         "weights_inf", "weights_negative", "coherent_nan", "ensemble_section",
@@ -990,6 +1007,16 @@ def test_ensemble_series_has_no_energy(tmp_path):
     energy = HealthSeries.COLUMNS.index("energy")
     assert np.isnan(rows[:, energy]).all()
     assert np.isfinite(np.delete(rows, energy, axis=1)).all()
+
+
+def test_ensemble_validates_only_the_levels_it_evolves(tmp_path, capsys):
+    """Under g = 1e308 q^2 with all weight on level 0, only the zero
+    potential 0 * g is evolved: validate and run accept what level 1's
+    force (2e308 q) would overflow."""
+    text = _edited(_unit_box_ensemble("1e308*q^2", "1 0"))
+    assert main(["validate", _write(tmp_path, text)]) == EXIT_OK
+    assert "config ok" in capsys.readouterr().out
+    _run_dir(tmp_path, text)
 
 
 @pytest.mark.parametrize("alpha", ["0.8", "1.0"])

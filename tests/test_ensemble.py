@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wigner.ensemble import WEIGHT_FLOOR, coherent_weights, evolve_ensemble
-from wigner.errors import ContractError, NumericalError
+from wigner.errors import ConfigurationError, ContractError, NumericalError
 from wigner.model import ModelParams, parse_potential
 from wigner.solve import EvolutionConfig, evolve
 from wigner.assembly import assemble_evolution
@@ -60,6 +60,16 @@ def test_hierarchy_error_tagged_with_level(ps6, gaussian_field6):
     bad_cfg = EvolutionConfig(dt=1.0, t_end=2.0)
     with pytest.raises(NumericalError, match="Fock level n=1"):
         evolve_ensemble(gaussian_field6, [0.5, 0.5], g, PARAMS, bad_cfg)
+
+
+def test_assembly_error_tagged_with_level(ps6, gaussian_field6):
+    """Level 3's force 3 * 2 * 5e307 q overflows in assembly, before any
+    step; the error still names its level."""
+    g = parse_potential("5e307*q^2")
+    cfg = EvolutionConfig(dt=0.05, t_end=0.1)
+    with pytest.raises(ConfigurationError) as exc:
+        evolve_ensemble(gaussian_field6, [0.5, 0.0, 0.0, 0.5], g, PARAMS, cfg)
+    assert str(exc.value).startswith("Fock level n=3: the force term overflows")
 
 
 def test_superpose_preserves_normalization(ps6, gaussian_field6):

@@ -101,9 +101,16 @@ def test_midpoint_preserves_l2_for_antisymmetric_generator(ps6, gaussian_field6)
 
 
 def test_remainder_step(ps6, gaussian_field6):
+    """dt 0.4 to t_end 1.0 takes three equal steps of 1/3: dt is the largest
+    step, and the last stored time is t_end."""
     L = assemble_evolution(ps6, parse_potential("0"), PARAMS)
-    final = evolve(gaussian_field6, L, EvolutionConfig(dt=0.4, t_end=1.0))
-    assert final.time == pytest.approx(1.0)
+    traj = []
+    final = evolve(gaussian_field6, L, EvolutionConfig(dt=0.4, t_end=1.0),
+                   store=traj.append)
+    times = np.array([W.time for W in traj])
+    assert len(times) == 4 and final is traj[-1]
+    np.testing.assert_allclose(np.diff(times), 1.0 / 3.0, rtol=1e-12)
+    assert abs(final.time - 1.0) <= 1e-12
 
 
 def test_store_every(ps6, gaussian_field6):
@@ -230,9 +237,9 @@ def _refuse(*args, **kwargs):
 
 def test_midpoint_stepper_matches_spsolve_without_lu(ps6, gaussian_field6,
                                                      monkeypatch):
-    """20 steps, the last a remainder, match the direct solves to 1e-10."""
+    """dt 0.01 to t_end 0.195: 20 equal steps match the direct solves to 1e-10."""
     L = _quartic_dissipative(ps6)
-    ref = _spsolve_midpoint(L, gaussian_field6.coeffs, [0.01] * 19 + [0.005])
+    ref = _spsolve_midpoint(L, gaussian_field6.coeffs, [0.195 / 20] * 20)
     monkeypatch.setattr(spla, "splu", _refuse)
     monkeypatch.setattr(AssembledOperator, "matrix", _refuse)
     traj = []
@@ -241,6 +248,36 @@ def test_midpoint_stepper_matches_spsolve_without_lu(ps6, gaussian_field6,
     assert len(traj) == 21 and traj[-1].time == pytest.approx(0.195)
     err = np.linalg.norm(traj[-1].coeffs - ref) / np.linalg.norm(ref)
     assert err < 1e-10
+
+
+def test_evolve_builds_one_stepper(ps6, gaussian_field6, monkeypatch):
+    """A t_end that is no whole number of dt still takes one stepper."""
+    init, built = _MidpointStepper.__init__, []
+
+    def counted_init(self, L, dt):
+        built.append(dt)
+        init(self, L, dt)
+
+    monkeypatch.setattr(_MidpointStepper, "__init__", counted_init)
+    evolve(gaussian_field6, _quartic_dissipative(ps6),
+           EvolutionConfig(dt=0.01, t_end=0.195))
+    assert built == [0.195 / 20]
+
+
+def test_uneven_t_end_peaks_like_whole_steps(ps6w, gaussian_field6w):
+    """At 64x64 the traced peak of dt 0.01 to t_end 0.195 stays within 10% of
+    that to t_end 0.19, 19 whole steps: no second stack of mode inverses
+    (2.16 MB) is built for a short last step."""
+    L = _quartic_dissipative(ps6w)
+    peaks = []
+    for t_end in (0.19, 0.195):
+        tracemalloc.start()
+        try:
+            evolve(gaussian_field6w, L, EvolutionConfig(dt=0.01, t_end=t_end))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def _offset_gaussian(ps):
