@@ -4,13 +4,16 @@ Everything here is computed without the package's Galerkin tables: derivative
 values come from their own refinement cascade, integrals from Riemann sums
 with Aitken extrapolation, and grid derivatives from finite-difference
 stencils solved out of a Vandermonde system.  ``rk4_step`` is a reference
-time integrator for the package's implicit midpoint stepper, and
-``dwt_analysis_step`` writes one level of the periodic DWT tap by tap.
+time integrator for the package's implicit midpoint stepper,
+``dwt_analysis_step`` writes one level of the periodic DWT tap by tap, and
+``groenewold_wigner`` is the oscillator's stationary Wigner functions in
+closed form.
 """
 
 import math
 
 import numpy as np
+from scipy.special import eval_laguerre
 
 from wigner.basis import FilterCoefficients, scaling_values
 
@@ -195,6 +198,16 @@ def fd_schrodinger_levels(U, n_states: int, half_width: float = 8.0,
     e1, e2, e4 = levels
     r1, r2 = (4.0 * e2 - e1) / 3.0, (4.0 * e4 - e2) / 3.0
     return (16.0 * r2 - r1) / 15.0
+
+
+def groenewold_wigner(n: int, q, p, hbar: float = 1.0) -> np.ndarray:
+    """W_n(q, p) of the oscillator U = q^2/2 (m = omega = 1), level n:
+    ((-1)^n / (pi hbar)) exp(-2H/hbar) L_n(4H/hbar), H = (p^2 + q^2)/2
+    (Groenewold, Physica 12, 405, 1946).  Unit integral and unit purity
+    2 pi hbar int W_n^2."""
+    H = 0.5 * (np.asarray(q) ** 2 + np.asarray(p) ** 2)
+    return ((-1.0) ** n / (np.pi * hbar)) * np.exp(-2.0 * H / hbar) \
+        * eval_laguerre(n, 4.0 * H / hbar)
 
 
 def kron_dense(op) -> np.ndarray:

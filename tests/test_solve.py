@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from oracles import fd_schrodinger_levels, kron_dense, rk4_step
+from oracles import fd_schrodinger_levels, groenewold_wigner, kron_dense, rk4_step
 
 import wigner.solve
 from wigner.assembly import (
@@ -512,6 +512,30 @@ def test_stationary_eigen_harmonic(harmonic_small):
     for n, (eps, W) in enumerate(states):
         assert abs(eps - (n + 0.5)) < 5e-3
         assert abs(W.ps.integration_functional() @ W.coeffs - 1.0) < 1e-8
+
+
+def test_groenewold_oracle_has_unit_integral_and_purity():
+    """Riemann sums on [-8, 8]^2 (801 x 801 nodes) of W_n and 2 pi W_n^2."""
+    x = np.linspace(-8.0, 8.0, 801)
+    cell = (x[1] - x[0]) ** 2
+    for n in range(4):
+        W = groenewold_wigner(n, x[:, None], x[None, :])
+        assert abs(W.sum() * cell - 1.0) < 1e-12
+        assert abs(2.0 * np.pi * (W ** 2).sum() * cell - 1.0) < 1e-12
+
+
+def test_stationary_eigen_harmonic_fields_match_groenewold():
+    """The three oscillator fields (order 10, +-6, 64x64) against Groenewold's
+    closed form on a 121 x 121 grid over [-3, 3]^2: relative Linf errors of
+    2.33e-4, 1.44e-3 and 4.53e-3 (7.5e-3, 4.6e-2 and 1.2e-1 at 32x32)."""
+    ps = _order10(6, 6.0)
+    states = stationary_eigen(
+        *assemble_stationary_pair(ps, parse_potential("0.5*q^2"), PARAMS), 3)
+    g = np.linspace(-3.0, 3.0, 121)
+    for n, ((_, W), bound) in enumerate(zip(states, [5e-4, 3e-3, 1e-2])):
+        ref = groenewold_wigner(n, g[:, None], g[None, :])
+        error = np.max(np.abs(ps.evaluate_grid(W.coeffs, g, g) - ref))
+        assert error < bound * np.max(np.abs(ref)), (n, error)
 
 
 @pytest.mark.parametrize("expr, hbar, box, j_fine", [
