@@ -225,7 +225,7 @@ def parse_config(path) -> RunConfig:
     from .diagnostics import ClassifierThresholds
     from .ensemble import WEIGHT_FLOOR
     from .model import ModelParams, parse_potential
-    from .solve import EvolutionConfig
+    from .solve import EvolutionConfig, first_subspace
 
     params = build(ModelParams, "model")
     try:
@@ -242,6 +242,13 @@ def parse_config(path) -> RunConfig:
         except ConfigurationError as exc:
             errors.append(f"[initial] {exc}")
     solver = build(EvolutionConfig, "solver")
+    # the first eigen subspace must fit in the basis; k growing past dim
+    # later in a run is a numerical failure
+    if mode == "stationary" and None not in (ps, solver):
+        k = first_subspace(solver.n_states)
+        if k >= ps.dim:
+            errors.append(f"[solver] n_states: {solver.n_states} states start "
+                          f"from k = {k} eigenpairs, but the basis has dim = {ps.dim}")
     # refine levels run from n_min to the run's own j_fine
     if mode == "refine" and None not in (ps, solver):
         if solver.n_min > ps.j_fine:
@@ -346,7 +353,7 @@ def dump_grid(W, resolution: int, path) -> None:
     if resolution < 2:
         raise ConfigurationError("grid resolution must be >= 2 per axis")
     ps = W.ps
-    vals = ps.evaluate_grid(np.real(W.coeffs),
+    vals = ps.evaluate_grid(W.coeffs,
                             ps.basis_q.cell_centres(resolution),
                             ps.basis_p.cell_centres(resolution))  # [iq, ip]
     with open(path, "w") as fh:
@@ -355,32 +362,6 @@ def dump_grid(W, resolution: int, path) -> None:
                  % (resolution, resolution, ps.q_min, ps.q_max, ps.p_min,
                     ps.p_max, W.time))
         np.savetxt(fh, vals.T, fmt="%.17g")
-
-
-def load_grid(path):
-    """Read a WGRID 1 file; returns (header dict, 2D array [ip, iq])."""
-    import numpy as np
-
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != "WGRID 1":
-            raise ConfigurationError(f"{path}: not a WGRID 1 file")
-        try:
-            parts = fh.readline().split()
-            nq, np_rows = int(parts[0]), int(parts[1])
-            header = {
-                "nq": nq, "np": np_rows,
-                "qmin": float(parts[2]), "qmax": float(parts[3]),
-                "pmin": float(parts[4]), "pmax": float(parts[5]),
-                "time": float(parts[6]),
-            }
-            data = np.loadtxt(fh)
-        except (IndexError, ValueError) as exc:
-            raise ConfigurationError(f"{path}: malformed WGRID 1 file: {exc}") from exc
-    data = np.atleast_2d(data)
-    if data.shape != (np_rows, nq):
-        raise ConfigurationError(f"{path}: grid shape mismatch")
-    return header, data
 
 
 def _dump_marginal(basis, coeffs, resolution, path):
@@ -544,25 +525,10 @@ def _run_stationary(cfg, manifest, store):
     manifest.append("[eigenvalues]")
     for i, (eps, _) in enumerate(states):
         manifest.append(f"eps_{i} = {eps:.12g}")
+    for i, (e_lo, e_hi) in enumerate(states.pairs(cfg.params.hbar)):
+        manifest.append(f"pair_{i} = {e_lo:.12g} {e_hi:.12g}")
     manifest.append(f"ritz_defect = {states.ritz_defect(cfg.params.hbar):.6g}")
     store(states[0][1])
-    return False
-
-
-def _run_moyal(cfg, manifest, store):
-    import numpy as np
-
-    from .assembly import assemble_stationary_pair
-    from .solve import CoefficientField, moyal_eigen
-
-    A_sym, A_anti = assemble_stationary_pair(cfg.ps, cfg.U, cfg.params)
-    pairs = moyal_eigen(A_sym, A_anti, cfg.solver.n_states, hbar=cfg.params.hbar)
-    manifest.append("[eigenvalues]")
-    for i, (e_lo, e_hi, _) in enumerate(pairs):
-        manifest.append(f"pair_{i} = {e_lo:.12g} {e_hi:.12g}")
-    manifest.append(f"ritz_defect = {pairs.ritz_defect(cfg.params.hbar):.6g}")
-    W = pairs[0][2]
-    store(CoefficientField(ps=W.ps, coeffs=np.real(W.coeffs), time=W.time))
     return False
 
 
@@ -590,8 +556,7 @@ def _run_refine(cfg, manifest, store):
 
 # mode -> runner(cfg, manifest, store), which returns True when not converged
 _RUNNERS = {"evolve": _run_evolution, "stationary": _run_stationary,
-            "moyal": _run_moyal, "ensemble": _run_ensemble,
-            "refine": _run_refine}
+            "ensemble": _run_ensemble, "refine": _run_refine}
 
 
 def _dump_scale_parts(cfg, final, run_dir):

@@ -52,15 +52,15 @@ class DiagnosticsReport:
 def marginals(W: CoefficientField):
     """Exact partial integration: the coefficient vectors of the density over
     q on ``W.ps.basis_q`` and of the density over p on ``W.ps.basis_p``."""
-    C = W.ps.as_grid(np.real(W.coeffs))
+    C = W.ps.as_grid(W.coeffs)
     sq = W.ps.basis_q.integration_functional()
     sp_ = W.ps.basis_p.integration_functional()
     return C @ sp_, sq @ C
 
 
 def _scale_spectrum(W: CoefficientField):
-    """The squared multiscale spectrum e of W's real part and ``scale_entropy``."""
-    e = np.abs(W.ps.to_multiscale(np.real(W.coeffs))) ** 2
+    """The squared multiscale spectrum e of W and ``scale_entropy``."""
+    e = W.ps.to_multiscale(W.coeffs) ** 2
     total = e.sum()
     if total <= 0.0:
         raise DegenerateInputError("scale entropy of a zero field is undefined")
@@ -82,7 +82,7 @@ def negativity_volume(W: CoefficientField) -> float:
     resolution = 256
     ps = W.ps
     bq, bp = ps.basis_q, ps.basis_p
-    vals = ps.evaluate_grid(np.real(W.coeffs), bq.cell_centres(resolution),
+    vals = ps.evaluate_grid(W.coeffs, bq.cell_centres(resolution),
                             bp.cell_centres(resolution))
     cell = bq.length * bp.length / resolution ** 2
     return float(np.sum(np.abs(vals)) * cell - abs(np.sum(vals) * cell))
@@ -162,7 +162,7 @@ def _edge_mask(basis) -> np.ndarray:
 
 def _pairing(fq, C, fp) -> float:
     """fq . C . fp: a q functional and a p functional applied to the grid C."""
-    return float(np.real(fq @ C @ fp))
+    return float(fq @ C @ fp)
 
 
 class HealthSeries:
@@ -202,7 +202,7 @@ class HealthSeries:
 
     def squared_norm(self, W: CoefficientField) -> float:
         """||c||^2 of W's coefficients."""
-        return float(np.vdot(W.coeffs, W.coeffs).real)
+        return float(np.vdot(W.coeffs, W.coeffs))
 
     def moments(self, W: CoefficientField):
         """(total_integral, centroid (qbar, pbar), covariance 2x2, purity)."""
@@ -229,7 +229,7 @@ class HealthSeries:
         return 2.0 * np.pi * self.hbar * norm2
 
     def row(self, W: CoefficientField) -> tuple:
-        c = np.real(W.coeffs)
+        c = W.coeffs
         ms = self.ps.to_multiscale(c) ** 2
         norm2, ms_total = self.squared_norm(W), float(ms.sum())
         energy = np.nan if self._energy is None else float(self._energy @ c)

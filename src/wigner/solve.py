@@ -1,6 +1,6 @@
-"""Time evolution by the one integrator, the implicit midpoint stepper;
-stationary/two-sided eigenproblems, level refinement, and scale decomposition
-of coefficient fields."""
+"""Time evolution by the one integrator, the implicit midpoint stepper; the
+stationary spectrum of the two-sided star-genvalue system, level refinement,
+and scale decomposition of coefficient fields."""
 
 from __future__ import annotations
 
@@ -21,11 +21,8 @@ from .errors import (
 
 @dataclass
 class CoefficientField:
-    """A Wigner field as a flat coefficient vector on a phase-space basis.
-
-    Coefficients are real for physical fields; complex entries are permitted
-    for off-diagonal two-sided eigenfields.
-    """
+    """A Wigner field as a flat, real coefficient vector on a phase-space
+    basis; ContractError for a complex or non-finite one."""
 
     ps: PhaseSpaceBasis
     coeffs: np.ndarray
@@ -38,6 +35,8 @@ class CoefficientField:
                 f"coefficient length {self.coeffs.shape} does not match basis "
                 f"dimension {self.ps.dim}"
             )
+        if np.iscomplexobj(self.coeffs):
+            raise ContractError("coefficient vector is complex; Wigner fields are real")
         if not np.all(np.isfinite(self.coeffs)):
             raise ContractError("coefficient vector contains non-finite entries")
 
@@ -274,12 +273,10 @@ def evolve(W0: CoefficientField, L: AssembledOperator, cfg: EvolutionConfig,
     benchmark times the steps by counting these constructions, so ``store``
     must build no field itself.  A step whose norm is not finite or exceeds
     1e6 times the initial one raises AbortedEvolutionError carrying the last
-    stored state.  A complex W0 raises ContractError, as a complex L does.
+    stored state.  A complex L raises ContractError.
     """
     if L.ps is not W0.ps and L.ps != W0.ps:
         raise ContractError("operator and initial field live on different bases")
-    if np.iscomplexobj(W0.coeffs):
-        raise ContractError("evolve needs a real initial field")
 
     n_steps = int(np.ceil(cfg.t_end / cfg.dt * (1.0 - 1e-12)))
     dt = cfg.t_end / max(n_steps, 1)
@@ -351,19 +348,20 @@ class _Split:
     C: np.ndarray
 
     def field(self, ps: PhaseSpaceBasis, i: int) -> CoefficientField:
-        """Field i with unit norm; a diagonal one real, with a positive
-        integral, the others complex."""
+        """Diagonal field i, unit norm, turned real with a positive integral."""
         w = self.V @ self.C[:, i]
-        if self.diagonal[i]:
-            integral = ps.integration_functional() @ w
-            w = (w * np.conj(integral) / abs(integral)).real
+        integral = ps.integration_functional() @ w
+        w = (w * np.conj(integral) / abs(integral)).real
         return CoefficientField(ps=ps, coeffs=w)
 
 
 class Spectrum(list):
-    """The states or pairs that a stationary or moyal run returns, lowest
-    level first, with the split they come from.
+    """The (eps, field) states that a stationary run returns, lowest level
+    first, with the split they come from and the line it was accepted at.
 
+    ``pairs(hbar)`` lists (E', E'') = eps -+ hbar y / 2 of every split field,
+    diagonal or not, whose max(E', E'') lies at or below the line, lowest
+    eps first: the levels of the two-sided system that the split resolves.
     ``ritz_defect(hbar)`` is the largest |E' - e_m| + |E'' - e_n| over the
     split's off-diagonal pairs whose two levels lie among the diagonal
     levels e returned, each matched to the nearest; a pair counts when both
@@ -377,16 +375,27 @@ class Spectrum(list):
     errors are 3.1e-2, 6.9e-4 and 5.7e-5.
     """
 
-    def __init__(self, items, split: _Split, levels: np.ndarray):
+    def __init__(self, items, split: _Split, levels: np.ndarray, line: float):
         super().__init__(items)
-        self._split, self._levels = split, levels
+        self._split, self._levels, self._line = split, levels, line
+
+    def _both(self, hbar: float) -> np.ndarray:
+        """E' and E'' = eps -+ hbar y / 2 of every split field, as two rows."""
+        sp = self._split
+        return np.stack([sp.eps - 0.5 * hbar * sp.y, sp.eps + 0.5 * hbar * sp.y])
+
+    def pairs(self, hbar: float) -> list:
+        """(E', E'') of the split fields at or below the line."""
+        both = self._both(hbar)
+        return [(float(lo), float(hi))
+                for lo, hi in both[:, both.max(axis=0) <= self._line].T]
 
     def ritz_defect(self, hbar: float) -> float:
         """The largest Ritz-combination miss, at E', E'' = eps -+ hbar y / 2."""
         sp, e = self._split, self._levels
         if len(e) < 2:
             return float("nan")
-        both = np.stack([sp.eps - 0.5 * hbar * sp.y, sp.eps + 0.5 * hbar * sp.y])
+        both = self._both(hbar)
         inside = ((both >= e[0] - 0.5 * (e[1] - e[0]))
                   & (both <= e[-1] + 0.5 * (e[-1] - e[-2])))
         keep = ~sp.diagonal & inside.all(axis=0)
@@ -592,16 +601,23 @@ def _splits(A_sym: AssembledOperator, A_anti: AssembledOperator, k: int):
     )
 
 
+def first_subspace(n_states: int) -> int:
+    """The k of the first ``_splits`` subspace of an n-state stationary
+    solve, n(2n - 1) + 2: n(2n - 1) is the count of the oscillator's pair
+    levels (E_m + E_n)/2 <= E_{n-1}, the densest spectrum among the tests."""
+    return n_states * (2 * n_states - 1) + 2
+
+
 def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
                      n_states: int) -> Spectrum:
-    """Lowest diagonal stationary states (eps, field) of the stationary pair.
+    """Lowest diagonal stationary states (eps, field) of the stationary pair,
+    in a ``Spectrum`` that also lists the split's pairs (E', E'').
 
     Diagonal Wigner functions solve both H*W = EW and W*H = EW, so with the
     pair of ``assemble_stationary_pair`` a real eigenfield has A_sym W = EW
     and A_anti W = 0.  They are the diagonal fields of ``_splits``, from
-    k = n(2n - 1) + 2 for n states: n(2n - 1) is the count of the
-    oscillator's pair levels (E_m + E_n)/2 <= E_{n-1}, the densest spectrum
-    among the tests.  Each field has unit total integral.
+    k = ``first_subspace(n)`` for n states.  Each field has unit total
+    integral.
 
     Raises NumericalError where ``_splits`` does, or when a returned field
     carries |integral| < 0.5 ||W||: the subspace did not resolve the pairs
@@ -610,7 +626,7 @@ def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
     """
     if n_states < 1:
         raise ContractError("n_states must be >= 1")
-    for line, split in _splits(A_sym, A_anti, n_states * (2 * n_states - 1) + 2):
+    for line, split in _splits(A_sym, A_anti, first_subspace(n_states)):
         chosen = np.flatnonzero(split.diagonal)[:n_states]
         if len(chosen) == n_states and split.eps[chosen[-1]] <= line:
             break
@@ -629,28 +645,7 @@ def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
                 diagnostic={"eigenvalue": eps, "integral_weight": weight},
             )
         out.append((eps, CoefficientField(ps=W.ps, coeffs=W.coeffs / integral)))
-    return Spectrum(out, split, split.eps[chosen])
-
-
-def moyal_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
-                pairs: int, hbar: float) -> Spectrum:
-    """Joint eigenfields (E', E'', field) of the two-sided stationary system:
-    the ``pairs`` fields of ``_splits`` of lowest level (E' + E'')/2, from
-    k = 2 pairs + 2, with (E', E'') = eps -+ hbar y / 2.
-
-    Raises NumericalError where ``_splits`` does.
-    """
-    if pairs < 1:
-        raise ContractError("pairs must be >= 1")
-    for line, split in _splits(A_sym, A_anti, 2 * pairs + 2):
-        E_lo = split.eps[:pairs] - 0.5 * hbar * split.y[:pairs]
-        E_hi = split.eps[:pairs] + 0.5 * hbar * split.y[:pairs]
-        if len(E_lo) == pairs and np.max(np.maximum(E_lo, E_hi)) <= line:
-            break
-    diagonal = split.diagonal[:pairs]
-    return Spectrum([(float(lo), float(hi), split.field(A_sym.ps, i))
-                     for i, (lo, hi) in enumerate(zip(E_lo, E_hi))],
-                    split, split.eps[:pairs][diagonal])
+    return Spectrum(out, split, split.eps[chosen], line)
 
 
 # ---------------------------------------------------------------------------

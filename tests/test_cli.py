@@ -1,5 +1,6 @@
 """Config parsing, grid dumps, and end-to-end command-line runs."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -19,7 +20,6 @@ from wigner.cli import (
     EXIT_USAGE,
     _make_run_dir,
     dump_grid,
-    load_grid,
     main,
     parse_config,
 )
@@ -145,17 +145,20 @@ def test_misspelt_optional_section_gets_a_hint(tmp_path, typo, section):
 
 
 def test_readme_config_reference_validates(tmp_path, capsys):
-    """Every key the README's config reference documents is a known key."""
+    """Every key the README's config reference documents is a known key,
+    and its ``mode`` comment lists exactly the run modes."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
     assert main(["validate", _write(tmp_path, block)]) == EXIT_OK
     assert "config ok" in capsys.readouterr().out
+    (modes,) = re.findall(r"(?m)^mode = \w+ +# (.*)$", block)
+    assert modes.split(" | ") == list(wigner.cli._RUNNERS)
 
 
 @pytest.mark.parametrize("section,key", [("solver", "n_max"), ("solver", "pairs"),
                                          ("initial", "norm"), ("ensemble", "u0")])
 def test_removed_keys_are_unknown_without_a_hint(tmp_path, capsys, section, key):
-    """j_fine ends the refine levels, n_states counts the moyal pairs, and
+    """j_fine ends the refine levels, a stationary run lists every pair, and
     the Gaussian's norm and the ensemble's scale are in its formula and in
     g: these keys are gone, and no near-miss hint points elsewhere."""
     # [solver] is the last section of MINIMAL
@@ -170,10 +173,20 @@ def test_removed_keys_are_unknown_without_a_hint(tmp_path, capsys, section, key)
 # grid dumps
 # ---------------------------------------------------------------------------
 
+def _read_wgrid(path):
+    """The benchmark's own reader of a ``WGRID 1`` dump, from perfbench."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks",
+        Path(__file__).resolve().parent.parent / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks.read_wgrid(path)
+
+
 def test_grid_round_trip(tmp_path, gaussian_field6):
     path = str(tmp_path / "w.wgrid")
     dump_grid(gaussian_field6, 16, path)
-    header, data = load_grid(path)
+    header, data = _read_wgrid(path)
     assert header["nq"] == header["np"] == 16
     assert header["qmin"] == -4.0 and header["qmax"] == 4.0
     assert header["time"] == 0.0
@@ -183,16 +196,6 @@ def test_grid_round_trip(tmp_path, gaussian_field6):
     qs = -4.0 + 8.0 * (np.arange(16) + 0.5) / 16
     vals = ps.evaluate_grid(gaussian_field6.coeffs, qs, qs)
     np.testing.assert_allclose(data, vals.T, atol=1e-15)
-
-
-def test_load_grid_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.wgrid"
-    # wrong magic, a truncated header, a non-numeric header, unparseable rows
-    for text in ("GRID 2\n1 1 0 1 0 1 0\n0\n", "WGRID 1\n4 4\n",
-                 "WGRID 1\nfour 4 0 1 0 1 0\n", "WGRID 1\n1 1 0 1 0 1 0\nx\n"):
-        path.write_text(text)
-        with pytest.raises(ConfigurationError, match="bad.wgrid.*WGRID"):
-            load_grid(str(path))
 
 
 def test_dump_grid_rejects_tiny_resolution(tmp_path, gaussian_field6):
@@ -290,6 +293,10 @@ _RUN_SIDE = ("tiny_mass", "huge_dissipators", "tiny_widths", "tiny_dt",
     [("potential = 0.5*q^2", "potential = p^2")],
     [("potential = 0.5*q^2", "potential = 0.5*q^2 + p^2")],
     [("t_end = 0.1", "t_end = 0.1\nn_states = 0")],
+    # n states start from k = n (2n - 1) + 2 eigenpairs, here 1.99999e10,
+    # beyond dim = 256 on a 16 x 16 basis
+    [("mode = evolve", "mode = stationary"),
+     ("t_end = 0.1", "t_end = 0.1\nn_states = 100000")],
     # refine levels run from n_min to j_fine = 4
     [("mode = evolve", "mode = refine"), ("t_end = 0.1", "t_end = 0.1\nn_min = 5")],
     [("mode = evolve", "mode = ensemble"),
@@ -347,7 +354,8 @@ _RUN_SIDE = ("tiny_mass", "huge_dissipators", "tiny_widths", "tiny_dt",
     [("q_min = -4", "q_min = -1e300"), ("q_max = 4", "q_max = 1e300")],
     [("mode = evolve", "mode = stationary"),
      ("q_min = -4", "q_min = -1e-300"), ("q_max = 4", "q_max = 1e-300")],
-] + list(_OVERFLOWS.values()), ids=["lindblad", "pure_p", "p_term", "n_states", "n_min",
+] + list(_OVERFLOWS.values()), ids=["lindblad", "pure_p", "p_term", "n_states",
+        "too_many_states", "n_min",
         "ensemble_weights", "filter_too_rough", "q9_evolve", "q9_stationary",
         "support_too_coarse", "moment_band_too_coarse", "refine_n_min_too_coarse",
         "store_every", "checkpoint_every", "sigma_q", "negative_weight",
@@ -416,6 +424,14 @@ def _section(name, *lines):
     ([_section("initial", "q0 = inf")], "[initial] q0: inf is not a finite number"),
     ([(_TAIL, _TAIL + "\nepsilon = 0")], "[solver] epsilon must be positive"),
     ([(_TAIL, _TAIL + "\nn_states = 0")], "[solver] n_states must be >= 1"),
+    # 12 (2 12 - 1) + 2 = 278 eigenpairs do not fit in dim = 256
+    ([("mode = evolve", "mode = stationary"), (_TAIL, _TAIL + "\nn_states = 12")],
+     "[solver] n_states: 12 states start from k = 278 eigenpairs, but the basis "
+     "has dim = 256"),
+    # a stationary run lists the Moyal pairs
+    ([("mode = evolve", "mode = moyal")],
+     "[run] mode must be one of ('evolve', 'stationary', 'ensemble', 'refine') "
+     "(got 'moyal')"),
     ([("mode = evolve", "mode = refine"), (_TAIL, _TAIL + "\nn_min = 5")],
      "[solver] n_min 5 exceeds [basis] j_fine = 4, the last refine level"),
     ([("mode = evolve", "mode = refine"), ("order = 6", "order = 10"),
@@ -471,7 +487,8 @@ def _section(name, *lines):
      "[ensemble] g: the force term overflows: U^(1) or its Galerkin matrix on "
      "q in [-1, 1) exceeds double precision"),
 ], ids=["initial_type", "sigma_q", "sigma_p", "q0_inf", "epsilon", "n_states",
-        "n_min_exceeds_j_fine", "n_min_too_coarse", "g_parse", "weights_count",
+        "n_states_beyond_dim", "moyal_mode", "n_min_exceeds_j_fine",
+        "n_min_too_coarse", "g_parse", "weights_count",
         "weights_inf", "weights_negative", "coherent_nan", "ensemble_section",
         "ensembel_hint", "directory", "grid_resolution", "checkpoint_every",
         "overflowing_force", "overflowing_moments", "huge_q_box"] + list(_OVERFLOWS))
@@ -635,12 +652,12 @@ def test_run_stationary_reports_eigenvalues(tmp_path, capsys):
     assert "eps_0 =" in manifest and "eps_1 =" in manifest
 
 
-@pytest.mark.parametrize("mode, count", [("stationary", "n_states = 2"),
-                                         ("moyal", "n_states = 4")],
-                         ids=["stationary", "moyal"])
+@pytest.mark.parametrize("mode, count", [("stationary", "n_states = 2")],
+                         ids=["stationary"])
 def test_eigen_runs_report_the_ritz_defect(tmp_path, capsys, mode, count):
-    """Stationary and moyal manifests end their [eigenvalues] block with the
-    split's Ritz-combination defect (the 32x32 order-10 quartic)."""
+    """A stationary manifest's [eigenvalues] block lists the states, then
+    the pairs, then ends with the split's Ritz-combination defect (the
+    32x32 order-10 quartic)."""
     path = _write(tmp_path, _edited([
         ("mode = evolve", f"mode = {mode}"), ("0.5*q^2", "0.5*q^2 + 0.1*q^4"),
         ("order = 6", "order = 10"), ("j_fine = 4", "j_fine = 5"),
@@ -650,6 +667,11 @@ def test_eigen_runs_report_the_ritz_defect(tmp_path, capsys, mode, count):
     run_dir = capsys.readouterr().out.strip()
     block = open(os.path.join(run_dir, "manifest.txt")).read().split(
         "[eigenvalues]\n")[1].split("\n\n")[0].splitlines()
+    keys = [line.split(" = ")[0] for line in block]
+    n_pairs = len(keys) - 3
+    assert n_pairs >= 4
+    assert keys == ["eps_0", "eps_1"] + [f"pair_{i}" for i in range(n_pairs)] \
+        + ["ritz_defect"]
     key, value = block[-1].split(" = ")
     assert key == "ritz_defect" and 0.0 < float(value) < 1.0
 
@@ -666,7 +688,7 @@ def test_run_refine_not_converged_exit_code(tmp_path, capsys):
     assert "converged = False" in manifest
 
 
-@pytest.mark.parametrize("mode", ["stationary", "moyal", "refine"])
+@pytest.mark.parametrize("mode", ["stationary", "refine"])
 def test_single_state_modes_list_one_checkpoint(tmp_path, capsys, mode):
     text = _edited([("mode = evolve", f"mode = {mode}"),
                     ("t_end = 0.1", "t_end = 0.1\nn_states = 2\nn_min = 3")])
@@ -692,20 +714,17 @@ def test_one_step_evolve_is_classified_against_its_initial_state(tmp_path, capsy
 
 
 @pytest.mark.parametrize("edits,code,detail", [
-    # n states start from k = n (2n - 1) + 2 eigenpairs, here 1.99999e10,
-    # beyond dim = 256 on a 16 x 16 basis
-    ([("mode = evolve", "mode = stationary"),
-      ("t_end = 0.1", "t_end = 0.1\nn_states = 100000")], EXIT_NUMERICAL,
-     "dim=256 eigenpairs=1.99999e+10"),
-    # and n pairs from k = 2n + 2
-    ([("mode = evolve", "mode = moyal"),
-      ("t_end = 0.1", "t_end = 0.1\nn_states = 300")], EXIT_NUMERICAL,
-     "dim=256 eigenpairs=602"),
+    # U >= 0 on the box, but the cubic's wrap states lie below the shift,
+    # so the Cholesky of A_sym - sigma I fails
+    ([("mode = evolve", "mode = stationary"), ("order = 6", "order = 10"),
+      ("j_fine = 4", "j_fine = 5"), ("0.5*q^2", "0.1*q^3 + 0.5*q^2"),
+      ("t_end = 0.1", "t_end = 0.1\nn_states = 2")], EXIT_NUMERICAL,
+     "shift=0.246364"),
     # one midpoint step of dt = 1 needs more defect corrections than the cap
     ([("potential = 0.5*q^2", "potential = 0.5*q^2 + 0.1*q^4\ngamma = 0.05\n"
        "diffusion = 0.02"), ("dt = 0.05", "dt = 1.0"),
       ("t_end = 0.1", "t_end = 1.0")], EXIT_NUMERICAL, "dt=1 relative_residual="),
-], ids=["too_many_states", "too_many_pairs", "stiff_step"])
+], ids=["cubic_below_shift", "stiff_step"])
 def test_run_failure_leaves_manifest(tmp_path, capsys, edits, code, detail):
     """The manifest ends with the error and its diagnostic, keys sorted, and
     stderr carries the same diagnostic line."""
@@ -960,8 +979,6 @@ _QUARTIC = [("0.5*q^2", "0.5*q^2 + 0.1*q^4"), ("order = 6", "order = 10"),
     ([("t_end = 0.1", "t_end = 0.2")], EXIT_OK),
     ([("mode = evolve", "mode = stationary")] + _QUARTIC
      + [("t_end = 0.1", "n_states = 2")], EXIT_OK),
-    ([("mode = evolve", "mode = moyal")] + _QUARTIC
-     + [("j_fine = 5", "j_fine = 6"), ("t_end = 0.1", "n_states = 2")], EXIT_OK),
     ([("mode = evolve", "mode = ensemble"), ("order = 6", "order = 8"),
       ("j_fine = 4", "j_fine = 5"), ("-4", "-5"), ("= 4", "= 5"),
       ("0.5*q^2", "0.5*q^2\ngamma = 0.1\ndiffusion = 0.05"),
@@ -970,7 +987,7 @@ _QUARTIC = [("0.5*q^2", "0.5*q^2 + 0.1*q^4"), ("order = 6", "order = 10"),
        "n_max = 2\nweights = coherent:0.8\ng = 0.03*q^3 + 0.3*q^2")], EXIT_OK),
     ([("mode = evolve", "mode = refine"),
       ("t_end = 0.1", "epsilon = 1e-14\nn_min = 3")], EXIT_NOT_CONVERGED),
-], ids=["evolve", "stationary", "moyal", "ensemble", "refine"])
+], ids=["evolve", "stationary", "ensemble", "refine"])
 def test_manifest_reports_the_last_series_row(tmp_path, edits, code):
     """The manifest's [diagnostics] figures of the final state and the last
     series.txt row are the same numbers: one HealthSeries computes both.

@@ -28,7 +28,7 @@ from wigner.solve import (
     CoefficientField,
     EvolutionConfig,
     evolve,
-    moyal_eigen,
+    first_subspace,
     reconstruct_by_scale,
     refine_until,
     stationary_eigen,
@@ -484,11 +484,13 @@ def test_midpoint_stepper_rejects_generator_without_circulant_split(case):
 
 
 def test_evolve_rejects_complex_initial_field():
-    """The stepper is real, so a complex W0 would lose its imaginary part."""
+    """The stepper is real, so a complex W0 would lose its imaginary part:
+    no complex field can be built to hand to ``evolve``, not even one whose
+    imaginary part is zero."""
     ps = _ps32()
-    W0 = CoefficientField(ps=ps, coeffs=_offset_gaussian(ps).coeffs * (1 + 0.1j))
-    with pytest.raises(ContractError, match="real initial field"):
-        evolve(W0, _quartic_dissipative(ps), EvolutionConfig(dt=0.01, t_end=0.1))
+    for scale in (1 + 0.1j, 1 + 0j):
+        with pytest.raises(ContractError, match="complex"):
+            CoefficientField(ps=ps, coeffs=_offset_gaussian(ps).coeffs * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +746,7 @@ def test_stationary_eigen_grows_k_on_one_factor():
         mp.setattr(wigner.solve.spla, "eigsh", counted_eigsh)
         mp.setattr(wigner.solve.la, "cholesky_banded", counted_cholesky)
         states = stationary_eigen(A_sym, A_anti, 6)
-    assert ks == [68, 85] and len(factors) == 1
+    assert ks == [first_subspace(6), 85] == [68, 85] and len(factors) == 1
     _, split = next(_splits(A_sym, A_anti, 85))
     levels = split.eps[np.flatnonzero(split.diagonal)[:6]]
     assert np.array([eps for eps, _ in states]).tobytes() == levels.tobytes()
@@ -797,11 +799,38 @@ def test_stationary_eigen_is_deterministic(harmonic_small):
         assert W_a.coeffs.tobytes() == W_b.coeffs.tobytes()
 
 
+# The Moyal eigenproblem's pairs, H*W = E'W and W*H = E''W, as a stationary
+# spectrum lists them.
+
+def _pairs(A_sym, A_anti, n_states, count, hbar=1.0):
+    """The ``count`` pairs (E', E'') of lowest level that an n-state
+    stationary spectrum lists."""
+    pairs = stationary_eigen(A_sym, A_anti, n_states).pairs(hbar)
+    assert len(pairs) >= count
+    return pairs[:count]
+
+
+def test_spectrum_pairs_hold_the_states_below_the_line(harmonic_small):
+    """The pairs are the split's fields whose higher level lies at or below
+    the line, lowest level first: on the oscillator at k = 17 the line is
+    2.75, so of the 15 fields split (levels up to 2.5) the nine (E_m, E_n)
+    with m, n <= 2 are listed, and |3><0| (3.5, 0.5) at level 2 is not.  The
+    diagonal ones are (eps, eps) of the states returned."""
+    ps, U = harmonic_small
+    states = stationary_eigen(*assemble_stationary_pair(ps, U, PARAMS), 3)
+    pairs = np.array(states.pairs(1.0))
+    assert len(pairs) == 9 and np.max(pairs) < 2.75
+    assert np.all(np.diff(pairs.sum(axis=1)) >= -1e-12)
+    diagonal = pairs[np.abs(pairs[:, 0] - pairs[:, 1]) < 1e-6]
+    assert diagonal[:, 0].tolist() == [eps for eps, _ in states]
+
+
 def test_moyal_eigen_harmonic_pairs(harmonic_small):
+    """Three states start from k = 17, where the six lowest pairs of the
+    Moyal eigenproblem lie below the line."""
     ps, U = harmonic_small
     A_sym, A_anti = assemble_stationary_pair(ps, U, PARAMS)
-    pairs = moyal_eigen(A_sym, A_anti, 6, hbar=1.0)
-    got = sorted((round(lo, 3), round(hi, 3)) for lo, hi, _ in pairs)
+    got = sorted((round(lo, 3), round(hi, 3)) for lo, hi in _pairs(A_sym, A_anti, 3, 6))
     expected = sorted([(0.5, 0.5), (1.5, 0.5), (0.5, 1.5),
                        (2.5, 0.5), (1.5, 1.5), (0.5, 2.5)])
     for (glo, ghi), (elo, ehi) in zip(got, expected):
@@ -814,20 +843,18 @@ def test_moyal_eigen_heavy_oscillator_pairs(harmonic_small):
     carries the transport's 1/m."""
     ps, U = harmonic_small
     A_sym, A_anti = assemble_stationary_pair(ps, U, ModelParams(mass=2.0))
-    got = sorted((lo, hi) for lo, hi, _ in moyal_eigen(A_sym, A_anti, 3,
-                                                       hbar=1.0))
+    got = sorted(_pairs(A_sym, A_anti, 2, 3))
     e0, e1 = 0.5 / np.sqrt(2.0), 1.5 / np.sqrt(2.0)
     expected = sorted([(e0, e0), (e1, e0), (e0, e1)])
     assert np.max(np.abs(np.array(got) - np.array(expected))) < 1e-3
 
 
 def _quartic_pair_error(j_fine, pairs):
-    """Largest level error of moyal's lowest quartic pairs (order 10, +-4)
-    against the (E_m, E_n) of the FD levels."""
+    """Largest level error of the lowest quartic pairs of a three-state
+    spectrum (order 10, +-4) against the (E_m, E_n) of the FD levels."""
     U = parse_potential("0.5*q^2 + 0.1*q^4")
     A_sym, A_anti = assemble_stationary_pair(_order10(j_fine), U, PARAMS)
-    got = sorted((lo, hi) for lo, hi, _ in moyal_eigen(A_sym, A_anti, pairs,
-                                                       hbar=1.0))
+    got = sorted(_pairs(A_sym, A_anti, 3, pairs))
     E = fd_schrodinger_levels(lambda q: 0.5 * q ** 2 + 0.1 * q ** 4, 4)
     lowest = sorted(((m, n) for m in range(4) for n in range(4)),
                     key=lambda mn: E[mn[0]] + E[mn[1]])[:pairs]
@@ -868,12 +895,13 @@ def test_ritz_defect_flags_the_coarse_quartic(j_fine, low, high):
 
 def test_moyal_eigen_cubic_fails_closed():
     """U >= 0 on the box and the shift is 0.246, but the cubic's wrap states
-    sit near -19 in A_sym: the Cholesky fails and moyal raises, as
-    stationary does."""
+    sit near -19 in A_sym: the Cholesky fails, and the solve raises rather
+    than list pairs."""
     A_sym, A_anti = assemble_stationary_pair(
         _order10(5), parse_potential("0.1*q^3 + 0.5*q^2"), PARAMS)
-    with pytest.raises(NumericalError, match="below the shift"):
-        moyal_eigen(A_sym, A_anti, 4, hbar=1.0)
+    with pytest.raises(NumericalError, match="below the shift") as info:
+        stationary_eigen(A_sym, A_anti, 2)
+    assert info.value.diagnostic["shift"] == pytest.approx(0.246364, abs=1e-6)
 
 
 def test_moyal_eigen_builds_no_sparse_matrix_and_no_full_eigh(harmonic_small,
@@ -881,7 +909,7 @@ def test_moyal_eigen_builds_no_sparse_matrix_and_no_full_eigh(harmonic_small,
     """The split diagonalizes k x k matrices only; an eigh of a dim-sized
     matrix would mean the shift-invert path was left."""
     def refuse(*args, **kwargs):
-        raise AssertionError("moyal_eigen left the shared shift-invert path")
+        raise AssertionError("the pairs left the shared shift-invert path")
 
     ps, U = harmonic_small
     eigh = np.linalg.eigh
@@ -894,7 +922,7 @@ def test_moyal_eigen_builds_no_sparse_matrix_and_no_full_eigh(harmonic_small,
     A_sym, A_anti = assemble_stationary_pair(ps, U, PARAMS)
     monkeypatch.setattr(AssembledOperator, "matrix", refuse)
     monkeypatch.setattr(np.linalg, "eigh", small_eigh)
-    assert len(moyal_eigen(A_sym, A_anti, 6, hbar=1.0)) == 6
+    assert len(_pairs(A_sym, A_anti, 3, 6)) == 6
 
 
 def test_eigen_contract_errors(harmonic_small):
@@ -902,8 +930,6 @@ def test_eigen_contract_errors(harmonic_small):
     A_sym, A_anti = assemble_stationary_pair(ps, U, PARAMS)
     with pytest.raises(ContractError):
         stationary_eigen(A_sym, A_anti, 0)
-    with pytest.raises(ContractError):
-        moyal_eigen(A_sym, A_anti, 0, hbar=1.0)
 
 
 # ---------------------------------------------------------------------------
