@@ -5,7 +5,7 @@ Modules
 basis        Daubechies filters, connection/moment tables, periodized bases
 model        polynomial potentials and physical parameters
 assembly     Galerkin operator assembly over tensor-product bases
-solve        time evolution, stationary spectra, refinement, scale splits
+solve        time evolution, two-level stationary spectra, scale splits
 ensemble     Fock-level hierarchies
 diagnostics  observables and the regime classifier
 cli          configuration parsing and run orchestration

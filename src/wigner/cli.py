@@ -25,7 +25,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-EXIT_NOT_CONVERGED = 4
 
 
 def _exit_code(exc: WignerError) -> int:
@@ -249,16 +248,6 @@ def parse_config(path) -> RunConfig:
         if k >= ps.dim:
             errors.append(f"[solver] n_states: {solver.n_states} states start "
                           f"from k = {k} eigenpairs, but the basis has dim = {ps.dim}")
-    # refine levels run from n_min to the run's own j_fine
-    if mode == "refine" and None not in (ps, solver):
-        if solver.n_min > ps.j_fine:
-            errors.append(f"[solver] n_min {solver.n_min} exceeds [basis] "
-                          f"j_fine = {ps.j_fine}, the last refine level")
-        try:
-            replace(ps, j_fine=solver.n_min)
-        except ConfigurationError as exc:
-            errors.append(f"[solver] n_min: the first refine level, j_fine = "
-                          f"{solver.n_min} with [basis] j_coarse = {ps.j_coarse}: {exc}")
 
     # built even without the section, so that a misspelt one gets its hint
     ensemble = build(EnsembleSettings, "ensemble")
@@ -441,7 +430,7 @@ def run(cfg: RunConfig, out_override=None) -> int:
     ]
     code = None
     try:
-        not_converged = _execute(cfg, run_dir, manifest)
+        _execute(cfg, run_dir, manifest)
     except WignerError as exc:
         code = _exit_code(exc)
         kind = "configuration" if code == EXIT_CONFIG else "numerical"
@@ -461,17 +450,16 @@ def run(cfg: RunConfig, out_override=None) -> int:
         fh.write(f"wall_seconds = {time.time() - t_wall:.3f}\n")
 
     print(run_dir)
-    return EXIT_NOT_CONVERGED if not_converged else EXIT_OK
+    return EXIT_OK
 
 
 def _execute(cfg: RunConfig, run_dir, manifest):
-    """Run the configured mode, write its artifacts and fill ``manifest``;
-    True when the run did not converge."""
+    """Run the configured mode, write its artifacts and fill ``manifest``."""
     from .diagnostics import diagnostics_report, marginals
 
     # every mode hands the states it computes to one writer, the last one final
     store = _CheckpointWriter(cfg, run_dir)
-    not_converged = _RUNNERS[cfg.mode](cfg, manifest, store)
+    _RUNNERS[cfg.mode](cfg, manifest, store)
     store.finish()
 
     final = store.last
@@ -490,8 +478,7 @@ def _execute(cfg: RunConfig, run_dir, manifest):
     report = diagnostics_report(final, store.previous, store.series,
                                 cfg.thresholds)
     manifest += ["", "[diagnostics]", report.to_text().rstrip(), ""]
-    manifest.append(f"converged = {not not_converged}")
-    return not_converged
+    manifest.append("converged = True")
 
 
 def _run_evolution(cfg, manifest, store):
@@ -501,7 +488,6 @@ def _run_evolution(cfg, manifest, store):
     W0 = cfg.initial.field(cfg.ps, cfg.params.hbar)
     evolve(W0, assemble_evolution(cfg.ps, cfg.U, cfg.params), cfg.solver,
            store=store)
-    return False
 
 
 def _run_ensemble(cfg, manifest, store):
@@ -513,7 +499,6 @@ def _run_ensemble(cfg, manifest, store):
     store(W0)
     store(evolve_ensemble(W0, cfg.ensemble.fock_weights, cfg.ensemble.coupling,
                           cfg.params, cfg.solver))
-    return False
 
 
 def _run_stationary(cfg, manifest, store):
@@ -521,42 +506,26 @@ def _run_stationary(cfg, manifest, store):
     from .solve import stationary_eigen
 
     A_sym, A_anti = assemble_stationary_pair(cfg.ps, cfg.U, cfg.params)
-    states = stationary_eigen(A_sym, A_anti, cfg.solver.n_states)
+    try:  # no level below j_coarse, nor below the filter's smallest j_fine
+        coarser = assemble_stationary_pair(replace(cfg.ps, j_fine=cfg.ps.j_fine - 1),
+                                           cfg.U, cfg.params)
+    except ConfigurationError:
+        coarser = None
+    states = stationary_eigen(A_sym, A_anti, cfg.solver.n_states, coarser)
     manifest.append("[eigenvalues]")
     for i, (eps, _) in enumerate(states):
         manifest.append(f"eps_{i} = {eps:.12g}")
     for i, (e_lo, e_hi) in enumerate(states.pairs(cfg.params.hbar)):
         manifest.append(f"pair_{i} = {e_lo:.12g} {e_hi:.12g}")
     manifest.append(f"ritz_defect = {states.ritz_defect(cfg.params.hbar):.6g}")
+    manifest.append(f"level_change = {states.level_change:.6g}")
+    manifest.append(f"field_change = {states.field_change:.6g}")
     store(states[0][1])
-    return False
 
 
-def _run_refine(cfg, manifest, store):
-    """Stores the accepted field; returns True when refinement did not converge."""
-    from .assembly import assemble_stationary_pair
-    from .solve import refine_until, stationary_eigen
-
-    def solve_at_level(N):
-        ps = replace(cfg.ps, j_fine=N)
-        A_sym, A_anti = assemble_stationary_pair(ps, cfg.U, cfg.params)
-        return stationary_eigen(A_sym, A_anti, 1)[0][1]
-
-    W, report = refine_until(solve_at_level, cfg.solver.epsilon, cfg.ps.j_fine,
-                             n_min=cfg.solver.n_min)
-    manifest.append("[refinement]")
-    for N, diff in report.levels_tried:
-        manifest.append(f"level_{N}_difference = {diff:.12g}")
-    manifest.append(f"accepted_level = {report.accepted_level}")
-    manifest.append(f"refine_converged = {report.converged}")
-    manifest.append(f"monotone = {report.monotone}")
-    store(W)
-    return not report.converged
-
-
-# mode -> runner(cfg, manifest, store), which returns True when not converged
+# mode -> runner(cfg, manifest, store)
 _RUNNERS = {"evolve": _run_evolution, "stationary": _run_stationary,
-            "ensemble": _run_ensemble, "refine": _run_refine}
+            "ensemble": _run_ensemble}
 
 
 def _dump_scale_parts(cfg, final, run_dir):

@@ -1,6 +1,6 @@
 """Time evolution by the one integrator, the implicit midpoint stepper; the
-stationary spectrum of the two-sided star-genvalue system, level refinement,
-and scale decomposition of coefficient fields."""
+stationary spectrum of the two-sided star-genvalue system, checked one level
+down; and scale decomposition of coefficient fields."""
 
 from __future__ import annotations
 
@@ -46,14 +46,12 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """The ``[solver]`` settings: time stepping, refine and eigen counts."""
+    """The ``[solver]`` settings: time stepping and the stationary state count."""
 
     dt: float = 0.01
     t_end: float = 1.0
     scheme: str = "implicit_midpoint"
     store_every: int = 1
-    epsilon: float = 1e-4
-    n_min: int = 4
     n_states: int = 4
 
     def __post_init__(self):
@@ -69,20 +67,10 @@ class EvolutionConfig:
                        f"integrator (got {self.scheme!r})")
         if not self.store_every >= 1:
             bad.append("store_every must be >= 1")
-        if not self.epsilon > 0:
-            bad.append("epsilon must be positive")
         if not self.n_states >= 1:
             bad.append("n_states must be >= 1")
         if bad:
             raise ConfigurationError("; ".join(bad))
-
-
-@dataclass
-class RefinementReport:
-    levels_tried: list            # (level, ||W^{N+1} - W^N||) pairs
-    accepted_level: int
-    converged: bool
-    monotone: bool
 
 
 # Defect corrections a midpoint step may take after its first preconditioned
@@ -357,7 +345,8 @@ class _Split:
 
 class Spectrum(list):
     """The (eps, field) states that a stationary run returns, lowest level
-    first, with the split they come from and the line it was accepted at.
+    first, with the split they come from, the line it was accepted at and,
+    given the states of the same pair one level down, how far they moved.
 
     ``pairs(hbar)`` lists (E', E'') = eps -+ hbar y / 2 of every split field,
     diagonal or not, whose max(E', E'') lies at or below the line, lowest
@@ -373,11 +362,22 @@ class Spectrum(list):
     3.1e-2, 6.9e-4 and 5.8e-5 for the order-10 quartic on +-4 (three
     states at 32x32 and 64x64, four at 128x128), whose largest level
     errors are 3.1e-2, 6.9e-4 and 5.7e-5.
+
+    ``level_change`` is the largest |eps_n - eps_n^coarse| over the states
+    returned, and ``field_change`` the L2 distance between state 0 and the
+    coarser state 0 embedded by zero padding (``_embedding_difference``);
+    both are nan without coarser states.  For the order-10 quartic on +-4
+    with four states at 64x64 they read 9.5e-2 and 5.7e-4.
     """
 
-    def __init__(self, items, split: _Split, levels: np.ndarray, line: float):
+    def __init__(self, items, split: _Split, line: float, coarse=None):
         super().__init__(items)
-        self._split, self._levels, self._line = split, levels, line
+        self._split, self._line = split, line
+        self.level_change = self.field_change = float("nan")
+        if coarse is not None:
+            self.level_change = max(abs(e - e_c) for (e, _), (e_c, _)
+                                    in zip(self, coarse))
+            self.field_change = _embedding_difference(coarse[0][1], self[0][1])
 
     def _both(self, hbar: float) -> np.ndarray:
         """E' and E'' = eps -+ hbar y / 2 of every split field, as two rows."""
@@ -392,7 +392,7 @@ class Spectrum(list):
 
     def ritz_defect(self, hbar: float) -> float:
         """The largest Ritz-combination miss, at E', E'' = eps -+ hbar y / 2."""
-        sp, e = self._split, self._levels
+        sp, e = self._split, np.array([eps for eps, _ in self])
         if len(e) < 2:
             return float("nan")
         both = self._both(hbar)
@@ -608,24 +608,9 @@ def first_subspace(n_states: int) -> int:
     return n_states * (2 * n_states - 1) + 2
 
 
-def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
-                     n_states: int) -> Spectrum:
-    """Lowest diagonal stationary states (eps, field) of the stationary pair,
-    in a ``Spectrum`` that also lists the split's pairs (E', E'').
-
-    Diagonal Wigner functions solve both H*W = EW and W*H = EW, so with the
-    pair of ``assemble_stationary_pair`` a real eigenfield has A_sym W = EW
-    and A_anti W = 0.  They are the diagonal fields of ``_splits``, from
-    k = ``first_subspace(n)`` for n states.  Each field has unit total
-    integral.
-
-    Raises NumericalError where ``_splits`` does, or when a returned field
-    carries |integral| < 0.5 ||W||: the subspace did not resolve the pairs
-    near that level, as at a near-degenerate doublet (a double well's
-    tunnelling pair) on a coarse basis.
-    """
-    if n_states < 1:
-        raise ContractError("n_states must be >= 1")
+def _lowest_states(A_sym: AssembledOperator, A_anti: AssembledOperator,
+                   n_states: int) -> tuple:
+    """(states, split, line) of ``stationary_eigen`` for one pair."""
     for line, split in _splits(A_sym, A_anti, first_subspace(n_states)):
         chosen = np.flatnonzero(split.diagonal)[:n_states]
         if len(chosen) == n_states and split.eps[chosen[-1]] <= line:
@@ -645,45 +630,37 @@ def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
                 diagnostic={"eigenvalue": eps, "integral_weight": weight},
             )
         out.append((eps, CoefficientField(ps=W.ps, coeffs=W.coeffs / integral)))
-    return Spectrum(out, split, split.eps[chosen], line)
+    return out, split, line
 
 
-# ---------------------------------------------------------------------------
-# refinement and scale splits
-# ---------------------------------------------------------------------------
+def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
+                     n_states: int, coarser=None) -> Spectrum:
+    """Lowest diagonal stationary states (eps, field) of the stationary pair,
+    in a ``Spectrum`` that also lists the split's pairs (E', E'') and how far
+    the states moved from those of ``coarser``.
 
-def refine_until(solve_at_level, epsilon: float, n_max: int,
-                 n_min: int) -> tuple:
-    """Refine from level n_min until ||W^{N+1} - W^N|| <= epsilon in the
-    coefficient L2 norm, or until level n_max.
+    Diagonal Wigner functions solve both H*W = EW and W*H = EW, so with the
+    pair of ``assemble_stationary_pair`` a real eigenfield has A_sym W = EW
+    and A_anti W = 0.  They are the diagonal fields of ``_splits``, from
+    k = ``first_subspace(n)`` for n states.  Each field has unit total
+    integral.
 
-    ``solve_at_level(N)`` must return a CoefficientField on a basis with
-    j_fine = N; successive fields are compared after zero-pad embedding of
-    the coarser multiscale coefficients into the finer basis.
+    ``coarser``, the same pair on j_fine - 1 or None, is solved first so its
+    band is freed before the run's own is written; ``level_change`` and
+    ``field_change`` are nan when it is None or its solve raises NumericalError.
+
+    Raises NumericalError where ``_splits`` does, or when a returned field
+    carries |integral| < 0.5 ||W||: the subspace did not resolve the pairs
+    near that level, as at a near-degenerate doublet (a double well's
+    tunnelling pair) on a coarse basis.
     """
-    if epsilon <= 0:
-        raise ContractError("epsilon must be positive")
-    if n_min > n_max:
-        raise ContractError(f"empty level range: n_min {n_min} > n_max {n_max}")
-    prev = None
-    tried = []
-    for N in range(n_min, n_max + 1):
-        cur = solve_at_level(N)
-        if prev is not None:
-            diff = _embedding_difference(prev, cur)
-            tried.append((N, diff))
-            if diff <= epsilon:
-                return cur, RefinementReport(
-                    levels_tried=tried, accepted_level=N,
-                    converged=True, monotone=_nonincreasing(tried))
-        prev = cur
-    return prev, RefinementReport(
-        levels_tried=tried, accepted_level=n_max,
-        converged=False, monotone=_nonincreasing(tried))
-
-
-def _nonincreasing(tried) -> bool:
-    return all(b <= a * (1 + 1e-12) for (_, a), (_, b) in zip(tried, tried[1:]))
+    if n_states < 1:
+        raise ContractError("n_states must be >= 1")
+    try:
+        coarse = coarser and _lowest_states(*coarser, n_states)[0]
+    except NumericalError:
+        coarse = None
+    return Spectrum(*_lowest_states(A_sym, A_anti, n_states), coarse=coarse)
 
 
 def _embedding_difference(coarse: CoefficientField, fine: CoefficientField) -> float:
@@ -699,6 +676,10 @@ def _embedding_difference(coarse: CoefficientField, fine: CoefficientField) -> f
     pad[: ms_c.shape[0], : ms_c.shape[1]] = ms_c
     return float(np.linalg.norm(ms_f - pad))
 
+
+# ---------------------------------------------------------------------------
+# scale splits
+# ---------------------------------------------------------------------------
 
 def reconstruct_by_scale(W: CoefficientField):
     """Split a field into a slow part (levels below the basis's ``scale_cut``)

@@ -5,14 +5,16 @@ values come from their own refinement cascade, integrals from Riemann sums
 with Aitken extrapolation, and grid derivatives from finite-difference
 stencils solved out of a Vandermonde system.  ``rk4_step`` is a reference
 time integrator for the package's implicit midpoint stepper,
-``dwt_analysis_step`` writes one level of the periodic DWT tap by tap, and
+``dwt_analysis_step`` writes one level of the periodic DWT tap by tap,
 ``groenewold_wigner`` is the oscillator's stationary Wigner functions in
-closed form.
+closed form, and ``fd_wigner_states`` those of any potential from
+finite-difference eigenvectors.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import eig_banded
 from scipy.special import eval_laguerre
 
 from wigner.basis import FilterCoefficients, scaling_values
@@ -208,6 +210,40 @@ def groenewold_wigner(n: int, q, p, hbar: float = 1.0) -> np.ndarray:
     H = 0.5 * (np.asarray(q) ** 2 + np.asarray(p) ** 2)
     return ((-1.0) ** n / (np.pi * hbar)) * np.exp(-2.0 * H / hbar) \
         * eval_laguerre(n, 4.0 * H / hbar)
+
+
+def fd_wigner_states(U, n_states: int, p, half_width: float = 8.0,
+                     intervals: int = 2000, window: float = 3.0):
+    """(q, W): the stationary Wigner functions W[n, i, j] = W_n(q_i, p_j) of
+    -1/2 psi'' + U(q) psi = E psi (hbar = m = 1), n < n_states, at the grid
+    nodes q_i in [-window, window].
+
+    The eigenvectors are those of the 8th-order ``fd_stencil(2, 9)``
+    Hamiltonian on [-half_width, half_width] with Dirichlet ends and
+    ``intervals`` steps h (``eig_banded``), scaled to sum psi^2 h = 1.  Then
+    W_n(q, p) = (1/pi) int psi(q + y) psi(q - y) cos(2 p y) dy is a sum over
+    y = k h on the same grid, the nodes beyond the ends counting as zero.
+    """
+    h = 2.0 * half_width / intervals
+    q = -half_width + h * np.arange(1, intervals)
+    w = fd_stencil(2, 9)
+    band = np.zeros((5, q.size))  # lower band storage: band[d, i] = H[i + d, i]
+    band[0] = -0.5 * w[4] / h ** 2 + U(q)
+    for d in range(1, 5):
+        band[d, :-d] = -0.5 * w[4 + d] / h ** 2
+    _, psi = eig_banded(band, lower=True, select="i",
+                        select_range=(0, n_states - 1))
+    psi /= np.sqrt(h * np.sum(psi ** 2, axis=0))
+    inside = np.flatnonzero(np.abs(q) <= window + 1e-9)
+    k = np.arange(-q.size, q.size + 1)
+    pad = np.zeros((3 * q.size + 2, n_states))  # psi_i at pad[i + q.size + 1]
+    pad[q.size + 1:2 * q.size + 1] = psi
+    cos = np.cos(2.0 * np.outer(k * h, p))
+    W = np.empty((n_states, inside.size, len(p)))
+    for row, i in enumerate(inside):
+        prod = pad[i + q.size + 1 + k] * pad[i + q.size + 1 - k]
+        W[:, row] = (h / np.pi) * prod.T @ cos
+    return q[inside], W
 
 
 def kron_dense(op) -> np.ndarray:

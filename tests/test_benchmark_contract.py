@@ -51,7 +51,10 @@ def test_benchmark_config_validates_under_the_tracer(tmp_path, capsys, name):
 
 def test_stationary_probe_sees_one_eigensolve(tmp_path):
     """The probe times a stationary run by its one ``stationary_eigen``
-    call, and the run's artifacts pass the benchmark's own checks."""
+    call, which also solves the pair one level down, and the run's
+    artifacts pass the benchmark's own checks.  The manifest's
+    ``level_change`` and ``field_change`` are finite (seed 1: 0.0932268 and
+    0.000565313)."""
     text, spec = RUNNER.make_config("stationary_quartic", 1)
     cfg = tmp_path / "stationary_quartic.ini"
     cfg.write_text(text)
@@ -62,9 +65,14 @@ def test_stationary_probe_sees_one_eigensolve(tmp_path):
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(report.read_text())["eigen"]) == 1
-    problems, _ = RUNNER.checks.check_run(str(out / f"run-{spec['mode']}"),
-                                          proc.returncode, spec)
+    run_dir = out / f"run-{spec['mode']}"
+    problems, _ = RUNNER.checks.check_run(str(run_dir), proc.returncode, spec)
     assert problems == []
+    manifest = dict(line.split(" = ", 1) for line in
+                    (run_dir / "manifest.txt").read_text().splitlines()
+                    if " = " in line)
+    assert float(manifest["level_change"]) == pytest.approx(0.0932268, rel=1e-4)
+    assert float(manifest["field_change"]) == pytest.approx(0.000565313, rel=1e-4)
 
 
 def test_projection_spans_count_every_sample_once(tmp_path):

@@ -1,5 +1,7 @@
 """Config parsing, grid dumps, and end-to-end command-line runs."""
 
+import configparser
+import dataclasses
 import importlib.util
 import os
 import re
@@ -14,16 +16,18 @@ import wigner
 from wigner.assembly import PhaseSpaceBasis, assemble_evolution
 from wigner.cli import (
     EXIT_CONFIG,
-    EXIT_NOT_CONVERGED,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    EnsembleSettings,
+    InitialState,
+    OutputSettings,
     _make_run_dir,
     dump_grid,
     main,
     parse_config,
 )
-from wigner.diagnostics import HealthSeries
+from wigner.diagnostics import ClassifierThresholds, HealthSeries
 from wigner.errors import ConfigurationError
 from wigner.model import ModelParams
 from wigner.solve import EvolutionConfig, _MidpointStepper, evolve
@@ -145,8 +149,9 @@ def test_misspelt_optional_section_gets_a_hint(tmp_path, typo, section):
 
 
 def test_readme_config_reference_validates(tmp_path, capsys):
-    """Every key the README's config reference documents is a known key,
-    and its ``mode`` comment lists exactly the run modes."""
+    """The README's config reference documents exactly the known keys:
+    ``[run] mode``, ``[model] potential`` and the init fields of each
+    section's dataclass.  Its ``mode`` comment lists exactly the run modes."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
     assert main(["validate", _write(tmp_path, block)]) == EXIT_OK
@@ -154,13 +159,27 @@ def test_readme_config_reference_validates(tmp_path, capsys):
     (modes,) = re.findall(r"(?m)^mode = \w+ +# (.*)$", block)
     assert modes.split(" | ") == list(wigner.cli._RUNNERS)
 
+    documented = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    documented.read_string(block)
+    classes = {"model": ModelParams, "basis": PhaseSpaceBasis,
+               "initial": InitialState, "solver": EvolutionConfig,
+               "ensemble": EnsembleSettings, "output": OutputSettings,
+               "diagnostics": ClassifierThresholds}
+    known = {name: {f.name for f in dataclasses.fields(cls) if f.init}
+             for name, cls in classes.items()}
+    known["run"] = {"mode"}
+    known["model"].add("potential")
+    assert {name: set(documented[name]) for name in documented.sections()} == known
+
 
 @pytest.mark.parametrize("section,key", [("solver", "n_max"), ("solver", "pairs"),
+                                         ("solver", "n_min"), ("solver", "epsilon"),
                                          ("initial", "norm"), ("ensemble", "u0")])
 def test_removed_keys_are_unknown_without_a_hint(tmp_path, capsys, section, key):
-    """j_fine ends the refine levels, a stationary run lists every pair, and
-    the Gaussian's norm and the ensemble's scale are in its formula and in
-    g: these keys are gone, and no near-miss hint points elsewhere."""
+    """Refine mode and its levels and tolerance are gone, a stationary run
+    lists every pair, and the Gaussian's norm and the ensemble's scale are
+    in its formula and in g: these keys are gone, and no near-miss hint
+    points elsewhere."""
     # [solver] is the last section of MINIMAL
     text = MINIMAL if section == "solver" else MINIMAL + f"\n[{section}]\n"
     assert main(["validate", _write(tmp_path, text + f"{key} = 1\n")]) \
@@ -297,8 +316,8 @@ _RUN_SIDE = ("tiny_mass", "huge_dissipators", "tiny_widths", "tiny_dt",
     # beyond dim = 256 on a 16 x 16 basis
     [("mode = evolve", "mode = stationary"),
      ("t_end = 0.1", "t_end = 0.1\nn_states = 100000")],
-    # refine levels run from n_min to j_fine = 4
-    [("mode = evolve", "mode = refine"), ("t_end = 0.1", "t_end = 0.1\nn_min = 5")],
+    # n_min went with refine mode
+    [("t_end = 0.1", "t_end = 0.1\nn_min = 4")],
     [("mode = evolve", "mode = ensemble"),
      ("t_end = 0.1", "t_end = 0.1\n\n[ensemble]\nn_max = 2\nweights = 0.5 0.5")],
     # q^4 needs d^3/dp^3, beyond the regularity of order 4
@@ -308,11 +327,9 @@ _RUN_SIDE = ("tiny_mass", "huge_dissipators", "tiny_widths", "tiny_dt",
     [("mode = evolve", "mode = stationary"), ("order = 6", "order = 10"),
      ("0.5*q^2", "q^9"), ("j_fine = 4", "j_fine = 5")],
     # 8 functions per axis: order 10 overhangs the filter support, order 8
-    # the moment band (6 > 8 / 2); refine mode starts at n_min
+    # the moment band (6 > 8 / 2)
     [("order = 6", "order = 10"), ("j_fine = 4", "j_fine = 3")],
     [("order = 6", "order = 8"), ("j_fine = 4", "j_fine = 3")],
-    [("mode = evolve", "mode = refine"), ("order = 6", "order = 10"),
-     ("t_end = 0.1", "t_end = 0.1\nn_min = 3")],
     [("t_end = 0.1", "t_end = 0.1\nstore_every = 0")],
     [("t_end = 0.1", "t_end = 0.1\n\n[output]\ncheckpoint_every = 0")],
     [("t_end = 0.1", "t_end = 0.1\n\n[initial]\nsigma_q = 0")],
@@ -337,9 +354,6 @@ _RUN_SIDE = ("tiny_mass", "huge_dissipators", "tiny_widths", "tiny_dt",
     # a lone % is an interpolation error of the INI reader
     [("potential = 0.5*q^2", "potential = 5%")],
     [("j_coarse = 3", "j_coarse = -1")],
-    # the run's own basis is the last refine level
-    [("mode = evolve", "mode = refine"), ("order = 6", "order = 10"),
-     ("j_fine = 4", "j_fine = 3"), ("t_end = 0.1", "t_end = 0.1\nn_min = 3")],
     # a coefficient that is not finite, as written or once summed, and a
     # power longer than int() converts
     [("0.5*q^2", "1e999*q^2")],
@@ -357,12 +371,12 @@ _RUN_SIDE = ("tiny_mass", "huge_dissipators", "tiny_widths", "tiny_dt",
 ] + list(_OVERFLOWS.values()), ids=["lindblad", "pure_p", "p_term", "n_states",
         "too_many_states", "n_min",
         "ensemble_weights", "filter_too_rough", "q9_evolve", "q9_stationary",
-        "support_too_coarse", "moment_band_too_coarse", "refine_n_min_too_coarse",
+        "support_too_coarse", "moment_band_too_coarse",
         "store_every", "checkpoint_every", "sigma_q", "negative_weight",
         "zero_weights", "nan_dt", "coherent_nan",
         "coherent_inf", "inf_weight", "top_k", "theta_frac", "theta_loc",
         "theta_chaos", "theta_stab", "interpolation", "negative_j_coarse",
-        "refine_j_fine_too_coarse", "inf_coefficient", "overflowing_sum",
+        "inf_coefficient", "overflowing_sum",
         "5000_digit_power", "overflowing_force", "overflowing_moments",
         "huge_box", "tiny_box"] + list(_OVERFLOWS))
 def test_validate_rejects_what_run_would(tmp_path, edits):
@@ -402,7 +416,7 @@ def test_numeric_extremes_end_in_an_exit_code(tmp_path, edits):
     if code == EXIT_OK:
         out = tmp_path / "out"
         code = main(["run", path, "--threads", "1", "--out", str(out)])
-        assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_NOT_CONVERGED)
+        assert code in (EXIT_OK, EXIT_NUMERICAL)
         (run_dir,) = out.iterdir()
         assert (run_dir / "manifest.txt").is_file()
 
@@ -422,23 +436,18 @@ def _section(name, *lines):
     ([_section("initial", "sigma_q = 0")], "[initial] sigma_q must be positive"),
     ([_section("initial", "sigma_p = -1")], "[initial] sigma_p must be positive"),
     ([_section("initial", "q0 = inf")], "[initial] q0: inf is not a finite number"),
-    ([(_TAIL, _TAIL + "\nepsilon = 0")], "[solver] epsilon must be positive"),
+    # epsilon went with refine mode
+    ([(_TAIL, _TAIL + "\nepsilon = 1e-4")], "unknown key 'epsilon' in [solver]"),
     ([(_TAIL, _TAIL + "\nn_states = 0")], "[solver] n_states must be >= 1"),
     # 12 (2 12 - 1) + 2 = 278 eigenpairs do not fit in dim = 256
     ([("mode = evolve", "mode = stationary"), (_TAIL, _TAIL + "\nn_states = 12")],
      "[solver] n_states: 12 states start from k = 278 eigenpairs, but the basis "
      "has dim = 256"),
-    # a stationary run lists the Moyal pairs
+    # a stationary run lists the Moyal pairs and its change one level down
     ([("mode = evolve", "mode = moyal")],
-     "[run] mode must be one of ('evolve', 'stationary', 'ensemble', 'refine') "
-     "(got 'moyal')"),
-    ([("mode = evolve", "mode = refine"), (_TAIL, _TAIL + "\nn_min = 5")],
-     "[solver] n_min 5 exceeds [basis] j_fine = 4, the last refine level"),
-    ([("mode = evolve", "mode = refine"), ("order = 6", "order = 10"),
-      (_TAIL, _TAIL + "\nn_min = 3")],
-     "[solver] n_min: the first refine level, j_fine = 3 with [basis] j_coarse "
-     "= 3: basis too coarse for the order-10 filter: 2^3 functions per axis, "
-     "it needs at least 16"),
+     "[run] mode must be one of ('evolve', 'stationary', 'ensemble') (got 'moyal')"),
+    ([("mode = evolve", "mode = refine")],
+     "[run] mode must be one of ('evolve', 'stationary', 'ensemble') (got 'refine')"),
     ([_ENSEMBLE, _section("ensemble", "g = q q")],
      "[ensemble] g: missing +/- between terms in potential 'q q' at position 2"),
     ([_ENSEMBLE, _section("ensemble", "n_max = 2", "weights = 0.5 0.5")],
@@ -487,8 +496,7 @@ def _section(name, *lines):
      "[ensemble] g: the force term overflows: U^(1) or its Galerkin matrix on "
      "q in [-1, 1) exceeds double precision"),
 ], ids=["initial_type", "sigma_q", "sigma_p", "q0_inf", "epsilon", "n_states",
-        "n_states_beyond_dim", "moyal_mode", "n_min_exceeds_j_fine",
-        "n_min_too_coarse", "g_parse", "weights_count",
+        "n_states_beyond_dim", "moyal_mode", "refine_mode", "g_parse", "weights_count",
         "weights_inf", "weights_negative", "coherent_nan", "ensemble_section",
         "ensembel_hint", "directory", "grid_resolution", "checkpoint_every",
         "overflowing_force", "overflowing_moments", "huge_q_box"] + list(_OVERFLOWS))
@@ -505,8 +513,8 @@ def test_validate_error_text(tmp_path, capsys, edits, line):
 @pytest.mark.parametrize("edits,line", [
     ([_section("initial", "sigma_q = 0", "sigma_p = 0")],
      "[initial] sigma_q must be positive; sigma_p must be positive"),
-    ([("dt = 0.05", "dt = -1"), (_TAIL, _TAIL + "\nepsilon = 0\nn_states = 0")],
-     "[solver] dt must be positive; epsilon must be positive; n_states must be >= 1"),
+    ([("dt = 0.05", "dt = -1"), (_TAIL, _TAIL + "\nn_states = 0")],
+     "[solver] dt must be positive; n_states must be >= 1"),
     ([_ENSEMBLE, _section("ensemble", "g = q q", "weights = 1 1 1")],
      "[ensemble] g: missing +/- between terms in potential 'q q' at position 2; "
      "weights: expected 2 weights, got 3"),
@@ -614,18 +622,6 @@ def test_scheme_has_one_value(tmp_path, capsys, scheme, code):
         assert "scheme must be implicit_midpoint" in capsys.readouterr().err
 
 
-def test_refine_j_coarse_must_not_exceed_n_min(tmp_path, capsys):
-    """Refine compares successive levels in one multiscale frame, which
-    every level from n_min up has only when j_coarse <= n_min."""
-    text = _edited([("mode = evolve", "mode = refine"),
-                    ("t_end = 0.1", "t_end = 0.1\nn_min = 3")])
-    assert main(["validate", _write(tmp_path, text)]) == EXIT_OK
-    bad = _write(tmp_path, text.replace("j_coarse = 3", "j_coarse = 4"), "b.ini")
-    assert main(["validate", bad]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "[basis] j_coarse" in err and "[solver] n_min" in err
-
-
 def test_run_evolve_writes_artifacts(tmp_path, capsys):
     path = _write(tmp_path, MINIMAL)
     out = str(tmp_path / "out")
@@ -656,8 +652,8 @@ def test_run_stationary_reports_eigenvalues(tmp_path, capsys):
                          ids=["stationary"])
 def test_eigen_runs_report_the_ritz_defect(tmp_path, capsys, mode, count):
     """A stationary manifest's [eigenvalues] block lists the states, then
-    the pairs, then ends with the split's Ritz-combination defect (the
-    32x32 order-10 quartic)."""
+    the pairs, then the split's Ritz-combination defect, and ends with the
+    change from the 16x16 solve (the 32x32 order-10 quartic)."""
     path = _write(tmp_path, _edited([
         ("mode = evolve", f"mode = {mode}"), ("0.5*q^2", "0.5*q^2 + 0.1*q^4"),
         ("order = 6", "order = 10"), ("j_fine = 4", "j_fine = 5"),
@@ -668,33 +664,35 @@ def test_eigen_runs_report_the_ritz_defect(tmp_path, capsys, mode, count):
     block = open(os.path.join(run_dir, "manifest.txt")).read().split(
         "[eigenvalues]\n")[1].split("\n\n")[0].splitlines()
     keys = [line.split(" = ")[0] for line in block]
-    n_pairs = len(keys) - 3
+    n_pairs = len(keys) - 5
     assert n_pairs >= 4
     assert keys == ["eps_0", "eps_1"] + [f"pair_{i}" for i in range(n_pairs)] \
-        + ["ritz_defect"]
-    key, value = block[-1].split(" = ")
-    assert key == "ritz_defect" and 0.0 < float(value) < 1.0
+        + ["ritz_defect", "level_change", "field_change"]
+    for line in block[-3:]:
+        assert 0.0 < float(line.split(" = ")[1]) < 1.0, line
 
 
-def test_run_refine_not_converged_exit_code(tmp_path, capsys):
-    text = MINIMAL.replace("mode = evolve", "mode = refine") + \
-        "epsilon = 1e-14\nn_min = 3\n"
-    path = _write(tmp_path, text)
-    out = str(tmp_path / "out")
-    assert main(["run", path, "--out", out]) == EXIT_NOT_CONVERGED
-    run_dir = capsys.readouterr().out.strip()
-    manifest = open(os.path.join(run_dir, "manifest.txt")).read()
-    assert "refine_converged = False" in manifest
-    assert "converged = False" in manifest
-
-
-@pytest.mark.parametrize("mode", ["stationary", "refine"])
-def test_single_state_modes_list_one_checkpoint(tmp_path, capsys, mode):
-    text = _edited([("mode = evolve", f"mode = {mode}"),
-                    ("t_end = 0.1", "t_end = 0.1\nn_states = 2\nn_min = 3")])
+def test_stationary_run_with_no_level_below_reports_nan(tmp_path, capsys):
+    """With j_coarse = j_fine no basis one level down shares the multiscale
+    frame, so the run solves only its own pair, exits 0 and writes nan for
+    both figures."""
+    text = _edited([("mode = evolve", "mode = stationary"),
+                    ("j_coarse = 3", "j_coarse = 4"), ("t_end = 0.1", "n_states = 2")])
     out = str(tmp_path / "out")
     assert main(["run", _write(tmp_path, text), "--threads", "1", "--out", out]) \
-        in (EXIT_OK, EXIT_NOT_CONVERGED)
+        == EXIT_OK
+    run_dir = capsys.readouterr().out.strip()
+    lines = open(os.path.join(run_dir, "manifest.txt")).read().splitlines()
+    assert "level_change = nan" in lines and "field_change = nan" in lines
+
+
+@pytest.mark.parametrize("mode", ["stationary"])
+def test_single_state_modes_list_one_checkpoint(tmp_path, capsys, mode):
+    text = _edited([("mode = evolve", f"mode = {mode}"),
+                    ("t_end = 0.1", "t_end = 0.1\nn_states = 2")])
+    out = str(tmp_path / "out")
+    assert main(["run", _write(tmp_path, text), "--threads", "1", "--out", out]) \
+        == EXIT_OK
     run_dir = capsys.readouterr().out.strip()
     lines = open(os.path.join(run_dir, "checkpoints.txt")).read().splitlines()
     assert lines == ["checkpoint_0000.npy 0"]
@@ -985,9 +983,7 @@ _QUARTIC = [("0.5*q^2", "0.5*q^2 + 0.1*q^4"), ("order = 6", "order = 10"),
       ("dt = 0.05", "dt = 0.02"),
       ("t_end = 0.1", "t_end = 0.4\n\n[initial]\nq0 = 0.3\n\n[ensemble]\n"
        "n_max = 2\nweights = coherent:0.8\ng = 0.03*q^3 + 0.3*q^2")], EXIT_OK),
-    ([("mode = evolve", "mode = refine"),
-      ("t_end = 0.1", "epsilon = 1e-14\nn_min = 3")], EXIT_NOT_CONVERGED),
-], ids=["evolve", "stationary", "ensemble", "refine"])
+], ids=["evolve", "stationary", "ensemble"])
 def test_manifest_reports_the_last_series_row(tmp_path, edits, code):
     """The manifest's [diagnostics] figures of the final state and the last
     series.txt row are the same numbers: one HealthSeries computes both.

@@ -1,12 +1,19 @@
-"""Time stepping, eigenproblems, refinement, scale splits."""
+"""Time stepping, eigenproblems and their level change, scale splits."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from oracles import fd_schrodinger_levels, groenewold_wigner, kron_dense, rk4_step
+from oracles import (
+    fd_schrodinger_levels,
+    fd_wigner_states,
+    groenewold_wigner,
+    kron_dense,
+    rk4_step,
+)
 
 import wigner.solve
 from wigner.assembly import (
@@ -30,9 +37,9 @@ from wigner.solve import (
     evolve,
     first_subspace,
     reconstruct_by_scale,
-    refine_until,
     stationary_eigen,
     _MidpointStepper,
+    _embedding_difference,
     _folded_order,
     _half_bandwidth,
     _shifted_band,
@@ -540,6 +547,32 @@ def test_stationary_eigen_harmonic_fields_match_groenewold():
         assert error < bound * np.max(np.abs(ref)), (n, error)
 
 
+def test_fd_wigner_oracle_matches_groenewold():
+    """The finite-difference Wigner functions of the oscillator agree with
+    the closed form at every node in [-3, 3] and 61 p values (measured
+    2.2e-12)."""
+    p = np.linspace(-3.0, 3.0, 61)
+    q, W = fd_wigner_states(lambda q: 0.5 * q ** 2, 4, p)
+    for n in range(4):
+        ref = groenewold_wigner(n, q[:, None], p[None, :])
+        assert np.max(np.abs(W[n] - ref)) < 1e-10, n
+
+
+def test_stationary_eigen_quartic_fields_match_fd_oracle():
+    """The four quartic fields (order 10, +-4, 64x64) against the FD Wigner
+    oracle at its 751 nodes in [-3, 3] and 121 p values: relative Linf
+    errors of 7.9e-5, 5.8e-4, 2.0e-3 and 5.4e-3 (3.4e-3, 2.3e-2, 6.5e-2
+    and 1.2e-1 at 32x32, where every bound fails)."""
+    U = parse_potential("0.5*q^2 + 0.1*q^4")
+    ps = _order10(6)
+    states = stationary_eigen(*assemble_stationary_pair(ps, U, PARAMS), 4)
+    p = np.linspace(-3.0, 3.0, 121)
+    q, ref = fd_wigner_states(U, 4, p)
+    for n, ((_, W), bound) in enumerate(zip(states, [1.5e-4, 1.2e-3, 4e-3, 1e-2])):
+        error = np.max(np.abs(ps.evaluate_grid(W.coeffs, q, p) - ref[n]))
+        assert error < bound * np.max(np.abs(ref[n])), (n, error)
+
+
 @pytest.mark.parametrize("expr, hbar, box, j_fine", [
     # levels below zero: the shift sits below the spectrum, not at zero
     ("0.5*q^2 - 5", 1.0, 4.0, 5),
@@ -933,46 +966,34 @@ def test_eigen_contract_errors(harmonic_small):
 
 
 # ---------------------------------------------------------------------------
-# refinement
+# level change
 # ---------------------------------------------------------------------------
+
+def test_level_and_field_change_compare_the_coarser_solve(harmonic_small):
+    """Given the pair one level down, ``stationary_eigen`` returns the same
+    states and compares them with that pair's own n states: the largest
+    level move and state 0's embedding difference.  Without it, or when its
+    solve fails (the cubic's Cholesky), both figures are nan."""
+    ps, U = harmonic_small
+    pair = assemble_stationary_pair(ps, U, PARAMS)
+    coarser = assemble_stationary_pair(replace(ps, j_fine=4), U, PARAMS)
+    states = stationary_eigen(*pair, 3, coarser)
+    alone, coarse = stationary_eigen(*pair, 3), stationary_eigen(*coarser, 3)
+    assert [e for e, _ in states] == [e for e, _ in alone]
+    assert states.level_change == max(abs(e - e_c) for (e, _), (e_c, _)
+                                      in zip(alone, coarse))
+    assert states.field_change == _embedding_difference(coarse[0][1], alone[0][1])
+    assert 0.0 < states.field_change < 1e-2
+    cubic = assemble_stationary_pair(replace(ps, j_fine=4),
+                                     parse_potential("0.1*q^3 + 0.5*q^2"), PARAMS)
+    for figures in (alone, stationary_eigen(*pair, 3, cubic)):
+        assert np.isnan(figures.level_change) and np.isnan(figures.field_change)
+
 
 def _square(j_coarse, j_fine):
     """Order-6 phase space on [-4, 4)^2."""
     return PhaseSpaceBasis(order=6, j_coarse=j_coarse, j_fine=j_fine,
                            q_min=-4.0, q_max=4.0, p_min=-4.0, p_max=4.0)
-
-
-def test_refine_until_trivial_convergence():
-    def solve_at_level(N):
-        ps = _square(3, N)
-        return _field(ps, lambda q, p: np.exp(-q ** 2 - p ** 2) / np.pi)
-
-    W, report = refine_until(solve_at_level, epsilon=1e-3, n_max=7, n_min=4)
-    assert report.converged
-    assert report.monotone
-    assert report.accepted_level <= 7
-    assert len(report.levels_tried) >= 1
-
-
-def test_refine_until_rejects_an_empty_level_range():
-    """n_min above n_max leaves no level to solve: an error, not a None
-    field with no accepted level."""
-    solved = []
-    with pytest.raises(ContractError, match="n_min 5 > n_max 3"):
-        refine_until(solved.append, epsilon=1e-3, n_max=3, n_min=5)
-    assert solved == []
-
-
-def test_refine_until_not_converged():
-    rng = np.random.default_rng(0)
-
-    def solve_at_level(N):
-        ps = _square(3, N)
-        return CoefficientField(ps=ps, coeffs=rng.normal(size=ps.dim))
-
-    W, report = refine_until(solve_at_level, epsilon=1e-12, n_max=5, n_min=3)
-    assert not report.converged
-    assert report.accepted_level == 5
 
 
 def test_refine_rejects_fields_in_different_frames():
@@ -982,14 +1003,8 @@ def test_refine_rejects_fields_in_different_frames():
         return _field(_square(j_coarse, j_fine),
                       lambda q, p: np.exp(-q ** 2 - p ** 2) / np.pi)
 
-    fields = {4: field(4, 4), 5: field(5, 5)}
     with pytest.raises(ContractError, match="j_coarse"):
-        refine_until(fields.get, epsilon=1e-3, n_max=5, n_min=4)
-
-
-def test_refine_epsilon_positive():
-    with pytest.raises(ContractError):
-        refine_until(lambda N: None, epsilon=0.0, n_max=5, n_min=3)
+        _embedding_difference(field(4, 4), field(5, 5))
 
 
 # ---------------------------------------------------------------------------
