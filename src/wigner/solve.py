@@ -321,6 +321,23 @@ _CLUSTER = 1e-2
 # At 64x64 (order-10 quartic, +-4, k = 27) one at the top moved |1><1|
 # from 1.76961 to 1.77118 and |2><2| by 1.8e-2.
 _MARGIN = 0.1
+# The first side problem of ``_lowest_pairs`` restricts p to the lowest
+# _RANK_START eigenvectors of the p^2 matrix.  The first subspace of the
+# order-10 quartic (+-4, k = 30, 1 thread) by start rank 16, 20, 24, 28,
+# 32, 40 took 0.20, 0.20, 0.21, 0.43, 0.45, 0.48 s at 64x64 (two side
+# problems up to 24, four above) and 0.92, 0.82, 0.61, 0.82, 0.83, 0.94 s at
+# 128x128 (two side problems at 24, three at the others).
+_RANK_START = 24
+# A later side basis keeps the leading singular vectors whose discarded
+# tail has a Frobenius norm above _RANK_TAIL times the whole, plus two.  On
+# the quartic at 32x32, 64x64 and 128x128, on +-8 at 64x64 and 128x128,
+# with hbar 0.1 on +-2, and on the double well at 128x128, that took 2, 2,
+# 2, 3, 2, 2 and 4 side problems; a tail of 1e-9 took up to 4 on each, and
+# 1e-8, or 1e-10 without the two, stalled above the 1e-8 gate on some.
+_RANK_TAIL = 1e-10
+# Side problems one k may take before its residual gate fails: twice the
+# most that any of those cases took.
+_MAX_SIDES = 8
 
 
 @dataclass
@@ -438,24 +455,27 @@ def _half_bandwidth(mats: np.ndarray) -> int:
     return int(np.max(np.abs(i - k))) if i.size else 0
 
 
-def _shifted_band(op: AssembledOperator, sigma: float):
-    """Upper band of the symmetric part of op - sigma I, axes in folded order.
+def _shifted_band(terms, sigma: float):
+    """Upper band of the symmetric part of S - sigma I, axes in folded order,
+    for S = sum_t c_t A_t (x) B_t given as the (c, A, B) triples ``terms``.
 
+    S acts on the grid of shape (len(A), len(B)), flat index i len(B) + j.
     Returns (ab, perm): ab[u + r - c, c] is entry (r, c), r <= c, of the
-    folded matrix, whose flat index r is op's index perm[r]; ab is Fortran-
-    ordered LAPACK upper band storage of half-bandwidth u = b_q n_p + b_p,
-    with b_q, b_p the folded half-bandwidths of the q and p factors.  The
-    band is written from the Kronecker terms, one q-block offset at a time
-    and one plain slice of ab per block column; no dim x dim array is made.
-    A_sym is symmetric only to the roundoff of its derivative tables (3.8e-13
-    relative on the 32x32 order-10 quartic); the band of (op + op^T) / 2 is
+    folded matrix, whose flat index r is S's index perm[r]; ab is Fortran-
+    ordered LAPACK upper band storage of half-bandwidth u = b_a n_b + b_b,
+    with b_a, b_b the folded half-bandwidths of the A and B factors.  The
+    band is written from the Kronecker terms, one A-block offset at a time
+    and one plain slice of ab per block column; no dense S is made.  A_sym
+    is symmetric only to the roundoff of its derivative tables (3.8e-13
+    relative on the 32x32 order-10 quartic); the band of (S + S^T) / 2 is
     symmetric by construction, whichever triangle LAPACK reads.
     """
-    nq, n_p = op.ps.shape
+    _, A0, B0 = terms[0]
+    nq, n_p = len(A0), len(B0)
     fq, fp = _folded_order(nq), _folded_order(n_p)
-    Qs = np.stack([0.5 * t.coeff * t.q_matrix[np.ix_(fq, fq)] for t in op.terms])
-    Bs = np.stack([t.p_matrix[np.ix_(fp, fp)].T for t in op.terms])
-    # each term and its transpose: the band of (op + op^T) / 2
+    Qs = np.stack([0.5 * c * A[np.ix_(fq, fq)] for c, A, _ in terms])
+    Bs = np.stack([B[np.ix_(fp, fp)].T for _, _, B in terms])
+    # each term and its transpose: the band of (S + S^T) / 2
     Qs = np.concatenate([Qs, Qs.transpose(0, 2, 1)])
     Bs = np.concatenate([Bs, Bs.transpose(0, 2, 1)])
     bq, bp = _half_bandwidth(Qs), _half_bandwidth(Bs)
@@ -476,14 +496,14 @@ def _shifted_band(op: AssembledOperator, sigma: float):
     return ab, (fq[:, None] * n_p + fp).reshape(-1)
 
 
-def _shifted_inverse(op: AssembledOperator, sigma: float) -> spla.LinearOperator:
-    """(op - sigma I)^-1, the OPinv of ``eigsh``, by a banded Cholesky
-    factor of ``_shifted_band``.
+def _shifted_inverse(terms, sigma: float) -> spla.LinearOperator:
+    """(S - sigma I)^-1 for the Kronecker sum S of ``terms``, by a banded
+    Cholesky factor of ``_shifted_band``.
 
-    Raises NumericalError when op - sigma I is not positive definite, that is
-    when op has a level below sigma.
+    Raises NumericalError when S - sigma I is not positive definite, that is
+    when S has a level below sigma.
     """
-    ab, perm = _shifted_band(op, sigma)
+    ab, perm = _shifted_band(terms, sigma)
     try:
         factor = la.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
     except la.LinAlgError as exc:
@@ -531,6 +551,65 @@ def _split_subspace(A_anti: AssembledOperator, lam, V) -> _Split:
     return _Split(eps, y, diagonal, V, np.concatenate(C, axis=1)[:, order])
 
 
+def _lowest_pairs(A_sym: AssembledOperator, sigma: float, k: int, W):
+    """The k lowest eigenpairs (lam, V) of A_sym by alternating side problems,
+    lam ascending and the columns of V orthonormal full-space vectors.
+
+    A side problem restricts one axis to span(W), W with orthonormal
+    columns, and keeps the other in full: sum_t c_t A_t (x) (W^T B_t W), with
+    B_t the restricted axis's factors.  Its k lowest pairs come from the
+    band, Cholesky and ``eigsh`` of ``_shifted_inverse``, and each vector,
+    an (n, R) grid X, lifts to the full space as X W^T.  The first side
+    restricts p to W.  Once every lifted pair passes the residual gate they
+    are returned; otherwise the next side restricts the axis just solved in
+    full to the leading left singular vectors of the k grids X side by side
+    (``_RANK_TAIL``), and keeps W's axis in full.  R is raised to
+    k // n + 1 where needed, so that k < n R, and at most to the axis's
+    size, where the side problem is A_sym in a rotated basis.
+    """
+    axis, rank = 1, _RANK_START  # axis: the one restricted to span(W)
+    for _ in range(_MAX_SIDES):
+        n = A_sym.ps.shape[1 - axis]
+        W = W[:, :min(W.shape[1], max(rank, k // n + 1))]
+        terms = []
+        for t in A_sym.terms:
+            factors = (t.q_matrix, t.p_matrix)
+            terms.append((t.coeff, factors[1 - axis], W.T @ factors[axis] @ W))
+        inv = _shifted_inverse(terms, sigma)
+        # A fixed start vector, drawn as ARPACK draws its own, makes runs
+        # repeatable.
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, inv.shape[0])
+        try:
+            nu, X = spla.eigsh(inv, k=k, which="LA", v0=v0)
+        except spla.ArpackNoConvergence as exc:
+            raise NumericalError(
+                "shift-invert eigensolver did not converge",
+                diagnostic={"converged_eigenvalues":
+                            getattr(exc, "eigenvalues", None)},
+            ) from exc
+        # the largest nu = 1 / (lam - sigma) first
+        order = np.argsort(-nu, kind="stable")
+        lam = sigma + 1.0 / nu[order]
+        X = np.take(X, order, axis=1).T.reshape(k, n, -1)
+        grids = X @ W.T
+        V = (grids if axis else grids.transpose(0, 2, 1)).reshape(k, -1).T
+        resid = np.array([np.linalg.norm(A_sym.apply(v) - e * v)
+                          for e, v in zip(lam, V.T)])
+        if np.all(resid <= 1e-8):
+            return lam, V
+        U, s, _ = np.linalg.svd(X.transpose(1, 0, 2).reshape(n, -1),
+                                full_matrices=False)
+        tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
+        W, axis = U, 1 - axis
+        rank = int(np.sum(tail > _RANK_TAIL * tail[0])) + 2
+    worst = int(np.argmax(resid))
+    raise NumericalError(
+        "stationary eigenpair residual too large",
+        diagnostic={"eigenvalue": float(lam[worst]),
+                    "residual": float(resid[worst])},
+    )
+
+
 def _splits(A_sym: AssembledOperator, A_anti: AssembledOperator, k: int):
     """Yields (line, split) for the k lowest eigenpairs of A_sym, then for k
     grown by a quarter (at least 2) each time the caller asks again.
@@ -546,50 +625,31 @@ def _splits(A_sym: AssembledOperator, A_anti: AssembledOperator, k: int):
     caller keeps a split once the highest level it takes lies at or below
     the line.
 
-    The eigenpairs are ARPACK's shift-invert at sigma = ``_spectrum_floor``,
-    with A_sym - sigma I written as a band in folded axis order
-    (``_shifted_band``) and Cholesky-factorized (``_shifted_inverse``) once
-    for every k: 8 (u + 1) dim bytes for u = 2 b_q n_p + 2 b_p, with b_q, b_p
-    the factors' periodic half-bandwidths (b = 8 at order 10: 34 MB at
-    64x64, 270 MB at 128x128).  The factor exists only when sigma lies below
-    every level, so the k levels nearest sigma are the lowest.  Every k
-    starts from the same vector, so runs repeat bit for bit.
+    The k lowest eigenvectors lie in span(U) (x) span(V) with U and V of
+    about 20 columns whatever the grid, so ``_lowest_pairs`` finds them by
+    alternating Rayleigh-Ritz on that Tucker-2 form (the alternating linear
+    scheme, Holtz, Rohwedder & Schneider, SIAM J. Sci. Comput. 34, A683,
+    2012), each side problem by ARPACK's shift-invert at sigma =
+    ``_spectrum_floor``.  Its band is 8 (u + 1) n R bytes for u about
+    (2 b + 1) R, with b the factors' periodic half-bandwidth (b = 8 at order
+    10; 5 MB for R = 24 at 64x64, 20 MB at 256x256), where A_sym's own band
+    would take 34 MB at 64x64 and 2.2 GB at 256x256.  The factor exists only
+    when sigma lies below every level of the side problem, whose levels lie
+    at or above A_sym's.  Every k starts from the same p basis and every
+    side problem from the same vector rule, so runs repeat bit for bit.
 
-    Raises NumericalError when k >= dim, the first k before the band is
-    written; when A_sym - sigma I is not positive definite; when ARPACK
-    does not converge; or when a residual ||A_sym v - lambda v|| / ||v||
-    exceeds 1e-8.
+    Raises NumericalError when k >= dim, the first k before any band is
+    written; when a side problem less sigma I is not positive definite; when
+    ARPACK does not converge; or when, after ``_MAX_SIDES`` side problems, a
+    residual ||A_sym v - lambda v|| / ||v|| still exceeds 1e-8.
     """
     n = A_sym.ps.dim
-    inv = None
+    start = None
     while k < n:
-        if inv is None:
+        if start is None:
             sigma = _spectrum_floor(A_sym)
-            A = spla.LinearOperator((n, n), matvec=A_sym.apply, dtype=float)
-            inv = _shifted_inverse(A_sym, sigma)
-            # A fixed start vector, drawn as ARPACK draws its own, makes runs
-            # repeatable.
-            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-        try:
-            lam, V = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
-                                OPinv=inv)
-        except spla.ArpackNoConvergence as exc:
-            raise NumericalError(
-                "shift-invert eigensolver did not converge",
-                diagnostic={"converged_eigenvalues":
-                            getattr(exc, "eigenvalues", None)},
-            ) from exc
-        # np.take keeps eigsh's row-major V (a fancy index would not), and
-        # the last bits of a column's dot products depend on its stride.
-        order = np.argsort(lam)
-        lam, V = lam[order], np.take(V, order, axis=1)
-        for e, v in zip(lam, V.T):
-            resid = np.linalg.norm(A_sym.apply(v) - e * v) / np.linalg.norm(v)
-            if resid > 1e-8:
-                raise NumericalError(
-                    "stationary eigenpair residual too large",
-                    diagnostic={"eigenvalue": float(e), "residual": float(resid)},
-                )
+            start = la.eigh(A_sym.ps.basis_p.moment_matrix(2))[1]
+        lam, V = _lowest_pairs(A_sym, sigma, k, start)
         line = lam[-1] - _MARGIN * (lam[-1] - lam[0])
         top = np.searchsorted(lam, line)
         keep = top + int(np.argmax(np.diff(lam[top - 1:])))

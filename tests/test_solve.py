@@ -612,6 +612,11 @@ def test_stationary_eigen_heavy_oscillator():
         assert abs(eps - 0.5 * (n + 0.5) / np.sqrt(2.0)) < 1e-3
 
 
+def _kron_terms(op: AssembledOperator) -> list:
+    """op's terms as the (c, A, B) triples that ``_shifted_band`` takes."""
+    return [(t.coeff, t.q_matrix, t.p_matrix) for t in op.terms]
+
+
 @pytest.mark.parametrize("hbar", [1.0, 0.5])
 def test_shifted_band_matches_kron_reference(hbar):
     """A_sym's Kronecker sum applies as its dense matrix, and its shifted
@@ -631,7 +636,7 @@ def test_shifted_band_matches_kron_reference(hbar):
 
     n, n_p = ps.dim, ps.shape[1]
     sigma = 0.25
-    ab, perm = _shifted_band(A_sym, sigma)
+    ab, perm = _shifted_band(_kron_terms(A_sym), sigma)
     u = ab.shape[0] - 1
     assert ab.shape[1] == n and ab.flags.f_contiguous and u == 396
     assert np.any(dense[:n_p, -n_p:] != 0.0)
@@ -700,7 +705,7 @@ def test_shifted_band_keeps_its_bits(order, smallest, expr):
     j_fine = smallest_level(order) if smallest else 6
     op = _band_operator(order, j_fine, expr)
     sigma = _spectrum_floor(op)
-    ab, perm = _shifted_band(op, sigma)
+    ab, perm = _shifted_band(_kron_terms(op), sigma)
     ref, ref_perm = _strided_band(op, sigma)
     assert np.array_equal(perm, ref_perm)
     assert ab.shape == ref.shape and ab.flags.f_contiguous
@@ -718,7 +723,7 @@ def test_shifted_band_holds_one_block_beside_the_band():
     sigma = _spectrum_floor(A_sym)
     tracemalloc.start()
     try:
-        ab, _ = _shifted_band(A_sym, sigma)
+        ab, _ = _shifted_band(_kron_terms(A_sym), sigma)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -733,24 +738,36 @@ def test_shifted_inverse_matches_dense_solve():
         ps, parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
     sigma = _spectrum_floor(A_sym)
     v = np.random.default_rng(2).normal(size=ps.dim)
-    x = _shifted_inverse(A_sym, sigma).matvec(v)
+    x = _shifted_inverse(_kron_terms(A_sym), sigma).matvec(v)
     ref = np.linalg.solve(kron_dense(A_sym) - sigma * np.eye(ps.dim), v)
     assert np.linalg.norm(x - ref) < 1e-10 * np.linalg.norm(ref)
 
 
 def test_lowest_eigenpairs_allocates_no_dense_matrix():
-    """At 64x64 the eigen path's peak traced allocation stays below 45 MB,
-    a third of one dim x dim float64 copy (134 MB): the order-10 A_sym band
-    is 34 MB, and it measured 39 MB in all."""
+    """At 64x64 the first subspace of the four-state quartic (k = 30) peaks
+    below 25 MB of traced allocation, under the 34 MB that A_sym's own band
+    would take, and no band that reaches the Cholesky has dim columns: the
+    side problems' bands are 5.0 and 8.9 MB, and the whole measured 16.4 MB."""
+    ps = _order10(6)
     A_sym, A_anti = assemble_stationary_pair(
-        _order10(6), parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
-    tracemalloc.start()
-    try:
-        next(_splits(A_sym, A_anti, 2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 45e6
+        ps, parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
+    columns = []
+    cholesky_banded = wigner.solve.la.cholesky_banded
+
+    def counted_cholesky(ab, *args, **kwargs):
+        columns.append(ab.shape[1])
+        return cholesky_banded(ab, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wigner.solve.la, "cholesky_banded", counted_cholesky)
+        tracemalloc.start()
+        try:
+            next(_splits(A_sym, A_anti, first_subspace(4)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 25e6
+    assert columns and max(columns) < ps.dim
 
 
 def test_lowest_eigenpairs_checks_dim_before_factoring(harmonic_small):
@@ -769,29 +786,33 @@ def test_lowest_eigenpairs_checks_dim_before_factoring(harmonic_small):
     assert info.value.diagnostic == {"eigenpairs": 19999900002, "dim": ps.dim}
 
 
-def test_stationary_eigen_grows_k_on_one_factor():
+def test_stationary_eigen_grows_k_one_factor_per_side_problem():
     """Six oscillator states (32x32 order-10, +-5) are not all below the
-    line at k = 6 (2 6 - 1) + 2 = 68, so ``_splits`` asks ARPACK again at
-    k = 85 with the band factored once, and the levels returned are the
-    first six diagonal levels of a split started at k = 85, bit for bit."""
-    A_sym, A_anti = assemble_stationary_pair(
-        _order10(5, 5.0), parse_potential("0.5*q^2"), PARAMS)
-    ks, factors = [], []
+    line at k = 6 (2 6 - 1) + 2 = 68, so ``_splits`` solves again at
+    k = 85.  Each k takes its own side problems, each ``eigsh`` call on one
+    Cholesky factor of a band with fewer than dim columns, and the levels
+    returned are the first six diagonal levels of a split started at
+    k = 85, bit for bit."""
+    ps = _order10(5, 5.0)
+    A_sym, A_anti = assemble_stationary_pair(ps, parse_potential("0.5*q^2"), PARAMS)
+    ks, columns = [], []
     eigsh, cholesky_banded = wigner.solve.spla.eigsh, wigner.solve.la.cholesky_banded
 
     def counted_eigsh(*args, **kwargs):
         ks.append(kwargs["k"])
         return eigsh(*args, **kwargs)
 
-    def counted_cholesky(*args, **kwargs):
-        factors.append(1)
-        return cholesky_banded(*args, **kwargs)
+    def counted_cholesky(ab, *args, **kwargs):
+        columns.append(ab.shape[1])
+        return cholesky_banded(ab, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wigner.solve.spla, "eigsh", counted_eigsh)
         mp.setattr(wigner.solve.la, "cholesky_banded", counted_cholesky)
         states = stationary_eigen(A_sym, A_anti, 6)
-    assert ks == [first_subspace(6), 85] == [68, 85] and len(factors) == 1
+    assert list(dict.fromkeys(ks)) == [first_subspace(6), 85] == [68, 85]
+    assert ks == sorted(ks) and len(columns) == len(ks)
+    assert max(columns) < ps.dim
     _, split = next(_splits(A_sym, A_anti, 85))
     levels = split.eps[np.flatnonzero(split.diagonal)[:6]]
     assert np.array([eps for eps, _ in states]).tobytes() == levels.tobytes()
