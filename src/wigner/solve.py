@@ -1,6 +1,7 @@
 """Time evolution by the one integrator, the implicit midpoint stepper; the
-stationary spectrum of the two-sided star-genvalue system, checked one level
-down; and scale decomposition of coefficient fields."""
+stationary spectrum of the two-sided star-genvalue system, found through
+rank-R side problems of its Tucker-2 form and checked one level down; and
+scale decomposition of coefficient fields."""
 
 from __future__ import annotations
 
@@ -632,16 +633,17 @@ def _splits(A_sym: AssembledOperator, A_anti: AssembledOperator, k: int):
     2012), each side problem by ARPACK's shift-invert at sigma =
     ``_spectrum_floor``.  Its band is 8 (u + 1) n R bytes for u about
     (2 b + 1) R, with b the factors' periodic half-bandwidth (b = 8 at order
-    10; 5 MB for R = 24 at 64x64, 20 MB at 256x256), where A_sym's own band
-    would take 34 MB at 64x64 and 2.2 GB at 256x256.  The factor exists only
+    10; 5 to 9 MB at 64x64 and 20 to 64 MB at 256x256 for the quartic),
+    where A_sym's own band would take 34 MB at 64x64 and 2.2 GB at 256x256.  The factor exists only
     when sigma lies below every level of the side problem, whose levels lie
     at or above A_sym's.  Every k starts from the same p basis and every
     side problem from the same vector rule, so runs repeat bit for bit.
 
     Raises NumericalError when k >= dim, the first k before any band is
     written; when a side problem less sigma I is not positive definite; when
-    ARPACK does not converge; or when, after ``_MAX_SIDES`` side problems, a
-    residual ||A_sym v - lambda v|| / ||v|| still exceeds 1e-8.
+    ARPACK does not converge; or when, after ``_MAX_SIDES`` side problems,
+    the residual ||A_sym v - lambda v|| of a lifted unit vector v still
+    exceeds 1e-8.
     """
     n = A_sym.ps.dim
     start = None
@@ -706,7 +708,7 @@ def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
     integral.
 
     ``coarser``, the same pair on j_fine - 1 or None, is solved first so its
-    band is freed before the run's own is written; ``level_change`` and
+    bands are freed before the run's own are written; ``level_change`` and
     ``field_change`` are nan when it is None or its solve raises NumericalError.
 
     Raises NumericalError where ``_splits`` does, or when a returned field

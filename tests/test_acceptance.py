@@ -201,9 +201,9 @@ def _quartic_run_levels(tmp_path, capsys, j_fine):
 
 
 def test_quartic_spectrum_at_128x128_is_ten_times_closer(tmp_path, capsys):
-    """A 128x128 stationary run factors A_sym's 270 MB band and exits 0;
-    each of its four levels is at least 10x closer to the FD oracle than at
-    64x64 (measured 44-68x: 8.4e-8 to 5.7e-5 against 5.2e-6 to 2.5e-3)."""
+    """A 128x128 stationary run exits 0; each of its four levels is at
+    least 10x closer to the FD oracle than at 64x64 (measured 44-68x:
+    8.4e-8 to 5.7e-5 against 5.2e-6 to 2.5e-3)."""
     t0 = time.time()
     ref = fd_schrodinger_levels(lambda q: 0.5 * q ** 2 + 0.1 * q ** 4, 4)
     coarse = np.abs(_quartic_run_levels(tmp_path, capsys, 6) - ref)
