@@ -198,7 +198,7 @@ def connection_coefficients(filt: FilterCoefficients, d: int) -> ConnectionTable
     int phi(x) phi^(d)(x - k) dx for k = -K..K, K = order - 2.
 
     Solves the homogeneous refinement system Gamma = 2^d A Gamma together
-    with the moment normalization sum_k k^d Gamma(k) = (-1)^d d!.  Cached
+    with the moment normalization sum_k k^d Gamma(k) = d!.  Cached
     per filter order and d.
     """
     if d < 0:

@@ -26,8 +26,4 @@ class DegenerateInputError(WignerError):
 
 
 class AbortedEvolutionError(NumericalError):
-    """Time evolution became unstable; carries the last accepted state."""
-
-    def __init__(self, message, last_state=None, diagnostic=None):
-        super().__init__(message, diagnostic)
-        self.last_state = last_state
+    """Time evolution became unstable."""

@@ -149,14 +149,14 @@ class _MidpointStepper:
     with Lx from ``L.apply``, until ||b - x + hLx|| <= 1e-12 ||b||.  Neither
     L's sparse matrix nor an LU is built.
 
-    The stepper keeps its last seven solutions x and their images hLx, which
-    the final residual check of each step computes anyway, in two arrays
-    allocated here.  When a step is handed the state it returned last, it
-    takes hLc for b = c + hLc from them; once all seven are stored, it
-    starts from their extrapolation (``_EXTRAPOLATION``), whose residual is
-    a combination of stored images, if that residual passes
-    ``_START_GATE``, and from x = 0 otherwise.  Any other c clears the
-    history, so the step is that of a fresh stepper.
+    The stepper is given the initial state c0 once and steps from its own
+    last result after that.  It keeps its last seven solutions x and their
+    images hLx, which the final residual check of each step computes
+    anyway, in two arrays allocated here.  The first step takes
+    b = c0 + hLc0; every later one takes its last x and hLx from them.  Once
+    all seven are stored, a step starts from their extrapolation
+    (``_EXTRAPOLATION``), whose residual is a combination of stored images,
+    if that residual passes ``_START_GATE``, and from x = 0 otherwise.
 
     L must be real and every term must have a circulant factor, as every
     ``assemble_evolution`` generator does; otherwise ContractError.  A step
@@ -164,7 +164,7 @@ class _MidpointStepper:
     NumericalError: dt is too long for the factorization.
     """
 
-    def __init__(self, L: AssembledOperator, dt: float):
+    def __init__(self, L: AssembledOperator, dt: float, c0: np.ndarray):
         if L.is_complex:
             raise ContractError("the midpoint stepper needs a real generator")
         T, F = [], []
@@ -192,10 +192,11 @@ class _MidpointStepper:
             sym = np.stack([s for s, _ in F])
             self._E = 1.0 / (1.0 - self.h * (d.T @ sym))
         # ring buffers of the last solutions and their images: step k,
-        # counted from 0 since the history was last cleared, goes to slot k % 7
+        # counted from 0, goes to slot k % 7
         self._xs = np.empty((len(_EXTRAPOLATION), L.ps.dim))
         self._hLxs = np.empty_like(self._xs)
         self._count = 0
+        self._c0 = c0
 
     def _precondition(self, r):
         R = self.L.ps.as_grid(r)
@@ -213,13 +214,12 @@ class _MidpointStepper:
             R = np.fft.irfft(Rh, n=n_p, axis=1)
         return R.reshape(-1)
 
-    def step(self, c):
+    def step(self):
         n, k = len(_EXTRAPOLATION), self._count
-        if k and np.array_equal(c, self._xs[(k - 1) % n]):
-            hLc = self._hLxs[(k - 1) % n]
+        if k:
+            b = self._xs[(k - 1) % n] + self._hLxs[(k - 1) % n]
         else:
-            k, hLc = 0, self.h * self.L.apply(c)
-        b = c + hLc
+            b = self._c0 + self.h * self.L.apply(self._c0)
         norm_b = np.linalg.norm(b)
         x = np.zeros_like(b)
         r = b
@@ -261,30 +261,29 @@ def evolve(W0: CoefficientField, L: AssembledOperator, cfg: EvolutionConfig,
     and none is kept, so memory does not grow with the step count.  The
     benchmark times the steps by counting these constructions, so ``store``
     must build no field itself.  A step whose norm is not finite or exceeds
-    1e6 times the initial one raises AbortedEvolutionError carrying the last
-    stored state.  A complex L raises ContractError.
+    1e6 times the initial one raises AbortedEvolutionError.  A complex L
+    raises ContractError.
     """
     if L.ps is not W0.ps and L.ps != W0.ps:
         raise ContractError("operator and initial field live on different bases")
 
     n_steps = int(np.ceil(cfg.t_end / cfg.dt * (1.0 - 1e-12)))
     dt = cfg.t_end / max(n_steps, 1)
-    stepper = _MidpointStepper(L, dt)
+    c = W0.coeffs.astype(float)
+    stepper = _MidpointStepper(L, dt, c)
 
     norm0 = max(np.linalg.norm(W0.coeffs), 1e-300)
     last = W0.copy()
     if store is not None:
         store(last)
-    c = W0.coeffs.astype(float)
     t = W0.time
     for i in range(n_steps):
-        c = stepper.step(c)
+        c = stepper.step()
         t += dt
         norm = np.linalg.norm(c)
         if not np.isfinite(norm) or norm > 1e6 * norm0:
             raise AbortedEvolutionError(
                 f"evolution unstable at t={t:.6g} (norm ratio {norm / norm0:.3e})",
-                last_state=last,
                 diagnostic={"t": t, "norm_ratio": float(norm / norm0)},
             )
         if i == n_steps - 1 or (i + 1) % cfg.store_every == 0:
@@ -339,36 +338,21 @@ _RANK_TAIL = 1e-10
 # Side problems one k may take before its residual gate fails: twice the
 # most that any of those cases took.
 _MAX_SIDES = 8
-
-
-@dataclass
-class _Split:
-    """The fields V C[:, i] that split the span of A_sym's eigenvectors V by
-    A_anti, lowest level first: field i has level eps = (E' + E'')/2 and
-    y = (E'' - E')/hbar, 0 for the diagonal states."""
-
-    eps: np.ndarray
-    y: np.ndarray
-    diagonal: np.ndarray
-    V: np.ndarray
-    C: np.ndarray
-
-    def field(self, ps: PhaseSpaceBasis, i: int) -> CoefficientField:
-        """Diagonal field i, unit norm, turned real with a positive integral."""
-        w = self.V @ self.C[:, i]
-        integral = ps.integration_functional() @ w
-        w = (w * np.conj(integral) / abs(integral)).real
-        return CoefficientField(ps=ps, coeffs=w)
+# Fields whose eps agree to _TIE max|eps|, as a pair's two members do, go by E'.
+_TIE = 1e-9
 
 
 class Spectrum(list):
     """The (eps, field) states that a stationary run returns, lowest level
-    first, with the split they come from, the line it was accepted at and,
-    given the states of the same pair one level down, how far they moved.
+    first, with the split they come from (each field's eps = (E' + E'')/2,
+    y = (E'' - E')/hbar and whether it is diagonal, lowest eps first), the
+    line it was accepted at and, given the coarser ``Spectrum`` of the same
+    pair, how far the states moved.
 
     ``pairs(hbar)`` lists (E', E'') = eps -+ hbar y / 2 of every split field,
     diagonal or not, whose max(E', E'') lies at or below the line, lowest
-    eps first: the levels of the two-sided system that the split resolves.
+    eps first, and lowest E' first where eps agree to ``_TIE``: the levels
+    of the two-sided system that the split resolves.
     ``ritz_defect(hbar)`` is the largest |E' - e_m| + |E'' - e_n| over the
     split's off-diagonal pairs whose two levels lie among the diagonal
     levels e returned, each matched to the nearest; a pair counts when both
@@ -388,9 +372,9 @@ class Spectrum(list):
     with four states at 64x64 they read 9.5e-2 and 5.7e-4.
     """
 
-    def __init__(self, items, split: _Split, line: float, coarse=None):
+    def __init__(self, items, eps, y, diagonal, line: float, coarse=None):
         super().__init__(items)
-        self._split, self._line = split, line
+        self._eps, self._y, self._diagonal, self._line = eps, y, diagonal, line
         self.level_change = self.field_change = float("nan")
         if coarse is not None:
             self.level_change = max(abs(e - e_c) for (e, _), (e_c, _)
@@ -399,24 +383,26 @@ class Spectrum(list):
 
     def _both(self, hbar: float) -> np.ndarray:
         """E' and E'' = eps -+ hbar y / 2 of every split field, as two rows."""
-        sp = self._split
-        return np.stack([sp.eps - 0.5 * hbar * sp.y, sp.eps + 0.5 * hbar * sp.y])
+        return np.stack([self._eps - 0.5 * hbar * self._y,
+                         self._eps + 0.5 * hbar * self._y])
 
     def pairs(self, hbar: float) -> list:
         """(E', E'') of the split fields at or below the line."""
+        tie = np.diff(self._eps) <= _TIE * np.max(np.abs(self._eps))
         both = self._both(hbar)
+        both = both[:, np.lexsort((both[0], np.cumsum(np.r_[0, ~tie])))]
         return [(float(lo), float(hi))
                 for lo, hi in both[:, both.max(axis=0) <= self._line].T]
 
     def ritz_defect(self, hbar: float) -> float:
         """The largest Ritz-combination miss, at E', E'' = eps -+ hbar y / 2."""
-        sp, e = self._split, np.array([eps for eps, _ in self])
+        e = np.array([eps for eps, _ in self])
         if len(e) < 2:
             return float("nan")
         both = self._both(hbar)
         inside = ((both >= e[0] - 0.5 * (e[1] - e[0]))
                   & (both <= e[-1] + 0.5 * (e[-1] - e[-2])))
-        keep = ~sp.diagonal & inside.all(axis=0)
+        keep = ~self._diagonal & inside.all(axis=0)
         if not keep.any():
             return float("nan")
         miss = np.min(np.abs(both[:, keep, None] - e), axis=2)
@@ -523,8 +509,10 @@ def _shifted_inverse(terms, sigma: float) -> spla.LinearOperator:
     return spla.LinearOperator((len(perm), len(perm)), matvec=solve, dtype=float)
 
 
-def _split_subspace(A_anti: AssembledOperator, lam, V) -> _Split:
-    """Split the span of A_sym's eigenvectors V (eigenvalues lam) by A_anti.
+def _split_subspace(A_anti: AssembledOperator, lam, V) -> tuple:
+    """Split the span of A_sym's eigenvectors V (eigenvalues lam) by A_anti
+    into the fields V C[:, i], lowest level first; returns (eps, y,
+    diagonal, C).
 
     The Hermitian -i(K - K^T)/2, K = V^T A_anti V, has eigenvalues
     y = (E'' - E')/hbar.  Those with |y| <= ``_DIAGONAL`` max|y| form the
@@ -549,7 +537,7 @@ def _split_subspace(A_anti: AssembledOperator, lam, V) -> _Split:
         C.append(U[:, c] @ Z)
     order = np.argsort(np.concatenate(eps), kind="stable")
     eps, y, diagonal = (np.concatenate(a)[order] for a in (eps, ys, diagonal))
-    return _Split(eps, y, diagonal, V, np.concatenate(C, axis=1)[:, order])
+    return eps, y, diagonal, np.concatenate(C, axis=1)[:, order]
 
 
 def _lowest_pairs(A_sym: AssembledOperator, sigma: float, k: int, W):
@@ -611,9 +599,19 @@ def _lowest_pairs(A_sym: AssembledOperator, sigma: float, k: int, W):
     )
 
 
-def _splits(A_sym: AssembledOperator, A_anti: AssembledOperator, k: int):
-    """Yields (line, split) for the k lowest eigenpairs of A_sym, then for k
-    grown by a quarter (at least 2) each time the caller asks again.
+def first_subspace(n_states: int) -> int:
+    """The first k of ``_lowest_states`` for n states, n(2n - 1) + 2:
+    n(2n - 1) is the count of the oscillator's pair levels
+    (E_m + E_n)/2 <= E_{n-1}, the densest spectrum among the tests."""
+    return n_states * (2 * n_states - 1) + 2
+
+
+def _lowest_states(A_sym: AssembledOperator, A_anti: AssembledOperator,
+                   n_states: int, coarse=None) -> Spectrum:
+    """The ``Spectrum`` of ``stationary_eigen`` for one pair, compared with
+    ``coarse``: the n lowest diagonal fields of a split of the k lowest
+    eigenpairs of A_sym, from k = ``first_subspace(n)`` and with k grown by
+    a quarter (at least 2) until they lie at or below the split's line.
 
     A two-sided eigenfield, H*W = E'W and W*H = E''W, has A_sym W =
     ((E' + E'')/2) W and A_anti W = (i/hbar)(E'' - E') W (Curtright,
@@ -623,8 +621,8 @@ def _splits(A_sym: AssembledOperator, A_anti: AssembledOperator, k: int):
     nearby level, nor A_anti the equal gaps of the oscillator; together they
     do.  Only the eigenvectors below the widest gap above line =
     lambda_{k-1} - ``_MARGIN`` (lambda_{k-1} - lambda_0) are split, and a
-    caller keeps a split once the highest level it takes lies at or below
-    the line.
+    split is kept once the highest level it returns lies at or below the
+    line.  Each state is its field turned real and of unit integral.
 
     The k lowest eigenvectors lie in span(U) (x) span(V) with U and V of
     about 20 columns whatever the grid, so ``_lowest_pairs`` finds them by
@@ -641,13 +639,19 @@ def _splits(A_sym: AssembledOperator, A_anti: AssembledOperator, k: int):
 
     Raises NumericalError when k >= dim, the first k before any band is
     written; when a side problem less sigma I is not positive definite; when
-    ARPACK does not converge; or when, after ``_MAX_SIDES`` side problems,
+    ARPACK does not converge; when, after ``_MAX_SIDES`` side problems,
     the residual ||A_sym v - lambda v|| of a lifted unit vector v still
-    exceeds 1e-8.
+    exceeds 1e-8; or when a returned field carries |integral| <
+    ``_INTEGRAL_FLOOR`` ||W||.
     """
-    n = A_sym.ps.dim
-    start = None
-    while k < n:
+    dim, k = A_sym.ps.dim, first_subspace(n_states)
+    sigma = start = None
+    while True:
+        if k >= dim:
+            raise NumericalError(
+                f"{k} eigenpairs are needed, but the basis has dim = {dim}",
+                diagnostic={"eigenpairs": k, "dim": dim},
+            )
         if start is None:
             sigma = _spectrum_floor(A_sym)
             start = la.eigh(A_sym.ps.basis_p.moment_matrix(2))[1]
@@ -655,44 +659,30 @@ def _splits(A_sym: AssembledOperator, A_anti: AssembledOperator, k: int):
         line = lam[-1] - _MARGIN * (lam[-1] - lam[0])
         top = np.searchsorted(lam, line)
         keep = top + int(np.argmax(np.diff(lam[top - 1:])))
-        yield line, _split_subspace(A_anti, lam[:keep], V[:, :keep])
-        k += max(2, k // 4)
-    raise NumericalError(
-        f"{k} eigenpairs are needed, but the basis has dim = {n}",
-        diagnostic={"eigenpairs": k, "dim": n},
-    )
-
-
-def first_subspace(n_states: int) -> int:
-    """The k of the first ``_splits`` subspace of an n-state stationary
-    solve, n(2n - 1) + 2: n(2n - 1) is the count of the oscillator's pair
-    levels (E_m + E_n)/2 <= E_{n-1}, the densest spectrum among the tests."""
-    return n_states * (2 * n_states - 1) + 2
-
-
-def _lowest_states(A_sym: AssembledOperator, A_anti: AssembledOperator,
-                   n_states: int) -> tuple:
-    """(states, split, line) of ``stationary_eigen`` for one pair."""
-    for line, split in _splits(A_sym, A_anti, first_subspace(n_states)):
-        chosen = np.flatnonzero(split.diagonal)[:n_states]
-        if len(chosen) == n_states and split.eps[chosen[-1]] <= line:
+        V = V[:, :keep]
+        eps, y, diagonal, C = _split_subspace(A_anti, lam[:keep], V)
+        chosen = np.flatnonzero(diagonal)[:n_states]
+        if len(chosen) == n_states and eps[chosen[-1]] <= line:
             break
+        k += max(2, k // 4)
     s = A_sym.ps.integration_functional()
-    out = []
+    items = []
     for n, i in enumerate(chosen):
-        eps, W = float(split.eps[i]), split.field(A_sym.ps, i)
-        integral = float(s @ W.coeffs)
-        weight = integral / np.linalg.norm(W.coeffs)
+        level, w = float(eps[i]), V @ C[:, i]
+        integral = s @ w
+        w = (w * np.conj(integral) / abs(integral)).real
+        integral = float(s @ w)
+        weight = integral / np.linalg.norm(w)
         if weight < _INTEGRAL_FLOOR:
             raise NumericalError(
-                f"stationary state {n} at eps = {eps:.6g} is off-diagonal "
+                f"stationary state {n} at eps = {level:.6g} is off-diagonal "
                 f"(|integral| = {weight:.3g} ||W||): A_sym's subspace does "
                 "not resolve the pairs |m><n| near this level from the "
                 "diagonal states; refine the basis or ask for fewer states",
-                diagnostic={"eigenvalue": eps, "integral_weight": weight},
+                diagnostic={"eigenvalue": level, "integral_weight": weight},
             )
-        out.append((eps, CoefficientField(ps=W.ps, coeffs=W.coeffs / integral)))
-    return out, split, line
+        items.append((level, CoefficientField(ps=A_sym.ps, coeffs=w / integral)))
+    return Spectrum(items, eps, y, diagonal, line, coarse)
 
 
 def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
@@ -703,26 +693,25 @@ def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
 
     Diagonal Wigner functions solve both H*W = EW and W*H = EW, so with the
     pair of ``assemble_stationary_pair`` a real eigenfield has A_sym W = EW
-    and A_anti W = 0.  They are the diagonal fields of ``_splits``, from
-    k = ``first_subspace(n)`` for n states.  Each field has unit total
+    and A_anti W = 0.  They are the diagonal fields of ``_lowest_states``,
+    from k = ``first_subspace(n)`` for n states.  Each field has unit total
     integral.
 
     ``coarser``, the same pair on j_fine - 1 or None, is solved first so its
     bands are freed before the run's own are written; ``level_change`` and
     ``field_change`` are nan when it is None or its solve raises NumericalError.
 
-    Raises NumericalError where ``_splits`` does, or when a returned field
-    carries |integral| < 0.5 ||W||: the subspace did not resolve the pairs
-    near that level, as at a near-degenerate doublet (a double well's
-    tunnelling pair) on a coarse basis.
+    Raises NumericalError where ``_lowest_states`` does, as when a field
+    integrates to less than 0.5 ||W|| at a near-degenerate doublet (a
+    double well's tunnelling pair) on a coarse basis.
     """
     if n_states < 1:
         raise ContractError("n_states must be >= 1")
     try:
-        coarse = coarser and _lowest_states(*coarser, n_states)[0]
+        coarse = coarser and _lowest_states(*coarser, n_states)
     except NumericalError:
         coarse = None
-    return Spectrum(*_lowest_states(A_sym, A_anti, n_states), coarse=coarse)
+    return _lowest_states(A_sym, A_anti, n_states, coarse)
 
 
 def _embedding_difference(coarse: CoefficientField, fine: CoefficientField) -> float:
