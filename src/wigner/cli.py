@@ -505,21 +505,15 @@ def _run_stationary(cfg, manifest, store):
     from .assembly import assemble_stationary_pair
     from .solve import stationary_eigen
 
-    A_sym, A_anti = assemble_stationary_pair(cfg.ps, cfg.U, cfg.params)
-    try:  # no level below j_coarse, nor below the filter's smallest j_fine
-        coarser = assemble_stationary_pair(replace(cfg.ps, j_fine=cfg.ps.j_fine - 1),
-                                           cfg.U, cfg.params)
-    except ConfigurationError:
-        coarser = None
-    states = stationary_eigen(A_sym, A_anti, cfg.solver.n_states, coarser)
+    states = stationary_eigen(*assemble_stationary_pair(cfg.ps, cfg.U, cfg.params),
+                              cfg.solver.n_states)
     manifest.append("[eigenvalues]")
     for i, (eps, _) in enumerate(states):
         manifest.append(f"eps_{i} = {eps:.12g}")
     for i, (e_lo, e_hi) in enumerate(states.pairs(cfg.params.hbar)):
         manifest.append(f"pair_{i} = {e_lo:.12g} {e_hi:.12g}")
     manifest.append(f"ritz_defect = {states.ritz_defect(cfg.params.hbar):.6g}")
-    manifest.append(f"level_change = {states.level_change:.6g}")
-    manifest.append(f"field_change = {states.field_change:.6g}")
+    manifest.append(f"purity_defect = {states.purity_defect(cfg.params.hbar):.6g}")
     store(states[0][1])
 
 

@@ -345,9 +345,8 @@ _TIE = 1e-9
 class Spectrum(list):
     """The (eps, field) states that a stationary run returns, lowest level
     first, with the split they come from (each field's eps = (E' + E'')/2,
-    y = (E'' - E')/hbar and whether it is diagonal, lowest eps first), the
-    line it was accepted at and, given the coarser ``Spectrum`` of the same
-    pair, how far the states moved.
+    y = (E'' - E')/hbar and whether it is diagonal, lowest eps first) and the
+    line it was accepted at.
 
     ``pairs(hbar)`` lists (E', E'') = eps -+ hbar y / 2 of every split field,
     diagonal or not, whose max(E', E'') lies at or below the line, lowest
@@ -365,21 +364,19 @@ class Spectrum(list):
     states at 32x32 and 64x64, four at 128x128), whose largest level
     errors are 3.1e-2, 6.9e-4 and 5.7e-5.
 
-    ``level_change`` is the largest |eps_n - eps_n^coarse| over the states
-    returned, and ``field_change`` the L2 distance between state 0 and the
-    coarser state 0 embedded by zero padding (``_embedding_difference``);
-    both are nan without coarser states.  For the order-10 quartic on +-4
-    with four states at 64x64 they read 9.5e-2 and 5.7e-4.
+    ``purity_defect(hbar)`` is the largest |1 - 2 pi hbar ||c_n||^2| over
+    the states returned.  A diagonal stationary Wigner function is a pure
+    state, whose purity 2 pi hbar int W^2 is 1 at unit integral, and a
+    mixture a W_0 + b W_1 (a + b = 1) of two such L2-orthogonal fields reads
+    a^2 + b^2.  So the defect sees fields that mix states, as the double
+    well's doublet at 128x128 does (8.97e-2 and 1.07e-1 against field
+    errors of 9.4e-2 and 1.02e-1), where ``ritz_defect`` reads 6.0e-5.  A
+    pure field of the wrong shape keeps it at 0.
     """
 
-    def __init__(self, items, eps, y, diagonal, line: float, coarse=None):
+    def __init__(self, items, eps, y, diagonal, line: float):
         super().__init__(items)
         self._eps, self._y, self._diagonal, self._line = eps, y, diagonal, line
-        self.level_change = self.field_change = float("nan")
-        if coarse is not None:
-            self.level_change = max(abs(e - e_c) for (e, _), (e_c, _)
-                                    in zip(self, coarse))
-            self.field_change = _embedding_difference(coarse[0][1], self[0][1])
 
     def _both(self, hbar: float) -> np.ndarray:
         """E' and E'' = eps -+ hbar y / 2 of every split field, as two rows."""
@@ -407,6 +404,11 @@ class Spectrum(list):
             return float("nan")
         miss = np.min(np.abs(both[:, keep, None] - e), axis=2)
         return float(np.max(miss.sum(axis=0)))
+
+    def purity_defect(self, hbar: float) -> float:
+        """The largest |1 - 2 pi hbar ||c_n||^2| over the states returned."""
+        return max(abs(1.0 - 2.0 * np.pi * hbar * float(np.vdot(W.coeffs, W.coeffs)))
+                   for _, W in self)
 
 
 def _spectrum_floor(op: AssembledOperator) -> float:
@@ -607,11 +609,11 @@ def first_subspace(n_states: int) -> int:
 
 
 def _lowest_states(A_sym: AssembledOperator, A_anti: AssembledOperator,
-                   n_states: int, coarse=None) -> Spectrum:
-    """The ``Spectrum`` of ``stationary_eigen`` for one pair, compared with
-    ``coarse``: the n lowest diagonal fields of a split of the k lowest
-    eigenpairs of A_sym, from k = ``first_subspace(n)`` and with k grown by
-    a quarter (at least 2) until they lie at or below the split's line.
+                   n_states: int) -> Spectrum:
+    """The ``Spectrum`` of ``stationary_eigen`` for one pair: the n lowest
+    diagonal fields of a split of the k lowest eigenpairs of A_sym, from
+    k = ``first_subspace(n)`` and with k grown by a quarter (at least 2)
+    until they lie at or below the split's line.
 
     A two-sided eigenfield, H*W = E'W and W*H = E''W, has A_sym W =
     ((E' + E'')/2) W and A_anti W = (i/hbar)(E'' - E') W (Curtright,
@@ -682,14 +684,14 @@ def _lowest_states(A_sym: AssembledOperator, A_anti: AssembledOperator,
                 diagnostic={"eigenvalue": level, "integral_weight": weight},
             )
         items.append((level, CoefficientField(ps=A_sym.ps, coeffs=w / integral)))
-    return Spectrum(items, eps, y, diagonal, line, coarse)
+    return Spectrum(items, eps, y, diagonal, line)
 
 
 def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
-                     n_states: int, coarser=None) -> Spectrum:
+                     n_states: int) -> Spectrum:
     """Lowest diagonal stationary states (eps, field) of the stationary pair,
-    in a ``Spectrum`` that also lists the split's pairs (E', E'') and how far
-    the states moved from those of ``coarser``.
+    in a ``Spectrum`` that also lists the split's pairs (E', E'') and the
+    figures that check them without an oracle.
 
     Diagonal Wigner functions solve both H*W = EW and W*H = EW, so with the
     pair of ``assemble_stationary_pair`` a real eigenfield has A_sym W = EW
@@ -697,35 +699,13 @@ def stationary_eigen(A_sym: AssembledOperator, A_anti: AssembledOperator,
     from k = ``first_subspace(n)`` for n states.  Each field has unit total
     integral.
 
-    ``coarser``, the same pair on j_fine - 1 or None, is solved first so its
-    bands are freed before the run's own are written; ``level_change`` and
-    ``field_change`` are nan when it is None or its solve raises NumericalError.
-
     Raises NumericalError where ``_lowest_states`` does, as when a field
     integrates to less than 0.5 ||W|| at a near-degenerate doublet (a
     double well's tunnelling pair) on a coarse basis.
     """
     if n_states < 1:
         raise ContractError("n_states must be >= 1")
-    try:
-        coarse = coarser and _lowest_states(*coarser, n_states)
-    except NumericalError:
-        coarse = None
-    return _lowest_states(A_sym, A_anti, n_states, coarse)
-
-
-def _embedding_difference(coarse: CoefficientField, fine: CoefficientField) -> float:
-    """L2 distance after zero-pad embedding of the coarse multiscale vector;
-    ContractError unless both bases share j_coarse, the frame it lines up."""
-    ps_c, ps_f = coarse.ps, fine.ps
-    if ps_c.j_coarse != ps_f.j_coarse:
-        raise ContractError("cannot embed a field in a basis with another "
-                            "j_coarse: the multiscale frames differ")
-    ms_c = ps_c.as_grid(ps_c.to_multiscale(coarse.coeffs))
-    ms_f = ps_f.as_grid(ps_f.to_multiscale(fine.coeffs))
-    pad = np.zeros_like(ms_f)
-    pad[: ms_c.shape[0], : ms_c.shape[1]] = ms_c
-    return float(np.linalg.norm(ms_f - pad))
+    return _lowest_states(A_sym, A_anti, n_states)
 
 
 # ---------------------------------------------------------------------------

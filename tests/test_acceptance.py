@@ -8,7 +8,6 @@ tolerances are the published ones, not tuned to the implementation.
 import math
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -260,22 +259,27 @@ def test_quartic_quantum_correction_matches_finite_differences():
     assert elapsed < 60.0
 
 
+def _embedding_difference(coarse, fine):
+    """L2 distance between fine's multiscale vector and coarse's, zero-padded
+    to fine's basis; the two bases share j_coarse, which lines the frames up."""
+    ms_c = coarse.ps.as_grid(coarse.ps.to_multiscale(coarse.coeffs))
+    ms_f = fine.ps.as_grid(fine.ps.to_multiscale(fine.coeffs))
+    pad = np.zeros_like(ms_f)
+    pad[: ms_c.shape[0], : ms_c.shape[1]] = ms_c
+    return float(np.linalg.norm(ms_f - pad))
+
+
 def test_refinement_converges_monotonically_for_the_ground_state():
-    """The ground state's field_change at j_fine 5 and 6, each against its
-    own solve one level down, falls and ends below 1e-4."""
+    """The ground state's embedding difference at j_fine 5 and 6, each
+    against the ground state one level down, falls and ends below 1e-4."""
     t0 = time.time()
     U = parse_potential("0.5*q^2")
-
-    def field_change(j):
-        pairs = [assemble_stationary_pair(_phase_space(10, level, (-3.2, 3.2)),
-                                          U, PARAMS) for level in (j, j - 1)]
-        return stationary_eigen(*pairs[0], 1, pairs[1]).field_change
-
-    levels = [(j, field_change(j)) for j in (5, 6)]
-    diffs = [d for _, d in levels]
+    ground = [stationary_eigen(*assemble_stationary_pair(
+        _phase_space(10, j, (-3.2, 3.2)), U, PARAMS), 1)[0][1] for j in (4, 5, 6)]
+    diffs = [_embedding_difference(c, f) for c, f in zip(ground, ground[1:])]
     elapsed = time.time() - t0
-    print(f"\nPASS refinement: levels {levels}, falling to {diffs[-1]:.2e} "
-          f"(eps=1e-4), {elapsed:.1f}s (<120s)")
+    print(f"\nPASS refinement: differences {diffs} at j_fine 5 and 6, falling "
+          f"to {diffs[-1]:.2e} (eps=1e-4), {elapsed:.1f}s (<120s)")
     assert diffs[1] < diffs[0]
     assert diffs[-1] < 1e-4
     assert elapsed < 120.0
@@ -284,28 +288,26 @@ def test_refinement_converges_monotonically_for_the_ground_state():
 def test_double_well_doublet_resolves_at_128x128():
     """0.25 q^4 - 2 q^2 + 5 (order 10, +-4, two states): at 128x128 both
     levels of the tunnelling doublet lie within 1e-3 of the FD oracle and
-    the splitting within 2% of its splitting.  The 64x64 solve does not
-    resolve the doublet and raises, so level_change and field_change read
-    nan."""
+    the splitting within 2% of its splitting.  Each field still holds about
+    5% of the other's Wigner function, and ``purity_defect`` sees it: it
+    reads 1.07e-1, against field errors of 9.4e-2 and 1.02e-1."""
     t0 = time.time()
     U = parse_potential("0.25*q^4 - 2*q^2 + 5")
     ps = _phase_space(10, 7, (-4.0, 4.0))
-    coarser = assemble_stationary_pair(replace(ps, j_fine=6), U, PARAMS)
-    states = stationary_eigen(*assemble_stationary_pair(ps, U, PARAMS), 2,
-                              coarser)
+    states = stationary_eigen(*assemble_stationary_pair(ps, U, PARAMS), 2)
     eps = np.array([e for e, _ in states])
     ref = fd_schrodinger_levels(lambda q: 0.25 * q ** 4 - 2 * q ** 2 + 5, 2)
     errors = np.abs(eps - ref)
     split_error = abs((eps[1] - eps[0]) / (ref[1] - ref[0]) - 1.0)
+    defect = states.purity_defect(PARAMS.hbar)
     elapsed = time.time() - t0
     print(f"\nPASS double well: levels {eps} against {ref}, errors "
           f"{errors.max():.2e} (<1e-3), splitting {eps[1] - eps[0]:.4e} against "
-          f"{ref[1] - ref[0]:.4e} ({split_error:.1%}, <2%), level_change "
-          f"{states.level_change} and field_change {states.field_change} (nan), "
-          f"{elapsed:.1f}s (<60s)")
+          f"{ref[1] - ref[0]:.4e} ({split_error:.1%}, <2%), purity_defect "
+          f"{defect:.3g} (>=5e-2), {elapsed:.1f}s (<60s)")
     assert np.all(errors < 1e-3)
     assert split_error < 0.02
-    assert np.isnan(states.level_change) and np.isnan(states.field_change)
+    assert defect >= 5e-2
     assert elapsed < 60.0
 
 

@@ -51,10 +51,8 @@ def test_benchmark_config_validates_under_the_tracer(tmp_path, capsys, name):
 
 def test_stationary_probe_sees_one_eigensolve(tmp_path):
     """The probe times a stationary run by its one ``stationary_eigen``
-    call, which also solves the pair one level down, and the run's
-    artifacts pass the benchmark's own checks.  The manifest's
-    ``level_change`` and ``field_change`` are finite (seed 1: 0.0932268 and
-    0.000565313)."""
+    call, and the run's artifacts pass the benchmark's own checks.  The
+    manifest's ``purity_defect`` reads 0.0027943 on seed 1."""
     text, spec = RUNNER.make_config("stationary_quartic", 1)
     cfg = tmp_path / "stationary_quartic.ini"
     cfg.write_text(text)
@@ -71,8 +69,39 @@ def test_stationary_probe_sees_one_eigensolve(tmp_path):
     manifest = dict(line.split(" = ", 1) for line in
                     (run_dir / "manifest.txt").read_text().splitlines()
                     if " = " in line)
-    assert float(manifest["level_change"]) == pytest.approx(0.0932268, rel=1e-4)
-    assert float(manifest["field_change"]) == pytest.approx(0.000565313, rel=1e-4)
+    assert float(manifest["purity_defect"]) == pytest.approx(0.0027943, rel=1e-4)
+
+
+def test_stationary_run_solves_one_pair(tmp_path, capsys, monkeypatch):
+    """A stationary run of the ``stationary_quartic`` config assembles two
+    pairs, ``parse_config``'s table check at the smallest level and its
+    own, and solves one: one ``_lowest_states`` call, whose two side
+    problems factor one shifted band each."""
+    import wigner.assembly
+    import wigner.solve
+
+    calls = {}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(wigner.assembly, "assemble_stationary_pair")
+    count(wigner.solve, "_lowest_states")
+    count(wigner.solve, "_shifted_inverse")
+    text, _ = RUNNER.make_config("stationary_quartic", 1)
+    cfg = tmp_path / "stationary_quartic.ini"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--threads", "1",
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == {"assemble_stationary_pair": 2, "_lowest_states": 1,
+                     "_shifted_inverse": 2}
 
 
 def test_projection_spans_count_every_sample_once(tmp_path):

@@ -653,7 +653,7 @@ def test_run_stationary_reports_eigenvalues(tmp_path, capsys):
 def test_eigen_runs_report_the_ritz_defect(tmp_path, capsys, mode, count):
     """A stationary manifest's [eigenvalues] block lists the states, then
     the pairs, then the split's Ritz-combination defect, and ends with the
-    change from the 16x16 solve (the 32x32 order-10 quartic)."""
+    states' purity defect (the 32x32 order-10 quartic)."""
     path = _write(tmp_path, _edited([
         ("mode = evolve", f"mode = {mode}"), ("0.5*q^2", "0.5*q^2 + 0.1*q^4"),
         ("order = 6", "order = 10"), ("j_fine = 4", "j_fine = 5"),
@@ -664,26 +664,12 @@ def test_eigen_runs_report_the_ritz_defect(tmp_path, capsys, mode, count):
     block = open(os.path.join(run_dir, "manifest.txt")).read().split(
         "[eigenvalues]\n")[1].split("\n\n")[0].splitlines()
     keys = [line.split(" = ")[0] for line in block]
-    n_pairs = len(keys) - 5
+    n_pairs = len(keys) - 4
     assert n_pairs >= 4
     assert keys == ["eps_0", "eps_1"] + [f"pair_{i}" for i in range(n_pairs)] \
-        + ["ritz_defect", "level_change", "field_change"]
-    for line in block[-3:]:
+        + ["ritz_defect", "purity_defect"]
+    for line in block[-2:]:
         assert 0.0 < float(line.split(" = ")[1]) < 1.0, line
-
-
-def test_stationary_run_with_no_level_below_reports_nan(tmp_path, capsys):
-    """With j_coarse = j_fine no basis one level down shares the multiscale
-    frame, so the run solves only its own pair, exits 0 and writes nan for
-    both figures."""
-    text = _edited([("mode = evolve", "mode = stationary"),
-                    ("j_coarse = 3", "j_coarse = 4"), ("t_end = 0.1", "n_states = 2")])
-    out = str(tmp_path / "out")
-    assert main(["run", _write(tmp_path, text), "--threads", "1", "--out", out]) \
-        == EXIT_OK
-    run_dir = capsys.readouterr().out.strip()
-    lines = open(os.path.join(run_dir, "manifest.txt")).read().splitlines()
-    assert "level_change = nan" in lines and "field_change = nan" in lines
 
 
 @pytest.mark.parametrize("mode", ["stationary"])

@@ -1,8 +1,7 @@
-"""Time stepping, eigenproblems and their level change, scale splits."""
+"""Time stepping, eigenproblems and their oracle-free checks, scale splits."""
 
 import itertools
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from wigner.assembly import (
     assemble_stationary_pair,
 )
 from wigner.basis import smallest_level
+from wigner.diagnostics import negativity_volume
 from wigner.errors import (
     AbortedEvolutionError,
     ConfigurationError,
@@ -41,7 +41,6 @@ from wigner.solve import (
     reconstruct_by_scale,
     stationary_eigen,
     _MidpointStepper,
-    _embedding_difference,
     _folded_order,
     _half_bandwidth,
     _lowest_states,
@@ -547,36 +546,72 @@ def test_fd_wigner_oracle_matches_groenewold():
 def _check_fields(expr, j_fine, bounds):
     """The lowest fields of U = expr (order 10, +-4), one per bound, against
     the FD Wigner oracle at its 751 nodes in [-3, 3] and 121 p values, each
-    within its relative Linf bound."""
+    within its relative Linf bound.  Returns the ``Spectrum`` and each
+    state's purity defect |1 - 2 pi hbar ||c_n||^2| over its relative error."""
     U = parse_potential(expr)
     ps = _order10(j_fine)
     states = stationary_eigen(*assemble_stationary_pair(ps, U, PARAMS), len(bounds))
     p = np.linspace(-3.0, 3.0, 121)
     q, ref = fd_wigner_states(U, len(bounds), p)
+    ratios = []
     for n, ((_, W), bound) in enumerate(zip(states, bounds)):
         error = np.max(np.abs(ps.evaluate_grid(W.coeffs, q, p) - ref[n]))
         assert error < bound * np.max(np.abs(ref[n])), (n, error)
+        defect = abs(1.0 - 2.0 * np.pi * PARAMS.hbar * np.vdot(W.coeffs, W.coeffs))
+        ratios.append(defect * np.max(np.abs(ref[n])) / error)
+    return states, ratios
 
 
 def test_stationary_eigen_quartic_fields_match_fd_oracle():
     """At 64x64 the relative Linf errors are 7.9e-5, 5.8e-4, 2.0e-3 and
     5.4e-3 (3.4e-3, 2.3e-2, 6.5e-2 and 1.2e-1 at 32x32, where every bound
-    fails)."""
-    _check_fields("0.5*q^2 + 0.1*q^4", 6, [1.5e-4, 1.2e-3, 4e-3, 1e-2])
+    fails).  The purity defects, 1.9e-5, 1.9e-4, 6.7e-4 and 3.0e-3, are
+    0.24-0.56 times the errors, inside the 0.2-1.8 of every state measured."""
+    _, ratios = _check_fields("0.5*q^2 + 0.1*q^4", 6, [1.5e-4, 1.2e-3, 4e-3, 1e-2])
+    assert all(0.2 <= r <= 1.8 for r in ratios), ratios
 
 
 def test_stationary_eigen_quartic_fields_match_fd_oracle_at_128x128():
     """At 128x128 the relative Linf errors are 1.63e-6, 1.32e-5, 4.43e-5
-    and 8.59e-4."""
-    _check_fields("0.5*q^2 + 0.1*q^4", 7, [3e-6, 3e-5, 1e-4, 1.5e-3])
+    and 8.59e-4, and ``purity_defect`` reads 1.49e-3 (state 3)."""
+    states, _ = _check_fields("0.5*q^2 + 0.1*q^4", 7, [3e-6, 3e-5, 1e-4, 1.5e-3])
+    assert states.purity_defect(PARAMS.hbar) <= 2e-3
 
 
 def test_stationary_eigen_double_well_fields_match_fd_oracle_at_128x128():
     """The double well's tunnelling doublet at 128x128: relative Linf errors
     9.39e-2 and 1.020e-1, although its levels lie within 4.3e-4 of the FD
     levels.  Each field holds about 5% of the other's Wigner function, the
-    level error over the 9.7e-3 splitting (6.9e-3 and 6.0e-3 at 256x256)."""
-    _check_fields("0.25*q^4 - 2*q^2 + 5", 7, [0.12, 0.13])
+    level error over the 9.7e-3 splitting (6.9e-3 and 6.0e-3 at 256x256).
+    The purity defects, 8.97e-2 and 1.07e-1, are 0.95 and 1.05 times the
+    errors."""
+    _, ratios = _check_fields("0.25*q^4 - 2*q^2 + 5", 7, [0.12, 0.13])
+    assert all(0.2 <= r <= 1.8 for r in ratios), ratios
+
+
+def test_stationary_eigen_quartic_negativity_matches_fd_oracle():
+    """Each quartic state's ``negativity_volume`` (order 10, +-4, 64x64)
+    against the FD oracle's int |W| - |int W|, both Riemann sums at the
+    oracle's nodes in [-3, 3] and 321 p values in [-4, 4], and the
+    package's own 256 x 256 sum over the box against the same figure.  The
+    oracle reads 1.0e-4, 0.426, 0.725 and 0.968; the field misses it by
+    3.5e-6, 5.2e-5, 2.0e-4 and 1.8e-3, and ``negativity_volume`` by 3.5e-6,
+    9.2e-5, 1.5e-4 and 1.8e-3."""
+    U = parse_potential("0.5*q^2 + 0.1*q^4")
+    ps = _order10(6)
+    states = stationary_eigen(*assemble_stationary_pair(ps, U, PARAMS), 4)
+    p = np.linspace(-4.0, 4.0, 321)
+    q, ref = fd_wigner_states(U, 4, p)
+    cell = (q[1] - q[0]) * (p[1] - p[0])
+
+    def negativity(V):
+        return np.sum(np.abs(V)) * cell - abs(np.sum(V) * cell)
+
+    for n, ((_, W), bound) in enumerate(zip(states, [1e-5, 2e-4, 4e-4, 4e-3])):
+        oracle = negativity(ref[n])
+        field = negativity(ps.evaluate_grid(W.coeffs, q, p))
+        assert abs(field - oracle) < bound, (n, field, oracle)
+        assert abs(negativity_volume(W) - oracle) < bound, (n, oracle)
 
 
 @pytest.mark.parametrize("expr, hbar, box, j_fine", [
@@ -1009,46 +1044,10 @@ def test_eigen_contract_errors(harmonic_small):
         stationary_eigen(A_sym, A_anti, 0)
 
 
-# ---------------------------------------------------------------------------
-# level change
-# ---------------------------------------------------------------------------
-
-def test_level_and_field_change_compare_the_coarser_solve(harmonic_small):
-    """Given the pair one level down, ``stationary_eigen`` returns the same
-    states and compares them with that pair's own n states: the largest
-    level move and state 0's embedding difference.  Without it, or when its
-    solve fails (the cubic's Cholesky), both figures are nan."""
-    ps, U = harmonic_small
-    pair = assemble_stationary_pair(ps, U, PARAMS)
-    coarser = assemble_stationary_pair(replace(ps, j_fine=4), U, PARAMS)
-    states = stationary_eigen(*pair, 3, coarser)
-    alone, coarse = stationary_eigen(*pair, 3), stationary_eigen(*coarser, 3)
-    assert [e for e, _ in states] == [e for e, _ in alone]
-    assert states.level_change == max(abs(e - e_c) for (e, _), (e_c, _)
-                                      in zip(alone, coarse))
-    assert states.field_change == _embedding_difference(coarse[0][1], alone[0][1])
-    assert 0.0 < states.field_change < 1e-2
-    cubic = assemble_stationary_pair(replace(ps, j_fine=4),
-                                     parse_potential("0.1*q^3 + 0.5*q^2"), PARAMS)
-    for figures in (alone, stationary_eigen(*pair, 3, cubic)):
-        assert np.isnan(figures.level_change) and np.isnan(figures.field_change)
-
-
 def _square(j_coarse, j_fine):
     """Order-6 phase space on [-4, 4)^2."""
     return PhaseSpaceBasis(order=6, j_coarse=j_coarse, j_fine=j_fine,
                            q_min=-4.0, q_max=4.0, p_min=-4.0, p_max=4.0)
-
-
-def test_embedding_difference_rejects_fields_in_different_frames():
-    """Zero-pad embedding lines up the scaling blocks, so two levels with
-    different j_coarse cannot be compared."""
-    def field(j_coarse, j_fine):
-        return _field(_square(j_coarse, j_fine),
-                      lambda q, p: np.exp(-q ** 2 - p ** 2) / np.pi)
-
-    with pytest.raises(ContractError, match="j_coarse"):
-        _embedding_difference(field(4, 4), field(5, 5))
 
 
 # ---------------------------------------------------------------------------
