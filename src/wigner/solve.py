@@ -1,7 +1,7 @@
 """Time evolution by the one integrator, the implicit midpoint stepper; the
 stationary spectrum of the two-sided star-genvalue system, found through
-rank-R side problems of its Tucker-2 form and checked one level down; and
-scale decomposition of coefficient fields."""
+rank-R side problems of its Tucker-2 form and checked by its Ritz and purity
+defects; and scale decomposition of coefficient fields."""
 
 from __future__ import annotations
 

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+import wigner.assembly
+import wigner.solve
 from wigner.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,9 +79,6 @@ def test_stationary_run_solves_one_pair(tmp_path, capsys, monkeypatch):
     pairs, ``parse_config``'s table check at the smallest level and its
     own, and solves one: one ``_lowest_states`` call, whose two side
     problems factor one shifted band each."""
-    import wigner.assembly
-    import wigner.solve
-
     calls = {}
 
     def count(module, name):

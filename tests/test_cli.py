@@ -443,7 +443,7 @@ def _section(name, *lines):
     ([("mode = evolve", "mode = stationary"), (_TAIL, _TAIL + "\nn_states = 12")],
      "[solver] n_states: 12 states start from k = 278 eigenpairs, but the basis "
      "has dim = 256"),
-    # a stationary run lists the Moyal pairs and its change one level down
+    # a stationary run lists the Moyal pairs, and refine mode is gone
     ([("mode = evolve", "mode = moyal")],
      "[run] mode must be one of ('evolve', 'stationary', 'ensemble') (got 'moyal')"),
     ([("mode = evolve", "mode = refine")],
