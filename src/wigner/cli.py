@@ -14,6 +14,7 @@ import difflib
 import math
 import numbers
 import os
+import shutil
 import sys
 import time
 import typing
@@ -463,10 +464,14 @@ def _execute(cfg: RunConfig, run_dir, manifest):
     store.finish()
 
     final = store.last
-    dump_grid(store.first, cfg.output.grid_resolution,
-              os.path.join(run_dir, "w_initial.wgrid"))
-    dump_grid(final, cfg.output.grid_resolution,
-              os.path.join(run_dir, "w_final.wgrid"))
+    initial = os.path.join(run_dir, "w_initial.wgrid")
+    dump_grid(store.first, cfg.output.grid_resolution, initial)
+    if final is store.first:
+        # a stationary run stores one state: its final grid is its initial one
+        shutil.copyfile(initial, os.path.join(run_dir, "w_final.wgrid"))
+    else:
+        dump_grid(final, cfg.output.grid_resolution,
+                  os.path.join(run_dir, "w_final.wgrid"))
     _dump_scale_parts(cfg, final, run_dir)
 
     dq, dp = marginals(final)

@@ -321,22 +321,25 @@ _CLUSTER = 1e-2
 # At 64x64 (order-10 quartic, +-4, k = 27) one at the top moved |1><1|
 # from 1.76961 to 1.77118 and |2><2| by 1.8e-2.
 _MARGIN = 0.1
-# The first side problem of ``_lowest_pairs`` restricts p to the lowest
-# _RANK_START eigenvectors of the p^2 matrix.  The first subspace of the
-# order-10 quartic (+-4, k = 30, 1 thread) by start rank 16, 20, 24, 28,
-# 32, 40 took 0.20, 0.20, 0.21, 0.43, 0.45, 0.48 s at 64x64 (two side
-# problems up to 24, four above) and 0.92, 0.82, 0.61, 0.82, 0.83, 0.94 s at
-# 128x128 (two side problems at 24, three at the others).
-_RANK_START = 24
+# The first side problem of ``_lowest_pairs`` restricts q to the lowest
+# eigenvectors of A_sym's q-only part, as many as ``_start_rank`` counts.
+# A rank too low for the q-modes of the k lowest levels can pass the
+# residual gate on a wrong subspace: on the oscillator (32x32, +-5, six
+# states) a start forced to rank 10 at k = 68, or 11 at k = 85, gave
+# levels 0.35 or 0.30 above the dense eigenvalues, against the rule's 13
+# and 14.
 # A later side basis keeps the leading singular vectors whose discarded
-# tail has a Frobenius norm above _RANK_TAIL times the whole, plus two.  On
-# the quartic at 32x32, 64x64 and 128x128, on +-8 at 64x64 and 128x128,
-# with hbar 0.1 on +-2, and on the double well at 128x128, that took 2, 2,
-# 2, 3, 2, 2 and 4 side problems; a tail of 1e-9 took up to 4 on each, and
-# 1e-8, or 1e-10 without the two, stalled above the 1e-8 gate on some.
-_RANK_TAIL = 1e-10
-# Side problems one k may take before its residual gate fails: twice the
-# most that any of those cases took.
+# tail has a Frobenius norm above _RANK_TAIL times the whole, plus four.
+# The order-10 quartic on +-4 then takes two side problems at 32x32 to
+# 256x256, as on +-6 and +-8; the oscillator with hbar 0.1 or mass 2 and
+# 0.5 q^2 - 5 take one, and the double well at 128x128 three.  For
+# lambda 0.09 to 0.11 the quartic's second side (rank 29) leaves residuals
+# of 2.2e-9 to 2.7e-9 at 64x64 and 2.4e-9 to 5.1e-9 at 128x128; plus three
+# (rank 28) leaves up to 4.0e-9 and 5.0e-9; plus two, or 1e-10 plus two,
+# takes a third side.
+_RANK_TAIL = 1e-11
+# Side problems one k may take before its residual gate fails: more than
+# twice the most that any of those cases took.
 _MAX_SIDES = 8
 # Fields whose eps agree to _TIE max|eps|, as a pair's two members do, go by E'.
 _TIE = 1e-9
@@ -411,14 +414,16 @@ class Spectrum(list):
                    for _, W in self)
 
 
-def _spectrum_floor(op: AssembledOperator) -> float:
-    """Lowest eigenvalue of op's q-only part, the terms whose p factor is 1.
+def _spectrum_floor(op: AssembledOperator) -> tuple:
+    """Levels e, ascending, and orthonormal eigenvectors of op's q-only part,
+    the terms whose p factor is 1.
 
     For A_sym that part is U(q) - (hbar^2/8m) d^2/dq^2: a particle of mass
-    4m, whose ground level lies below the ground level E_0 of mass m.
-    A_sym's levels are (E_m + E_n)/2 >= E_0, so this is a shift below the
+    4m, whose ground level e[0] lies below the ground level E_0 of mass m.
+    A_sym's levels are (E_m + E_n)/2 >= E_0, so e[0] is a shift below the
     spectrum and close to its bottom.  It is not a bound for the discretized
-    operator: ``_shifted_inverse`` checks it.
+    operator: ``_shifted_inverse`` checks it.  The eigenvectors are the
+    q basis of the first side problem (``_start_rank``).
     """
     nq, n_p = op.ps.shape
     Ip = np.eye(n_p)
@@ -426,7 +431,24 @@ def _spectrum_floor(op: AssembledOperator) -> float:
     for t in op.terms:
         if np.array_equal(t.p_matrix, Ip):
             Q += t.coeff * t.q_matrix
-    return float(la.eigvalsh(0.5 * (Q + Q.T), subset_by_index=[0, 0])[0])
+    return la.eigh(0.5 * (Q + Q.T))
+
+
+def _start_rank(e: np.ndarray, k: int) -> int:
+    """Columns of the first side problem's q basis for k eigenpairs: the
+    count of q levels e_a with e_a + e_0 at or below the k-th lowest sum
+    e_a + e_b, plus two.
+
+    For a harmonic U, A_sym is Q (x) 1 + 1 (x) P with P's levels those of
+    the q-only part Q, so its k lowest levels are the k lowest sums, and
+    their eigenvectors use exactly the q-modes counted.  For any other U the
+    count is a model of that.  The quartic's 30 lowest levels count 7 at
+    64x64; the 12-state oscillator's 278 and 347 count 23 and 25 at 128x128
+    on +-7.
+    """
+    sums = np.add.outer(e, e).ravel()
+    top = np.partition(sums, k - 1)[k - 1]
+    return int(np.sum(e + e[0] <= top)) + 2
 
 
 def _folded_order(n: int) -> np.ndarray:
@@ -542,7 +564,7 @@ def _split_subspace(A_anti: AssembledOperator, lam, V) -> tuple:
     return eps, y, diagonal, np.concatenate(C, axis=1)[:, order]
 
 
-def _lowest_pairs(A_sym: AssembledOperator, sigma: float, k: int, W):
+def _lowest_pairs(A_sym: AssembledOperator, sigma: float, k: int, W, rank: int):
     """The k lowest eigenpairs (lam, V) of A_sym by alternating side problems,
     lam ascending and the columns of V orthonormal full-space vectors.
 
@@ -551,14 +573,15 @@ def _lowest_pairs(A_sym: AssembledOperator, sigma: float, k: int, W):
     B_t the restricted axis's factors.  Its k lowest pairs come from the
     band, Cholesky and ``eigsh`` of ``_shifted_inverse``, and each vector,
     an (n, R) grid X, lifts to the full space as X W^T.  The first side
-    restricts p to W.  Once every lifted pair passes the residual gate they
-    are returned; otherwise the next side restricts the axis just solved in
-    full to the leading left singular vectors of the k grids X side by side
-    (``_RANK_TAIL``), and keeps W's axis in full.  R is raised to
-    k // n + 1 where needed, so that k < n R, and at most to the axis's
-    size, where the side problem is A_sym in a rotated basis.
+    restricts q to the first ``rank`` columns of W.  Once every lifted pair
+    passes the residual gate they are returned; otherwise the next side
+    restricts the axis just solved in full to the leading left singular
+    vectors of the k grids X side by side (``_RANK_TAIL``), and keeps W's
+    axis in full.  R is raised to k // n + 1 where needed, so that k < n R,
+    and at most to the axis's size, where the side problem is A_sym in a
+    rotated basis.
     """
-    axis, rank = 1, _RANK_START  # axis: the one restricted to span(W)
+    axis = 0  # the axis restricted to span(W)
     for _ in range(_MAX_SIDES):
         n = A_sym.ps.shape[1 - axis]
         W = W[:, :min(W.shape[1], max(rank, k // n + 1))]
@@ -592,7 +615,7 @@ def _lowest_pairs(A_sym: AssembledOperator, sigma: float, k: int, W):
                                 full_matrices=False)
         tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
         W, axis = U, 1 - axis
-        rank = int(np.sum(tail > _RANK_TAIL * tail[0])) + 2
+        rank = int(np.sum(tail > _RANK_TAIL * tail[0])) + 4
     worst = int(np.argmax(resid))
     raise NumericalError(
         "stationary eigenpair residual too large",
@@ -627,17 +650,19 @@ def _lowest_states(A_sym: AssembledOperator, A_anti: AssembledOperator,
     line.  Each state is its field turned real and of unit integral.
 
     The k lowest eigenvectors lie in span(U) (x) span(V) with U and V of
-    about 20 columns whatever the grid, so ``_lowest_pairs`` finds them by
-    alternating Rayleigh-Ritz on that Tucker-2 form (the alternating linear
-    scheme, Holtz, Rohwedder & Schneider, SIAM J. Sci. Comput. 34, A683,
-    2012), each side problem by ARPACK's shift-invert at sigma =
-    ``_spectrum_floor``.  Its band is 8 (u + 1) n R bytes for u about
+    at most about 30 columns whatever the grid, so ``_lowest_pairs`` finds
+    them by alternating Rayleigh-Ritz on that Tucker-2 form (the
+    alternating linear scheme, Holtz, Rohwedder & Schneider, SIAM J. Sci.
+    Comput. 34, A683, 2012), each side problem by ARPACK's shift-invert at
+    sigma = e[0] of ``_spectrum_floor``, whose eigenvectors also give the
+    first side's q basis.  A side band is 8 (u + 1) n R bytes for u about
     (2 b + 1) R, with b the factors' periodic half-bandwidth (b = 8 at order
-    10; 5 to 9 MB at 64x64 and 20 to 64 MB at 256x256 for the quartic),
-    where A_sym's own band would take 34 MB at 64x64 and 2.2 GB at 256x256.  The factor exists only
-    when sigma lies below every level of the side problem, whose levels lie
-    at or above A_sym's.  Every k starts from the same p basis and every
-    side problem from the same vector rule, so runs repeat bit for bit.
+    10; for the quartic 0.7 and 7.3 MB at 64x64 and 2.8 and 29 MB at
+    256x256), where A_sym's own band would take 34 MB at 64x64 and 2.2 GB
+    at 256x256.  The factor exists only when sigma lies below every level of
+    the side problem, whose levels lie at or above A_sym's.  Every k starts
+    from the same q basis and every side problem from the same vector rule,
+    so runs repeat bit for bit.
 
     Raises NumericalError when k >= dim, the first k before any band is
     written; when a side problem less sigma I is not positive definite; when
@@ -647,17 +672,14 @@ def _lowest_states(A_sym: AssembledOperator, A_anti: AssembledOperator,
     ``_INTEGRAL_FLOOR`` ||W||.
     """
     dim, k = A_sym.ps.dim, first_subspace(n_states)
-    sigma = start = None
+    e, start = _spectrum_floor(A_sym)
     while True:
         if k >= dim:
             raise NumericalError(
                 f"{k} eigenpairs are needed, but the basis has dim = {dim}",
                 diagnostic={"eigenpairs": k, "dim": dim},
             )
-        if start is None:
-            sigma = _spectrum_floor(A_sym)
-            start = la.eigh(A_sym.ps.basis_p.moment_matrix(2))[1]
-        lam, V = _lowest_pairs(A_sym, sigma, k, start)
+        lam, V = _lowest_pairs(A_sym, float(e[0]), k, start, _start_rank(e, k))
         line = lam[-1] - _MARGIN * (lam[-1] - lam[0])
         top = np.searchsorted(lam, line)
         keep = top + int(np.argmax(np.diff(lam[top - 1:])))

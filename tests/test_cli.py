@@ -684,6 +684,35 @@ def test_single_state_modes_list_one_checkpoint(tmp_path, capsys, mode):
     assert lines == ["checkpoint_0000.npy 0"]
 
 
+def test_stationary_run_evaluates_its_one_grid_once(tmp_path, capsys, monkeypatch):
+    """A stationary run stores one state, so its initial grid is its final
+    one: the grid is evaluated and written once, as ``w_initial.wgrid``, and
+    ``w_final.wgrid`` holds the same bytes."""
+    dumped, evaluated = {}, []
+    dump, evaluate = wigner.cli.dump_grid, PhaseSpaceBasis.evaluate_grid
+
+    def counted_dump(W, resolution, path):
+        before = len(evaluated)
+        dump(W, resolution, path)
+        dumped[os.path.basename(path)] = len(evaluated) - before
+
+    def counted_evaluate(self, *args, **kwargs):
+        evaluated.append(1)
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(wigner.cli, "dump_grid", counted_dump)
+    monkeypatch.setattr(PhaseSpaceBasis, "evaluate_grid", counted_evaluate)
+    text = _edited([("mode = evolve", "mode = stationary"),
+                    ("t_end = 0.1", "t_end = 0.1\nn_states = 2")])
+    assert main(["run", _write(tmp_path, text), "--threads", "1",
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    run_dir = capsys.readouterr().out.strip()
+    assert dumped["w_initial.wgrid"] == 1 and "w_final.wgrid" not in dumped
+    initial, final = (open(os.path.join(run_dir, name), "rb").read()
+                      for name in ("w_initial.wgrid", "w_final.wgrid"))
+    assert initial == final
+
+
 def test_one_step_evolve_is_classified_against_its_initial_state(tmp_path, capsys):
     # A displaced Gaussian moves by 5% of its norm in one step: not stable,
     # so localized_mode.  Compared with itself it would be a waveleton.

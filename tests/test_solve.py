@@ -733,7 +733,7 @@ def test_shifted_band_keeps_its_bits(order, smallest, expr):
     smallest basis of each order and at 64x64."""
     j_fine = smallest_level(order) if smallest else 6
     op = _band_operator(order, j_fine, expr)
-    sigma = _spectrum_floor(op)
+    sigma = _spectrum_floor(op)[0][0]
     ab, perm = _shifted_band(_kron_terms(op), sigma)
     ref, ref_perm = _strided_band(op, sigma)
     assert np.array_equal(perm, ref_perm)
@@ -749,7 +749,7 @@ def test_shifted_band_holds_one_block_beside_the_band():
     2.1 MB, beside it.  The strided writer read 4.9 MB over, the slices 2.8."""
     A_sym, _ = assemble_stationary_pair(
         _order10(6), parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
-    sigma = _spectrum_floor(A_sym)
+    sigma = _spectrum_floor(A_sym)[0][0]
     tracemalloc.start()
     try:
         ab, _ = _shifted_band(_kron_terms(A_sym), sigma)
@@ -765,18 +765,73 @@ def test_shifted_inverse_matches_dense_solve():
     ps = _order10(5)
     A_sym, _ = assemble_stationary_pair(
         ps, parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
-    sigma = _spectrum_floor(A_sym)
+    sigma = _spectrum_floor(A_sym)[0][0]
     v = np.random.default_rng(2).normal(size=ps.dim)
     x = _shifted_inverse(_kron_terms(A_sym), sigma).matvec(v)
     ref = np.linalg.solve(kron_dense(A_sym) - sigma * np.eye(ps.dim), v)
     assert np.linalg.norm(x - ref) < 1e-10 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("expr, box, n_states, ks", [
+    ("0.5*q^2 + 0.1*q^4", 4.0, 4, [30]),
+    ("0.5*q^2", 5.0, 6, [68, 85]),
+    ("0.25*q^4 - 2*q^2 + 5", 4.0, 2, [8]),
+], ids=["quartic", "oscillator", "double_well"])
+def test_lowest_pairs_are_the_lowest_dense_eigenvalues(expr, box, n_states, ks,
+                                                       monkeypatch):
+    """At 32x32 every subspace ``_lowest_states`` solves holds the k lowest
+    eigenvalues of the symmetrized dense A_sym to 1e-10: the first side
+    problem's q basis skips no level.  The double well's subspace is solved
+    before its split fails closed.  The oscillator's start ranks are 13 and
+    14; forced to 10 or 11, its k = 68 or k = 85 subspace passed the
+    residual gate 0.35 or 0.30 off these eigenvalues."""
+    A_sym, A_anti = assemble_stationary_pair(
+        _order10(5, box), parse_potential(expr), PARAMS)
+    solved = []
+    lowest_pairs = wigner.solve._lowest_pairs
+
+    def recorded(*args):
+        lam, V = lowest_pairs(*args)
+        solved.append(lam)
+        return lam, V
+
+    monkeypatch.setattr(wigner.solve, "_lowest_pairs", recorded)
+    try:
+        _lowest_states(A_sym, A_anti, n_states)
+    except NumericalError as exc:
+        assert "off-diagonal" in str(exc) and expr.startswith("0.25")
+    dense = kron_dense(A_sym)
+    ref = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+    assert [len(lam) for lam in solved] == ks
+    for lam in solved:
+        assert np.max(np.abs(lam - ref[:len(lam)])) < 1e-10
+
+
+@pytest.mark.parametrize("lam", [0.09, 0.10, 0.11])
+def test_quartic_subspace_takes_two_side_problems(lam, monkeypatch):
+    """The 64x64 order-10 quartic on +-4, over the stationary benchmark's
+    range of the quartic coefficient, finds its first subspace (k = 30) in
+    two side problems: q restricted to the start basis, then p to the rank
+    rule's basis.  A rank rule that needs a third side fails here."""
+    A_sym, A_anti = assemble_stationary_pair(
+        _order10(6), parse_potential(f"0.5*q^2 + {lam}*q^4"), PARAMS)
+    calls = []
+    shifted_inverse = wigner.solve._shifted_inverse
+
+    def counted(terms, sigma):
+        calls.append(len(terms[0][2]))
+        return shifted_inverse(terms, sigma)
+
+    monkeypatch.setattr(wigner.solve, "_shifted_inverse", counted)
+    assert len(_lowest_states(A_sym, A_anti, 4)) == 4
+    assert len(calls) == 2, f"side problems of ranks {calls}"
+
+
 def test_lowest_eigenpairs_allocates_no_dense_matrix():
     """At 64x64 the first subspace of the four-state quartic (k = 30) peaks
     below 25 MB of traced allocation, under the 34 MB that A_sym's own band
     would take, and no band that reaches the Cholesky has dim columns: the
-    side problems' bands are 5.0 and 8.9 MB, and the whole measured 16.4 MB."""
+    side problems' bands are 0.7 and 7.3 MB, and the whole measured 11.9 MB."""
     ps = _order10(6)
     A_sym, A_anti = assemble_stationary_pair(
         ps, parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
@@ -853,7 +908,13 @@ def test_stationary_eigen_rejects_shift_above_spectrum(harmonic_small,
     """A shift above A_sym's lowest level fails the Cholesky check and raises."""
     ps, U = harmonic_small
     A_sym, A_anti = assemble_stationary_pair(ps, U, PARAMS)
-    monkeypatch.setattr(wigner.solve, "_spectrum_floor", lambda op: 1.0)
+    floor = wigner.solve._spectrum_floor
+
+    def raised(op):
+        e, vectors = floor(op)
+        return e - e[0] + 1.0, vectors
+
+    monkeypatch.setattr(wigner.solve, "_spectrum_floor", raised)
     with pytest.raises(NumericalError, match="below the shift"):
         stationary_eigen(A_sym, A_anti, 2)
 
