@@ -533,19 +533,78 @@ def _shifted_inverse(terms, sigma: float) -> spla.LinearOperator:
     return spla.LinearOperator((len(perm), len(perm)), matvec=solve, dtype=float)
 
 
-def _split_subspace(A_anti: AssembledOperator, lam, V) -> tuple:
-    """Split the span of A_sym's eigenvectors V (eigenvalues lam) by A_anti
-    into the fields V C[:, i], lowest level first; returns (eps, y,
-    diagonal, C).
+def _frame(op: AssembledOperator, axis: int) -> list:
+    """op's terms as (c, F, G) triples in the frame of a side problem that
+    restricts ``axis`` (0 for q): F is a term's factor on the axis kept in
+    full and G its factor on the restricted one."""
+    return [(t.coeff, t.p_matrix, t.q_matrix) if axis == 0 else
+            (t.coeff, t.q_matrix, t.p_matrix) for t in op.terms]
 
-    The Hermitian -i(K - K^T)/2, K = V^T A_anti V, has eigenvalues
-    y = (E'' - E')/hbar.  Those with |y| <= ``_DIAGONAL`` max|y| form the
-    cluster of the diagonal states, whose y is set to 0; the others form
-    clusters of one sign each (``_CLUSTER``).  Inside each cluster
+
+def _lift(x: np.ndarray, W: np.ndarray, axis: int) -> np.ndarray:
+    """The flat q-major vector of the grid x W^T, whose first axis is the
+    one kept in full and whose second, ``axis``, the restricted one."""
+    grid = x @ W.T
+    return (grid.T if axis == 0 else grid).reshape(-1)
+
+
+def _residuals(frame, lam, X, W) -> np.ndarray:
+    """S v_i - lam_i v_i for the lifted v_i = X_i W^T and S the operator of
+    ``frame``, as (k, n, N) grids, full axis first.
+
+    (F (x) G)(X W^T) = (F X)(G W)^T, so each term adds the product of each
+    (n, R) grid F X_i by one R x N factor to the one accumulator, and no
+    v_i is built.  Adding state by state makes no second (k, n, N) array,
+    which would take 256 MB for k = 122 at 512x512."""
+    acc = (X * -lam[:, None, None]) @ W.T
+    for c, F, G in frame:
+        GWt = (G @ W).T
+        for a, x in zip(acc, c * (F @ X)):
+            a += x @ GWt
+    return acc
+
+
+def _projected(frame, X, W) -> np.ndarray:
+    """V^T S V for the lifted V_i = X_i W^T and S the operator of ``frame``:
+    K_ij = sum_t c_t <X_i, F_t X_j (W^T G_t W)^T>, from the factors."""
+    k = len(X)
+    Y = sum((c * (F @ X)) @ (W.T @ G @ W).T for c, F, G in frame)
+    return X.reshape(k, -1) @ Y.reshape(k, -1).T
+
+
+def _residual_gate(op: AssembledOperator) -> float:
+    """The largest residual ||A_sym v - lambda v|| accepted for a unit v:
+    max(1e-8, 4 eps sum_t |c_t| b(A_t) b(B_t)), with b(M) =
+    sqrt(||M||_1 ||M||_inf) >= ||M||_2.
+
+    The sum bounds ||A_sym||, and eps ||A_sym|| is the roundoff of one
+    product with it.  ||A_sym|| grows as N^4, from the quartic's
+    hbar^4 d^4/dp^4 term: the sum reads 1.215e4, 2.649e6 and 4.204e7 for
+    the order-10 quartic on +-4 at 64x64, 256x256 and 512x512, within 1.3%
+    of the bound from the factors' 2-norms (1.200e4, 2.624e6, 4.164e7).  So
+    the gate is 1e-8 up to 256x256 and 3.73e-8 at 512x512, where the side
+    problems' residuals stall at 1.1e-8 to 2.1e-8.
+    """
+    def bound(M):
+        return np.sqrt(np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf))
+    norm = sum(abs(t.coeff) * bound(t.q_matrix) * bound(t.p_matrix)
+               for t in op.terms)
+    return max(1e-8, 4.0 * np.finfo(float).eps * norm)
+
+
+def _split_subspace(A_anti: AssembledOperator, lam, X, W, axis: int) -> tuple:
+    """Split the span of A_sym's eigenvectors V_j = X_j W^T (``_lift``;
+    eigenvalues lam) by A_anti into the fields sum_j C_ji V_j, lowest level
+    first; returns (eps, y, diagonal, C).
+
+    The Hermitian -i(K - K^T)/2, K = V^T A_anti V (``_projected``), has
+    eigenvalues y = (E'' - E')/hbar.  Those with |y| <= ``_DIAGONAL`` max|y|
+    form the cluster of the diagonal states, whose y is set to 0; the others
+    form clusters of one sign each (``_CLUSTER``).  Inside each cluster
     A_sym = diag(lam) is Rayleigh-Ritz'd.  That gives each field's level
     eps = (E' + E'')/2 and, as its Rayleigh quotient, its own y.
     """
-    K = V.T @ np.column_stack([A_anti.apply(v) for v in V.T])
+    K = _projected(_frame(A_anti, axis), X, W)
     y, U = np.linalg.eigh(-0.5j * (K - K.T))
     scale = np.max(np.abs(y))
     side = np.where(np.abs(y) <= _DIAGONAL * scale, 0.0, np.sign(y))
@@ -565,52 +624,58 @@ def _split_subspace(A_anti: AssembledOperator, lam, V) -> tuple:
 
 
 def _lowest_pairs(A_sym: AssembledOperator, sigma: float, k: int, W, rank: int):
-    """The k lowest eigenpairs (lam, V) of A_sym by alternating side problems,
-    lam ascending and the columns of V orthonormal full-space vectors.
+    """The k lowest eigenpairs of A_sym by alternating side problems, as
+    (lam, X, W, axis): lam ascending, and eigenvector i the grid X[i] W^T
+    (``_lift``), orthonormal as W's columns on the restricted ``axis`` are.
 
-    A side problem restricts one axis to span(W), W with orthonormal
-    columns, and keeps the other in full: sum_t c_t A_t (x) (W^T B_t W), with
-    B_t the restricted axis's factors.  Its k lowest pairs come from the
-    band, Cholesky and ``eigsh`` of ``_shifted_inverse``, and each vector,
-    an (n, R) grid X, lifts to the full space as X W^T.  The first side
-    restricts q to the first ``rank`` columns of W.  Once every lifted pair
-    passes the residual gate they are returned; otherwise the next side
-    restricts the axis just solved in full to the leading left singular
-    vectors of the k grids X side by side (``_RANK_TAIL``), and keeps W's
-    axis in full.  R is raised to k // n + 1 where needed, so that k < n R,
-    and at most to the axis's size, where the side problem is A_sym in a
-    rotated basis.
+    A side problem restricts one axis to span(W) and keeps the other in
+    full: sum_t c_t F_t (x) (W^T G_t W) in the frame of ``_frame``.  Its k
+    lowest pairs come from the band, Cholesky and ``eigsh`` of
+    ``_shifted_inverse``, and each vector is an (n, R) grid X.  The first
+    side restricts q to the first ``rank`` columns of W.  Every later side
+    asks ARPACK for tol 1e-12: that cuts the 64x64 quartic's second side
+    from 131 to 112 banded solves, and in the tests' cases it moves no side
+    count and no level by more than 1e-10, where tol 1e-10 or 1e-11 took a
+    side problem more on the quartic on +-8 at 32x32 or on the double well
+    at 256x256.  The first side keeps tol 0, as its vectors set the next
+    side's basis through ``_RANK_TAIL``.  The factor is released, and the
+    pairs are checked in their factors (``_residuals``) against
+    ``_residual_gate``; once all pass they are returned.  Otherwise the
+    next side restricts the axis just solved in full to the leading left
+    singular vectors of the k grids X side by side (``_RANK_TAIL``), and
+    keeps W's axis in full.  R is raised to k // n + 1 where needed, so
+    that k < n R, and at most to the axis's size, where the side problem is
+    A_sym in a rotated basis.
     """
+    gate = _residual_gate(A_sym)
     axis = 0  # the axis restricted to span(W)
-    for _ in range(_MAX_SIDES):
+    for side in range(_MAX_SIDES):
         n = A_sym.ps.shape[1 - axis]
         W = W[:, :min(W.shape[1], max(rank, k // n + 1))]
-        terms = []
-        for t in A_sym.terms:
-            factors = (t.q_matrix, t.p_matrix)
-            terms.append((t.coeff, factors[1 - axis], W.T @ factors[axis] @ W))
-        inv = _shifted_inverse(terms, sigma)
+        frame = _frame(A_sym, axis)
+        inv = _shifted_inverse([(c, F, W.T @ G @ W) for c, F, G in frame], sigma)
         # A fixed start vector, drawn as ARPACK draws its own, makes runs
         # repeatable.
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, inv.shape[0])
         try:
-            nu, X = spla.eigsh(inv, k=k, which="LA", v0=v0)
+            nu, X = spla.eigsh(inv, k=k, which="LA", v0=v0,
+                               tol=1e-12 if side else 0)
         except spla.ArpackNoConvergence as exc:
             raise NumericalError(
                 "shift-invert eigensolver did not converge",
                 diagnostic={"converged_eigenvalues":
                             getattr(exc, "eigenvalues", None)},
             ) from exc
+        del inv  # the side's Cholesky factor
         # the largest nu = 1 / (lam - sigma) first
         order = np.argsort(-nu, kind="stable")
         lam = sigma + 1.0 / nu[order]
         X = np.take(X, order, axis=1).T.reshape(k, n, -1)
-        grids = X @ W.T
-        V = (grids if axis else grids.transpose(0, 2, 1)).reshape(k, -1).T
-        resid = np.array([np.linalg.norm(A_sym.apply(v) - e * v)
-                          for e, v in zip(lam, V.T)])
-        if np.all(resid <= 1e-8):
-            return lam, V
+        r = _residuals(frame, lam, X, W)
+        resid = np.sqrt(np.einsum("kij,kij->k", r, r))
+        del r
+        if np.all(resid <= gate):
+            return lam, X, W, axis
         U, s, _ = np.linalg.svd(X.transpose(1, 0, 2).reshape(n, -1),
                                 full_matrices=False)
         tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
@@ -620,7 +685,7 @@ def _lowest_pairs(A_sym: AssembledOperator, sigma: float, k: int, W, rank: int):
     raise NumericalError(
         "stationary eigenpair residual too large",
         diagnostic={"eigenvalue": float(lam[worst]),
-                    "residual": float(resid[worst])},
+                    "residual": float(resid[worst]), "gate": gate},
     )
 
 
@@ -647,7 +712,9 @@ def _lowest_states(A_sym: AssembledOperator, A_anti: AssembledOperator,
     do.  Only the eigenvectors below the widest gap above line =
     lambda_{k-1} - ``_MARGIN`` (lambda_{k-1} - lambda_0) are split, and a
     split is kept once the highest level it returns lies at or below the
-    line.  Each state is its field turned real and of unit integral.
+    line.  The eigenpairs stay in their Tucker factors through the checks
+    and the split, and each state is lifted from them once (``_lift``),
+    turned real and of unit integral.
 
     The k lowest eigenvectors lie in span(U) (x) span(V) with U and V of
     at most about 30 columns whatever the grid, so ``_lowest_pairs`` finds
@@ -668,7 +735,7 @@ def _lowest_states(A_sym: AssembledOperator, A_anti: AssembledOperator,
     written; when a side problem less sigma I is not positive definite; when
     ARPACK does not converge; when, after ``_MAX_SIDES`` side problems,
     the residual ||A_sym v - lambda v|| of a lifted unit vector v still
-    exceeds 1e-8; or when a returned field carries |integral| <
+    exceeds ``_residual_gate``; or when a returned field carries |integral| <
     ``_INTEGRAL_FLOOR`` ||W||.
     """
     dim, k = A_sym.ps.dim, first_subspace(n_states)
@@ -679,12 +746,13 @@ def _lowest_states(A_sym: AssembledOperator, A_anti: AssembledOperator,
                 f"{k} eigenpairs are needed, but the basis has dim = {dim}",
                 diagnostic={"eigenpairs": k, "dim": dim},
             )
-        lam, V = _lowest_pairs(A_sym, float(e[0]), k, start, _start_rank(e, k))
+        lam, X, W, axis = _lowest_pairs(A_sym, float(e[0]), k, start,
+                                        _start_rank(e, k))
         line = lam[-1] - _MARGIN * (lam[-1] - lam[0])
         top = np.searchsorted(lam, line)
         keep = top + int(np.argmax(np.diff(lam[top - 1:])))
-        V = V[:, :keep]
-        eps, y, diagonal, C = _split_subspace(A_anti, lam[:keep], V)
+        X = X[:keep]
+        eps, y, diagonal, C = _split_subspace(A_anti, lam[:keep], X, W, axis)
         chosen = np.flatnonzero(diagonal)[:n_states]
         if len(chosen) == n_states and eps[chosen[-1]] <= line:
             break
@@ -692,7 +760,7 @@ def _lowest_states(A_sym: AssembledOperator, A_anti: AssembledOperator,
     s = A_sym.ps.integration_functional()
     items = []
     for n, i in enumerate(chosen):
-        level, w = float(eps[i]), V @ C[:, i]
+        level, w = float(eps[i]), _lift(np.tensordot(C[:, i], X, axes=1), W, axis)
         integral = s @ w
         w = (w * np.conj(integral) / abs(integral)).real
         integral = float(s @ w)

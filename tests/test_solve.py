@@ -42,11 +42,18 @@ from wigner.solve import (
     stationary_eigen,
     _MidpointStepper,
     _folded_order,
+    _frame,
     _half_bandwidth,
+    _lift,
+    _lowest_pairs,
     _lowest_states,
+    _projected,
+    _residual_gate,
+    _residuals,
     _shifted_band,
     _shifted_inverse,
     _spectrum_floor,
+    _start_rank,
 )
 
 PARAMS = ModelParams()
@@ -791,9 +798,9 @@ def test_lowest_pairs_are_the_lowest_dense_eigenvalues(expr, box, n_states, ks,
     lowest_pairs = wigner.solve._lowest_pairs
 
     def recorded(*args):
-        lam, V = lowest_pairs(*args)
-        solved.append(lam)
-        return lam, V
+        pairs = lowest_pairs(*args)
+        solved.append(pairs[0])
+        return pairs
 
     monkeypatch.setattr(wigner.solve, "_lowest_pairs", recorded)
     try:
@@ -825,6 +832,85 @@ def test_quartic_subspace_takes_two_side_problems(lam, monkeypatch):
     monkeypatch.setattr(wigner.solve, "_shifted_inverse", counted)
     assert len(_lowest_states(A_sym, A_anti, 4)) == 4
     assert len(calls) == 2, f"side problems of ranks {calls}"
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["q_restricted", "p_restricted"])
+def test_factored_checks_match_full_space_products(axis, monkeypatch):
+    """The side problems' residuals and the split's K = V^T A_anti V, read
+    from the factors X and W of the lifted V_i = X_i W^T, equal the
+    full-space products on those V_i to 1e-12 relative: on the 32x32
+    order-10 quartic (k = 30), in the first side's frame (q restricted to
+    the start basis, taken by a gate that passes anything) and in the
+    second's (p restricted), where ``_lowest_pairs`` returns."""
+    A_sym, A_anti = assemble_stationary_pair(
+        _order10(5), parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
+    e, start = _spectrum_floor(A_sym)
+    if axis == 0:
+        monkeypatch.setattr(wigner.solve, "_residual_gate", lambda op: np.inf)
+    lam, X, W, solved = _lowest_pairs(A_sym, float(e[0]), 30, start,
+                                      _start_rank(e, 30))
+    assert solved == axis and W.shape[1] == (9 if axis == 0 else 27)
+    V = np.stack([_lift(x, W, axis) for x in X], axis=1)
+    assert np.allclose(V.T @ V, np.eye(30), rtol=0.0, atol=1e-12)
+
+    AV = np.column_stack([A_sym.apply(v) for v in V.T])
+    grids = _residuals(_frame(A_sym, axis), lam, X, W)
+    factored = (grids.transpose(0, 2, 1) if axis == 0 else grids).reshape(30, -1).T
+    assert np.max(np.abs(factored - (AV - lam * V))) < 1e-12 * np.max(np.abs(AV))
+
+    K = V.T @ np.column_stack([A_anti.apply(v) for v in V.T])
+    assert np.max(np.abs(_projected(_frame(A_anti, axis), X, W) - K)) < (
+        1e-12 * np.max(np.abs(K)))
+
+
+@pytest.mark.parametrize("expr, j_fine", [
+    ("0.5*q^2 + 0.1*q^4", 6), ("0.5*q^2 + 0.1*q^4", 7), ("0.5*q^2 + 0.1*q^4", 8),
+    ("0.25*q^4 - 2*q^2 + 5", 8), ("0.5*q^2 + 0.1*q^4", 9),
+])
+def test_residual_gate_stays_1e_8_through_256x256(expr, j_fine):
+    """The residual gate is 4 eps times a bound on ||A_sym||, and no less
+    than 1e-8: exactly 1e-8 for the order-10 quartic on +-4 at 64x64 to
+    256x256 and the double well at 256x256, and 3.73e-8 for the quartic at
+    512x512, where the side problems' residuals stall at 1.1e-8 to 2.1e-8
+    (a bound of 4.204e7 against ||A_sym|| <= 4.164e7 from the factors'
+    2-norms).  Assembly alone gives it."""
+    A_sym, _ = assemble_stationary_pair(_order10(j_fine), parse_potential(expr),
+                                        PARAMS)
+    gate = _residual_gate(A_sym)
+    if j_fine < 9:
+        assert gate == 1e-8
+    else:
+        assert 3.7e-8 < gate < 3.8e-8
+
+
+def test_residual_gate_is_named_when_it_fails(monkeypatch):
+    """Side problems that never pass the gate raise after ``_MAX_SIDES``,
+    and the diagnostic names the gate beside the worst residual."""
+    A_sym, A_anti = assemble_stationary_pair(
+        _order10(5), parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
+    monkeypatch.setattr(wigner.solve, "_residual_gate", lambda op: 0.0)
+    with pytest.raises(NumericalError, match="residual too large") as info:
+        stationary_eigen(A_sym, A_anti, 4)
+    assert info.value.diagnostic["gate"] == 0.0
+    assert info.value.diagnostic["residual"] > 0.0
+
+
+def test_lowest_states_at_256x256_keep_the_pairs_in_their_factors():
+    """At 256x256 the four-state quartic's ``_lowest_states`` peaks below
+    55 MB of traced allocation (measured 40.9 MB; 79.5 MB when each side's
+    k vectors were lifted to the full space and checked by full products).
+    The second side's 29 MB band is released before its residuals, whose
+    one (30, 256, 256) accumulator takes 15.7 MB."""
+    A_sym, A_anti = assemble_stationary_pair(
+        _order10(8), parse_potential("0.5*q^2 + 0.1*q^4"), PARAMS)
+    tracemalloc.start()
+    try:
+        states = _lowest_states(A_sym, A_anti, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(states) == 4
+    assert peak < 55e6
 
 
 def test_lowest_eigenpairs_allocates_no_dense_matrix():
